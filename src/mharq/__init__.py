@@ -6,7 +6,7 @@ The package splits into analysis layers that build on each other:
 - asymptotic: high-SNR tradeoff curves of relay chains under ARQ
 - finite_snr: outage, service times, deadline tails, window optimization
 - netsim: Monte Carlo fading and queueing simulation
-- numerics: the gamma, quadrature, and grid-search routines underneath
+- numerics: the incomplete-gamma and box grid-search routines underneath
 - cli: the mharq command built on all of the above
 """
 
@@ -40,7 +40,6 @@ from .finite_snr import (
     optimize_windows,
     ostbc_outage,
     per_hop_outage,
-    service_time_distribution,
 )
 from .netsim import (
     DelayExponentFit,
@@ -51,9 +50,7 @@ from .netsim import (
 )
 from .numerics import (
     BoxDomain,
-    IntegrationError,
     Interval,
-    integrate,
     lower_incomplete_gamma,
     minimize_box,
     regularized_lower_gamma,
@@ -62,18 +59,12 @@ from .tradeoff import (
     AntennaPair,
     ArqProtocol,
     ChannelAssumption,
-    ExponentSchedule,
-    ExponentVector,
     FblArq,
     FixedArq,
     Topology,
     VblArq,
     WindowAllocation,
-    capacity_exponent,
-    decoding_time_blockwise,
-    decoding_time_continuous,
     dmt,
-    exponent_cost,
 )
 
 __all__ = [
@@ -82,18 +73,12 @@ __all__ = [
     "AntennaPair",
     "ArqProtocol",
     "ChannelAssumption",
-    "ExponentSchedule",
-    "ExponentVector",
     "FblArq",
     "FixedArq",
     "Topology",
     "VblArq",
     "WindowAllocation",
-    "capacity_exponent",
-    "decoding_time_blockwise",
-    "decoding_time_continuous",
     "dmt",
-    "exponent_cost",
     # asymptotic
     "DmdtCurve",
     "FixedWindowOptimum",
@@ -121,7 +106,6 @@ __all__ = [
     "optimize_windows",
     "ostbc_outage",
     "per_hop_outage",
-    "service_time_distribution",
     # netsim
     "DelayExponentFit",
     "SimConfig",
@@ -130,9 +114,7 @@ __all__ = [
     "run_network_sim",
     # numerics
     "BoxDomain",
-    "IntegrationError",
     "Interval",
-    "integrate",
     "lower_incomplete_gamma",
     "minimize_box",
     "regularized_lower_gamma",

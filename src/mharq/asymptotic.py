@@ -6,10 +6,13 @@ their short-term-static counterparts, and the N-node reductions and bounds
 built from contiguous three-node sub-chains.
 
 The dynamic-sharing (VBL) computation is the workhorse: its two-hop
-outage-exponent problem collapses to a one-dimensional search along the
+outage-exponent problem collapses to a one-dimensional minimum along the
 boundary where the per-hop rate exponents s1, s2 satisfy
-s1*s2/(s1+s2) = r/L, and the closed forms for the special antenna families
-serve as independent oracles for that search.
+s1*s2/(s1+s2) = r/L.  Along that boundary (and along the budget split point
+in the short-term static case) the objective is concave between the
+preimages of the integer knots of the Zheng-Tse tradeoff curve, so the exact
+minimum is the smallest value over a finite candidate set; the closed forms
+for the special antenna families serve as independent oracles for it.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import BoxDomain, Interval, minimize_box
 from .tradeoff import (
     AntennaPair,
     ArqProtocol,
@@ -46,16 +48,6 @@ __all__ = [
     "nnode_fbl_bounds",
     "sweep_curve",
 ]
-
-# Boundary sweeps: inclusive grid plus local refinement.  512 points with two
-# refinement rounds lands within ~1e-6 of the closed forms, comfortably under
-# the 1e-3 acceptance tolerance.
-_SWEEP_POINTS = 512
-_SWEEP_REFINE = 2
-
-# Short-term split sweep: 1/64 of a round, refined twice.
-_SPLIT_RESOLUTION = 64
-
 
 def _require_3node(topology: Topology) -> tuple[AntennaPair, AntennaPair]:
     if topology.n_nodes != 3:
@@ -248,7 +240,12 @@ def fbl_dmdt_3node(
 
 
 def _vbl_long_term(hop1: AntennaPair, hop2: AntennaPair, c: float) -> float:
-    """Minimum summed diversity on the boundary s1*s2/(s1+s2) = c."""
+    """Minimum summed diversity on the boundary s1*s2/(s1+s2) = c.
+
+    Along the boundary d1(s1) is linear between integer s1 and
+    d2(c*s1/(s1 - c)) is concave between the preimages of hop 2's integer
+    knots, so the minimum sits on one of those kinks or an endpoint.
+    """
     m1, m2 = hop1.min_dim, hop2.min_dim
     if c == 0.0:
         return min(dmt(hop1, 0.0), dmt(hop2, 0.0))
@@ -258,21 +255,6 @@ def _vbl_long_term(hop1: AntennaPair, hop2: AntennaPair, c: float) -> float:
     lo = c * m2 / (m2 - c)
     hi = float(m1)
     curve1, curve2 = _curve(hop1), _curve(hop2)
-
-    def objective(pts: np.ndarray) -> np.ndarray:
-        s1 = pts[:, 0]
-        s2 = c * s1 / (s1 - c)
-        return np.interp(s1, *curve1) + np.interp(s2, *curve2)
-
-    _, swept = minimize_box(
-        objective,
-        BoxDomain([Interval(lo, hi)]),
-        coarse_grid=_SWEEP_POINTS,
-        refine_rounds=_SWEEP_REFINE,
-        vectorized=True,
-    )
-    # polish with the kink preimages: the objective is piecewise smooth with
-    # breakpoints only where either hop's curve has an integer knot
     cands = {lo, hi}
     for k in range(1, m1 + 1):
         if lo < k < hi:
@@ -282,11 +264,9 @@ def _vbl_long_term(hop1: AntennaPair, hop2: AntennaPair, c: float) -> float:
             s1 = k * c / (k - c)
             if lo < s1 < hi:
                 cands.add(s1)
-    best = swept
-    for s1 in cands:
-        s2 = c * s1 / (s1 - c)
-        best = min(best, _d_scalar(curve1, s1) + _d_scalar(curve2, s2))
-    return best
+    return min(
+        _d_scalar(curve1, s1) + _d_scalar(curve2, c * s1 / (s1 - c)) for s1 in cands
+    )
 
 
 def _partial_round_cost(
@@ -320,26 +300,45 @@ def _partial_round_cost(
     )
 
 
+def _kink_fractions(min_dim: int, r: float, m: int) -> set[float]:
+    """Final-round fractions f in (0, 1) where a hop's cost over m + f kinks.
+
+    Every kink of _partial_round_cost in f is a point where one of its rate
+    arguments, r/f, (r - f*y)/m or (r - m*k)/f, crosses an integer knot,
+    which puts f on the grid (r - m*a)/b with a = 0..min_dim and
+    b = 1..min_dim.
+    """
+    fracs = set()
+    for a in range(min_dim + 1):
+        for b in range(1, min_dim + 1):
+            f = (r - m * a) / b
+            if 0.0 < f < 1.0:
+                fracs.add(f)
+    return fracs
+
+
 def _vbl_short_term(
     hop1: AntennaPair, hop2: AntennaPair, total_rounds: int, r: float
 ) -> float:
-    """Best split point of the round budget between the two hops."""
+    """Best split point tau of the round budget between the two hops.
+
+    Between consecutive candidates (the whole-round splits and each hop's
+    kinks, m + f on hop 1's side and L - m - f on hop 2's) both hop costs
+    are concave in tau, so their sum is too and its minimum over the budget
+    sits on a candidate.
+    """
     L = int(total_rounds)
     curve1, curve2 = _curve(hop1), _curve(hop2)
     m1, m2 = hop1.min_dim, hop2.min_dim
-
-    def objective(tau: float) -> float:
-        return _partial_round_cost(curve1, m1, r, tau) + _partial_round_cost(
-            curve2, m2, r, L - tau
-        )
-
-    _, best = minimize_box(
-        objective,
-        BoxDomain([Interval(0.0, float(L))]),
-        coarse_grid=_SPLIT_RESOLUTION * L + 1,
-        refine_rounds=_SWEEP_REFINE,
+    taus = {float(t) for t in range(L + 1)}
+    for m in range(L):
+        taus.update(m + f for f in _kink_fractions(m1, r, m))
+        taus.update(L - m - f for f in _kink_fractions(m2, r, m))
+    return min(
+        _partial_round_cost(curve1, m1, r, tau)
+        + _partial_round_cost(curve2, m2, r, L - tau)
+        for tau in taus
     )
-    return best
 
 
 def vbl_dmdt_3node(
@@ -349,17 +348,15 @@ def vbl_dmdt_3node(
     channel: ChannelAssumption = ChannelAssumption.LONG_TERM_STATIC,
     *,
     power_exponent: float = 1.0,
-    with_flag: bool = False,
-):
+) -> float:
     """Optimal diversity when the round budget is shared dynamically.
 
-    Long-term static: one-dimensional boundary sweep of the reduced two-hop
-    exponent problem (see module docstring).  Short-term static: sweep of
-    the budget split point with per-round costs and a fractional final
-    round on each side.
+    Long-term static: exact minimum of the reduced two-hop exponent problem
+    over the kinks of its boundary (see module docstring).  Short-term
+    static: exact minimum over the candidate split points of the budget,
+    with per-round costs and a fractional final round on each side.
 
-    A rate too high for the chain to support at all yields zero diversity;
-    with_flag additionally returns that saturation indicator.
+    A rate too high for the chain to support at all yields zero diversity.
     """
     hop1, hop2 = _require_3node(topology)
     if total_rounds < 1:
@@ -367,14 +364,10 @@ def vbl_dmdt_3node(
     r = _check_rate_scalar(r)
     g = _check_power(power_exponent)
     if g != 1.0:
-        value = g * vbl_dmdt_3node(topology, total_rounds, r / g, channel)
-    elif channel is ChannelAssumption.SHORT_TERM_STATIC:
-        value = _vbl_short_term(hop1, hop2, total_rounds, r)
-    else:
-        value = _vbl_long_term(hop1, hop2, r / total_rounds)
-    if with_flag:
-        return value, value == 0.0
-    return value
+        return g * vbl_dmdt_3node(topology, total_rounds, r / g, channel)
+    if channel is ChannelAssumption.SHORT_TERM_STATIC:
+        return _vbl_short_term(hop1, hop2, total_rounds, r)
+    return _vbl_long_term(hop1, hop2, r / total_rounds)
 
 
 def vbl_closed_form(

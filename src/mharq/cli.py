@@ -7,7 +7,7 @@ sorted JSON keys, fixed float formatting, and a config hash in the header
 so results can be traced back to their inputs byte for byte.
 
 Exit codes: 0 success, 2 invalid config or arguments, 3 infeasible
-(no stable window allocation, unstable queue), 4 numeric failure.
+(no stable window allocation, unstable queue).
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .finite_snr import (
     per_hop_outage,
 )
 from .netsim import SimConfig, estimate_delay_exponent, run_network_sim
-from .numerics import IntegrationError
 from .tradeoff import (
     AntennaPair,
     ChannelAssumption,
@@ -61,7 +60,6 @@ from .tradeoff import (
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
-EXIT_NUMERIC = 4
 
 
 class ConfigError(ValueError):
@@ -517,7 +515,6 @@ def _run_dmdt_finite(config: dict) -> tuple[list[str], list[list[Any]], dict]:
         default="per_receiver",
         choices=THRESHOLD_VARIANTS,
     )
-    clamp = chk.get("clamp_min_one", "bool", default=True)
     sweep = chk.get("sweep", "dict", required=True)
     axis = None
     values: list[float] | None = None
@@ -610,11 +607,7 @@ def _run_dmdt_finite(config: dict) -> tuple[list[str], list[list[Any]], dict]:
             )
             try:
                 opt = optimize_windows(
-                    topo,
-                    scenario,
-                    budget=int(v),
-                    threshold_variant=variant,
-                    clamp_min_one=clamp,
+                    topo, scenario, budget=int(v), threshold_variant=variant
                 )
             except WindowInfeasibleError:
                 unstable.append(v)
@@ -648,11 +641,7 @@ def _run_dmdt_finite(config: dict) -> tuple[list[str], list[list[Any]], dict]:
         alloc = WindowAllocation(tuple(windows), sum(windows))
         try:
             breakdown = message_error(
-                topo,
-                alloc,
-                scenario,
-                threshold_variant=variant,
-                clamp_min_one=clamp,
+                topo, alloc, scenario, threshold_variant=variant
             )
             rows.append([v, breakdown.p_outage, breakdown.p_deadline, breakdown.p_total])
         except UnstableQueueError:
@@ -672,18 +661,13 @@ def _run_optimize(config: dict) -> tuple[list[str], list[list[Any]], dict]:
         default="per_receiver",
         choices=THRESHOLD_VARIANTS,
     )
-    clamp = chk.get("clamp_min_one", "bool", default=True)
     budget = chk.get("budget", "int", check=_positive)
     fields = _scenario_fields(chk, queueing=True)
     scenario = _build_scenario(chk, fields)
     chk.done()
 
     result = optimize_windows(
-        topo,
-        scenario,
-        budget=budget,
-        threshold_variant=variant,
-        clamp_min_one=clamp,
+        topo, scenario, budget=budget, threshold_variant=variant
     )
     n = topo.n_hops
     columns = [f"window_{i + 1}" for i in range(n)]
@@ -725,7 +709,6 @@ def _run_optimize(config: dict) -> tuple[list[str], list[list[Any]], dict]:
             "p_deadline": result.breakdown.p_deadline,
             "p_total": result.breakdown.p_total,
             "threshold_variant": result.threshold_variant,
-            "clamp_min_one": result.clamp_min_one,
         }
     }
     return columns, rows, meta
@@ -865,7 +848,7 @@ def _run_validate(
                 mean_service_time(topo.hop(i), sim_cfg.protocol.windows[i], scenario)
                 for i in range(topo.n_hops)
             )
-        theta = deadline_exponent(ServiceModel(means, clamp_min_one=False), arrival)
+        theta = deadline_exponent(ServiceModel(means), arrival)
         delays = np.sort(result.delays)
         if delays.size < 60:
             raise ConfigError(
@@ -963,9 +946,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (WindowInfeasibleError, UnstableQueueError) as exc:
         print(f"mharq: infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except IntegrationError as exc:
-        print(f"mharq: numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except ValueError as exc:
         # inputs that pass the schema but fail a library precondition
         print(f"mharq: {exc}", file=sys.stderr)

@@ -3,9 +3,9 @@
 At finite SNR a message is lost two ways: the channel stays in outage past a
 hop's retransmission window, or queueing pushes the end-to-end delay past
 the deadline.  This module computes both pieces (per-hop outage from the
-rate-split supremum or the space-time-coded closed form, mean service times,
-and the sojourn-tail deadline probability) and exhausts the integer window
-allocations to find the best split of a deadline budget.
+rate-split supremum or the space-time-coded closed form, whole-block mean
+service times, and the sojourn-tail deadline probability) and exhausts the
+integer window allocations to find the best split of a deadline budget.
 
 Conventions used throughout: SNR is linear, rates are bits per channel use,
 and times are in blocks.
@@ -16,17 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product as _cartesian
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .numerics import (
-    BoxDomain,
-    Interval,
-    integrate,
-    minimize_box,
-    regularized_lower_gamma,
-)
+from .numerics import BoxDomain, Interval, minimize_box, regularized_lower_gamma
 from .tradeoff import AntennaPair, Topology, WindowAllocation
 
 __all__ = [
@@ -34,7 +28,6 @@ __all__ = [
     "ServiceModel",
     "ErrorBreakdown",
     "OstbcOutage",
-    "ServiceTimeDistribution",
     "CandidateRow",
     "WindowOptimum",
     "UnstableQueueError",
@@ -42,7 +35,6 @@ __all__ = [
     "finite_multiplexing",
     "per_hop_outage",
     "ostbc_outage",
-    "service_time_distribution",
     "mean_service_time",
     "deadline_exponent",
     "deadline_probability",
@@ -115,28 +107,17 @@ class FiniteSnrScenario:
 
 @dataclass(frozen=True)
 class ServiceModel:
-    """Per-hop mean service times, in blocks.
-
-    clamp_min_one records whether the means came from whole-block counting
-    (a transmission occupies at least one full block), in which case every
-    mean must be at least one.
-    """
+    """Per-hop mean service times, in blocks; every mean is positive."""
 
     means: tuple[float, ...]
-    clamp_min_one: bool = True
 
-    def __init__(self, means: Sequence[float], clamp_min_one: bool = True) -> None:
+    def __init__(self, means: Sequence[float]) -> None:
         means = tuple(float(m) for m in means)
         if not means:
             raise ValueError("service model needs at least one hop")
         if any(math.isnan(m) or m <= 0.0 for m in means):
             raise ValueError(f"service means must be positive, got {means}")
-        if clamp_min_one and any(m < 1.0 - 1e-12 for m in means):
-            raise ValueError(
-                f"whole-block service means must be >= 1, got {means}"
-            )
         object.__setattr__(self, "means", means)
-        object.__setattr__(self, "clamp_min_one", bool(clamp_min_one))
 
 
 @dataclass(frozen=True)
@@ -338,116 +319,32 @@ def ostbc_outage(
     )
 
 
-@dataclass(frozen=True)
-class ServiceTimeDistribution:
-    """Continuous-time service law of one hop: P{decoding time <= t}."""
-
-    cdf: Callable[[float], float]
-    pdf: Callable[[float], float]
-    model: str  # "analytic-ostbc" or "numeric-general"
-
-
-def service_time_distribution(
-    pair: AntennaPair,
-    scenario: FiniteSnrScenario,
-    *,
-    code_model: str = "ostbc",
-    threshold_variant: str = "per_receiver",
-) -> ServiceTimeDistribution:
-    """CDF and density of the continuous decoding time of one hop.
-
-    The CDF is one minus the outage tail.  For the space-time-coded model
-    the density is differentiated analytically; the general model falls back
-    to a central difference of the CDF, and the model field names which path
-    was taken.
-    """
-    if code_model not in CODE_MODELS:
-        raise ValueError(f"unknown code model {code_model!r}; choose from {CODE_MODELS}")
-    r = scenario.multiplexing_gain
-
-    def cdf(t: float) -> float:
-        if t <= 0.0:
-            return 0.0
-        return 1.0 - per_hop_outage(
-            pair,
-            t,
-            scenario,
-            code_model=code_model,
-            threshold_variant=threshold_variant,
-        )
-
-    if code_model == "ostbc":
-        rho = scenario.snr
-        r_s = scenario.spatial_code_rate
-        base = _threshold_base(pair, rho, threshold_variant)
-        shape = pair.m_tx * pair.m_rx
-        log_base = math.log(base)
-        norm = math.factorial(shape - 1)
-
-        def pdf(t: float) -> float:
-            if t <= 0.0 or r == 0.0:
-                return 0.0
-            grown = base ** (r / (r_s * t))
-            f_val = (pair.m_tx / rho) * (grown - 1.0)
-            jacobian = (pair.m_tx / rho) * grown * log_base * r / (r_s * t * t)
-            return f_val ** (shape - 1) * math.exp(-f_val) * jacobian / norm
-
-        return ServiceTimeDistribution(cdf=cdf, pdf=pdf, model="analytic-ostbc")
-
-    def pdf(t: float) -> float:
-        if t <= 0.0 or r == 0.0:
-            return 0.0
-        h = 1e-5 * max(t, 1.0)
-        lo = max(t - h, 1e-12)
-        return (cdf(t + h) - cdf(lo)) / (t + h - lo)
-
-    return ServiceTimeDistribution(cdf=cdf, pdf=pdf, model="numeric-general")
-
-
 def mean_service_time(
     pair: AntennaPair,
     window: int,
     scenario: FiniteSnrScenario,
     *,
-    clamp_min_one: bool = True,
     code_model: str = "ostbc",
     threshold_variant: str = "per_receiver",
 ) -> float:
     """Mean blocks a hop occupies per message under a window of whole blocks.
 
-    With clamp_min_one (the default) the service is counted in whole blocks:
-    mu = E[min(ceil(t), window)] = 1 + sum of the outage tail at each
-    intermediate window, which guarantees mu >= 1 and matches the queueing
-    unit of the delay analysis.  Without it, the continuous-time first
-    moment is integrated literally from one block up, which can fall below
-    one block when most decodes finish early.
+    The service is counted in whole blocks: mu = E[min(ceil(t), window)] =
+    1 + sum of the outage tail at each intermediate window, which guarantees
+    mu >= 1 and matches the queueing unit of the delay analysis.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1 block, got {window}")
-    window = int(window)
-
-    def tail(t: float) -> float:
-        return per_hop_outage(
+    return 1.0 + sum(
+        per_hop_outage(
             pair,
-            t,
+            float(j),
             scenario,
             code_model=code_model,
             threshold_variant=threshold_variant,
         )
-
-    if clamp_min_one:
-        return 1.0 + sum(tail(float(j)) for j in range(1, window))
-    dist = service_time_distribution(
-        pair, scenario, code_model=code_model, threshold_variant=threshold_variant
+        for j in range(1, int(window))
     )
-    if scenario.multiplexing_gain == 0.0:
-        return 0.0
-    body = 0.0
-    if window > 1:
-        body = integrate(
-            lambda t: t * dist.pdf(t), Interval(1.0, float(window)), tol=1e-9
-        )
-    return body + window * tail(float(window))
 
 
 def _stage_means(means: Sequence[float]) -> list[float]:
@@ -507,12 +404,11 @@ def message_error(
     scenario: FiniteSnrScenario,
     *,
     threshold_variant: str = "per_receiver",
-    clamp_min_one: bool = True,
 ) -> ErrorBreakdown:
     """Total message-error probability of one window allocation.
 
     Outage uses the space-time-coded union bound; the deadline tail runs on
-    the whole-block (or literal, per clamp_min_one) mean service times.
+    the whole-block mean service times.
     """
     arrival, deadline = scenario.require_queueing()
     outage = ostbc_outage(
@@ -520,16 +416,12 @@ def message_error(
     )
     means = tuple(
         mean_service_time(
-            topology.hop(i),
-            w,
-            scenario,
-            clamp_min_one=clamp_min_one,
-            threshold_variant=threshold_variant,
+            topology.hop(i), w, scenario, threshold_variant=threshold_variant
         )
         for i, w in enumerate(allocation.windows)
     )
     p_deadline = deadline_probability(
-        ServiceModel(means, clamp_min_one), arrival, deadline, topology.n_nodes
+        ServiceModel(means), arrival, deadline, topology.n_nodes
     )
     return ErrorBreakdown.combine(outage.union_bound, p_deadline)
 
@@ -555,7 +447,6 @@ class WindowOptimum:
     allocation: WindowAllocation
     breakdown: ErrorBreakdown
     threshold_variant: str
-    clamp_min_one: bool
     table: tuple[CandidateRow, ...]
 
 
@@ -565,14 +456,13 @@ def optimize_windows(
     *,
     budget: int | None = None,
     threshold_variant: str = "per_receiver",
-    clamp_min_one: bool = True,
 ) -> WindowOptimum:
     """Best integer window allocation under the deadline budget.
 
     Enumerates every allocation with all windows >= 1 and total at most the
     budget (the deadline, rounded down, unless given explicitly), discards
-    the ones violating the per-hop mean bounds 1 <= mu <= arrival mean or
-    the stage stability margin, and returns the feasible argmin of the total
+    the ones violating the per-hop mean bound mu <= arrival mean or the
+    stage stability margin, and returns the feasible argmin of the total
     error; ties break toward the lexicographically smallest windows.
 
     Allocations where the two constraint families disagree (per-hop bounds
@@ -600,15 +490,8 @@ def optimize_windows(
         )
 
     def mu_of(i: int, w: int) -> float:
-        if clamp_min_one:
-            return 1.0 + sum(hop_tail[i][: w - 1])
-        return mean_service_time(
-            topology.hop(i),
-            w,
-            scenario,
-            clamp_min_one=False,
-            threshold_variant=threshold_variant,
-        )
+        # whole-block mean, as in mean_service_time, from the shared tails
+        return 1.0 + sum(hop_tail[i][: w - 1])
 
     rows: list[CandidateRow] = []
     best: tuple[float, tuple[int, ...]] | None = None
@@ -620,8 +503,6 @@ def optimize_windows(
         p_outage = min(sum(hop_tail[i][w - 1] for i, w in enumerate(windows)), 1.0)
         violations: list[str] = []
         for i, m in enumerate(means):
-            if m < 1.0 - 1e-12:
-                violations.append(f"mu[{i}]={m:.6g} below one block")
             if m > arrival:
                 violations.append(
                     f"mu[{i}]={m:.6g} exceeds arrival mean {arrival:.6g}"
@@ -640,7 +521,7 @@ def optimize_windows(
         conflict = per_hop_ok != stable
         if feasible:
             p_deadline = deadline_probability(
-                ServiceModel(means, clamp_min_one=False), arrival, deadline
+                ServiceModel(means), arrival, deadline
             )
             breakdown = ErrorBreakdown.combine(p_outage, p_deadline)
             p_total = breakdown.p_total
@@ -676,6 +557,5 @@ def optimize_windows(
         allocation=WindowAllocation(best[1], budget),
         breakdown=best_breakdown,
         threshold_variant=threshold_variant,
-        clamp_min_one=clamp_min_one,
         table=table,
     )

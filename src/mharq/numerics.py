@@ -1,9 +1,10 @@
 """Shared numerical kernels.
 
-Integer-shape lower incomplete gamma, adaptive Simpson quadrature with an
-optional infinite upper limit, and a deterministic grid-refinement minimizer
-over axis-aligned boxes.  Everything here is a pure function of its inputs:
-no randomness, no caching, no global state.  Repeated calls give bit-identical
+Integer-shape lower incomplete gamma and a deterministic grid-refinement
+minimizer over axis-aligned boxes; the minimizer serves only the finite-SNR
+rate-split outage search, since the high-SNR curves enumerate their exact
+candidates.  Everything here is a pure function of its inputs: no
+randomness, no caching, no global state.  Repeated calls give bit-identical
 results, which the sweep and acceptance machinery depends on.
 """
 
@@ -18,10 +19,8 @@ import numpy as np
 __all__ = [
     "Interval",
     "BoxDomain",
-    "IntegrationError",
     "lower_incomplete_gamma",
     "regularized_lower_gamma",
-    "integrate",
     "minimize_box",
 ]
 
@@ -30,7 +29,7 @@ __all__ = [
 class Interval:
     """Closed interval [lo, hi].
 
-    hi may be +inf, but only quadrature accepts such an interval (the box
+    hi may be +inf, but BoxDomain refuses such an interval (the box
     minimizer needs finite cells).  lo must always be finite.
     """
 
@@ -70,10 +69,6 @@ class BoxDomain:
     @property
     def dimension(self) -> int:
         return len(self.bounds)
-
-
-class IntegrationError(RuntimeError):
-    """Adaptive quadrature exhausted its refinement budget."""
 
 
 def lower_incomplete_gamma(m: int, x: float) -> float:
@@ -121,73 +116,6 @@ def regularized_lower_gamma(m: int, x: float) -> float:
     p = lower_incomplete_gamma(m, x) / math.gamma(m)
     # saturation can overshoot 1 by an ulp or two
     return min(max(p, 0.0), 1.0)
-
-
-_MAX_EVALS = 2_000_000
-
-
-def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth, evals):
-    mid = 0.5 * (a + b)
-    lm = 0.5 * (a + mid)
-    rm = 0.5 * (mid + b)
-    flm = f(lm)
-    frm = f(rm)
-    evals[0] += 2
-    if evals[0] > _MAX_EVALS:
-        raise IntegrationError(
-            f"quadrature exceeded {_MAX_EVALS} evaluations on [{a}, {b}]"
-        )
-    left = (mid - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - mid) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    if abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0
-    if depth <= 0:
-        raise IntegrationError(
-            f"quadrature failed to converge on [{a}, {b}]: "
-            f"residual {abs(delta) / 15.0:.3e} > tol {tol:.3e}"
-        )
-    half = 0.5 * tol
-    return _adaptive_simpson(
-        f, a, mid, fa, flm, fm, left, half, depth - 1, evals
-    ) + _adaptive_simpson(f, mid, b, fm, frm, fb, right, half, depth - 1, evals)
-
-
-def integrate(
-    f: Callable[[float], float],
-    domain: Interval,
-    tol: float = 1e-9,
-) -> float:
-    """Adaptive Simpson quadrature of f over the interval.
-
-    An infinite upper limit is mapped to [0, 1) by t = lo + u/(1-u); the
-    integrand is assumed to decay fast enough that the mapped function
-    vanishes at u = 1 (exponential tails do; bare 1/t^2 tails do not).
-
-    Raises IntegrationError instead of returning a silent partial result when
-    the refinement budget runs out.
-    """
-    if not isinstance(domain, Interval):
-        raise TypeError("domain must be an Interval")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if domain.width == 0.0:
-        return 0.0
-    if math.isinf(domain.hi):
-        lo = domain.lo
-
-        def mapped(u: float) -> float:
-            if u >= 1.0:
-                return 0.0
-            w = 1.0 - u
-            return f(lo + u / w) / (w * w)
-
-        return integrate(mapped, Interval(0.0, 1.0), tol)
-    a, b = domain.lo, domain.hi
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    evals = [3]
-    return _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, 60, evals)
 
 
 def minimize_box(

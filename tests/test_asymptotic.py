@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mharq.asymptotic import (
     DmdtCurve,
@@ -86,10 +88,8 @@ def test_vbl_closed_form_published_middle_branch():
 
 
 def test_vbl_saturation_flag():
-    value, saturated = vbl_dmdt_3node(T222, 2, 2.5, with_flag=True)
-    assert value == 0.0 and saturated
-    value, saturated = vbl_dmdt_3node(T222, 4, 1.0, with_flag=True)
-    assert value == pytest.approx(22.0 / 7.0) and not saturated
+    assert vbl_dmdt_3node(T222, 2, 2.5) == 0.0
+    assert vbl_dmdt_3node(T222, 4, 1.0) == pytest.approx(22.0 / 7.0)
     # (M1, 1, M3): the chain dies at c = 1/2 exactly
     assert vbl_dmdt_3node(T413, 4, 2.0) == 0.0
 
@@ -105,6 +105,54 @@ def test_vbl_saturation_flag():
 )
 def test_vbl_short_term_frozen_values(topology, L, r, expected):
     assert vbl_dmdt_3node(topology, L, r, ST) == pytest.approx(expected, abs=1e-9)
+
+
+def test_vbl_short_term_interior_kink():
+    # The optimum split sits at tau = 4/11, a kink of hop 1's partial-round
+    # cost that a uniform tau grid misses; a 400k-point scan gives 5.7142906.
+    got = vbl_dmdt_3node(Topology([5, 1, 4]), 2, 4.0 / 11.0, ST)
+    assert abs(got - 40.0 / 7.0) <= 1e-12
+
+
+def _dense_hop_cost(pair, r, tau):
+    """Exponent of one hop failing within each tau (array), fresh fades.
+
+    A vectorised restatement of the per-round cost: m whole rounds share
+    r - f*y evenly and the final fraction f carries y, minimised over the
+    y at which either tradeoff term has a knot (clipped into [0, ycap]).
+    """
+    k = np.arange(pair.min_dim + 1, dtype=float)
+    corners = (pair.m_tx - k) * (pair.m_rx - k)
+
+    def d(s):
+        return np.interp(s, k, corners)
+
+    m = np.ceil(tau) - 1.0
+    f = tau - m
+    ycap = np.minimum(float(pair.min_dim), r / f)
+    whole = np.maximum(m, 1.0)
+    ys = [np.zeros_like(tau), ycap]
+    ys += [np.minimum(kk, ycap) for kk in k]
+    ys += [np.clip((r - m * kk) / f, 0.0, ycap) for kk in k]
+    cost = np.min([m * d((r - f * y) / whole) + d(y) for y in ys], axis=0)
+    cost = np.where(m == 0.0, d(ycap), cost)
+    return np.where(tau <= 0.0, 0.0, cost)
+
+
+@given(
+    antennas=st.tuples(*[st.integers(min_value=1, max_value=5)] * 3),
+    L=st.integers(min_value=1, max_value=7),
+    r=st.floats(min_value=0.0, max_value=5.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_vbl_short_term_not_above_dense_scan(antennas, L, r):
+    # every returned value is itself an objective evaluation, so the check
+    # only needs one side: nothing on a dense grid of splits does better
+    topo = Topology(list(antennas))
+    hop1, hop2 = topo.hops()
+    tau = np.linspace(0.0, float(L), 2000 * L + 1)
+    scan = _dense_hop_cost(hop1, r, tau) + _dense_hop_cost(hop2, r, L - tau)
+    assert vbl_dmdt_3node(topo, L, r, ST) <= float(scan.min()) + 1e-12
 
 
 def test_vbl_validation():

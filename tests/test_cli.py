@@ -139,6 +139,30 @@ def test_unknown_key_is_fatal(tmp_path, capsys):
     assert "config.extra" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("optimize-arq", OPT_CONFIG),
+        (
+            "dmdt-finite",
+            {
+                "topology": [4, 1, 3],
+                "windows": [2, 3],
+                "snr_db": 20.0,
+                "arrival_mean_blocks": 10.0,
+                "deadline_blocks": 5.0,
+                "sweep": {"axis": "multiplexing_gain", "values": [0.5]},
+            },
+        ),
+    ],
+)
+def test_clamp_min_one_is_an_unknown_key(tmp_path, capsys, command, payload):
+    # mean service is always counted in whole blocks; there is nothing to clamp
+    cfg = write_config(tmp_path, dict(payload, clamp_min_one=False))
+    assert main([command, "--config", cfg]) == 2
+    assert "config.clamp_min_one: unknown field" in capsys.readouterr().err
+
+
 def test_snr_must_be_given_exactly_once(tmp_path, capsys):
     bad = dict(OPT_CONFIG)
     bad["snr_linear"] = 100.0  # alongside snr_db

@@ -8,7 +8,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 from scipy.special import gammainc
 
 from mharq.finite_snr import (
@@ -25,9 +24,7 @@ from mharq.finite_snr import (
     optimize_windows,
     ostbc_outage,
     per_hop_outage,
-    service_time_distribution,
 )
-from mharq.numerics import Interval, integrate
 from mharq.tradeoff import AntennaPair, Topology, WindowAllocation
 
 HOP1 = AntennaPair(4, 1)
@@ -156,38 +153,6 @@ def test_chain_outage_summary():
         ostbc_outage(T413, WindowAllocation([2, 3, 1], 6), SC_20DB)
 
 
-def test_service_distribution_is_a_distribution():
-    pair = AntennaPair(2, 2)
-    scenario = FiniteSnrScenario(10**0.3, 1.0)
-    dist = service_time_distribution(pair, scenario)
-    assert dist.cdf(0.0) == 0.0
-    assert dist.cdf(1e6) == pytest.approx(1.0, abs=1e-12)
-    cdfs = [dist.cdf(t) for t in (0.5, 1.0, 2.0, 4.0)]
-    assert all(b >= a for a, b in zip(cdfs, cdfs[1:]))
-    # pdf integrates back to the cdf increment
-    mass = integrate(dist.pdf, Interval(1.0, 4.0), tol=1e-10)
-    assert mass == pytest.approx(dist.cdf(4.0) - dist.cdf(1.0), abs=1e-8)
-
-
-def test_literal_mean_matches_quadrature():
-    # Same documented formula, independent integrator and special function.
-    pair = AntennaPair(2, 2)
-    scenario = FiniteSnrScenario(10**0.3, 1.0)
-    window = 4
-    m = pair.m_tx * pair.m_rx
-    base = 1.0 + pair.m_rx * scenario.snr
-
-    def tail(t):
-        thr = (pair.m_tx / scenario.snr) * (base ** (1.0 / t) - 1.0)
-        return gammainc(m, thr)
-
-    dist = service_time_distribution(pair, scenario)
-    body, _ = quad(lambda t: t * dist.pdf(t), 1.0, window, limit=200)
-    expected = body + window * tail(float(window))
-    got = mean_service_time(pair, window, scenario, clamp_min_one=False)
-    assert got == pytest.approx(expected, rel=1e-7)
-
-
 def test_mean_service_time_blockwise():
     pair = AntennaPair(2, 2)
     scenario = FiniteSnrScenario(10**0.3, 1.0)
@@ -202,9 +167,6 @@ def test_mean_service_time_blockwise():
     assert mu4 <= 4.0
     mus = [mean_service_time(pair, w, scenario) for w in range(1, 6)]
     assert all(b >= a for a, b in zip(mus, mus[1:]))
-    # the continuous first moment may drop below one block; clamping cannot
-    literal = mean_service_time(pair, 4, scenario, clamp_min_one=False)
-    assert literal < mu4
     with pytest.raises(ValueError):
         mean_service_time(pair, 0, scenario)
 
@@ -248,9 +210,8 @@ def test_service_model_validation():
         ServiceModel([])
     with pytest.raises(ValueError):
         ServiceModel([1.0, 0.0])
-    with pytest.raises(ValueError):
-        ServiceModel([0.9])  # blockwise means cannot drop below one block
-    assert ServiceModel([0.9], clamp_min_one=False).means == (0.9,)
+    # the only rule is positivity; whole-block means are >= 1 by construction
+    assert ServiceModel([0.9]).means == (0.9,)
 
 
 def test_scenario_validation():

@@ -8,9 +8,7 @@ from scipy import special as sp_special
 
 from mharq.numerics import (
     BoxDomain,
-    IntegrationError,
     Interval,
-    integrate,
     lower_incomplete_gamma,
     minimize_box,
     regularized_lower_gamma,
@@ -80,7 +78,7 @@ def test_interval_validation():
         Interval(math.nan, 1.0)
     with pytest.raises(ValueError):
         Interval(-math.inf, 1.0)
-    iv = Interval(0.0, math.inf)  # open-ended upper is fine for quadrature
+    iv = Interval(0.0, math.inf)  # open-ended upper is a valid interval
     assert iv.hi == math.inf
 
 
@@ -91,51 +89,6 @@ def test_box_requires_finite_bounds():
         BoxDomain([Interval(0.0, math.inf)])
     box = BoxDomain([Interval(0.0, 1.0), Interval(-2.0, 2.0)])
     assert box.dimension == 2
-
-
-# ---------------------------------------------------------------------------
-# quadrature
-
-
-def test_integrate_polynomial_exactly():
-    assert integrate(lambda x: x * x, Interval(0.0, 1.0)) == pytest.approx(1.0 / 3.0, abs=1e-9)
-
-
-def test_integrate_oscillatory():
-    value = integrate(math.sin, Interval(0.0, 2.0 * math.pi), tol=1e-10)
-    assert value == pytest.approx(0.0, abs=1e-8)
-
-
-def test_integrate_exponential_tail_to_infinity():
-    assert integrate(math.exp, Interval(-50.0, 0.0)) == pytest.approx(1.0, rel=1e-8)
-    value = integrate(lambda t: t * math.exp(-t), Interval(1.0, math.inf))
-    assert value == pytest.approx(2.0 / math.e, rel=1e-7)
-
-
-def test_integrate_matches_scipy_on_service_like_kernel():
-    from scipy import integrate as sp_integrate
-
-    def kernel(t):
-        return t ** 3 * math.exp(-2.0 * t)
-
-    ours = integrate(kernel, Interval(0.5, math.inf))
-    ref, _ = sp_integrate.quad(kernel, 0.5, math.inf)
-    assert ours == pytest.approx(ref, rel=1e-7)
-
-
-def test_integrate_raises_when_refinement_exhausted():
-    # Infinitely oscillatory near 0: bisection can never settle, so the
-    # depth budget must trip instead of returning a silent partial sum.
-    def osc(t):
-        return math.sin(1.0 / t) if t > 0.0 else 0.0
-
-    with pytest.raises(IntegrationError):
-        integrate(osc, Interval(0.0, 1.0))
-
-
-def test_integrate_rejects_bad_tolerance():
-    with pytest.raises(ValueError):
-        integrate(math.sin, Interval(0.0, 1.0), tol=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -8,19 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mharq.tradeoff import (
-    NEVER,
     AntennaPair,
-    ExponentSchedule,
-    ExponentVector,
     FblArq,
     FixedArq,
     Topology,
     VblArq,
     WindowAllocation,
+    dmt,
+)
+from oracles import (
+    NEVER,
+    ExponentSchedule,
+    ExponentVector,
     capacity_exponent,
     decoding_time_blockwise,
     decoding_time_continuous,
-    dmt,
     exponent_cost,
 )
 
