@@ -869,8 +869,8 @@ def _run_validate(
             raise ConfigError([f"config.message_count: {exc}"]) from exc
         z = (fit.exponent - theta) / fit.stderr if fit.stderr > 0 else math.inf
         # sigma is the fit's batch-jackknife stderr, which tracks the spread
-        # across seeds; the verdict is still the 15 % relative band
-        verdict = "ok" if abs(fit.exponent - theta) <= 0.15 * theta else "mismatch"
+        # across seeds, so the verdict is the |z| <= 4 rule of the outage rows
+        verdict = "ok" if abs(z) <= 4.0 else "mismatch"
         rows.append(
             ["delay_exponent", theta, fit.exponent, delays.size, fit.stderr, z, verdict]
         )

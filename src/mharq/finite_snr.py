@@ -4,8 +4,9 @@ At finite SNR a message is lost two ways: the channel stays in outage past a
 hop's retransmission window, or queueing pushes the end-to-end delay past
 the deadline.  This module computes both pieces (per-hop outage from the
 rate-split supremum or the space-time-coded closed form, whole-block mean
-service times, and the sojourn-tail deadline probability) and exhausts the
-integer window allocations to find the best split of a deadline budget.
+service times, and the sojourn-tail deadline probability) and enumerates
+the C(budget, n_hops) integer window allocations, in lexicographic order, to
+find the best split of a deadline budget.
 
 Conventions used throughout: SNR is linear, rates are bits per channel use,
 and times are in blocks.
@@ -15,8 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as _cartesian
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -450,6 +450,20 @@ class WindowOptimum:
     table: tuple[CandidateRow, ...]
 
 
+def _compositions(n_hops: int, budget: int) -> Iterator[tuple[int, ...]]:
+    """Every n_hops-tuple of windows >= 1 with sum <= budget, lexicographically.
+
+    There are C(budget, n_hops) of them; the first window leaves at least one
+    block for each later hop.
+    """
+    if n_hops == 0:
+        yield ()
+        return
+    for w in range(1, budget - n_hops + 2):
+        for rest in _compositions(n_hops - 1, budget - w):
+            yield (w, *rest)
+
+
 def optimize_windows(
     topology: Topology,
     scenario: FiniteSnrScenario,
@@ -460,10 +474,12 @@ def optimize_windows(
     """Best integer window allocation under the deadline budget.
 
     Enumerates every allocation with all windows >= 1 and total at most the
-    budget (the deadline, rounded down, unless given explicitly), discards
-    the ones violating the per-hop mean bound mu <= arrival mean or the
-    stage stability margin, and returns the feasible argmin of the total
-    error; ties break toward the lexicographically smallest windows.
+    budget (the deadline, rounded down, unless given explicitly): the
+    C(budget, n_hops) compositions, in lexicographic order, which is also
+    the order of the table.  It discards the ones violating the per-hop
+    mean bound mu <= arrival mean or the stage stability margin, and returns
+    the feasible argmin of the total error; ties break toward the
+    lexicographically smallest windows.
 
     Allocations where the two constraint families disagree (per-hop bounds
     pass but a stage sum is unstable, or the reverse) are flagged, since the
@@ -489,17 +505,18 @@ def optimize_windows(
             ]
         )
 
-    def mu_of(i: int, w: int) -> float:
-        # whole-block mean, as in mean_service_time, from the shared tails
-        return 1.0 + sum(hop_tail[i][: w - 1])
+    # whole-block means, as in mean_service_time, indexed by window - 1; each
+    # prefix goes through sum() itself so the floats match it on every Python
+    # (3.12 made float sum() compensated, so a running sum would drift)
+    hop_mean = [
+        [1.0 + sum(tail[: w - 1]) for w in range(1, budget + 1)] for tail in hop_tail
+    ]
 
     rows: list[CandidateRow] = []
     best: tuple[float, tuple[int, ...]] | None = None
     best_breakdown: ErrorBreakdown | None = None
-    for windows in _cartesian(range(1, budget + 1), repeat=n_hops):
-        if sum(windows) > budget:
-            continue
-        means = tuple(mu_of(i, w) for i, w in enumerate(windows))
+    for windows in _compositions(n_hops, budget):
+        means = tuple(hop_mean[i][w - 1] for i, w in enumerate(windows))
         p_outage = min(sum(hop_tail[i][w - 1] for i, w in enumerate(windows)), 1.0)
         violations: list[str] = []
         for i, m in enumerate(means):

@@ -1,18 +1,34 @@
-"""Independent oracles for the single-hop tradeoff, used only by the tests.
+"""Independent oracles for the single-hop tradeoff and the window search,
+used only by the tests.
 
 The eigenvalue-exponent algebra (per-mode SNR exponents, their outage cost
 and the multiplexing gain they support) gives a route to the diversity
 curve that does not go through mharq.tradeoff.dmt, and the decoding-time
 rules give the round counts that accumulated mutual information needs.
+The cube-walk window search scans every tuple of the budget^n_hops cube and
+keeps those that fit the budget; optimize_windows must give its table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product as _cartesian
 from typing import Sequence
 
-from mharq.tradeoff import AntennaPair
+from mharq.finite_snr import (
+    STABILITY_MARGIN,
+    CandidateRow,
+    ErrorBreakdown,
+    FiniteSnrScenario,
+    ServiceModel,
+    WindowInfeasibleError,
+    WindowOptimum,
+    _outage_window_ostbc,
+    _stage_means,
+    deadline_probability,
+)
+from mharq.tradeoff import AntennaPair, Topology, WindowAllocation
 
 
 #: Sentinel for "decoding never completes" (total accumulated rate short of r).
@@ -150,3 +166,117 @@ def decoding_time_continuous(S_per_round: Sequence[float], r: float):
             return idx + (r - acc) / s
         acc += s
     return NEVER
+
+
+def cube_walk_optimize_windows(
+    topology: Topology,
+    scenario: FiniteSnrScenario,
+    *,
+    budget: int | None = None,
+    threshold_variant: str = "per_receiver",
+) -> WindowOptimum:
+    """The window search as first shipped: a filtered budget^n_hops cube walk.
+
+    Kept unchanged so the tests can hold optimize_windows, which walks only
+    the compositions of the budget, to the same table row for row.
+
+    Enumerates every allocation with all windows >= 1 and total at most the
+    budget (the deadline, rounded down, unless given explicitly), discards
+    the ones violating the per-hop mean bound mu <= arrival mean or the
+    stage stability margin, and returns the feasible argmin of the total
+    error; ties break toward the lexicographically smallest windows.
+
+    Allocations where the two constraint families disagree (per-hop bounds
+    pass but a stage sum is unstable, or the reverse) are flagged, since the
+    two express different readings of the stability requirement.
+    """
+    arrival, deadline = scenario.require_queueing()
+    n_hops = topology.n_hops
+    if budget is None:
+        budget = int(math.floor(deadline))
+    if budget < n_hops:
+        raise WindowInfeasibleError(
+            f"budget {budget} cannot give each of {n_hops} hops a block", ()
+        )
+
+    # per-hop outage tails are shared across candidates; precompute them
+    hop_tail: list[list[float]] = []
+    for i in range(n_hops):
+        hop = topology.hop(i)
+        hop_tail.append(
+            [
+                _outage_window_ostbc(hop, float(j), scenario, threshold_variant)
+                for j in range(1, budget + 1)
+            ]
+        )
+
+    def mu_of(i: int, w: int) -> float:
+        # whole-block mean, as in mean_service_time, from the shared tails
+        return 1.0 + sum(hop_tail[i][: w - 1])
+
+    rows: list[CandidateRow] = []
+    best: tuple[float, tuple[int, ...]] | None = None
+    best_breakdown: ErrorBreakdown | None = None
+    for windows in _cartesian(range(1, budget + 1), repeat=n_hops):
+        if sum(windows) > budget:
+            continue
+        means = tuple(mu_of(i, w) for i, w in enumerate(windows))
+        p_outage = min(sum(hop_tail[i][w - 1] for i, w in enumerate(windows)), 1.0)
+        violations: list[str] = []
+        for i, m in enumerate(means):
+            if m > arrival:
+                violations.append(
+                    f"mu[{i}]={m:.6g} exceeds arrival mean {arrival:.6g}"
+                )
+        per_hop_ok = not violations
+        stage_violations: list[str] = []
+        for i, stage in enumerate(_stage_means(means)):
+            if 1.0 / stage - 1.0 / arrival <= STABILITY_MARGIN:
+                stage_violations.append(
+                    f"stage {i} occupancy {stage:.6g} not stable against "
+                    f"arrival mean {arrival:.6g}"
+                )
+        stable = not stage_violations
+        violations.extend(stage_violations)
+        feasible = per_hop_ok and stable
+        conflict = per_hop_ok != stable
+        if feasible:
+            p_deadline = deadline_probability(
+                ServiceModel(means), arrival, deadline
+            )
+            breakdown = ErrorBreakdown.combine(p_outage, p_deadline)
+            p_total = breakdown.p_total
+            if best is None or (p_total, windows) < best:
+                best = (p_total, windows)
+                best_breakdown = breakdown
+        else:
+            p_deadline = None
+            p_total = None
+        rows.append(
+            CandidateRow(
+                windows=windows,
+                means=means,
+                p_outage=p_outage,
+                p_deadline=p_deadline,
+                p_total=p_total,
+                feasible=feasible,
+                constraint_conflict=conflict,
+                violations=tuple(violations),
+            )
+        )
+    table = tuple(rows)
+    if best is None or best_breakdown is None:
+        detail = "; ".join(
+            f"{row.windows}: {', '.join(row.violations)}" for row in table
+        )
+        raise WindowInfeasibleError(
+            f"no feasible window allocation within budget {budget} "
+            f"(per candidate: {detail})",
+            table,
+        )
+    return WindowOptimum(
+        allocation=WindowAllocation(best[1], budget),
+        breakdown=best_breakdown,
+        threshold_variant=threshold_variant,
+        table=table,
+    )

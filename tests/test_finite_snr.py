@@ -5,9 +5,12 @@ independent engine; see the module docstrings for the closed forms.
 """
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammainc
 
 from mharq.finite_snr import (
@@ -16,6 +19,7 @@ from mharq.finite_snr import (
     ServiceModel,
     UnstableQueueError,
     WindowInfeasibleError,
+    _compositions,
     deadline_exponent,
     deadline_probability,
     finite_multiplexing,
@@ -26,6 +30,7 @@ from mharq.finite_snr import (
     per_hop_outage,
 )
 from mharq.tradeoff import AntennaPair, Topology, WindowAllocation
+from oracles import cube_walk_optimize_windows
 
 HOP1 = AntennaPair(4, 1)
 HOP2 = AntennaPair(1, 3)
@@ -291,6 +296,57 @@ def test_optimize_windows_reports_constraint_conflict():
     assert all(not r.feasible for r in rows)
     assert all(r.constraint_conflict for r in rows)
     assert all(r.violations for r in rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 10))
+def test_compositions_are_the_filtered_cube_in_order(n_hops, budget):
+    got = list(_compositions(n_hops, budget))
+    cube = [t for t in product(range(1, budget + 1), repeat=n_hops) if sum(t) <= budget]
+    assert got == cube
+    assert len(got) == math.comb(budget, n_hops)
+
+
+# the window-search operating point (every row feasible) and a low-SNR,
+# high-rate one whose rows mix feasible, conflicting and doubly violated
+WINDOW_POINT = FiniteSnrScenario(100.0, 1.0, arrival_mean_blocks=10.0, deadline_blocks=25.0)
+MIXED_POINT = FiniteSnrScenario(1.0, 4.0, arrival_mean_blocks=4.0, deadline_blocks=25.0)
+
+
+@pytest.mark.parametrize("scenario", [WINDOW_POINT, MIXED_POINT], ids=["window", "mixed"])
+@pytest.mark.parametrize(
+    "antennas, budget", [((4, 1, 3), 20), ((4, 1, 3, 2), 12), ((2,) * 5, 10)]
+)
+def test_optimize_windows_table_matches_cube_walk(antennas, budget, scenario):
+    topo = Topology(list(antennas))
+    got = optimize_windows(topo, scenario, budget=budget)
+    want = cube_walk_optimize_windows(topo, scenario, budget=budget)
+    assert len(got.table) == math.comb(budget, topo.n_hops)
+    # repr spells every float exactly, so equal reprs mean equal bits in
+    # windows, means, probabilities, flags and violation texts alike
+    assert [repr(row) for row in got.table] == [repr(row) for row in want.table]
+    assert got.allocation == want.allocation
+    assert repr(got.breakdown) == repr(want.breakdown)
+
+
+def test_optimize_windows_infeasible_report_matches_cube_walk():
+    tight = FiniteSnrScenario(100.0, 1.0, arrival_mean_blocks=1.9, deadline_blocks=5.0)
+    with pytest.raises(WindowInfeasibleError) as got:
+        optimize_windows(T413, tight)
+    with pytest.raises(WindowInfeasibleError) as want:
+        cube_walk_optimize_windows(T413, tight)
+    assert str(got.value) == str(want.value)
+    assert [repr(row) for row in got.value.table] == [
+        repr(row) for row in want.value.table
+    ]
+
+
+def test_optimize_windows_reaches_eight_node_chain():
+    # the cube walk would scan 14**7 (about 105M) tuples for these 3432 rows
+    opt = optimize_windows(Topology([2] * 8), WINDOW_POINT, budget=14)
+    assert len(opt.table) == math.comb(14, 7) == 3432
+    assert opt.breakdown.p_total < 1.0
+    assert any(row.feasible and row.windows == opt.allocation.windows for row in opt.table)
 
 
 def test_finite_multiplexing_round_trip():
