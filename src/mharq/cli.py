@@ -735,7 +735,6 @@ def _sim_config(config: dict, seed_override: int | None) -> SimConfig:
         default=0,
         check=lambda v: None if 0 <= v < 2**64 else "must fit in 64 bits",
     )
-    workers = chk.get("workers", "int", default=1, check=_positive)
     service_means = None
     if "service_means" in chk.cfg:
         service_means = chk.get(
@@ -760,7 +759,6 @@ def _sim_config(config: dict, seed_override: int | None) -> SimConfig:
             service_mode=mode,
             code_model=code_model,
             service_means=tuple(service_means) if service_means is not None else None,
-            workers=workers,
         )
     except ValueError as exc:
         raise ConfigError([f"config: {exc}"]) from exc

@@ -9,7 +9,8 @@ can be held against the analytic numbers.
 Reproducibility contract: every random draw comes from counter-based
 streams keyed by (seed, stream index), consumed through plain uniforms with
 fixed per-message draw counts.  Results are therefore byte-identical across
-runs, platforms, and worker counts.
+runs and platforms, and the chunks the channel draws are taken in never
+change a number.
 """
 
 from __future__ import annotations
@@ -40,6 +41,11 @@ SIM_CODE_MODELS = ("logdet", "ostbc")
 # stage streams disjoint for any topology the antenna cap allows.
 _STREAM_ARRIVALS = 0
 _STREAM_MARKOV_BASE = 1001
+
+# Uniforms per channel chunk: each hop's stream is drawn, turned into
+# capacities and decoded this many uniforms (whole messages) at a time, so
+# memory stays flat in message_count.
+_CHUNK_UNIFORMS = 1 << 17
 
 
 class RandomSource:
@@ -74,7 +80,6 @@ class SimConfig:
     service_mode: str = "physical"
     code_model: str = "logdet"
     service_means: tuple[float, ...] | None = None
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if not isinstance(self.protocol, FixedArq):
@@ -105,8 +110,6 @@ class SimConfig:
                 f"unknown code model {self.code_model!r}; "
                 f"choose from {SIM_CODE_MODELS}"
             )
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.service_means is not None:
             if self.service_mode != "markovian":
                 raise ValueError("service_means only applies to markovian mode")
@@ -163,18 +166,43 @@ def _capacities(
     """Per-round capacities in bits per use from raw uniforms.
 
     Entries are unit complex Gaussians via the polar transform, so the
-    squared magnitudes are unit exponentials and only the logdet model ever
-    needs the phases.
+    squared magnitudes are unit exponentials.  Log-det capacity is
+    sum_i log2(1 + a * lambda_i) = log2 det(I + a * G) with a = snr / m_tx
+    and G the Gram matrix of H on its min(m_rx, m_tx) side (Telatar 1999).
+    A rank-1 hop reduces to log2(1 + a * ||H||^2), which needs only the
+    magnitudes; rank 2 uses the closed-form 2x2 determinant and larger
+    ranks ``slogdet``.  Only rank >= 2 needs the phases.
     """
     mags_sq = -np.log1p(-u[..., 0])  # (msg, round, rx, tx)
-    if code_model == "ostbc":
+    m_rx = u.shape[2]
+    rank = min(m_rx, m_tx)
+    if code_model == "ostbc" or rank == 1:
         frob = mags_sq.sum(axis=(2, 3))
-        return r_s * np.log2(1.0 + snr * frob / m_tx)
+        cap = np.log2(1.0 + snr * frob / m_tx)
+        return r_s * cap if code_model == "ostbc" else cap
+    a = snr / m_tx
+    mags = np.sqrt(mags_sq)
     phases = 2.0 * np.pi * u[..., 1]
-    h = np.sqrt(mags_sq) * np.exp(1j * phases)
-    gram = h @ np.conj(np.swapaxes(h, -1, -2))  # (msg, round, rx, rx)
-    eig = np.linalg.eigvalsh(gram)
-    return np.log2(1.0 + snr * np.maximum(eig, 0.0) / m_tx).sum(axis=-1)
+    if m_rx > m_tx:  # G = H^H H: index the transmit side first
+        mags_sq, mags, phases = (
+            np.swapaxes(x, -1, -2) for x in (mags_sq, mags, phases)
+        )
+    if rank == 2:
+        # g01 = sum_k |h0k| |h1k| exp(i (phi0k - phi1k)): one angle per pair
+        g00 = mags_sq[..., 0, :].sum(axis=-1)
+        g11 = mags_sq[..., 1, :].sum(axis=-1)
+        w = mags[..., 0, :] * mags[..., 1, :]
+        d = phases[..., 0, :] - phases[..., 1, :]
+        re = (w * np.cos(d)).sum(axis=-1)
+        im = (w * np.sin(d)).sum(axis=-1)
+        det = (1.0 + a * g00) * (1.0 + a * g11) - a * a * (re * re + im * im)
+        return np.log2(det)
+    h = np.empty(mags.shape, dtype=complex)
+    np.multiply(mags, np.cos(phases), out=h.real)
+    np.multiply(mags, np.sin(phases), out=h.imag)
+    gram = h @ np.conj(np.swapaxes(h, -1, -2))  # (msg, round, rank, rank)
+    _, logdet = np.linalg.slogdet(np.eye(rank) + a * gram)
+    return logdet / math.log(2.0)
 
 
 def _decode_rounds(
@@ -221,8 +249,12 @@ def run_network_sim(config: SimConfig) -> SimResult:
     positions stay aligned.  Non-outage messages past the deadline count as
     deadline drops; their delays are recorded either way.
 
-    The workers count only partitions the vectorized channel computation
-    into chunks, so it cannot change any number.
+    Each hop's channel is drawn, turned into capacities and decoded in
+    chunks of whole messages, about ``_CHUNK_UNIFORMS`` uniforms each, taken
+    one after another from the hop's stream.  Draws are message-major, so
+    the chunks see the same uniforms as one draw of every message would,
+    and no number depends on the chunk size; memory does not grow with
+    ``message_count`` beyond the per-message arrays.
     """
     topo = config.topology
     proto = config.protocol
@@ -269,20 +301,22 @@ def run_network_sim(config: SimConfig) -> SimResult:
                 1.0 + pair.m_rx * scenario.snr
             )
             rng = source.stream(1 + h)
-            u = _channel_uniforms(rng, n_msgs, draw_rounds, pair.m_rx, pair.m_tx)
-            chunks = []
-            for part in np.array_split(u, config.workers, axis=0):
-                if part.shape[0] == 0:
-                    continue
+            per_msg = draw_rounds * pair.m_rx * pair.m_tx * 2
+            step = max(1, _CHUNK_UNIFORMS // per_msg)
+            rounds = np.empty(n_msgs, dtype=np.int64)
+            for start in range(0, n_msgs, step):
+                stop = min(start + step, n_msgs)
+                u = _channel_uniforms(
+                    rng, stop - start, draw_rounds, pair.m_rx, pair.m_tx
+                )
                 caps = _capacities(
-                    part,
+                    u,
                     scenario.snr,
                     scenario.spatial_code_rate,
                     pair.m_tx,
                     config.code_model,
                 )
-                chunks.append(_decode_rounds(caps, target, window, long_term))
-            rounds = np.concatenate(chunks)
+                rounds[start:stop] = _decode_rounds(caps, target, window, long_term)
             rounds_by_hop.append(rounds)
             blocks[h] = np.minimum(rounds, window)
 

@@ -7,6 +7,9 @@ curve that does not go through mharq.tradeoff.dmt, and the decoding-time
 rules give the round counts that accumulated mutual information needs.
 The cube-walk window search scans every tuple of the budget^n_hops cube and
 keeps those that fit the budget; optimize_windows must give its table.
+The eigenvalue capacity sums log2(1 + snr * lambda / m_tx) over every
+eigenvalue of the receive-side Gram matrix, the route the simulator's
+log-det identity must agree with.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ import math
 from dataclasses import dataclass
 from itertools import product as _cartesian
 from typing import Sequence
+
+import numpy as np
 
 from mharq.finite_snr import (
     STABILITY_MARGIN,
@@ -280,3 +285,24 @@ def cube_walk_optimize_windows(
         threshold_variant=threshold_variant,
         table=table,
     )
+
+
+def eigvalsh_capacities(
+    u: np.ndarray, snr: float, r_s: float, m_tx: int, code_model: str
+) -> np.ndarray:
+    """Per-round capacities from raw uniforms, one eigendecomposition each.
+
+    Same contract as mharq.netsim._capacities: u has shape
+    (msg, round, rx, tx, [mag, phase]) and entries are unit complex
+    Gaussians via the polar transform.  The log-det model takes batched
+    ``eigvalsh`` of the full m_rx x m_rx Gram matrix, whatever its rank.
+    """
+    mags_sq = -np.log1p(-u[..., 0])  # (msg, round, rx, tx)
+    if code_model == "ostbc":
+        frob = mags_sq.sum(axis=(2, 3))
+        return r_s * np.log2(1.0 + snr * frob / m_tx)
+    phases = 2.0 * np.pi * u[..., 1]
+    h = np.sqrt(mags_sq) * np.exp(1j * phases)
+    gram = h @ np.conj(np.swapaxes(h, -1, -2))  # (msg, round, rx, rx)
+    eig = np.linalg.eigvalsh(gram)
+    return np.log2(1.0 + snr * np.maximum(eig, 0.0) / m_tx).sum(axis=-1)

@@ -164,6 +164,13 @@ def test_clamp_min_one_is_an_unknown_key(tmp_path, capsys, command, payload):
     assert "config.clamp_min_one: unknown field" in capsys.readouterr().err
 
 
+def test_workers_is_an_unknown_key(tmp_path, capsys):
+    # channel draws are chunked by a fixed uniform count; there is no knob
+    cfg = write_config(tmp_path, dict(SIM_CONFIG, workers=3))
+    assert main(["simulate", "--config", cfg]) == 2
+    assert "config.workers: unknown field" in capsys.readouterr().err
+
+
 def test_snr_must_be_given_exactly_once(tmp_path, capsys):
     bad = dict(OPT_CONFIG)
     bad["snr_linear"] = 100.0  # alongside snr_db
@@ -278,16 +285,6 @@ def test_simulate_byte_identical_reruns(tmp_path, capsys):
     first = open(out1, "rb").read()
     assert first == open(out2, "rb").read()
     assert b"seed=0" in first
-
-    more_workers = dict(SIM_CONFIG, workers=3)
-    cfg3 = write_config(tmp_path, more_workers, name="workers.json")
-    out3 = str(tmp_path / "c.csv")
-    assert main(["simulate", "--config", cfg3, "--out", out3]) == 0
-    capsys.readouterr()
-    # worker count is part of the config header but not of the physics
-    body = first.split(b"\n", 1)[1]
-    body3 = open(out3, "rb").read().split(b"\n", 1)[1]
-    assert body == body3
 
 
 def test_simulate_seed_override(tmp_path, capsys):

@@ -1,10 +1,12 @@
 """Simulator determinism, accounting identities, and tail fitting."""
 
+import math
 import statistics
 
 import numpy as np
 import pytest
 
+import mharq.netsim as netsim
 from mharq.finite_snr import FiniteSnrScenario
 from mharq.netsim import (
     RandomSource,
@@ -13,6 +15,7 @@ from mharq.netsim import (
     run_network_sim,
 )
 from mharq.tradeoff import ChannelAssumption, FblArq, FixedArq, Topology
+from oracles import eigvalsh_capacities
 
 LT = ChannelAssumption.LONG_TERM_STATIC
 ST = ChannelAssumption.SHORT_TERM_STATIC
@@ -67,12 +70,57 @@ def test_rerun_is_bit_identical():
     )
 
 
-def test_worker_count_does_not_change_results():
-    lone = run_network_sim(config(message_count=4001, workers=1))
-    split = run_network_sim(config(message_count=4001, workers=4))
-    assert np.array_equal(lone.delays, split.delays)
-    assert lone.per_hop_outage_drops == split.per_hop_outage_drops
-    assert lone.round_histograms[0].tolist() == split.round_histograms[0].tolist()
+# rates where the decoded round count varies from message to message, so a
+# chunk that saw other uniforms would move the histograms
+@pytest.mark.parametrize(
+    "antennas, windows, channel, code_model, r",
+    [
+        ((4, 4, 4), (3, 3), ST, "logdet", 2.0),
+        ((4, 1, 3), (2, 3), LT, "ostbc", 1.0),
+    ],
+    ids=["logdet-short-444", "ostbc-long-413"],
+)
+def test_chunked_draws_match_one_chunk(
+    monkeypatch, antennas, windows, channel, code_model, r
+):
+    cfg = config(
+        topology=Topology(list(antennas)),
+        protocol=FixedArq(list(windows)),
+        channel=channel,
+        scenario=scenario(snr=10.0, lam=10.0, deadline=25.0, r=r),
+        message_count=1001,
+        warmup_count=50,
+        code_model=code_model,
+    )
+    sizes = []
+    draw = netsim._channel_uniforms
+
+    def recording_draw(rng, n_msgs, *shape):
+        sizes.append(n_msgs)
+        return draw(rng, n_msgs, *shape)
+
+    monkeypatch.setattr(netsim, "_channel_uniforms", recording_draw)
+    monkeypatch.setattr(netsim, "_CHUNK_UNIFORMS", 1 << 40)
+    whole = run_network_sim(cfg)
+    assert sizes == [1001] * len(windows)
+
+    # 2400 uniforms hold 25 short-term 4x4 messages (96 uniforms each),
+    # 300 long-term 4->1 messages (8) and 400 long-term 1->3 messages (6)
+    sizes.clear()
+    monkeypatch.setattr(netsim, "_CHUNK_UNIFORMS", 2400)
+    chunked = run_network_sim(cfg)
+    assert sum(sizes) == 1001 * len(windows)
+    assert len(sizes) >= 3 * len(windows)
+    assert len(set(sizes)) > 1  # ragged last chunk
+
+    assert np.array_equal(whole.delays, chunked.delays)
+    assert (whole.delivered, whole.outage_drops, whole.deadline_drops) == (
+        chunked.delivered, chunked.outage_drops, chunked.deadline_drops
+    )
+    assert whole.per_hop_outage_drops == chunked.per_hop_outage_drops
+    assert whole.per_hop_attempts == chunked.per_hop_attempts
+    for a, b in zip(whole.round_histograms, chunked.round_histograms):
+        assert np.array_equal(a, b)
 
 
 def test_seed_changes_results():
@@ -82,11 +130,55 @@ def test_seed_changes_results():
 
 
 # ---------------------------------------------------------------------------
+# channel capacities
+
+
+@pytest.mark.parametrize("rounds", [1, 3])
+@pytest.mark.parametrize("m_tx", [1, 2, 3, 4])
+@pytest.mark.parametrize("m_rx", [1, 2, 3, 4])
+def test_capacities_match_eigenvalue_oracle(m_rx, m_tx, rounds):
+    rng = RandomSource(11).stream(10 * m_rx + m_tx)
+    u = netsim._channel_uniforms(rng, 500, rounds, m_rx, m_tx)
+    for snr in (0.5, 10.0, 1000.0):
+        got = netsim._capacities(u, snr, 1.0, m_tx, "logdet")
+        want = eigvalsh_capacities(u, snr, 1.0, m_tx, "logdet")
+        assert got.shape == want.shape == (500, rounds)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        got = netsim._capacities(u, snr, 0.75, m_tx, "ostbc")
+        want = eigvalsh_capacities(u, snr, 0.75, m_tx, "ostbc")
+        assert np.array_equal(got, want)
+
+
+HOP_SHAPES = [  # (m_rx, m_tx, channel)
+    (1, 4, LT), (3, 1, LT), (2, 2, LT), (3, 4, LT), (4, 3, LT),
+    (4, 4, ST), (2, 2, ST), (3, 1, ST),
+]
+
+
+@pytest.mark.parametrize("m_rx, m_tx, channel", HOP_SHAPES)
+def test_decode_rounds_agree_with_eigenvalue_oracle(m_rx, m_tx, channel):
+    # the sim-physical operating point: SNR 10, multiplexing gain 1
+    snr, window = 10.0, 3
+    long_term = channel is LT
+    target = math.log2(1.0 + m_rx * snr)
+    rng = RandomSource(5).stream(10 * m_rx + m_tx)
+    u = netsim._channel_uniforms(
+        rng, 20_000, 1 if long_term else window, m_rx, m_tx
+    )
+    got = netsim._decode_rounds(
+        netsim._capacities(u, snr, 1.0, m_tx, "logdet"), target, window, long_term
+    )
+    want = netsim._decode_rounds(
+        eigvalsh_capacities(u, snr, 1.0, m_tx, "logdet"), target, window, long_term
+    )
+    assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
 # accounting
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_conservation_three_node_chain(workers):
+def test_conservation_three_node_chain():
     cfg = SimConfig(
         topology=Topology([4, 1, 3]),
         protocol=FixedArq([2, 3]),
@@ -96,7 +188,6 @@ def test_conservation_three_node_chain(workers):
         warmup_count=500,
         seed=0,
         code_model="ostbc",
-        workers=workers,
     )
     res = run_network_sim(cfg)
     assert res.analyzed == 7500
@@ -267,8 +358,6 @@ def test_sim_config_validation():
         config(service_mode="fluid")
     with pytest.raises(ValueError):
         config(code_model="alamouti")
-    with pytest.raises(ValueError):
-        config(workers=0)
     with pytest.raises(ValueError):
         config(service_means=(2.0,))  # physical mode takes no means
     with pytest.raises(ValueError):
