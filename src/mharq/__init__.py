@@ -34,7 +34,6 @@ from .finite_snr import (
     WindowOptimum,
     deadline_exponent,
     deadline_probability,
-    finite_multiplexing,
     mean_service_time,
     message_error,
     optimize_windows,
@@ -45,6 +44,7 @@ from .netsim import (
     DelayExponentFit,
     SimConfig,
     SimResult,
+    TailFitError,
     estimate_delay_exponent,
     run_network_sim,
 )
@@ -100,7 +100,6 @@ __all__ = [
     "WindowOptimum",
     "deadline_exponent",
     "deadline_probability",
-    "finite_multiplexing",
     "mean_service_time",
     "message_error",
     "optimize_windows",
@@ -110,6 +109,7 @@ __all__ = [
     "DelayExponentFit",
     "SimConfig",
     "SimResult",
+    "TailFitError",
     "estimate_delay_exponent",
     "run_network_sim",
     # numerics

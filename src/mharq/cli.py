@@ -45,7 +45,7 @@ from .finite_snr import (
     ostbc_outage,
     per_hop_outage,
 )
-from .netsim import SimConfig, estimate_delay_exponent, run_network_sim
+from .netsim import SimConfig, TailFitError, estimate_delay_exponent, run_network_sim
 from .tradeoff import (
     AntennaPair,
     ChannelAssumption,
@@ -862,7 +862,15 @@ def _run_validate(
                 ["config.message_count: delay tail too thin to fit an exponent"]
             )
         try:
-            fit = estimate_delay_exponent(delays, list(np.linspace(lo, hi, 8)))
+            try:
+                fit = estimate_delay_exponent(delays, list(np.linspace(lo, hi, 8)))
+            except TailFitError as exc:
+                top = exc.largest_usable
+                if top is None or top <= lo:
+                    raise
+                # the fit's conditions hold at every deadline below a usable
+                # one, so a grid ending at the largest usable deadline fits
+                fit = estimate_delay_exponent(delays, list(np.linspace(lo, top, 8)))
         except ValueError as exc:
             raise ConfigError([f"config.message_count: {exc}"]) from exc
         z = (fit.exponent - theta) / fit.stderr if fit.stderr > 0 else math.inf

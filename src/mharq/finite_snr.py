@@ -4,9 +4,10 @@ At finite SNR a message is lost two ways: the channel stays in outage past a
 hop's retransmission window, or queueing pushes the end-to-end delay past
 the deadline.  This module computes both pieces (per-hop outage from the
 rate-split supremum or the space-time-coded closed form, whole-block mean
-service times, and the sojourn-tail deadline probability) and enumerates
-the C(budget, n_hops) integer window allocations, in lexicographic order, to
-find the best split of a deadline budget.
+service times, and the deadline probability in the paper's M/M/1-stage
+approximation) and evaluates the C(budget, n_hops) integer window
+allocations, in lexicographic order, to find the best split of a deadline
+budget.
 
 Conventions used throughout: SNR is linear, rates are bits per channel use,
 and times are in blocks.
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, combinations, starmap
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -32,7 +34,6 @@ __all__ = [
     "WindowOptimum",
     "UnstableQueueError",
     "WindowInfeasibleError",
-    "finite_multiplexing",
     "per_hop_outage",
     "ostbc_outage",
     "mean_service_time",
@@ -147,17 +148,6 @@ class ErrorBreakdown:
     def combine(cls, p_outage: float, p_deadline: float) -> "ErrorBreakdown":
         total = p_outage + (1.0 - p_outage) * p_deadline
         return cls(p_outage=p_outage, p_deadline=p_deadline, p_total=total)
-
-
-def finite_multiplexing(rate_bits_per_use: float, m_rx: int, snr: float) -> float:
-    """Finite-SNR multiplexing gain: rate normalized by log2(1 + m_rx * snr)."""
-    if rate_bits_per_use < 0.0:
-        raise ValueError(f"rate must be nonnegative, got {rate_bits_per_use}")
-    if not snr > 0.0:
-        raise ValueError(f"snr must be positive, got {snr}")
-    if m_rx < 1:
-        raise ValueError(f"m_rx must be >= 1, got {m_rx}")
-    return rate_bits_per_use / math.log2(1.0 + m_rx * snr)
 
 
 def _threshold_base(pair: AntennaPair, snr: float, threshold_variant: str) -> float:
@@ -376,12 +366,16 @@ def deadline_probability(
     deadline_blocks: float,
     n_nodes: int | None = None,
 ) -> float:
-    """Probability the end-to-end sojourn exceeds the deadline.
+    """Probability the end-to-end delay exceeds the deadline.
 
-    Chains with one queueing stage (up to three nodes) use the exact
-    exponential-sojourn tail (stage mean / arrival mean) * exp(-k * theta).
-    Longer chains keep only the dominant exponent exp(-k * theta*), theta*
-    being the slowest stage's decay rate.
+    This is the paper's M/M/1-stage approximation: each half-duplex stage
+    is read as an M/M/1 queue with decay rate theta = 1/stage - 1/arrival.
+    Chains with one queueing stage (up to three nodes) use the M/M/1
+    waiting-time tail rho * exp(-k * theta), rho = stage mean / arrival
+    mean.  Longer chains keep only the dominant exponent exp(-k * theta*),
+    theta* being the slowest stage's decay rate.  The exponent is exact for
+    a tandem of M/M/1 stages, the prefactor is not: the exact sojourn tail
+    is hypoexponential, exp(-k * theta) for one stage.
     """
     means = service.means
     if n_nodes is not None and n_nodes != len(means) + 1:
@@ -450,18 +444,65 @@ class WindowOptimum:
     table: tuple[CandidateRow, ...]
 
 
-def _compositions(n_hops: int, budget: int) -> Iterator[tuple[int, ...]]:
+def _composition_matrix(n_hops: int, budget: int) -> np.ndarray:
     """Every n_hops-tuple of windows >= 1 with sum <= budget, lexicographically.
 
-    There are C(budget, n_hops) of them; the first window leaves at least one
-    block for each later hop.
+    Row k is the k-th of the C(budget, n_hops) tuples.  They are the gaps
+    between 0 and n_hops strictly increasing cut points in 1..budget, and
+    cut points sort in the same order as the windows they cut.
     """
-    if n_hops == 0:
-        yield ()
-        return
-    for w in range(1, budget - n_hops + 2):
-        for rest in _compositions(n_hops - 1, budget - w):
-            yield (w, *rest)
+    cuts = np.fromiter(
+        chain.from_iterable(combinations(range(1, budget + 1), n_hops)),
+        dtype=np.intp,
+        count=math.comb(budget, n_hops) * n_hops,
+    ).reshape(-1, n_hops)
+    return np.diff(cuts, axis=1, prepend=0)
+
+
+def _row_tuples(matrix: np.ndarray) -> Iterator[tuple]:
+    """Rows of a 2-D array as tuples of Python objects, with no per-row list."""
+    return zip(*matrix.T.tolist())
+
+
+def _violation_texts(
+    hop_mean: list[list[float]],
+    windows: np.ndarray,
+    stages: np.ndarray,
+    stage_over: np.ndarray,
+    arrival: float,
+) -> list[tuple[str, ...]]:
+    """Each row's violations: hops above the arrival mean, then unstable stages.
+
+    A text depends only on its hop's window or on its stage's sum, so each
+    distinct text is formatted once and gathered into the rows that have it.
+    """
+    n_hops = windows.shape[1]
+    hop_text = np.array(
+        [
+            [
+                f"mu[{i}]={m:.6g} exceeds arrival mean {arrival:.6g}"
+                if m > arrival
+                else None
+                for m in row
+            ]
+            for i, row in enumerate(hop_mean)
+        ],
+        dtype=object,
+    )[np.arange(n_hops), windows - 1]
+    stage_text = np.full(stages.shape, None, dtype=object)
+    for i, (column, over) in enumerate(zip(stages.T, stage_over.T)):
+        sums, which = np.unique(column[over], return_inverse=True)
+        texts = [
+            f"stage {i} occupancy {stage:.6g} not stable against "
+            f"arrival mean {arrival:.6g}"
+            for stage in sums.tolist()
+        ]
+        stage_text[over, i] = np.array(texts, dtype=object)[which]
+    # None marks a hop or stage without a violation
+    return [
+        tuple(filter(None, row))
+        for row in np.hstack([hop_text, stage_text]).tolist()
+    ]
 
 
 def optimize_windows(
@@ -512,56 +553,81 @@ def optimize_windows(
         [1.0 + sum(tail[: w - 1]) for w in range(1, budget + 1)] for tail in hop_tail
     ]
 
-    rows: list[CandidateRow] = []
-    best: tuple[float, tuple[int, ...]] | None = None
-    best_breakdown: ErrorBreakdown | None = None
-    for windows in _compositions(n_hops, budget):
-        means = tuple(hop_mean[i][w - 1] for i, w in enumerate(windows))
-        p_outage = min(sum(hop_tail[i][w - 1] for i, w in enumerate(windows)), 1.0)
-        violations: list[str] = []
-        for i, m in enumerate(means):
-            if m > arrival:
-                violations.append(
-                    f"mu[{i}]={m:.6g} exceeds arrival mean {arrival:.6g}"
-                )
-        per_hop_ok = not violations
-        stage_violations: list[str] = []
-        for i, stage in enumerate(_stage_means(means)):
-            if 1.0 / stage - 1.0 / arrival <= STABILITY_MARGIN:
-                stage_violations.append(
-                    f"stage {i} occupancy {stage:.6g} not stable against "
-                    f"arrival mean {arrival:.6g}"
-                )
-        stable = not stage_violations
-        violations.extend(stage_violations)
-        feasible = per_hop_ok and stable
-        conflict = per_hop_ok != stable
-        if feasible:
-            p_deadline = deadline_probability(
-                ServiceModel(means), arrival, deadline
-            )
-            breakdown = ErrorBreakdown.combine(p_outage, p_deadline)
-            p_total = breakdown.p_total
-            if best is None or (p_total, windows) < best:
-                best = (p_total, windows)
-                best_breakdown = breakdown
-        else:
-            p_deadline = None
-            p_total = None
-        rows.append(
-            CandidateRow(
-                windows=windows,
-                means=means,
-                p_outage=p_outage,
-                p_deadline=p_deadline,
-                p_total=p_total,
-                feasible=feasible,
-                constraint_conflict=conflict,
-                violations=tuple(violations),
-            )
+    # one row per candidate, one column per hop; every expression below is
+    # the IEEE arithmetic the scalar definitions do, so the bits match them
+    windows = _composition_matrix(n_hops, budget)
+    picks = (np.arange(n_hops), windows - 1)
+    means = np.array(hop_mean)[picks]
+    # the union bound sums with sum() for the same reason as hop_mean
+    p_outage = np.minimum(
+        list(map(sum, _row_tuples(np.array(hop_tail, dtype=object)[picks]))), 1.0
+    )
+    stages = means if n_hops == 1 else means[:, :-1] + means[:, 1:]
+    hop_over = means > arrival
+    stage_over = 1.0 / stages - 1.0 / arrival <= STABILITY_MARGIN
+    per_hop_ok = ~hop_over.any(axis=1)
+    stable = ~stage_over.any(axis=1)
+    feasible = per_hop_ok & stable
+    conflict = per_hop_ok != stable
+
+    # Every stage of a feasible row is stable and 1/stage - 1/arrival falls
+    # as the stage grows, so the deadline term depends on the largest stage
+    # alone: evaluate it once per distinct bottleneck, on the first row with
+    # it, and share the value.  Rows ServiceModel would refuse are left out
+    # here and replayed below.
+    modelled = np.flatnonzero(feasible & (means > 0.0).all(axis=1))
+    _, first, group = np.unique(
+        stages[modelled].max(axis=1), return_index=True, return_inverse=True
+    )
+    p_deadline = np.full(len(windows), math.nan)
+    p_deadline[modelled] = np.array(
+        [
+            deadline_probability(ServiceModel(row), arrival, deadline)
+            for row in means[modelled[first]].tolist()
+        ]
+    )[group]
+    p_total = p_outage + (1.0 - p_outage) * p_deadline
+
+    probs = np.stack([p_outage, p_deadline, p_total])
+    in_range = ((probs >= 0.0) & (probs <= 1.0)).all(axis=0)
+    broken = np.flatnonzero(feasible & ~in_range)
+    if broken.size:
+        # the first feasible row that fails a check raises what it always did
+        r = int(broken[0])
+        ErrorBreakdown.combine(
+            float(p_outage[r]),
+            deadline_probability(ServiceModel(means[r]), arrival, deadline),
         )
-    table = tuple(rows)
-    if best is None or best_breakdown is None:
+
+    violations: list[tuple[str, ...]] = [()] * len(windows)
+    rejected = np.flatnonzero(~feasible)
+    if rejected.size:
+        texts = _violation_texts(
+            hop_mean, windows[rejected], stages[rejected], stage_over[rejected], arrival
+        )
+        for r, row_texts in zip(rejected.tolist(), texts):
+            violations[r] = row_texts
+    dl_column = np.full(len(windows), None, dtype=object)
+    total_column = np.full(len(windows), None, dtype=object)
+    dl_column[feasible] = p_deadline[feasible].tolist()
+    total_column[feasible] = p_total[feasible].tolist()
+    table = tuple(
+        starmap(
+            CandidateRow,
+            zip(
+                _row_tuples(windows),
+                # the rows share hop_mean's float objects rather than copies
+                _row_tuples(np.array(hop_mean, dtype=object)[picks]),
+                p_outage.tolist(),
+                dl_column.tolist(),
+                total_column.tolist(),
+                feasible.tolist(),
+                conflict.tolist(),
+                violations,
+            ),
+        )
+    )
+    if not feasible.any():
         detail = "; ".join(
             f"{row.windows}: {', '.join(row.violations)}" for row in table
         )
@@ -570,9 +636,14 @@ def optimize_windows(
             f"(per candidate: {detail})",
             table,
         )
+    # every feasible row is modelled by now; argmin takes the first minimum,
+    # which is the lexicographically smallest windows
+    best = int(modelled[np.argmin(p_total[modelled])])
     return WindowOptimum(
-        allocation=WindowAllocation(best[1], budget),
-        breakdown=best_breakdown,
+        allocation=WindowAllocation(table[best].windows, budget),
+        breakdown=ErrorBreakdown.combine(
+            float(p_outage[best]), float(p_deadline[best])
+        ),
         threshold_variant=threshold_variant,
         table=table,
     )

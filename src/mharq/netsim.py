@@ -29,6 +29,7 @@ __all__ = [
     "SimConfig",
     "SimResult",
     "DelayExponentFit",
+    "TailFitError",
     "run_network_sim",
     "estimate_delay_exponent",
 ]
@@ -404,6 +405,18 @@ class DelayExponentFit:
 _JACKKNIFE_BATCHES = 20
 
 
+class TailFitError(ValueError):
+    """The delay tail is too thin for the requested deadline grid.
+
+    largest_usable is the largest grid deadline whose tail the fit could
+    still use, or None when no grid point is usable.
+    """
+
+    def __init__(self, message: str, largest_usable: float | None):
+        super().__init__(message)
+        self.largest_usable = largest_usable
+
+
 def estimate_delay_exponent(
     delays: np.ndarray, k_grid: Sequence[float]
 ) -> DelayExponentFit:
@@ -421,7 +434,7 @@ def estimate_delay_exponent(
     Refuses to fit when the tail is too thin to trust: fewer than 1e4
     delay samples overall, fewer than 50 exceedances at the largest
     deadline, or a left-out batch holding every exceedance of some deadline,
-    raise with the largest deadline that would still work.
+    raise TailFitError with the largest deadline that would still work.
     """
     delays = np.asarray(delays, dtype=float)
     grid = [float(k) for k in k_grid]
@@ -467,7 +480,7 @@ def estimate_delay_exponent(
                 f"{_JACKKNIFE_BATCHES} batches, so the jackknife stderr is "
                 f"undefined"
             )
-        raise ValueError(f"{reason} ({hint})")
+        raise TailFitError(f"{reason} ({hint})", usable[-1] if usable else None)
     k = np.array(grid)
     log_tail = np.log(totals / n)
     slope, intercept = np.polyfit(k, log_tail, 1)

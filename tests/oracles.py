@@ -5,8 +5,10 @@ The eigenvalue-exponent algebra (per-mode SNR exponents, their outage cost
 and the multiplexing gain they support) gives a route to the diversity
 curve that does not go through mharq.tradeoff.dmt, and the decoding-time
 rules give the round counts that accumulated mutual information needs.
+The finite-SNR multiplexing gain normalises a rate by log2(1 + m_rx * snr).
 The cube-walk window search scans every tuple of the budget^n_hops cube and
-keeps those that fit the budget; optimize_windows must give its table.
+keeps those that fit the budget, one candidate at a time; optimize_windows
+must give its table.
 The eigenvalue capacity sums log2(1 + snr * lambda / m_tx) over every
 eigenvalue of the receive-side Gram matrix, the route the simulator's
 log-det identity must agree with.
@@ -173,6 +175,17 @@ def decoding_time_continuous(S_per_round: Sequence[float], r: float):
     return NEVER
 
 
+def finite_multiplexing(rate_bits_per_use: float, m_rx: int, snr: float) -> float:
+    """Finite-SNR multiplexing gain: rate normalized by log2(1 + m_rx * snr)."""
+    if rate_bits_per_use < 0.0:
+        raise ValueError(f"rate must be nonnegative, got {rate_bits_per_use}")
+    if not snr > 0.0:
+        raise ValueError(f"snr must be positive, got {snr}")
+    if m_rx < 1:
+        raise ValueError(f"m_rx must be >= 1, got {m_rx}")
+    return rate_bits_per_use / math.log2(1.0 + m_rx * snr)
+
+
 def cube_walk_optimize_windows(
     topology: Topology,
     scenario: FiniteSnrScenario,
@@ -182,8 +195,9 @@ def cube_walk_optimize_windows(
 ) -> WindowOptimum:
     """The window search as first shipped: a filtered budget^n_hops cube walk.
 
-    Kept unchanged so the tests can hold optimize_windows, which walks only
-    the compositions of the budget, to the same table row for row.
+    Kept unchanged so the tests can hold optimize_windows, which evaluates
+    only the compositions of the budget, as arrays, to the same table row
+    for row.
 
     Enumerates every allocation with all windows >= 1 and total at most the
     budget (the deadline, rounded down, unless given explicitly), discards

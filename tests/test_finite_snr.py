@@ -13,16 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammainc
 
+import mharq.finite_snr as finite_snr
 from mharq.finite_snr import (
     ErrorBreakdown,
     FiniteSnrScenario,
     ServiceModel,
     UnstableQueueError,
     WindowInfeasibleError,
-    _compositions,
+    _composition_matrix,
     deadline_exponent,
     deadline_probability,
-    finite_multiplexing,
     mean_service_time,
     message_error,
     optimize_windows,
@@ -30,7 +30,8 @@ from mharq.finite_snr import (
     per_hop_outage,
 )
 from mharq.tradeoff import AntennaPair, Topology, WindowAllocation
-from oracles import cube_walk_optimize_windows
+import oracles
+from oracles import cube_walk_optimize_windows, finite_multiplexing
 
 HOP1 = AntennaPair(4, 1)
 HOP2 = AntennaPair(1, 3)
@@ -301,7 +302,7 @@ def test_optimize_windows_reports_constraint_conflict():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4), st.integers(0, 10))
 def test_compositions_are_the_filtered_cube_in_order(n_hops, budget):
-    got = list(_compositions(n_hops, budget))
+    got = [tuple(row) for row in _composition_matrix(n_hops, budget).tolist()]
     cube = [t for t in product(range(1, budget + 1), repeat=n_hops) if sum(t) <= budget]
     assert got == cube
     assert len(got) == math.comb(budget, n_hops)
@@ -339,6 +340,72 @@ def test_optimize_windows_infeasible_report_matches_cube_walk():
     assert [repr(row) for row in got.value.table] == [
         repr(row) for row in want.value.table
     ]
+
+
+def _search_outcome(search, topo, scenario, budget):
+    """Everything a search reports, spelled with repr so equal means equal bits."""
+    try:
+        opt = search(topo, scenario, budget=budget)
+    except WindowInfeasibleError as err:
+        return "infeasible", str(err), [repr(row) for row in err.table]
+    rows = [repr(row) for row in opt.table]
+    return "optimum", repr(opt.allocation), repr(opt.breakdown), rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.integers(1, 4), min_size=n + 1, max_size=n + 1),
+            st.integers(n, 10),
+        )
+    ),
+    st.floats(-0.5, 2.0),
+    st.floats(0.25, 4.0),
+    st.floats(0.1, 1.1),
+)
+def test_optimize_windows_matches_cube_walk_on_random_chains(
+    chain, log_snr, rate, log_arrival
+):
+    # arrival means from 1.26 to 12.6 blocks give all-feasible tables, tables
+    # with conflicting or doubly violated rows, and tables with no feasible row
+    antennas, budget = chain
+    topo = Topology(antennas)
+    scenario = FiniteSnrScenario(
+        10.0**log_snr,
+        rate,
+        arrival_mean_blocks=10.0**log_arrival,
+        deadline_blocks=float(budget),
+    )
+    got = _search_outcome(optimize_windows, topo, scenario, budget)
+    want = _search_outcome(cube_walk_optimize_windows, topo, scenario, budget)
+    assert got == want
+
+
+@pytest.mark.parametrize("bad_tail", [-0.25, math.nan], ids=["negative", "nan"])
+@pytest.mark.parametrize("window", [1, 2])
+def test_optimize_windows_raises_what_the_failing_row_raised(
+    monkeypatch, bad_tail, window
+):
+    # a broken tail at one window of the middle hop puts some feasible rows'
+    # probabilities out of [0, 1]; the first such row in table order must
+    # raise the error the cube walk raises there
+    tail = finite_snr._outage_window_ostbc
+
+    def broken(pair, t, scenario, variant):
+        if pair == AntennaPair(1, 3) and t == window:
+            return bad_tail
+        return tail(pair, t, scenario, variant)
+
+    monkeypatch.setattr(finite_snr, "_outage_window_ostbc", broken)
+    monkeypatch.setattr(oracles, "_outage_window_ostbc", broken)
+    topo = Topology([4, 1, 3, 2])
+    with pytest.raises(ValueError) as got:
+        optimize_windows(topo, WINDOW_POINT, budget=8)
+    with pytest.raises(ValueError) as want:
+        cube_walk_optimize_windows(topo, WINDOW_POINT, budget=8)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
 
 
 def test_optimize_windows_reaches_eight_node_chain():
