@@ -422,11 +422,12 @@ def test_validate_markovian_refits_tail_from_one_excursion(
     assert doc["rows"][0]["verdict"] == "ok"
 
 
-def test_validate_markovian_refuses_tail_with_no_usable_deadline(
+def test_validate_markovian_refuses_tail_from_one_excursion(
     tmp_path, capsys, monkeypatch
 ):
     # the deepest 1.5 % of the delays sit in one batch, so beyond the 0.9
-    # quantile no deadline of the grid has a jackknife stderr to refit on
+    # quantile no deadline of the grid has a jackknife stderr to refit on,
+    # and validate refuses rather than fit
     simulate = cli.run_network_sim
 
     def one_burst(config):
@@ -441,6 +442,7 @@ def test_validate_markovian_refuses_tail_with_no_usable_deadline(
     assert main(["validate", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "config.message_count" in err
+    assert "largest usable deadline" in err
     assert "falls in one of 20 batches" in err
     ((grid, refused),) = fits
     assert refused.largest_usable == grid[0]
