@@ -44,7 +44,6 @@ from .netsim import (
     DelayExponentFit,
     SimConfig,
     SimResult,
-    TailFitError,
     estimate_delay_exponent,
     run_network_sim,
 )
@@ -109,7 +108,6 @@ __all__ = [
     "DelayExponentFit",
     "SimConfig",
     "SimResult",
-    "TailFitError",
     "estimate_delay_exponent",
     "run_network_sim",
     # numerics

@@ -464,47 +464,6 @@ def _row_tuples(matrix: np.ndarray) -> Iterator[tuple]:
     return zip(*matrix.T.tolist())
 
 
-def _violation_texts(
-    hop_mean: list[list[float]],
-    windows: np.ndarray,
-    stages: np.ndarray,
-    stage_over: np.ndarray,
-    arrival: float,
-) -> list[tuple[str, ...]]:
-    """Each row's violations: hops above the arrival mean, then unstable stages.
-
-    A text depends only on its hop's window or on its stage's sum, so each
-    distinct text is formatted once and gathered into the rows that have it.
-    """
-    n_hops = windows.shape[1]
-    hop_text = np.array(
-        [
-            [
-                f"mu[{i}]={m:.6g} exceeds arrival mean {arrival:.6g}"
-                if m > arrival
-                else None
-                for m in row
-            ]
-            for i, row in enumerate(hop_mean)
-        ],
-        dtype=object,
-    )[np.arange(n_hops), windows - 1]
-    stage_text = np.full(stages.shape, None, dtype=object)
-    for i, (column, over) in enumerate(zip(stages.T, stage_over.T)):
-        sums, which = np.unique(column[over], return_inverse=True)
-        texts = [
-            f"stage {i} occupancy {stage:.6g} not stable against "
-            f"arrival mean {arrival:.6g}"
-            for stage in sums.tolist()
-        ]
-        stage_text[over, i] = np.array(texts, dtype=object)[which]
-    # None marks a hop or stage without a violation
-    return [
-        tuple(filter(None, row))
-        for row in np.hstack([hop_text, stage_text]).tolist()
-    ]
-
-
 def optimize_windows(
     topology: Topology,
     scenario: FiniteSnrScenario,
@@ -599,14 +558,26 @@ def optimize_windows(
             deadline_probability(ServiceModel(means[r]), arrival, deadline),
         )
 
+    # violations, for infeasible rows only: hops above the arrival mean, then
+    # unstable stages
     violations: list[tuple[str, ...]] = [()] * len(windows)
     rejected = np.flatnonzero(~feasible)
-    if rejected.size:
-        texts = _violation_texts(
-            hop_mean, windows[rejected], stages[rejected], stage_over[rejected], arrival
+    for r, row_means, row_stages, row_over in zip(
+        rejected.tolist(),
+        means[rejected].tolist(),
+        stages[rejected].tolist(),
+        stage_over[rejected].tolist(),
+    ):
+        violations[r] = tuple(
+            f"mu[{i}]={m:.6g} exceeds arrival mean {arrival:.6g}"
+            for i, m in enumerate(row_means)
+            if m > arrival
+        ) + tuple(
+            f"stage {i} occupancy {stage:.6g} not stable against "
+            f"arrival mean {arrival:.6g}"
+            for i, (stage, over) in enumerate(zip(row_stages, row_over))
+            if over
         )
-        for r, row_texts in zip(rejected.tolist(), texts):
-            violations[r] = row_texts
     dl_column = np.full(len(windows), None, dtype=object)
     total_column = np.full(len(windows), None, dtype=object)
     dl_column[feasible] = p_deadline[feasible].tolist()
