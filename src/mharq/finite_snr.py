@@ -384,12 +384,29 @@ def deadline_probability(
         )
     if deadline_blocks < 0.0:
         raise ValueError(f"deadline must be nonnegative, got {deadline_blocks}")
-    theta_star = deadline_exponent(service, arrival_mean_blocks)
+    deadline_exponent(service, arrival_mean_blocks)  # raises on an unstable stage
     stages = _stage_means(means)
-    if len(stages) == 1:
-        prefactor = stages[0] / arrival_mean_blocks
-        return prefactor * math.exp(-deadline_blocks * theta_star)
-    return math.exp(-deadline_blocks * theta_star)
+    return _bottleneck_deadline_probability(
+        max(stages), arrival_mean_blocks, deadline_blocks, len(stages) == 1
+    )
+
+
+def _bottleneck_deadline_probability(
+    bottleneck: float,
+    arrival_mean_blocks: float,
+    deadline_blocks: float,
+    one_stage: bool,
+) -> float:
+    """deadline_probability of a stable chain from its largest stage mean.
+
+    theta = 1/stage - 1/arrival falls as the stage grows, and IEEE division
+    and subtraction are monotone, so the bottleneck's theta is the smallest
+    stage theta bit for bit.  one_stage adds the M/M/1 prefactor
+    stage / arrival of a single queueing stage.
+    """
+    theta = 1.0 / bottleneck - 1.0 / arrival_mean_blocks
+    tail = math.exp(-deadline_blocks * theta)
+    return bottleneck / arrival_mean_blocks * tail if one_stage else tail
 
 
 def message_error(
@@ -529,20 +546,20 @@ def optimize_windows(
     feasible = per_hop_ok & stable
     conflict = per_hop_ok != stable
 
-    # Every stage of a feasible row is stable and 1/stage - 1/arrival falls
-    # as the stage grows, so the deadline term depends on the largest stage
-    # alone: evaluate it once per distinct bottleneck, on the first row with
-    # it, and share the value.  Rows ServiceModel would refuse are left out
-    # here and replayed below.
+    # Every stage of a feasible row is stable, so the deadline term depends
+    # on the largest stage alone: evaluate it once per distinct bottleneck
+    # and share the value.  Rows ServiceModel would refuse are left out here
+    # and replayed below.
     modelled = np.flatnonzero(feasible & (means > 0.0).all(axis=1))
-    _, first, group = np.unique(
-        stages[modelled].max(axis=1), return_index=True, return_inverse=True
+    bottlenecks, group = np.unique(
+        stages[modelled].max(axis=1), return_inverse=True
     )
+    one_stage = stages.shape[1] == 1
     p_deadline = np.full(len(windows), math.nan)
     p_deadline[modelled] = np.array(
         [
-            deadline_probability(ServiceModel(row), arrival, deadline)
-            for row in means[modelled[first]].tolist()
+            _bottleneck_deadline_probability(b, arrival, deadline, one_stage)
+            for b in bottlenecks.tolist()
         ]
     )[group]
     p_total = p_outage + (1.0 - p_outage) * p_deadline

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -171,61 +172,109 @@ def _capacities(
     sum_i log2(1 + a * lambda_i) = log2 det(I + a * G) with a = snr / m_tx
     and G the Gram matrix of H on its min(m_rx, m_tx) side (Telatar 1999).
     A rank-1 hop reduces to log2(1 + a * ||H||^2), which needs only the
-    magnitudes; rank 2 uses the closed-form 2x2 determinant and larger
-    ranks ``slogdet``.  Only rank >= 2 needs the phases.
+    magnitudes, and so does the space-time-coded (ostbc) model.
+
+    Every rank >= 2 takes one path in plain real arithmetic:
+
+    - The uniforms are copied once into entry-major order (rank side, other
+      side, [mag, phase], msg, round), so each matrix entry is one
+      contiguous vector over the messages and rounds.
+    - Row i of H is multiplied by exp(-i phi_i0) and column k by
+      exp(-i (phi_0k - phi_00)).  G goes to a unitary similarity of itself,
+      so det(I + a G) does not move, and row 0 and column 0 turn real:
+      only (rank - 1) * (other side - 1) angles need a cosine and a sine.
+    - The Gram entries are sums of real and imaginary vector products, and
+      the LDL^H pivot recursion of I + a G runs on them as vector ops.
+      Each pivot is a Schur complement of a matrix >= I, so it is at least
+      1: it is 1 + a * b with b >= 0 a pivot of the positive semidefinite
+      part, and b is clamped at 0.  Roundoff can then neither make a log
+      negative nor overflow a later step, however singular G and however
+      high the SNR.
+    - The capacity is the sum of the pivots' log2, not the log2 of their
+      product, so no SNR overflows it.
+
+    No rank has a closed form of its own, and no rank calls a batched
+    LAPACK determinant.
     """
-    mags_sq = -np.log1p(-u[..., 0])  # (msg, round, rx, tx)
     m_rx = u.shape[2]
-    rank = min(m_rx, m_tx)
-    if code_model == "ostbc" or rank == 1:
-        frob = mags_sq.sum(axis=(2, 3))
+    if code_model == "ostbc" or min(m_rx, m_tx) == 1:
+        frob = -np.log1p(-u[..., 0]).sum(axis=(2, 3))
         cap = np.log2(1.0 + snr * frob / m_tx)
         return r_s * cap if code_model == "ostbc" else cap
     a = snr / m_tx
+    sides = (2, 3) if m_rx <= m_tx else (3, 2)  # rank side first
+    e = np.ascontiguousarray(u.transpose(*sides, 4, 0, 1))
+    rank = e.shape[0]
+    mags_sq = -np.log1p(-e[:, :, 0])  # (rank side, other side, msg, round)
     mags = np.sqrt(mags_sq)
-    phases = 2.0 * np.pi * u[..., 1]
-    if m_rx > m_tx:  # G = H^H H: index the transmit side first
-        mags_sq, mags, phases = (
-            np.swapaxes(x, -1, -2) for x in (mags_sq, mags, phases)
-        )
-    if rank == 2:
-        # g01 = sum_k |h0k| |h1k| exp(i (phi0k - phi1k)): one angle per pair
-        g00 = mags_sq[..., 0, :].sum(axis=-1)
-        g11 = mags_sq[..., 1, :].sum(axis=-1)
-        w = mags[..., 0, :] * mags[..., 1, :]
-        d = phases[..., 0, :] - phases[..., 1, :]
-        re = (w * np.cos(d)).sum(axis=-1)
-        im = (w * np.sin(d)).sum(axis=-1)
-        det = (1.0 + a * g00) * (1.0 + a * g11) - a * a * (re * re + im * im)
-        return np.log2(det)
-    h = np.empty(mags.shape, dtype=complex)
-    np.multiply(mags, np.cos(phases), out=h.real)
-    np.multiply(mags, np.sin(phases), out=h.imag)
-    gram = h @ np.conj(np.swapaxes(h, -1, -2))  # (msg, round, rank, rank)
-    _, logdet = np.linalg.slogdet(np.eye(rank) + a * gram)
-    return logdet / math.log(2.0)
+    phase = e[:, :, 1]  # in turns
+    turns = phase[1:, 1:] - phase[1:, :1] - phase[:1, 1:] + phase[0, 0]
+    turns -= np.rint(turns)  # cos and sin are cheapest on [-pi, pi]
+    angle = 2.0 * np.pi * turns
+    h_re = mags.copy()
+    h_im = np.zeros_like(mags)
+    h_re[1:, 1:] *= np.cos(angle)
+    np.multiply(mags[1:, 1:], np.sin(angle), out=h_im[1:, 1:])
+    # lower triangle of G, row by row; the upper one is never read
+    g_re = np.zeros((rank, rank) + mags.shape[2:])
+    g_im = np.zeros_like(g_re)
+    diag = np.arange(rank)
+    g_re[diag, diag] = mags_sq.sum(axis=1)
+    for i in range(1, rank):
+        re, im = h_re[:i], h_im[:i]
+        g_re[i, :i] = (h_re[i] * re).sum(axis=1) + (h_im[i] * im).sum(axis=1)
+        g_im[i, :i] = (h_im[i] * re).sum(axis=1) - (h_re[i] * im).sum(axis=1)
+    cap = np.zeros(mags.shape[2:])
+    for k in range(rank):
+        # the Schur complement of I + a G at pivot k is I + a B with
+        # B = G[k+1:, k+1:] - a / (1 + a G[k, k]) G[k+1:, k] G[k+1:, k]^H,
+        # so the recursion runs on B, at the scale of G for any SNR
+        b = np.maximum(g_re[k, k], 0.0)
+        pivot = 1.0 + a * b
+        cap += np.log2(pivot)
+        # a semidefinite B with a zero pivot has a zero column there, so
+        # whatever roundoff left in that column is dropped, not scaled by a
+        scale = np.where(b > 0.0, a / pivot, 0.0)
+        col_re, col_im = g_re[k + 1 :, k], g_im[k + 1 :, k]
+        w_re, w_im = scale * col_re, scale * col_im
+        g_re[k + 1 :, k + 1 :] -= w_re[:, None] * col_re + w_im[:, None] * col_im
+        g_im[k + 1 :, k + 1 :] -= w_im[:, None] * col_re - w_re[:, None] * col_im
+    return cap
 
 
 def _decode_rounds(
-    capacities: np.ndarray, target_rate: float, window: int, long_term: bool
+    u: np.ndarray,
+    capacity: Callable[[np.ndarray], np.ndarray],
+    target_rate: float,
+    window: int,
+    long_term: bool,
 ) -> np.ndarray:
     """Blocks each message needs on one hop; window + 1 marks outage.
 
-    Long-term static fading holds one draw for the whole message, so the
-    accumulated rate after n rounds is n times the first round's capacity.
+    ``capacity`` maps uniforms of shape (msg, round, rx, tx, [mag, phase])
+    to per-round capacities (msg, round).  Long-term static fading holds one
+    draw for the whole message, so the accumulated rate after n rounds is n
+    times the first round's capacity.  Short-term fading draws afresh each
+    round; round k's capacities are computed only for the messages still
+    short of the target after round k - 1, and added one round at a time,
+    so the accumulated rates are the bits of a cumulative sum over rounds.
     """
-    n = capacities.shape[0]
     if long_term:
-        c = capacities[:, 0]
+        c = capacity(u)[:, 0]
         needed = np.ceil(target_rate / np.maximum(c, 1e-300))
         rounds = np.minimum(needed, window + 1).astype(np.int64)
-        rounds = np.maximum(rounds, 1)
-    else:
-        accum = np.cumsum(capacities, axis=1)
+        return np.maximum(rounds, 1)
+    rounds = np.full(u.shape[0], window + 1, dtype=np.int64)
+    pending = np.arange(u.shape[0])
+    accum = 0.0
+    for k in range(window):
+        accum = accum + capacity(u[pending, k : k + 1])[:, 0]
         done = accum >= target_rate
-        first = np.argmax(done, axis=1)  # 0 when never true; mask below
-        rounds = np.where(done.any(axis=1), first + 1, window + 1)
-    return np.minimum(rounds, window + 1)
+        rounds[pending[done]] = k + 1
+        pending, accum = pending[~done], accum[~done]
+        if not pending.size:
+            break
+    return rounds
 
 
 def _lindley_waits(services: np.ndarray, arrivals: np.ndarray) -> np.ndarray:
@@ -255,7 +304,10 @@ def run_network_sim(config: SimConfig) -> SimResult:
     one after another from the hop's stream.  Draws are message-major, so
     the chunks see the same uniforms as one draw of every message would,
     and no number depends on the chunk size; memory does not grow with
-    ``message_count`` beyond the per-message arrays.
+    ``message_count`` beyond the per-message arrays.  On short-term hops a
+    later round's capacities are computed only for the messages it has not
+    decoded yet; every round's uniforms are still drawn for every message,
+    so the draws, and every number, are those of computing them all.
     """
     topo = config.topology
     proto = config.protocol
@@ -302,6 +354,13 @@ def run_network_sim(config: SimConfig) -> SimResult:
                 1.0 + pair.m_rx * scenario.snr
             )
             rng = source.stream(1 + h)
+            capacity = partial(
+                _capacities,
+                snr=scenario.snr,
+                r_s=scenario.spatial_code_rate,
+                m_tx=pair.m_tx,
+                code_model=config.code_model,
+            )
             per_msg = draw_rounds * pair.m_rx * pair.m_tx * 2
             step = max(1, _CHUNK_UNIFORMS // per_msg)
             rounds = np.empty(n_msgs, dtype=np.int64)
@@ -310,14 +369,9 @@ def run_network_sim(config: SimConfig) -> SimResult:
                 u = _channel_uniforms(
                     rng, stop - start, draw_rounds, pair.m_rx, pair.m_tx
                 )
-                caps = _capacities(
-                    u,
-                    scenario.snr,
-                    scenario.spatial_code_rate,
-                    pair.m_tx,
-                    config.code_model,
+                rounds[start:stop] = _decode_rounds(
+                    u, capacity, target, window, long_term
                 )
-                rounds[start:stop] = _decode_rounds(caps, target, window, long_term)
             rounds_by_hop.append(rounds)
             blocks[h] = np.minimum(rounds, window)
 

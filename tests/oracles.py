@@ -11,7 +11,9 @@ keeps those that fit the budget, one candidate at a time; optimize_windows
 must give its table.
 The eigenvalue capacity sums log2(1 + snr * lambda / m_tx) over every
 eigenvalue of the receive-side Gram matrix, the route the simulator's
-log-det identity must agree with.
+log-det identity must agree with.  The cumulative-sum decode takes every
+short-term round's capacity for every message, the route the simulator's
+lazy decode must agree with.
 """
 
 from __future__ import annotations
@@ -320,3 +322,17 @@ def eigvalsh_capacities(
     gram = h @ np.conj(np.swapaxes(h, -1, -2))  # (msg, round, rx, rx)
     eig = np.linalg.eigvalsh(gram)
     return np.log2(1.0 + snr * np.maximum(eig, 0.0) / m_tx).sum(axis=-1)
+
+
+def cumsum_decode_rounds(
+    capacities: np.ndarray, target_rate: float, window: int
+) -> np.ndarray:
+    """Short-term blocks per message from every round's capacity at once.
+
+    capacities has shape (msg, round); the result counts the rounds until
+    the accumulated rate reaches target_rate, window + 1 marking outage.
+    """
+    accum = np.cumsum(capacities, axis=1)
+    done = accum >= target_rate
+    first = np.argmax(done, axis=1)  # 0 when never true; mask below
+    return np.where(done.any(axis=1), first + 1, window + 1)

@@ -197,6 +197,30 @@ def test_deadline_probability_multi_stage_keeps_exponent_only():
     assert got == pytest.approx(math.exp(-20.0 * theta), rel=1e-12)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.sampled_from([1.0, 2.0, 2.5]), st.floats(1.0, 6.0)),
+        min_size=1,
+        max_size=6,
+    ),
+    st.floats(12.5, 40.0),
+    st.floats(0.0, 60.0),
+)
+def test_deadline_probability_is_the_smallest_stage_theta(means, arrival, deadline):
+    # keyed by the bottleneck stage, the tail keeps the bits of the smallest
+    # stage decay rate, ties between stages included
+    if len(means) == 1:
+        stages = means
+    else:
+        stages = [a + b for a, b in zip(means, means[1:])]
+    theta = min(1.0 / s - 1.0 / arrival for s in stages)
+    want = math.exp(-deadline * theta)
+    if len(stages) == 1:
+        want = stages[0] / arrival * want
+    assert deadline_probability(ServiceModel(means), arrival, deadline) == want
+
+
 def test_deadline_validation():
     with pytest.raises(UnstableQueueError):
         deadline_exponent(ServiceModel([2.0, 2.0]), 3.9)

@@ -15,7 +15,7 @@ from mharq.netsim import (
     run_network_sim,
 )
 from mharq.tradeoff import ChannelAssumption, FblArq, FixedArq, Topology
-from oracles import eigvalsh_capacities
+from oracles import cumsum_decode_rounds, eigvalsh_capacities
 
 LT = ChannelAssumption.LONG_TERM_STATIC
 ST = ChannelAssumption.SHORT_TERM_STATIC
@@ -133,9 +133,16 @@ def test_seed_changes_results():
 # channel capacities
 
 
-@pytest.mark.parametrize("rounds", [1, 3])
-@pytest.mark.parametrize("m_tx", [1, 2, 3, 4])
-@pytest.mark.parametrize("m_rx", [1, 2, 3, 4])
+# every (m_rx, m_tx) up to 4x4, plus wider shapes the antenna cap allows
+CAPACITY_SHAPES = [(r, t) for r in range(1, 5) for t in range(1, 5)] + [
+    (5, 3), (3, 7), (6, 6), (8, 8),
+]
+
+
+@pytest.mark.parametrize(
+    "m_rx, m_tx, rounds",
+    [(r, t, n) for r, t in CAPACITY_SHAPES for n in (1, 3)],
+)
 def test_capacities_match_eigenvalue_oracle(m_rx, m_tx, rounds):
     rng = RandomSource(11).stream(10 * m_rx + m_tx)
     u = netsim._channel_uniforms(rng, 500, rounds, m_rx, m_tx)
@@ -147,6 +154,29 @@ def test_capacities_match_eigenvalue_oracle(m_rx, m_tx, rounds):
         got = netsim._capacities(u, snr, 0.75, m_tx, "ostbc")
         want = eigvalsh_capacities(u, snr, 0.75, m_tx, "ostbc")
         assert np.array_equal(got, want)
+    # roundoff at high SNR neither raises nor drives a capacity negative
+    for snr in (1e6, 1e300):
+        with np.errstate(all="raise"):
+            caps = netsim._capacities(u, snr, 1.0, m_tx, "logdet")
+        assert np.isfinite(caps).all()
+        assert (caps >= 0.0).all()
+
+
+@pytest.mark.parametrize("m_rx, m_tx", [(2, 2), (4, 4), (3, 5), (6, 3), (8, 8)])
+def test_capacities_of_a_singular_channel_stay_finite(m_rx, m_tx):
+    # three equal rows on the rank side make G singular: the exact pivots
+    # after the first sit at their bound, and at high SNR roundoff would
+    # push them below it or blow up the Schur steps that follow
+    u = netsim._channel_uniforms(RandomSource(3).stream(1), 2000, 2, m_rx, m_tx)
+    if m_rx <= m_tx:
+        u[:, :, 1:3] = u[:, :, :1]
+    else:
+        u[:, :, :, 1:3] = u[:, :, :, :1]
+    for snr in (1e6, 1e17, 1e30, 1e300):
+        with np.errstate(all="raise"):
+            caps = netsim._capacities(u, snr, 1.0, m_tx, "logdet")
+        assert np.isfinite(caps).all()
+        assert (caps >= 0.0).all()
 
 
 HOP_SHAPES = [  # (m_rx, m_tx, channel)
@@ -166,12 +196,68 @@ def test_decode_rounds_agree_with_eigenvalue_oracle(m_rx, m_tx, channel):
         rng, 20_000, 1 if long_term else window, m_rx, m_tx
     )
     got = netsim._decode_rounds(
-        netsim._capacities(u, snr, 1.0, m_tx, "logdet"), target, window, long_term
+        u,
+        lambda v: netsim._capacities(v, snr, 1.0, m_tx, "logdet"),
+        target,
+        window,
+        long_term,
     )
     want = netsim._decode_rounds(
-        eigvalsh_capacities(u, snr, 1.0, m_tx, "logdet"), target, window, long_term
+        u,
+        lambda v: eigvalsh_capacities(v, snr, 1.0, m_tx, "logdet"),
+        target,
+        window,
+        long_term,
     )
     assert np.array_equal(got, want)
+
+
+LAZY_CASES = [  # (m_rx, m_tx, code_model, r, window)
+    (4, 4, "ostbc", 1.0, 3),  # most messages need two rounds
+    (4, 4, "logdet", 2.0, 3),
+    (2, 2, "logdet", 1.0, 1),
+    (2, 2, "logdet", 2.0, 2),  # some messages never decode
+]
+
+
+@pytest.mark.parametrize(
+    "m_rx, m_tx, code_model, r, window",
+    LAZY_CASES,
+    ids=["ostbc-444-r1", "logdet-444-r2", "logdet-22-window1", "logdet-22-outage"],
+)
+def test_lazy_short_term_decode_matches_cumulative_sum(
+    m_rx, m_tx, code_model, r, window
+):
+    snr, n = 10.0, 20_000
+    target = r * math.log2(1.0 + m_rx * snr)
+    u = netsim._channel_uniforms(
+        RandomSource(9).stream(10 * m_rx + m_tx), n, window, m_rx, m_tx
+    )
+    sizes = []
+
+    def capacity(v):
+        sizes.append(v.shape[:2])
+        return netsim._capacities(v, snr, 1.0, m_tx, code_model)
+
+    got = netsim._decode_rounds(u, capacity, target, window, False)
+    want = cumsum_decode_rounds(
+        netsim._capacities(u, snr, 1.0, m_tx, code_model), target, window
+    )
+    assert np.array_equal(got, want)
+    # round k is computed once, for exactly the messages rounds 1..k-1 left
+    # short of the target
+    assert sizes == [
+        (int(np.count_nonzero(want > k)), 1)
+        for k in range(window)
+        if np.count_nonzero(want > k)
+    ]
+    counts = np.bincount(want, minlength=window + 2)
+    if code_model == "ostbc":
+        assert counts[2:].sum() > n // 2
+    if window > 1:
+        assert counts[1] > 0 and counts[2:].sum() > 0
+    if r == 2.0 and window == 2:
+        assert 0 < counts[window + 1] < n
 
 
 # ---------------------------------------------------------------------------
