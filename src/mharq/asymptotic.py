@@ -13,15 +13,18 @@ in the short-term static case) the objective is concave between the
 preimages of the integer knots of the Zheng-Tse tradeoff curve, so the exact
 minimum is the smallest value over a finite candidate set; the closed forms
 for the special antenna families serve as independent oracles for it.
+
+Every kernel evaluates the Zheng-Tse curve of a hop through _d_scalar on
+its corner diversities, held as a tuple of Python floats (_curve), so the
+module runs on plain float arithmetic and needs no numpy.  The results are
+bit-identical to tradeoff.dmt, which stays the array-capable public form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
-
-import numpy as np
 
 from .tradeoff import (
     AntennaPair,
@@ -32,7 +35,6 @@ from .tradeoff import (
     Topology,
     VblArq,
     WindowAllocation,
-    dmt,
 )
 
 __all__ = [
@@ -57,22 +59,28 @@ def _require_3node(topology: Topology) -> tuple[AntennaPair, AntennaPair]:
     return topology.hop(0), topology.hop(1)
 
 
-def _curve(pair: AntennaPair) -> tuple[np.ndarray, np.ndarray]:
-    k = np.arange(pair.min_dim + 1, dtype=float)
-    return k, (pair.m_tx - k) * (pair.m_rx - k)
+def _curve(pair: AntennaPair) -> tuple[float, ...]:
+    """Corner diversities (m_tx - k)(m_rx - k) at the knots k = 0..min_dim."""
+    return tuple(
+        float((pair.m_tx - k) * (pair.m_rx - k)) for k in range(pair.min_dim + 1)
+    )
 
 
-def _d_scalar(curve: tuple[np.ndarray, np.ndarray], s: float) -> float:
-    """Piecewise-linear tradeoff evaluation with integer corner knots."""
-    corners = curve[1]
+def _d_scalar(corners: tuple[float, ...], s: float) -> float:
+    """Piecewise-linear tradeoff evaluation with integer corner knots.
+
+    Agrees bit for bit with tradeoff.dmt: np.interp forms the same
+    (hi - lo) * (s - j) + lo between knots and returns the end corners
+    outside [0, top].
+    """
     top = len(corners) - 1
     if s >= top:
         return 0.0
     if s <= 0.0:
-        return float(corners[0])
+        return corners[0]
     j = int(s)
     lo, hi = corners[j], corners[j + 1]
-    return float(lo + (s - j) * (hi - lo))
+    return lo + (s - j) * (hi - lo)
 
 
 def _check_rate_scalar(r: float) -> float:
@@ -113,7 +121,9 @@ def fixed_dmdt_3node(
     g = _check_power(power_exponent)
     if g != 1.0:
         return g * fixed_dmdt_3node(topology, window1, window2, r / g)
-    return min(dmt(hop1, r / window1), dmt(hop2, r / window2))
+    return min(
+        _d_scalar(_curve(hop1), r / window1), _d_scalar(_curve(hop2), r / window2)
+    )
 
 
 @dataclass(frozen=True)
@@ -127,42 +137,54 @@ class FixedWindowOptimum:
 
 
 def fixed_optimal_windows(
-    topology: Topology, total_rounds: int, r: float
+    topology: Topology,
+    total_rounds: int,
+    r: float,
+    *,
+    power_exponent: float = 1.0,
 ) -> FixedWindowOptimum:
     """Optimal division of a round budget between the two hops.
 
     The integer part enumerates every split with window1 + window2 <=
     total_rounds and maximizes the weakest-link diversity; ties prefer the
-    more balanced split, then the smaller first window.  The real part
+    more balanced split, then the smaller first window.  Each hop's
+    diversity at r/w is computed once per window w = 1..total_rounds - 1,
+    and the enumeration compares those stored values.  The real part
     equalizes the two per-hop curves, d1(r/x) = d2(r/(total - x)), by
     bisection (the difference is monotone in x).
+
+    With power exponent g the windows and split are those at rate r/g, and
+    both diversities are scaled by g, as in fixed_dmdt_3node.
     """
     hop1, hop2 = _require_3node(topology)
     if total_rounds < 2:
         raise ValueError(f"need at least two rounds to serve two hops, got {total_rounds}")
     r = _check_rate_scalar(r)
+    g = _check_power(power_exponent)
+    if g != 1.0:
+        opt = fixed_optimal_windows(topology, total_rounds, r / g)
+        return replace(opt, value=g * opt.value, split_value=g * opt.split_value)
     L = int(total_rounds)
+    curve1, curve2 = _curve(hop1), _curve(hop2)
+    d1 = {w: _d_scalar(curve1, r / w) for w in range(1, L)}
+    d2 = {w: _d_scalar(curve2, r / w) for w in range(1, L)}
 
-    best: tuple[float, int, int] | None = None
-    for w1 in range(1, L):
-        for w2 in range(1, L - w1 + 1):
-            v = min(dmt(hop1, r / w1), dmt(hop2, r / w2))
-            key = (-v, abs(w1 - w2), w1)
-            if best is None or key < best[0]:
-                best = (key, w1, w2)
-    assert best is not None
-    _, w1, w2 = best
-    value = min(dmt(hop1, r / w1), dmt(hop2, r / w2))
+    _, _, w1, w2 = min(
+        (-min(d1[a], d2[b]), abs(a - b), a, b)
+        for a in range(1, L)
+        for b in range(1, L - a + 1)
+    )
+    value = min(d1[w1], d2[w2])
 
     if r == 0.0:
         # both curves are flat at full diversity; call the midpoint the split
         x = L / 2.0
-        split_value = min(dmt(hop1, 0.0), dmt(hop2, 0.0))
+        split_value = min(curve1[0], curve2[0])
     else:
         lo, hi = 1e-12 * L, L * (1.0 - 1e-12)
 
         def gap(x: float) -> float:
-            return dmt(hop1, r / x) - dmt(hop2, r / (L - x))
+            return _d_scalar(curve1, r / x) - _d_scalar(curve2, r / (L - x))
 
         for _ in range(100):
             mid = 0.5 * (lo + hi)
@@ -171,7 +193,7 @@ def fixed_optimal_windows(
             else:
                 hi = mid
         x = 0.5 * (lo + hi)
-        split_value = min(dmt(hop1, r / x), dmt(hop2, r / (L - x)))
+        split_value = min(_d_scalar(curve1, r / x), _d_scalar(curve2, r / (L - x)))
     return FixedWindowOptimum(
         windows=(w1, w2), value=value, split=(x, L - x), split_value=split_value
     )
@@ -220,17 +242,18 @@ def fbl_dmdt_3node(
             f" (need at least {need} rounds)"
         )
     short_term = channel is ChannelAssumption.SHORT_TERM_STATIC
+    curve1, curve2 = _curve(hop1), _curve(hop2)
     best = math.inf
     for l1 in range(low, data_rounds - low + 1):
         l2 = data_rounds - l1
         terms = []
-        for hop, l in ((hop1, l1), (hop2, l2)):
+        for curve, l in ((curve1, l1), (curve2, l2)):
             if l == 0:
                 terms.append(0.0)
             elif short_term:
-                terms.append(l * dmt(hop, r / l))
+                terms.append(l * _d_scalar(curve, r / l))
             else:
-                terms.append(dmt(hop, r / l))
+                terms.append(_d_scalar(curve, r / l))
         best = min(best, sum(terms))
     return best
 
@@ -247,14 +270,14 @@ def _vbl_long_term(hop1: AntennaPair, hop2: AntennaPair, c: float) -> float:
     knots, so the minimum sits on one of those kinks or an endpoint.
     """
     m1, m2 = hop1.min_dim, hop2.min_dim
+    curve1, curve2 = _curve(hop1), _curve(hop2)
     if c == 0.0:
-        return min(dmt(hop1, 0.0), dmt(hop2, 0.0))
+        return min(curve1[0], curve2[0])
     cap = m1 * m2 / (m1 + m2)
     if c >= cap:
         return 0.0
     lo = c * m2 / (m2 - c)
     hi = float(m1)
-    curve1, curve2 = _curve(hop1), _curve(hop2)
     cands = {lo, hi}
     for k in range(1, m1 + 1):
         if lo < k < hi:
@@ -270,7 +293,7 @@ def _vbl_long_term(hop1: AntennaPair, hop2: AntennaPair, c: float) -> float:
 
 
 def _partial_round_cost(
-    curve: tuple[np.ndarray, np.ndarray], min_dim: int, r: float, tau: float
+    curve: tuple[float, ...], min_dim: int, r: float, tau: float
 ) -> float:
     """Exponent of one hop failing to decode within tau rounds (fresh fades).
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import math
@@ -336,6 +335,8 @@ def _json_safe(value: Any) -> Any:
 
 
 def _config_hash(config: dict) -> str:
+    import hashlib  # loads OpenSSL; only runs that emit a hash need it
+
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -463,7 +464,7 @@ def _run_dmdt_asymptotic(config: dict) -> tuple[list[str], list[list[Any]], dict
         ]
         rows = []
         for r in grid:
-            best = fixed_optimal_windows(topo, total, r)
+            best = fixed_optimal_windows(topo, total, r, power_exponent=power)
             fbl = fbl_dmdt_3node(
                 topo,
                 total,
@@ -489,7 +490,10 @@ def _run_dmdt_asymptotic(config: dict) -> tuple[list[str], list[list[Any]], dict
         return ["multiplexing_gain", "diversity_gain"], rows, {}
 
     if protocol == "fixed":
-        rows = [[r, fixed_optimal_windows(topo, total, r).value] for r in grid]
+        rows = [
+            [r, fixed_optimal_windows(topo, total, r, power_exponent=power).value]
+            for r in grid
+        ]
         return ["multiplexing_gain", "diversity_gain"], rows, {}
 
     arq = FblArq(total) if protocol == "fbl" else VblArq(total)

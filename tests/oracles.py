@@ -14,6 +14,9 @@ eigenvalue of the receive-side Gram matrix, the route the simulator's
 log-det identity must agree with.  The cumulative-sum decode takes every
 short-term round's capacity for every message, the route the simulator's
 lazy decode must agree with.
+The fixed-window optimum and the shared-budget split evaluate the public
+mharq.tradeoff.dmt once per window pair, as first shipped; the float-curve
+kernels of mharq.asymptotic must give the same bits.
 """
 
 from __future__ import annotations
@@ -25,6 +28,12 @@ from typing import Sequence
 
 import numpy as np
 
+from mharq.asymptotic import (
+    FixedWindowOptimum,
+    _check_power,
+    _check_rate_scalar,
+    _require_3node,
+)
 from mharq.finite_snr import (
     STABILITY_MARGIN,
     CandidateRow,
@@ -37,7 +46,13 @@ from mharq.finite_snr import (
     _stage_means,
     deadline_probability,
 )
-from mharq.tradeoff import AntennaPair, Topology, WindowAllocation
+from mharq.tradeoff import (
+    AntennaPair,
+    ChannelAssumption,
+    Topology,
+    WindowAllocation,
+    dmt,
+)
 
 
 #: Sentinel for "decoding never completes" (total accumulated rate short of r).
@@ -301,6 +316,112 @@ def cube_walk_optimize_windows(
         threshold_variant=threshold_variant,
         table=table,
     )
+
+
+def dmt_fixed_optimal_windows(
+    topology: Topology, total_rounds: int, r: float
+) -> FixedWindowOptimum:
+    """The fixed-window optimum as first shipped: dmt per window pair.
+
+    Kept unchanged so the tests can hold fixed_optimal_windows, which reads
+    each hop's diversity once per window from a float curve, to the same
+    bits.
+
+    The integer part enumerates every split with window1 + window2 <=
+    total_rounds and maximizes the weakest-link diversity; ties prefer the
+    more balanced split, then the smaller first window.  The real part
+    equalizes the two per-hop curves, d1(r/x) = d2(r/(total - x)), by
+    bisection (the difference is monotone in x).
+    """
+    hop1, hop2 = _require_3node(topology)
+    if total_rounds < 2:
+        raise ValueError(f"need at least two rounds to serve two hops, got {total_rounds}")
+    r = _check_rate_scalar(r)
+    L = int(total_rounds)
+
+    best: tuple[float, int, int] | None = None
+    for w1 in range(1, L):
+        for w2 in range(1, L - w1 + 1):
+            v = min(dmt(hop1, r / w1), dmt(hop2, r / w2))
+            key = (-v, abs(w1 - w2), w1)
+            if best is None or key < best[0]:
+                best = (key, w1, w2)
+    assert best is not None
+    _, w1, w2 = best
+    value = min(dmt(hop1, r / w1), dmt(hop2, r / w2))
+
+    if r == 0.0:
+        # both curves are flat at full diversity; call the midpoint the split
+        x = L / 2.0
+        split_value = min(dmt(hop1, 0.0), dmt(hop2, 0.0))
+    else:
+        lo, hi = 1e-12 * L, L * (1.0 - 1e-12)
+
+        def gap(x: float) -> float:
+            return dmt(hop1, r / x) - dmt(hop2, r / (L - x))
+
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            if gap(mid) <= 0.0:
+                lo = mid
+            else:
+                hi = mid
+        x = 0.5 * (lo + hi)
+        split_value = min(dmt(hop1, r / x), dmt(hop2, r / (L - x)))
+    return FixedWindowOptimum(
+        windows=(w1, w2), value=value, split=(x, L - x), split_value=split_value
+    )
+
+
+def dmt_fbl_dmdt_3node(
+    topology: Topology,
+    total_rounds: int,
+    r: float,
+    channel: ChannelAssumption = ChannelAssumption.LONG_TERM_STATIC,
+    *,
+    allow_zero_rounds: bool = False,
+    power_exponent: float = 1.0,
+) -> float:
+    """The shared-budget split as first shipped: dmt per hop and split.
+
+    Kept unchanged so the tests can hold fbl_dmdt_3node, which evaluates
+    the same terms on a float curve, to the same bits.
+
+    One round of the budget is spent on the decision overhead, and the rest
+    is split as l1 + l2 = total_rounds - 1.  Long-term static channels add
+    the two per-hop diversities; short-term static channels weight each by
+    its round count.  allow_zero_rounds admits splits that starve one hop,
+    whose term is then zero.
+    """
+    hop1, hop2 = _require_3node(topology)
+    r = _check_rate_scalar(r)
+    g = _check_power(power_exponent)
+    if g != 1.0:
+        return g * dmt_fbl_dmdt_3node(
+            topology, total_rounds, r / g, channel, allow_zero_rounds=allow_zero_rounds
+        )
+    low = 0 if allow_zero_rounds else 1
+    data_rounds = int(total_rounds) - 1
+    if data_rounds < 2 * low or data_rounds < 1:
+        need = 3 if low else 2
+        raise ValueError(
+            f"total_rounds={total_rounds} leaves no valid split"
+            f" (need at least {need} rounds)"
+        )
+    short_term = channel is ChannelAssumption.SHORT_TERM_STATIC
+    best = math.inf
+    for l1 in range(low, data_rounds - low + 1):
+        l2 = data_rounds - l1
+        terms = []
+        for hop, l in ((hop1, l1), (hop2, l2)):
+            if l == 0:
+                terms.append(0.0)
+            elif short_term:
+                terms.append(l * dmt(hop, r / l))
+            else:
+                terms.append(dmt(hop, r / l))
+        best = min(best, sum(terms))
+    return best
 
 
 def eigvalsh_capacities(

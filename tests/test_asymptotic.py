@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 from mharq.asymptotic import (
     DmdtCurve,
+    _curve,
+    _d_scalar,
     fbl_dmdt_3node,
     fixed_dmdt_3node,
     fixed_optimal_windows,
@@ -34,6 +36,7 @@ from mharq.tradeoff import (
     WindowAllocation,
     dmt,
 )
+from oracles import dmt_fbl_dmdt_3node, dmt_fixed_optimal_windows
 
 LT = ChannelAssumption.LONG_TERM_STATIC
 ST = ChannelAssumption.SHORT_TERM_STATIC
@@ -251,6 +254,84 @@ def test_fixed_real_split_dominates_integer_split():
         opt = fixed_optimal_windows(T222, 5, r)
         assert opt.split_value >= opt.value - 1e-9
         assert opt.split[0] + opt.split[1] == pytest.approx(5.0)
+
+
+@pytest.mark.parametrize("topology, L", [(T413, 4), (T222, 5), (T141, 7)])
+def test_fixed_optimal_windows_power_scaling(topology, L):
+    g = 2.0
+    for r in (0.0, 0.5, 1.0, 1.7, 3.0):
+        opt = fixed_optimal_windows(topology, L, r, power_exponent=g)
+        base = fixed_optimal_windows(topology, L, r / g)
+        assert opt.windows == base.windows
+        assert opt.split == base.split
+        assert opt.value == pytest.approx(g * base.value)
+        assert opt.split_value == pytest.approx(g * base.split_value)
+        # the optimum is at least every split's weakest link at the same power
+        for w1 in range(1, L):
+            for w2 in range(1, L - w1 + 1):
+                fixed = fixed_dmdt_3node(topology, w1, w2, r, power_exponent=g)
+                assert opt.value >= fixed, (r, w1, w2)
+    # (4,1,3), budget 4, r = 0.5: windows (1,3) give 2 * 2.75, above (2,2)'s 2 * 2.625
+    opt = fixed_optimal_windows(T413, 4, 0.5, power_exponent=2.0)
+    assert opt.windows == (1, 3)
+    assert opt.value == pytest.approx(5.5)
+    assert fixed_optimal_windows(T413, 4, 0.5, power_exponent=1.0) == (
+        fixed_optimal_windows(T413, 4, 0.5)
+    )
+    with pytest.raises(ValueError):
+        fixed_optimal_windows(T413, 4, 0.5, power_exponent=0.5)
+
+
+# ---------------------------------------------------------------------------
+# float-curve kernels against the per-call dmt oracles
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return repr(fn(*args, **kwargs))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+_RATES = st.one_of(
+    st.integers(0, 72).map(float),  # 0 and the integer knots of every window
+    st.floats(0.0, 80.0),  # up to far past the top corner of every window
+    st.just(math.inf),
+)
+
+
+@given(
+    antennas=st.tuples(*[st.integers(1, 6)] * 3),
+    L=st.integers(2, 12),
+    r=_RATES,
+    channel=st.sampled_from([LT, ST]),
+    zero=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_float_curve_kernels_match_dmt_oracles(antennas, L, r, channel, zero):
+    topo = Topology(antennas)
+    assert _outcome(fixed_optimal_windows, topo, L, r) == _outcome(
+        dmt_fixed_optimal_windows, topo, L, r
+    )
+    assert _outcome(
+        fbl_dmdt_3node, topo, L, r, channel, allow_zero_rounds=zero
+    ) == _outcome(dmt_fbl_dmdt_3node, topo, L, r, channel, allow_zero_rounds=zero)
+
+
+@pytest.mark.parametrize("m_tx, m_rx", [(1, 1), (4, 1), (1, 3), (2, 2), (4, 3), (6, 6)])
+def test_d_scalar_matches_dmt_bitwise(m_tx, m_rx):
+    pair = AntennaPair(m_tx, m_rx)
+    corners = _curve(pair)
+    assert all(type(c) is float for c in corners)
+    m = pair.min_dim
+    rng = np.random.default_rng(10 * m_tx + m_rx)
+    # every knot from 0 to min_dim, past the top corner, and random points
+    points = [*map(float, range(m + 1)), m + 0.5, 2.0 * m + 3.0, 1e300, math.inf]
+    points += rng.uniform(0.0, m + 1.0, 200).tolist()
+    for s in points:
+        got = _d_scalar(corners, s)
+        assert type(got) is float
+        assert got.hex() == dmt(pair, s).hex(), s
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,6 +107,42 @@ def test_asymptotic_all_protocols(tmp_path, capsys):
     assert last["diversity_fixed_equalized"] == pytest.approx(1.6812706956, abs=1e-6)
     assert last["diversity_fbl"] == pytest.approx(1.5)
     assert last["diversity_vbl"] == pytest.approx(2.0)
+
+
+def test_asymptotic_power_exponent_reaches_fixed_columns(tmp_path, capsys):
+    base = {"topology": [4, 1, 3], "power_exponent": 2.0, "rates": [0.5]}
+    got = {}
+    for name, extra in (
+        ("all", {"protocol": "all", "total_window": 4}),
+        ("optimum", {"protocol": "fixed", "total_window": 4}),
+        ("split_2_2", {"protocol": "fixed", "windows": [2, 2]}),
+    ):
+        cfg = write_config(tmp_path, {**base, **extra}, name=f"{name}.json")
+        code, doc = run_json(
+            capsys, ["dmdt-asymptotic", "--config", cfg, "--format", "json"]
+        )
+        assert code == 0
+        got[name] = doc["rows"][0]
+    # windows (1,3) at r/g = 0.25 give 2.75, scaled by g = 2
+    assert got["all"]["diversity_fixed"] == pytest.approx(5.5)
+    assert got["optimum"]["diversity_gain"] == pytest.approx(5.5)
+    assert got["split_2_2"]["diversity_gain"] == pytest.approx(5.25)
+    assert got["all"]["diversity_fixed_equalized"] >= 5.5 - 1e-9
+
+
+def test_import_leaves_hashlib_unloaded():
+    # hashlib loads OpenSSL; only runs that emit a config hash import it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, mharq.cli; print('hashlib' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_asymptotic_single_protocol_csv(tmp_path, capsys):
