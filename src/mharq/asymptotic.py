@@ -151,7 +151,8 @@ def fixed_optimal_windows(
     diversity at r/w is computed once per window w = 1..total_rounds - 1,
     and the enumeration compares those stored values.  The real part
     equalizes the two per-hop curves, d1(r/x) = d2(r/(total - x)), by
-    bisection (the difference is monotone in x).
+    bisection (the difference is monotone in x), stopped once the bracket
+    is two adjacent floats, or after 100 steps.
 
     With power exponent g the windows and split are those at rate r/g, and
     both diversities are scaled by g, as in fixed_dmdt_3node.
@@ -188,6 +189,8 @@ def fixed_optimal_windows(
 
         for _ in range(100):
             mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break  # lo and hi are adjacent floats: every later mid is this one
             if gap(mid) <= 0.0:
                 lo = mid
             else:

@@ -11,6 +11,14 @@ streams keyed by (seed, stream index), consumed through plain uniforms with
 fixed per-message draw counts.  Results are therefore byte-identical across
 runs and platforms, and the chunks the channel draws are taken in never
 change a number.
+
+The tandem of queueing stages is streamed too: arrivals, markovian
+services and the Lindley reflection of every stage run over chunks of
+``_TANDEM_CHUNK`` messages, and each stage carries its queue state from one
+chunk to the next, so every sum is formed from the same operands in the
+same order as over whole arrays and no number depends on the chunk size.
+What stays full-length is per message: the total delay, the outage hop,
+the returned delays and, in physical mode, each hop's rounds and blocks.
 """
 
 from __future__ import annotations
@@ -49,6 +57,10 @@ _STREAM_MARKOV_BASE = 1001
 # memory stays flat in message_count.
 _CHUNK_UNIFORMS = 1 << 17
 
+# Messages per tandem chunk: one chunk's arrivals, services and Lindley
+# temporaries (8 bytes a message each) stay well inside a 4 MiB L2 cache.
+_TANDEM_CHUNK = 1 << 16
+
 
 class RandomSource:
     """Family of independent counter-based generators under one seed."""
@@ -63,9 +75,13 @@ class RandomSource:
 
 
 def _exponential(rng: np.random.Generator, mean: float, size: int) -> np.ndarray:
-    # inverse-CDF from uniforms; log1p keeps the u -> 1 tail exact
+    # inverse-CDF from uniforms; log1p keeps the u -> 1 tail exact.  Worked
+    # in place on the uniforms: log1p(-u) * -mean has the bits of
+    # -mean * log1p(-u), as IEEE multiplication commutes
     u = rng.random(size)
-    return -mean * np.log1p(-u)
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    return np.multiply(u, -mean, out=u)
 
 
 @dataclass(frozen=True)
@@ -277,18 +293,86 @@ def _decode_rounds(
     return rounds
 
 
-def _lindley_waits(services: np.ndarray, arrivals: np.ndarray) -> np.ndarray:
-    """Waiting times of a FIFO queue, by cumulative-sum reflection.
+# Queue state a stage carries between chunks: last arrival, last service,
+# last cumulative drift C and the running minimum of C.
+_LindleyState = tuple[float, float, float, float]
+
+
+def _lindley_chunk(
+    services: np.ndarray, arrivals: np.ndarray, state: _LindleyState | None
+) -> tuple[np.ndarray, _LindleyState]:
+    """Waiting times of one chunk of a FIFO queue, by cumulative-sum reflection.
 
     The recursion W_n = max(0, W_{n-1} + T_{n-1} - dA_n) telescopes to
-    W_n = C_n - min_{j<=n} C_j with C the cumulative sum of the drift terms,
-    which vectorizes.
+    W_n = C_n - min_{j<=n} C_j with C the cumulative sum of the drift terms
+    and C_0 = 0, which vectorizes.  ``state`` is the previous chunk's (None
+    for the first): the chunk's first drift is added to its last C and the
+    running minimum is clamped by its minimum, so each C is the sum of the
+    same terms, in the same order, as over the whole message sequence.
+    Returns the waits and the state for the next chunk.
     """
-    drift = np.empty_like(services)
-    drift[0] = 0.0
-    drift[1:] = services[:-1] - np.diff(arrivals)
-    cum = np.cumsum(drift)
-    return cum - np.minimum.accumulate(cum)
+    cum = np.empty_like(services)
+    np.subtract(services[:-1], np.diff(arrivals), out=cum[1:])
+    if state is None:
+        cum[0] = 0.0
+    else:
+        a_last, s_last, c_last, c_min = state
+        cum[0] = c_last + (s_last - (arrivals[0] - a_last))
+    np.cumsum(cum, out=cum)
+    mins = np.minimum.accumulate(cum)
+    if state is not None:
+        np.minimum(mins, c_min, out=mins)
+    next_state = (arrivals[-1], services[-1], cum[-1], mins[-1])
+    return np.subtract(cum, mins, out=mins), next_state
+
+
+def _drawn_services(
+    rng: np.random.Generator, mean: float, start: int, stop: int
+) -> np.ndarray:
+    """Markovian services of messages start:stop, the stream's next draws."""
+    return _exponential(rng, mean, stop - start)
+
+
+def _block_services(
+    blocks: np.ndarray, stage: int, start: int, stop: int
+) -> np.ndarray:
+    """Physical services of messages start:stop: the stage's hops' blocks."""
+    if blocks.shape[0] == 1:
+        return blocks[0, start:stop]
+    return blocks[stage, start:stop] + blocks[stage + 1, start:stop]
+
+
+def _tandem_delays(
+    arrival_rng: np.random.Generator,
+    arrival_mean: float,
+    n_msgs: int,
+    stage_services: Sequence[Callable[[int, int], np.ndarray]],
+) -> np.ndarray:
+    """Total sojourn of every message through the tandem of FIFO stages.
+
+    Messages run through every stage ``_TANDEM_CHUNK`` at a time; each
+    stage's departures are the next stage's arrivals.  The Poisson arrival
+    times continue their cumulative sum from the previous chunk's last
+    arrival, and ``stage_services[i](start, stop)`` gives stage i's service
+    times of messages start:stop, asked for in message order.
+    """
+    total_delay = np.zeros(n_msgs)
+    states: list[_LindleyState | None] = [None] * len(stage_services)
+    last_arrival = 0.0
+    for start in range(0, n_msgs, _TANDEM_CHUNK):
+        stop = min(start + _TANDEM_CHUNK, n_msgs)
+        arrivals = _exponential(arrival_rng, arrival_mean, stop - start)
+        arrivals[0] += last_arrival
+        np.cumsum(arrivals, out=arrivals)
+        last_arrival = arrivals[-1]
+        delay = total_delay[start:stop]
+        for i, take in enumerate(stage_services):
+            services = take(start, stop)
+            sojourn, states[i] = _lindley_chunk(services, arrivals, states[i])
+            sojourn += services
+            delay += sojourn
+            arrivals += sojourn  # departures feed the next stage
+    return total_delay
 
 
 def run_network_sim(config: SimConfig) -> SimResult:
@@ -308,6 +392,14 @@ def run_network_sim(config: SimConfig) -> SimResult:
     later round's capacities are computed only for the messages it has not
     decoded yet; every round's uniforms are still drawn for every message,
     so the draws, and every number, are those of computing them all.
+
+    The tandem of queueing stages is streamed in chunks of
+    ``_TANDEM_CHUNK`` messages: each chunk draws its arrivals (and, in
+    markovian mode, each stage's services) as the next uniforms of their
+    streams, and each stage carries its Lindley state to the next chunk, so
+    no number depends on the chunk size either.  Full-length arrays remain
+    only per message: the total delay, the outage hop, the returned delays
+    and, in physical mode, each hop's rounds and blocks.
     """
     topo = config.topology
     proto = config.protocol
@@ -316,10 +408,6 @@ def run_network_sim(config: SimConfig) -> SimResult:
     n_msgs = config.message_count
     n_hops = topo.n_hops
     source = RandomSource(config.seed)
-
-    arrivals = np.cumsum(
-        _exponential(source.stream(_STREAM_ARRIVALS), arrival_mean, n_msgs)
-    )
 
     if config.service_mode == "markovian":
         hop_means = config.service_means
@@ -335,7 +423,7 @@ def run_network_sim(config: SimConfig) -> SimResult:
                 hop_means[i] + hop_means[i + 1] for i in range(n_hops - 1)
             ]
         stage_services = [
-            _exponential(source.stream(_STREAM_MARKOV_BASE + i), m, n_msgs)
+            partial(_drawn_services, source.stream(_STREAM_MARKOV_BASE + i), m)
             for i, m in enumerate(stage_means)
         ]
         outage_hop = np.full(n_msgs, -1, dtype=np.int64)
@@ -397,34 +485,29 @@ def run_network_sim(config: SimConfig) -> SimResult:
             )
             histograms.append(counts)
         histograms = tuple(histograms)
-        if n_hops == 1:
-            stage_services = [blocks[0]]
-        else:
-            stage_services = [blocks[i] + blocks[i + 1] for i in range(n_hops - 1)]
+        stage_services = [
+            partial(_block_services, blocks, i) for i in range(max(1, n_hops - 1))
+        ]
 
-    # tandem of FIFO stages; each stage's departures arrive at the next
-    stage_arrivals = arrivals
-    total_delay = np.zeros(n_msgs)
-    for services in stage_services:
-        waits = _lindley_waits(services, stage_arrivals)
-        sojourn = waits + services
-        total_delay += sojourn
-        stage_arrivals = stage_arrivals + sojourn
+    total_delay = _tandem_delays(
+        source.stream(_STREAM_ARRIVALS), arrival_mean, n_msgs, stage_services
+    )
 
     cut = config.warmup_count
-    outage_mask = outage_hop >= 0
-    ok = ~outage_mask
-    ok_delays = total_delay[cut:][ok[cut:]]
+    analyzed = n_msgs - cut
+    # slot 0 counts the messages in no outage, slot h + 1 the drops at hop h
+    by_hop = np.bincount(outage_hop[cut:] + 1, minlength=n_hops + 1)
+    per_hop_drops = tuple(int(c) for c in by_hop[1:])
+    per_hop_attempts = tuple(
+        analyzed - sum(per_hop_drops[:h]) for h in range(n_hops)
+    )
+    outage_drops = analyzed - int(by_hop[0])
+    if outage_drops:
+        ok_delays = total_delay[cut:][outage_hop[cut:] < 0]
+    else:
+        ok_delays = total_delay[cut:]
     delivered = int(np.count_nonzero(ok_delays <= deadline))
     deadline_drops = int(ok_delays.size - delivered)
-    outage_drops = int(np.count_nonzero(outage_mask[cut:]))
-    per_hop_drops = tuple(
-        int(np.count_nonzero(outage_hop[cut:] == h)) for h in range(n_hops)
-    )
-    per_hop_attempts = tuple(
-        int(np.count_nonzero((outage_hop[cut:] < 0) | (outage_hop[cut:] >= h)))
-        for h in range(n_hops)
-    )
     return SimResult(
         config=config,
         delays=ok_delays,

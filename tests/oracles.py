@@ -13,7 +13,9 @@ The eigenvalue capacity sums log2(1 + snr * lambda / m_tx) over every
 eigenvalue of the receive-side Gram matrix, the route the simulator's
 log-det identity must agree with.  The cumulative-sum decode takes every
 short-term round's capacity for every message, the route the simulator's
-lazy decode must agree with.
+lazy decode must agree with.  The whole-array tandem runs every queueing
+stage's Lindley reflection over all messages at once, the route the
+simulator's chunked tandem must agree with bit for bit.
 The fixed-window optimum and the shared-budget split evaluate the public
 mharq.tradeoff.dmt once per window pair, as first shipped; the float-curve
 kernels of mharq.asymptotic must give the same bits.
@@ -24,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product as _cartesian
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -457,3 +459,42 @@ def cumsum_decode_rounds(
     done = accum >= target_rate
     first = np.argmax(done, axis=1)  # 0 when never true; mask below
     return np.where(done.any(axis=1), first + 1, window + 1)
+
+
+def _lindley_waits(services: np.ndarray, arrivals: np.ndarray) -> np.ndarray:
+    """Waiting times of a FIFO queue, by cumulative-sum reflection.
+
+    The recursion W_n = max(0, W_{n-1} + T_{n-1} - dA_n) telescopes to
+    W_n = C_n - min_{j<=n} C_j with C the cumulative sum of the drift terms,
+    which vectorizes.
+    """
+    drift = np.empty_like(services)
+    drift[0] = 0.0
+    drift[1:] = services[:-1] - np.diff(arrivals)
+    cum = np.cumsum(drift)
+    return cum - np.minimum.accumulate(cum)
+
+
+def whole_array_tandem(
+    arrival_rng: np.random.Generator,
+    arrival_mean: float,
+    n_msgs: int,
+    stage_services: Sequence[Callable[[int, int], np.ndarray]],
+) -> np.ndarray:
+    """Total delay through the FIFO tandem, every stage over whole arrays.
+
+    Same contract as mharq.netsim._tandem_delays; each stage's services are
+    asked for once, for messages 0:n_msgs.
+    """
+    arrivals = np.cumsum(-arrival_mean * np.log1p(-arrival_rng.random(n_msgs)))
+    stage_services = [take(0, n_msgs) for take in stage_services]
+
+    # tandem of FIFO stages; each stage's departures arrive at the next
+    stage_arrivals = arrivals
+    total_delay = np.zeros(n_msgs)
+    for services in stage_services:
+        waits = _lindley_waits(services, stage_arrivals)
+        sojourn = waits + services
+        total_delay += sojourn
+        stage_arrivals = stage_arrivals + sojourn
+    return total_delay

@@ -15,7 +15,7 @@ from mharq.netsim import (
     run_network_sim,
 )
 from mharq.tradeoff import ChannelAssumption, FblArq, FixedArq, Topology
-from oracles import cumsum_decode_rounds, eigvalsh_capacities
+from oracles import cumsum_decode_rounds, eigvalsh_capacities, whole_array_tandem
 
 LT = ChannelAssumption.LONG_TERM_STATIC
 ST = ChannelAssumption.SHORT_TERM_STATIC
@@ -113,14 +113,103 @@ def test_chunked_draws_match_one_chunk(
     assert len(sizes) >= 3 * len(windows)
     assert len(set(sizes)) > 1  # ragged last chunk
 
-    assert np.array_equal(whole.delays, chunked.delays)
-    assert (whole.delivered, whole.outage_drops, whole.deadline_drops) == (
-        chunked.delivered, chunked.outage_drops, chunked.deadline_drops
+    assert_same_result(whole, chunked)
+
+
+def assert_same_result(a, b):
+    assert np.array_equal(a.delays.view(np.int64), b.delays.view(np.int64))
+    assert (a.delivered, a.outage_drops, a.deadline_drops) == (
+        b.delivered, b.outage_drops, b.deadline_drops
     )
-    assert whole.per_hop_outage_drops == chunked.per_hop_outage_drops
-    assert whole.per_hop_attempts == chunked.per_hop_attempts
-    for a, b in zip(whole.round_histograms, chunked.round_histograms):
-        assert np.array_equal(a, b)
+    assert a.per_hop_outage_drops == b.per_hop_outage_drops
+    assert a.per_hop_attempts == b.per_hop_attempts
+    assert len(a.round_histograms) == len(b.round_histograms)
+    for x, y in zip(a.round_histograms, b.round_histograms):
+        assert np.array_equal(x, y)
+
+
+# physical cases run at SNR 1, where every hop drops some messages on outage
+TANDEM_CASES = {
+    "markov-1hop": dict(
+        topology=Topology([2, 2]),
+        protocol=FixedArq([2]),
+        service_mode="markovian",
+        service_means=(6.0,),
+    ),
+    "markov-4stage": dict(
+        topology=Topology([2, 2, 2, 2, 2, 2]),
+        protocol=FixedArq([2] * 5),
+        service_mode="markovian",
+        service_means=(1.0, 2.0, 1.5, 2.5, 1.0),
+    ),
+    "physical-1hop": dict(
+        topology=Topology([1, 2]),
+        protocol=FixedArq([3]),
+        channel=ST,
+    ),
+    "physical-4stage": dict(
+        topology=Topology([2, 1, 2, 2, 1, 3]),
+        protocol=FixedArq([2, 3, 1, 2, 2]),
+        code_model="logdet",
+    ),
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+@pytest.mark.parametrize(
+    "case, sizes",
+    [
+        ("markov-1hop", "edge"),
+        ("markov-4stage", "inside"),
+        ("physical-1hop", "inside"),
+        ("physical-4stage", "edge"),
+        ("markov-4stage", "single"),
+        ("physical-4stage", "single"),
+    ],
+)
+def test_chunked_tandem_matches_whole_arrays(monkeypatch, chunk, case, sizes):
+    # warmup on a chunk edge or inside the second chunk; a ragged last chunk
+    n_msgs, warmup = {
+        "edge": (2 * chunk + 1500, chunk),
+        "inside": (2 * chunk + 1500, chunk + chunk // 2 + 1),
+        "single": (1, 0),
+    }[sizes]
+    cfg = config(
+        message_count=n_msgs,
+        warmup_count=warmup,
+        seed=11,
+        **TANDEM_CASES[case],
+    )
+    tandem = netsim._tandem_delays
+    monkeypatch.setattr(netsim, "_tandem_delays", whole_array_tandem)
+    whole = run_network_sim(cfg)
+    monkeypatch.setattr(netsim, "_tandem_delays", tandem)
+    monkeypatch.setattr(netsim, "_TANDEM_CHUNK", chunk)
+    chunked = run_network_sim(cfg)
+    assert_same_result(whole, chunked)
+    if cfg.service_mode == "physical" and sizes != "single":
+        assert all(chunked.per_hop_outage_drops)
+
+
+class _FixedUniforms:
+    """Stands in for a generator whose next draws are known."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        assert size == self.u.size
+        return self.u.copy()
+
+
+@pytest.mark.parametrize("mean", [1.0, 2.5, 10.0, 1e-3, 7.3])
+def test_in_place_exponential_matches_formula(mean):
+    u = np.concatenate(
+        [RandomSource(5).stream(0).random(10_000), [0.0, np.nextafter(1.0, 0.0)]]
+    )
+    got = netsim._exponential(_FixedUniforms(u), mean, u.size)
+    want = -mean * np.log1p(-u)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_seed_changes_results():
