@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -25,26 +26,30 @@ import numpy as np
 from . import __version__
 from .asymptotic import (
     fbl_dmdt_3node,
-    fixed_dmdt_3node,
     fixed_optimal_windows,
-    nnode_vbl_dmdt,
     sweep_curve,
     vbl_dmdt_3node,
 )
 from .finite_snr import (
+    CODE_MODELS,
     THRESHOLD_VARIANTS,
     FiniteSnrScenario,
     ServiceModel,
     UnstableQueueError,
     WindowInfeasibleError,
     deadline_exponent,
-    mean_service_time,
     message_error,
     optimize_windows,
     ostbc_outage,
     per_hop_outage,
 )
-from .netsim import SimConfig, TailFitError, estimate_delay_exponent, run_network_sim
+from .netsim import (
+    SERVICE_MODES,
+    SimConfig,
+    TailFitError,
+    estimate_delay_exponent,
+    run_network_sim,
+)
 from .tradeoff import (
     AntennaPair,
     ChannelAssumption,
@@ -60,6 +65,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 
+# A rate_grid refuses to expand to more points than this.
+_MAX_RATES = 10**6
+
 
 class ConfigError(ValueError):
     """Invalid config; collects every problem before failing."""
@@ -71,6 +79,97 @@ class ConfigError(ValueError):
 
 # ---------------------------------------------------------------------------
 # config reading
+
+
+def _rule(ok: Callable[[Any], bool], problem: str) -> Callable[[Any], str | None]:
+    """A check: None for a value ok accepts, else problem with {v} filled in."""
+    return lambda v: None if ok(v) else problem.format(v=v)
+
+
+def _antennas(lo: int, hi: float) -> Callable[[list[int]], bool]:
+    return lambda v: lo <= len(v) <= hi and all(1 <= a <= 8 for a in v)
+
+
+def _increasing(v: list[float]) -> bool:
+    return all(b > a for a, b in zip(v, v[1:]))
+
+
+_positive = _rule(lambda v: v > 0, "must be positive, got {v}")
+_nonnegative = _rule(lambda v: v >= 0, "must be nonnegative, got {v}")
+_rates = _rule(
+    lambda v: v[0] >= 0 and _increasing(v),
+    "must be nonnegative and strictly increasing",
+)
+
+# Each value a sweep axis takes must pass its rule; the axis's top-level key
+# holds the placeholder until a sweep point replaces it.
+_SWEEP_AXES: dict[str, tuple[Callable[[float], bool], str, float | None]] = {
+    "multiplexing_gain": (lambda v: v >= 0, "multiplexing gains must be >= 0", 0.0),
+    "deadline_blocks": (lambda v: v >= 1, "deadlines must be at least one block", 1.0),
+    "total_window": (
+        lambda v: v == int(v) and v >= 1,
+        "window budgets must be whole blocks >= 1",
+        None,
+    ),
+}
+
+# Every config key, the sub-keys of rate_grid and sweep included, as
+# (kind, default, choices, check).  Which keys a subcommand reads, which of
+# them it requires, and the rules that tie keys together stay with it.
+_FIELDS: dict[str, tuple[str, Any, Sequence[Any] | None, Callable | None]] = {
+    "antennas": (
+        "list[int]", None, None,
+        _rule(_antennas(2, 2), "expected [m_tx, m_rx] with 1..8 antennas"),
+    ),
+    "topology": (
+        "list[int]", None, None,
+        _rule(
+            _antennas(2, math.inf), "needs at least two nodes with 1..8 antennas each"
+        ),
+    ),
+    "windows": (
+        "list[int]", None, None,
+        _rule(lambda v: all(w >= 1 for w in v), "windows must be >= 1"),
+    ),
+    "channel": ("str", "long_term", tuple(c.value for c in ChannelAssumption), None),
+    "power_exponent": ("number", 1.0, None, _positive),
+    "multiplexing_gains": ("list[number]", None, None, _rates),
+    "protocol": ("str", None, ("fixed", "fbl", "vbl", "all"), None),
+    "allow_zero_rounds": ("bool", False, None, None),
+    "total_window": ("int", None, None, _positive),
+    "rates": ("list[number]", None, None, _rates),
+    "rate_grid": ("dict", None, None, None),
+    "start": ("number", 0.0, None, _nonnegative),
+    "stop": ("number", None, None, _positive),
+    "step": ("number", 0.05, None, _positive),
+    "snr_db": ("number", None, None, None),
+    "snr_linear": ("number", None, None, _positive),
+    "multiplexing_gain": ("number", None, None, _nonnegative),
+    "spatial_code_rate": (
+        "number", 1.0, None, _rule(lambda v: 0 < v <= 1, "must be in (0, 1], got {v}")
+    ),
+    "arrival_mean_blocks": ("number", None, None, _positive),
+    "deadline_blocks": (
+        "number", None, None,
+        _rule(lambda v: v >= 1, "must be at least one block, got {v}"),
+    ),
+    "threshold_variant": ("str", "per_receiver", THRESHOLD_VARIANTS, None),
+    "sweep": ("dict", None, None, None),
+    "axis": ("str", None, tuple(_SWEEP_AXES), None),
+    "values": (
+        "list[number]", None, None, _rule(_increasing, "must be strictly increasing")
+    ),
+    "budget": ("int", None, None, _positive),
+    "service_mode": ("str", "physical", SERVICE_MODES, None),
+    "code_model": ("str", "logdet", CODE_MODELS, None),
+    "message_count": ("int", None, None, _positive),
+    "warmup_count": ("int", 0, None, _nonnegative),
+    "seed": ("int", 0, None, _rule(lambda v: 0 <= v < 2**64, "must fit in 64 bits")),
+    "service_means": (
+        "list[number]", None, None,
+        _rule(lambda v: all(m > 0 for m in v), "means must be positive"),
+    ),
+}
 
 
 class _Checker:
@@ -137,16 +236,16 @@ class _Checker:
             raise AssertionError(f"unknown kind {kind}")
         return None
 
-    def get(
-        self,
-        key: str,
-        kind: str,
-        *,
-        required: bool = False,
-        default: Any = None,
-        choices: Sequence[Any] | None = None,
-        check: Callable[[Any], str | None] | None = None,
-    ) -> Any:
+    def get(self, key: str, *, required: bool = False, default: Any = None) -> Any:
+        """The typed value of key, or its default when absent or invalid.
+
+        Kind, default, choices and check come from _FIELDS; default, when
+        given, stands in for the table's (a default that depends on other
+        keys).
+        """
+        kind, table_default, choices, check = _FIELDS[key]
+        if default is None:
+            default = table_default
         self.seen.add(key)
         if key not in self.cfg:
             if required:
@@ -166,6 +265,12 @@ class _Checker:
                 return default
         return value
 
+    def absorb(self, sub: _Checker) -> bool:
+        """Take a nested checker's errors, unknown keys included; True if clean."""
+        sub.reject_unknown()
+        self.errors.extend(sub.errors)
+        return not sub.errors
+
     def reject_unknown(self) -> None:
         for key in sorted(set(self.cfg) - self.seen):
             self.errors.append(f"{self.path}.{key}: unknown field")
@@ -176,33 +281,16 @@ class _Checker:
             raise ConfigError(self.errors)
 
 
-def _positive(value: float) -> str | None:
-    return None if value > 0 else f"must be positive, got {value}"
-
-
-def _nonnegative(value: float) -> str | None:
-    return None if value >= 0 else f"must be nonnegative, got {value}"
-
-
 def _topology(chk: _Checker) -> Topology | None:
-    raw = chk.get(
-        "topology",
-        "list[int]",
-        required=True,
-        check=lambda v: None
-        if len(v) >= 2 and all(1 <= a <= 8 for a in v)
-        else "needs at least two nodes with 1..8 antennas each",
-    )
-    if raw is None:
-        return None
-    return Topology(tuple(raw))
+    raw = chk.get("topology", required=True)
+    return None if raw is None else Topology(tuple(raw))
 
 
 def _snr(chk: _Checker) -> float | None:
     has_db = "snr_db" in chk.cfg
     has_linear = "snr_linear" in chk.cfg
-    db = chk.get("snr_db", "number")
-    linear = chk.get("snr_linear", "number", check=_positive)
+    db = chk.get("snr_db")
+    linear = chk.get("snr_linear")
     if has_db == has_linear:
         chk.errors.append(
             f"{chk.path}.snr_db / {chk.path}.snr_linear: "
@@ -216,90 +304,101 @@ def _snr(chk: _Checker) -> float | None:
 
 def _rate_grid(chk: _Checker, default_stop: float) -> list[float] | None:
     has_list = "rates" in chk.cfg
-    has_spec = "rate_grid" in chk.cfg
-    rates = chk.get(
-        "rates",
-        "list[number]",
-        check=lambda v: None
-        if v[0] >= 0 and all(b > a for a, b in zip(v, v[1:]))
-        else "must be nonnegative and strictly increasing",
-    )
-    spec = chk.get("rate_grid", "dict")
-    if has_list and has_spec:
+    rates = chk.get("rates")
+    spec = chk.get("rate_grid")
+    if has_list and "rate_grid" in chk.cfg:
         chk.errors.append(
             f"{chk.path}.rates / {chk.path}.rate_grid: give at most one of the two"
         )
         return None
     if has_list:
         return rates
-    start, stop, step = 0.0, default_stop, 0.05
-    if has_spec and spec is not None:
-        sub = _Checker(spec, path=f"{chk.path}.rate_grid")
-        start = sub.get("start", "number", default=0.0, check=_nonnegative)
-        stop = sub.get("stop", "number", default=default_stop, check=_positive)
-        step = sub.get("step", "number", default=0.05, check=_positive)
-        sub.reject_unknown()
-        chk.errors.extend(sub.errors)
-        if sub.errors:
-            return None
-        if stop is not None and start is not None and stop <= start:
-            chk.error("rate_grid", f"stop {stop} must exceed start {start}")
-            return None
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + i * step for i in range(count)]
+    sub = _Checker(spec or {}, path=f"{chk.path}.rate_grid")
+    start = sub.get("start")
+    stop = sub.get("stop", default=default_stop)
+    step = sub.get("step")
+    if not chk.absorb(sub):
+        return None
+    if stop <= start:
+        chk.error("rate_grid", f"stop {stop} must exceed start {start}")
+        return None
+    # compared as a float, so a span that overflows to inf is refused too
+    span = (stop - start) / step + 1e-9
+    if span >= _MAX_RATES:
+        chk.error(
+            "rate_grid",
+            f"step {step} from {start} to {stop} gives more than {_MAX_RATES} rates",
+        )
+        return None
+    return [start + i * step for i in range(int(math.floor(span)) + 1)]
 
 
-def _scenario_fields(chk: _Checker, *, queueing: bool) -> dict[str, Any]:
-    out: dict[str, Any] = {}
-    out["snr"] = _snr(chk)
-    out["multiplexing_gain"] = chk.get(
-        "multiplexing_gain", "number", required=True, check=_nonnegative
-    )
-    out["spatial_code_rate"] = chk.get(
-        "spatial_code_rate",
-        "number",
-        default=1.0,
-        check=lambda v: None if 0 < v <= 1 else f"must be in (0, 1], got {v}",
-    )
-    out["arrival_mean_blocks"] = chk.get(
-        "arrival_mean_blocks", "number", required=queueing, check=_positive
-    )
-    out["deadline_blocks"] = chk.get(
-        "deadline_blocks",
-        "number",
-        required=queueing,
-        check=lambda v: None if v >= 1 else f"must be at least one block, got {v}",
-    )
-    return out
+# The operating point's keys in the order optimize-arq, simulate and
+# validate read them, and in dmdt-finite's order; errors print in read order.
+_OPERATING_POINT = (
+    "multiplexing_gain",
+    "spatial_code_rate",
+    "arrival_mean_blocks",
+    "deadline_blocks",
+)
+_FINITE_POINT = (
+    "spatial_code_rate",
+    "multiplexing_gain",
+    "deadline_blocks",
+    "arrival_mean_blocks",
+)
 
 
-def _build_scenario(chk: _Checker, fields: dict[str, Any]) -> FiniteSnrScenario | None:
-    if chk.errors:
+def _already_swept(chk: _Checker, key: str, remedy: str) -> None:
+    if key in chk.cfg:
+        chk.error(key, f"already swept; {remedy}")
+        chk.seen.add(key)
+
+
+def _scenario_fields(
+    chk: _Checker, keys: Sequence[str] = _OPERATING_POINT, swept: str | None = None
+) -> dict[str, Any]:
+    """The SNR, then the operating-point keys in the order given.
+
+    Every key without a default is required, except the swept one: that
+    comes from the sweep, so a top-level value for it is refused, and it
+    holds the axis's placeholder until a sweep point replaces it.
+    """
+    fields = {"snr": _snr(chk)}
+    for key in keys:
+        if key == swept:
+            _already_swept(chk, key, "remove the top-level value")
+            fields[key] = _SWEEP_AXES[key][2]
+        else:
+            fields[key] = chk.get(key, required=_FIELDS[key][1] is None)
+    return fields
+
+
+def _build_scenario(
+    fields: dict[str, Any], chk: _Checker | None = None
+) -> FiniteSnrScenario | None:
+    """The scenario of the fields _scenario_fields read.
+
+    Fields that pass the schema can still fail here: an snr_db far enough
+    below zero underflows to a linear SNR of 0.  Given a checker, no
+    scenario is built once a field has failed and the refusal joins the
+    checker's errors; without one the ValueError goes through.
+    """
+    if chk is not None and chk.errors:
         return None
     try:
-        return FiniteSnrScenario(
-            snr=fields["snr"],
-            multiplexing_gain=fields["multiplexing_gain"],
-            spatial_code_rate=fields["spatial_code_rate"],
-            arrival_mean_blocks=fields["arrival_mean_blocks"],
-            deadline_blocks=fields["deadline_blocks"],
-        )
-    except (TypeError, ValueError) as exc:
+        return FiniteSnrScenario(**fields)
+    except ValueError as exc:
+        if chk is None:
+            raise
         chk.errors.append(f"{chk.path}: {exc}")
         return None
 
 
 def _windows(chk: _Checker, topo: Topology | None, *, required: bool) -> list[int] | None:
-    windows = chk.get(
-        "windows",
-        "list[int]",
-        required=required,
-        check=lambda v: None if all(w >= 1 for w in v) else "windows must be >= 1",
-    )
+    windows = chk.get("windows", required=required)
     if windows is not None and topo is not None and len(windows) != topo.n_hops:
-        chk.error(
-            "windows", f"got {len(windows)} windows for {topo.n_hops} hops"
-        )
+        chk.error("windows", f"got {len(windows)} windows for {topo.n_hops} hops")
         return None
     return windows
 
@@ -390,26 +489,11 @@ def _emit(
 
 def _run_dmt(config: dict) -> tuple[list[str], list[list[Any]], dict]:
     chk = _Checker(config)
-    antennas = chk.get(
-        "antennas",
-        "list[int]",
-        required=True,
-        check=lambda v: None
-        if len(v) == 2 and all(1 <= a <= 8 for a in v)
-        else "expected [m_tx, m_rx] with 1..8 antennas",
-    )
-    power = chk.get("power_exponent", "number", default=1.0, check=_positive)
-    pair = AntennaPair(antennas[0], antennas[1]) if antennas else None
-    grid = None
-    if "multiplexing_gains" in chk.cfg:
-        grid = chk.get(
-            "multiplexing_gains",
-            "list[number]",
-            check=lambda v: None
-            if v[0] >= 0 and all(b > a for a, b in zip(v, v[1:]))
-            else "must be nonnegative and strictly increasing",
-        )
+    antennas = chk.get("antennas", required=True)
+    power = chk.get("power_exponent")
+    grid = chk.get("multiplexing_gains")
     chk.done()
+    pair = AntennaPair(antennas[0], antennas[1])
     if grid is None:
         grid = [float(k) for k in range(pair.min_dim + 1)]
     rows = [[r, float(dmt(pair, r, power_exponent=power))] for r in grid]
@@ -419,15 +503,11 @@ def _run_dmt(config: dict) -> tuple[list[str], list[list[Any]], dict]:
 def _run_dmdt_asymptotic(config: dict) -> tuple[list[str], list[list[Any]], dict]:
     chk = _Checker(config)
     topo = _topology(chk)
-    protocol = chk.get(
-        "protocol", "str", required=True, choices=("fixed", "fbl", "vbl", "all")
-    )
-    channel_name = chk.get(
-        "channel", "str", default="long_term", choices=("long_term", "short_term")
-    )
-    power = chk.get("power_exponent", "number", default=1.0, check=_positive)
-    allow_zero = chk.get("allow_zero_rounds", "bool", default=False)
-    total = chk.get("total_window", "int", check=_positive)
+    protocol = chk.get("protocol", required=True)
+    channel_name = chk.get("channel")
+    power = chk.get("power_exponent")
+    allow_zero = chk.get("allow_zero_rounds")
+    total = chk.get("total_window")
     windows = _windows(chk, topo, required=False)
 
     three_node = topo is not None and topo.n_nodes == 3
@@ -447,63 +527,38 @@ def _run_dmdt_asymptotic(config: dict) -> tuple[list[str], list[list[Any]], dict
     if allow_zero and protocol not in ("fbl", "all"):
         chk.error("allow_zero_rounds", "only meaningful for the fbl protocol")
 
-    max_rate = None
-    if topo is not None:
-        max_rate = min(topo.hop(i).min_dim for i in range(topo.n_hops))
-    grid = _rate_grid(chk, float(max_rate if max_rate is not None else 1.0))
+    # the default grid ends where the narrowest hop's curve reaches zero
+    hops = [] if topo is None else [topo.hop(i) for i in range(topo.n_hops)]
+    grid = _rate_grid(chk, float(min((h.min_dim for h in hops), default=1.0)))
     chk.done()
     channel = ChannelAssumption(channel_name)
 
     if protocol == "all":
-        columns = [
-            "multiplexing_gain",
-            "diversity_fixed",
-            "diversity_fixed_equalized",
-            "diversity_fbl",
-            "diversity_vbl",
-        ]
+        columns = ["multiplexing_gain", "diversity_fixed", "diversity_fixed_equalized"]
+        columns += ["diversity_fbl", "diversity_vbl"]
         rows = []
         for r in grid:
             best = fixed_optimal_windows(topo, total, r, power_exponent=power)
             fbl = fbl_dmdt_3node(
-                topo,
-                total,
-                r,
-                channel=channel,
-                allow_zero_rounds=allow_zero,
-                power_exponent=power,
+                topo, total, r, channel, allow_zero_rounds=allow_zero, power_exponent=power
             )
             vbl = vbl_dmdt_3node(topo, total, r, channel=channel, power_exponent=power)
             rows.append([r, best.value, best.split_value, fbl, vbl])
         return columns, rows, {}
 
-    if protocol == "fixed" and windows is not None:
-        rows = [
-            [
-                r,
-                fixed_dmdt_3node(
-                    topo, windows[0], windows[1], r, power_exponent=power
-                ),
-            ]
-            for r in grid
-        ]
-        return ["multiplexing_gain", "diversity_gain"], rows, {}
-
-    if protocol == "fixed":
+    if protocol == "fixed" and windows is None:
         rows = [
             [r, fixed_optimal_windows(topo, total, r, power_exponent=power).value]
             for r in grid
         ]
         return ["multiplexing_gain", "diversity_gain"], rows, {}
 
-    arq = FblArq(total) if protocol == "fbl" else VblArq(total)
+    if protocol == "fixed":
+        arq = FixedArq(windows)
+    else:
+        arq = FblArq(total) if protocol == "fbl" else VblArq(total)
     curve = sweep_curve(
-        arq,
-        topo,
-        channel,
-        grid,
-        allow_zero_rounds=allow_zero,
-        power_exponent=power,
+        arq, topo, channel, grid, allow_zero_rounds=allow_zero, power_exponent=power
     )
     rows = [[r, d] for r, d in curve.samples]
     meta = {"gaps": list(curve.gaps)} if curve.gaps else {}
@@ -513,113 +568,40 @@ def _run_dmdt_asymptotic(config: dict) -> tuple[list[str], list[list[Any]], dict
 def _run_dmdt_finite(config: dict) -> tuple[list[str], list[list[Any]], dict]:
     chk = _Checker(config)
     topo = _topology(chk)
-    variant = chk.get(
-        "threshold_variant",
-        "str",
-        default="per_receiver",
-        choices=THRESHOLD_VARIANTS,
-    )
-    sweep = chk.get("sweep", "dict", required=True)
-    axis = None
-    values: list[float] | None = None
+    variant = chk.get("threshold_variant")
+    sweep = chk.get("sweep", required=True)
+    axis = values = None
     if sweep is not None:
         sub = _Checker(sweep, path=f"{chk.path}.sweep")
-        axis = sub.get(
-            "axis",
-            "str",
-            required=True,
-            choices=("multiplexing_gain", "deadline_blocks", "total_window"),
-        )
-        values = sub.get(
-            "values",
-            "list[number]",
-            required=True,
-            check=lambda v: None
-            if all(b > a for a, b in zip(v, v[1:]))
-            else "must be strictly increasing",
-        )
-        sub.reject_unknown()
-        chk.errors.extend(sub.errors)
-
-    queueing = True
-    fields = {
-        "snr": _snr(chk),
-        "spatial_code_rate": chk.get(
-            "spatial_code_rate",
-            "number",
-            default=1.0,
-            check=lambda v: None if 0 < v <= 1 else f"must be in (0, 1], got {v}",
-        ),
-    }
-    # the swept key must come from the sweep, not the top level
-    if axis == "multiplexing_gain":
-        if "multiplexing_gain" in chk.cfg:
-            chk.error("multiplexing_gain", "already swept; remove the top-level value")
-            chk.seen.add("multiplexing_gain")
-        fields["multiplexing_gain"] = 0.0
-    else:
-        fields["multiplexing_gain"] = chk.get(
-            "multiplexing_gain", "number", required=True, check=_nonnegative
-        )
-    if axis == "deadline_blocks":
-        if "deadline_blocks" in chk.cfg:
-            chk.error("deadline_blocks", "already swept; remove the top-level value")
-            chk.seen.add("deadline_blocks")
-        fields["deadline_blocks"] = 1.0
-    else:
-        fields["deadline_blocks"] = chk.get(
-            "deadline_blocks",
-            "number",
-            required=queueing,
-            check=lambda v: None if v >= 1 else f"must be at least one block, got {v}",
-        )
-    fields["arrival_mean_blocks"] = chk.get(
-        "arrival_mean_blocks", "number", required=True, check=_positive
-    )
+        axis = sub.get("axis", required=True)
+        values = sub.get("values", required=True)
+        chk.absorb(sub)
+    fields = _scenario_fields(chk, _FINITE_POINT, swept=axis)
     if axis == "total_window":
-        if "windows" in chk.cfg:
-            chk.error("windows", "already swept; remove the explicit windows")
-            chk.seen.add("windows")
-        windows = None
-        if values is not None and any(v != int(v) or v < 1 for v in values):
-            chk.errors.append(
-                f"{chk.path}.sweep.values: window budgets must be whole blocks >= 1"
-            )
+        _already_swept(chk, "windows", "remove the explicit windows")
     else:
         windows = _windows(chk, topo, required=True)
-    if axis == "multiplexing_gain" and values is not None and any(v < 0 for v in values):
-        chk.errors.append(f"{chk.path}.sweep.values: multiplexing gains must be >= 0")
-    if axis == "deadline_blocks" and values is not None and any(v < 1 for v in values):
-        chk.errors.append(
-            f"{chk.path}.sweep.values: deadlines must be at least one block"
-        )
+    if axis is not None and values is not None:
+        valid, problem, _ = _SWEEP_AXES[axis]
+        if not all(map(valid, values)):
+            chk.errors.append(f"{chk.path}.sweep.values: {problem}")
     chk.done()
+    base = _build_scenario(fields)
 
     unstable: list[float] = []
+    rows = []
     if axis == "total_window":
         columns = ["total_window"]
         columns += [f"window_{i + 1}" for i in range(topo.n_hops)]
         columns += ["p_outage", "p_deadline", "p_total"]
-        rows = []
         for v in values:
-            scenario = FiniteSnrScenario(
-                snr=fields["snr"],
-                multiplexing_gain=fields["multiplexing_gain"],
-                spatial_code_rate=fields["spatial_code_rate"],
-                arrival_mean_blocks=fields["arrival_mean_blocks"],
-                deadline_blocks=fields["deadline_blocks"],
-            )
             try:
                 opt = optimize_windows(
-                    topo, scenario, budget=int(v), threshold_variant=variant
+                    topo, base, budget=int(v), threshold_variant=variant
                 )
             except WindowInfeasibleError:
                 unstable.append(v)
-                rows.append(
-                    [int(v)]
-                    + [None] * topo.n_hops
-                    + [None, None, None]
-                )
+                rows.append([int(v)] + [None] * (topo.n_hops + 3))
                 continue
             b = opt.breakdown
             rows.append(
@@ -630,19 +612,9 @@ def _run_dmdt_finite(config: dict) -> tuple[list[str], list[list[Any]], dict]:
         meta = {"infeasible_points": unstable} if unstable else {}
         return columns, rows, meta
 
-    columns = [axis, "p_outage", "p_deadline", "p_total"]
-    rows = []
+    alloc = WindowAllocation(tuple(windows), sum(windows))
     for v in values:
-        point = dict(fields)
-        point[axis] = v
-        scenario = FiniteSnrScenario(
-            snr=point["snr"],
-            multiplexing_gain=point["multiplexing_gain"],
-            spatial_code_rate=point["spatial_code_rate"],
-            arrival_mean_blocks=point["arrival_mean_blocks"],
-            deadline_blocks=point["deadline_blocks"],
-        )
-        alloc = WindowAllocation(tuple(windows), sum(windows))
+        scenario = dataclasses.replace(base, **{axis: v})
         try:
             breakdown = message_error(
                 topo, alloc, scenario, threshold_variant=variant
@@ -653,21 +625,15 @@ def _run_dmdt_finite(config: dict) -> tuple[list[str], list[list[Any]], dict]:
             out = ostbc_outage(topo, alloc, scenario, threshold_variant=variant)
             rows.append([v, out.union_bound, None, None])
     meta = {"unstable_points": unstable} if unstable else {}
-    return columns, rows, meta
+    return [axis, "p_outage", "p_deadline", "p_total"], rows, meta
 
 
 def _run_optimize(config: dict) -> tuple[list[str], list[list[Any]], dict]:
     chk = _Checker(config)
     topo = _topology(chk)
-    variant = chk.get(
-        "threshold_variant",
-        "str",
-        default="per_receiver",
-        choices=THRESHOLD_VARIANTS,
-    )
-    budget = chk.get("budget", "int", check=_positive)
-    fields = _scenario_fields(chk, queueing=True)
-    scenario = _build_scenario(chk, fields)
+    variant = chk.get("threshold_variant")
+    budget = chk.get("budget")
+    scenario = _build_scenario(_scenario_fields(chk), chk)
     chk.done()
 
     result = optimize_windows(
@@ -676,14 +642,8 @@ def _run_optimize(config: dict) -> tuple[list[str], list[list[Any]], dict]:
     n = topo.n_hops
     columns = [f"window_{i + 1}" for i in range(n)]
     columns += [f"mu_{i + 1}" for i in range(n)]
-    columns += [
-        "p_outage",
-        "p_deadline",
-        "p_total",
-        "feasible",
-        "constraint_conflict",
-        "violations",
-    ]
+    columns += ["p_outage", "p_deadline", "p_total"]
+    columns += ["feasible", "constraint_conflict", "violations"]
     ordered = sorted(
         result.table,
         key=lambda row: (
@@ -692,20 +652,11 @@ def _run_optimize(config: dict) -> tuple[list[str], list[list[Any]], dict]:
             row.windows,
         ),
     )
-    rows = []
-    for cand in ordered:
-        rows.append(
-            list(cand.windows)
-            + list(cand.means)
-            + [
-                cand.p_outage,
-                cand.p_deadline,
-                cand.p_total,
-                cand.feasible,
-                cand.constraint_conflict,
-                "; ".join(cand.violations),
-            ]
-        )
+    rows = [
+        [*c.windows, *c.means, c.p_outage, c.p_deadline, c.p_total]
+        + [c.feasible, c.constraint_conflict, "; ".join(c.violations)]
+        for c in ordered
+    ]
     meta = {
         "best": {
             "windows": list(result.allocation.windows),
@@ -722,32 +673,14 @@ def _sim_config(config: dict, seed_override: int | None) -> SimConfig:
     chk = _Checker(config)
     topo = _topology(chk)
     windows = _windows(chk, topo, required=True)
-    channel_name = chk.get(
-        "channel", "str", default="long_term", choices=("long_term", "short_term")
-    )
-    mode = chk.get(
-        "service_mode", "str", default="physical", choices=("physical", "markovian")
-    )
-    code_model = chk.get(
-        "code_model", "str", default="logdet", choices=("logdet", "ostbc")
-    )
-    messages = chk.get("message_count", "int", required=True, check=_positive)
-    warmup = chk.get("warmup_count", "int", default=0, check=_nonnegative)
-    seed = chk.get(
-        "seed",
-        "int",
-        default=0,
-        check=lambda v: None if 0 <= v < 2**64 else "must fit in 64 bits",
-    )
-    service_means = None
-    if "service_means" in chk.cfg:
-        service_means = chk.get(
-            "service_means",
-            "list[number]",
-            check=lambda v: None if all(m > 0 for m in v) else "means must be positive",
-        )
-    fields = _scenario_fields(chk, queueing=True)
-    scenario = _build_scenario(chk, fields)
+    channel_name = chk.get("channel")
+    mode = chk.get("service_mode")
+    code_model = chk.get("code_model")
+    messages = chk.get("message_count", required=True)
+    warmup = chk.get("warmup_count")
+    seed = chk.get("seed")
+    service_means = chk.get("service_means")
+    scenario = _build_scenario(_scenario_fields(chk), chk)
     chk.done()
     if seed_override is not None:
         seed = seed_override
@@ -815,7 +748,7 @@ def _run_validate(
             per_hop_ana: tuple[float, ...] = ostbc_outage(topo, alloc, scenario).per_hop
         else:
             per_hop_ana = tuple(
-                per_hop_outage(topo.hop(i), float(w), scenario, code_model="general")
+                per_hop_outage(topo.hop(i), float(w), scenario, code_model="logdet")
                 for i, w in enumerate(alloc.windows)
             )
         total_ana = 1.0 - math.prod(1.0 - p for p in per_hop_ana)
@@ -844,13 +777,7 @@ def _run_validate(
     if sim_cfg.service_mode == "markovian":
         # the analytic tail and the simulated sojourn share an exponent but
         # not a prefactor, so the check compares decay rates
-        means = sim_cfg.service_means
-        if means is None:
-            means = tuple(
-                mean_service_time(topo.hop(i), sim_cfg.protocol.windows[i], scenario)
-                for i in range(topo.n_hops)
-            )
-        theta = deadline_exponent(ServiceModel(means), arrival)
+        theta = deadline_exponent(ServiceModel(sim_cfg.hop_service_means()), arrival)
         delays = result.delays
         if delays.size < 60:
             raise ConfigError(

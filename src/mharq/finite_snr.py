@@ -47,8 +47,14 @@ __all__ = [
 # are treated as unstable outright; the deadline exponent would blow up.
 STABILITY_MARGIN = 1e-9
 
+# The window search refuses budgets with more allocations than this; its
+# table holds about 0.75 KB a row.
+_MAX_ALLOCATIONS = 10**6
+
 THRESHOLD_VARIANTS = ("per_receiver", "plain")
-CODE_MODELS = ("ostbc", "general")
+# Outage models of one hop: the log-det capacity of the MIMO channel, or an
+# orthogonal space-time code; the simulator draws the same two.
+CODE_MODELS = ("logdet", "ostbc")
 
 
 class UnstableQueueError(ValueError):
@@ -174,7 +180,7 @@ def _outage_window_ostbc(
     return regularized_lower_gamma(pair.m_tx * pair.m_rx, x)
 
 
-def _outage_window_general(
+def _outage_window_logdet(
     pair: AntennaPair, t: float, scenario: FiniteSnrScenario
 ) -> float:
     """P{hop in outage after t blocks} for an uncoded MIMO hop.
@@ -240,7 +246,7 @@ def per_hop_outage(
     window: float,
     scenario: FiniteSnrScenario,
     *,
-    code_model: str = "general",
+    code_model: str = "logdet",
     threshold_variant: str = "per_receiver",
 ) -> float:
     """Probability one hop exhausts its retransmission window in outage.
@@ -251,13 +257,13 @@ def per_hop_outage(
     """
     if not window > 0.0:
         raise ValueError(f"window must be positive, got {window}")
-    if code_model == "general":
+    if code_model == "logdet":
         if threshold_variant != "per_receiver":
             raise ValueError(
                 "the rate-split outage form is defined per receiving array; "
                 "threshold variants apply to the ostbc model only"
             )
-        return _outage_window_general(pair, window, scenario)
+        return _outage_window_logdet(pair, window, scenario)
     if code_model == "ostbc":
         return _outage_window_ostbc(pair, window, scenario, threshold_variant)
     raise ValueError(f"unknown code model {code_model!r}; choose from {CODE_MODELS}")
@@ -496,7 +502,9 @@ def optimize_windows(
     the order of the table.  It discards the ones violating the per-hop
     mean bound mu <= arrival mean or the stage stability margin, and returns
     the feasible argmin of the total error; ties break toward the
-    lexicographically smallest windows.
+    lexicographically smallest windows.  A budget with more than
+    _MAX_ALLOCATIONS allocations is refused with a ValueError before any
+    of them is built.
 
     Allocations where the two constraint families disagree (per-hop bounds
     pass but a stage sum is unstable, or the reverse) are flagged, since the
@@ -509,6 +517,11 @@ def optimize_windows(
     if budget < n_hops:
         raise WindowInfeasibleError(
             f"budget {budget} cannot give each of {n_hops} hops a block", ()
+        )
+    if math.comb(budget, n_hops) > _MAX_ALLOCATIONS:
+        raise ValueError(
+            f"budget {budget} over {n_hops} hops gives more than "
+            f"{_MAX_ALLOCATIONS} window allocations to enumerate"
         )
 
     # per-hop outage tails are shared across candidates; precompute them

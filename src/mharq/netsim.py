@@ -17,8 +17,9 @@ services and the Lindley reflection of every stage run over chunks of
 ``_TANDEM_CHUNK`` messages, and each stage carries its queue state from one
 chunk to the next, so every sum is formed from the same operands in the
 same order as over whole arrays and no number depends on the chunk size.
-What stays full-length is per message: the total delay, the outage hop,
-the returned delays and, in physical mode, each hop's rounds and blocks.
+What stays full-length is per message: the total delay, the returned
+delays and, in physical mode, the outage hop and each hop's rounds and
+blocks.
 """
 
 from __future__ import annotations
@@ -30,7 +31,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .finite_snr import FiniteSnrScenario, mean_service_time
+from .finite_snr import (
+    CODE_MODELS,
+    FiniteSnrScenario,
+    _stage_means,
+    mean_service_time,
+)
 from .tradeoff import ChannelAssumption, FixedArq, Topology
 
 __all__ = [
@@ -44,7 +50,6 @@ __all__ = [
 ]
 
 SERVICE_MODES = ("physical", "markovian")
-SIM_CODE_MODELS = ("logdet", "ostbc")
 
 # Stream layout: arrivals on 0, the channel of 1-based hop h on h, and the
 # markovian service of 0-based stage i on 1001 + i.  The gap keeps hop and
@@ -123,10 +128,10 @@ class SimConfig:
                 f"unknown service mode {self.service_mode!r}; "
                 f"choose from {SERVICE_MODES}"
             )
-        if self.code_model not in SIM_CODE_MODELS:
+        if self.code_model not in CODE_MODELS:
             raise ValueError(
                 f"unknown code model {self.code_model!r}; "
-                f"choose from {SIM_CODE_MODELS}"
+                f"choose from {CODE_MODELS}"
             )
         if self.service_means is not None:
             if self.service_mode != "markovian":
@@ -139,6 +144,19 @@ class SimConfig:
             if any(m <= 0.0 for m in self.service_means):
                 raise ValueError(f"service means must be positive: {self.service_means}")
         self.scenario.require_queueing()
+
+    def hop_service_means(self) -> tuple[float, ...]:
+        """Mean service of each hop in markovian mode, in blocks.
+
+        service_means when given, else each hop's whole-block mean service
+        time under its window (finite_snr.mean_service_time).
+        """
+        if self.service_means is not None:
+            return self.service_means
+        return tuple(
+            mean_service_time(self.topology.hop(i), w, self.scenario)
+            for i, w in enumerate(self.protocol.windows)
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -398,8 +416,9 @@ def run_network_sim(config: SimConfig) -> SimResult:
     markovian mode, each stage's services) as the next uniforms of their
     streams, and each stage carries its Lindley state to the next chunk, so
     no number depends on the chunk size either.  Full-length arrays remain
-    only per message: the total delay, the outage hop, the returned delays
-    and, in physical mode, each hop's rounds and blocks.
+    only per message: the total delay, the returned delays and, in physical
+    mode, the outage hop and each hop's rounds and blocks.  Markovian
+    service has no window to overrun, so it counts no outage at all.
     """
     topo = config.topology
     proto = config.protocol
@@ -407,29 +426,18 @@ def run_network_sim(config: SimConfig) -> SimResult:
     arrival_mean, deadline = scenario.require_queueing()
     n_msgs = config.message_count
     n_hops = topo.n_hops
+    cut = config.warmup_count
     source = RandomSource(config.seed)
 
     if config.service_mode == "markovian":
-        hop_means = config.service_means
-        if hop_means is None:
-            hop_means = tuple(
-                mean_service_time(topo.hop(i), proto.windows[i], scenario)
-                for i in range(n_hops)
-            )
-        if n_hops == 1:
-            stage_means = [hop_means[0]]
-        else:
-            stage_means = [
-                hop_means[i] + hop_means[i + 1] for i in range(n_hops - 1)
-            ]
         stage_services = [
             partial(_drawn_services, source.stream(_STREAM_MARKOV_BASE + i), m)
-            for i, m in enumerate(stage_means)
+            for i, m in enumerate(_stage_means(config.hop_service_means()))
         ]
-        outage_hop = np.full(n_msgs, -1, dtype=np.int64)
         histograms = tuple(
             np.zeros(proto.windows[i] + 2, dtype=np.int64) for i in range(n_hops)
         )
+        per_hop_drops = (0,) * n_hops  # no window to overrun, so no outage
     else:
         long_term = config.channel is ChannelAssumption.LONG_TERM_STATIC
         blocks = np.empty((n_hops, n_msgs))
@@ -474,7 +482,6 @@ def run_network_sim(config: SimConfig) -> SimResult:
             dead_before = (outage_hop >= 0) & (outage_hop < h)
             blocks[h, dead_before] = 0.0
 
-        cut = config.warmup_count
         histograms = []
         for h in range(n_hops):
             reached = (outage_hop < 0) | (outage_hop >= h)
@@ -485,6 +492,9 @@ def run_network_sim(config: SimConfig) -> SimResult:
             )
             histograms.append(counts)
         histograms = tuple(histograms)
+        # slot 0 counts the messages in no outage, slot h + 1 the drops at hop h
+        by_hop = np.bincount(outage_hop[cut:] + 1, minlength=n_hops + 1)
+        per_hop_drops = tuple(int(c) for c in by_hop[1:])
         stage_services = [
             partial(_block_services, blocks, i) for i in range(max(1, n_hops - 1))
         ]
@@ -493,19 +503,14 @@ def run_network_sim(config: SimConfig) -> SimResult:
         source.stream(_STREAM_ARRIVALS), arrival_mean, n_msgs, stage_services
     )
 
-    cut = config.warmup_count
     analyzed = n_msgs - cut
-    # slot 0 counts the messages in no outage, slot h + 1 the drops at hop h
-    by_hop = np.bincount(outage_hop[cut:] + 1, minlength=n_hops + 1)
-    per_hop_drops = tuple(int(c) for c in by_hop[1:])
     per_hop_attempts = tuple(
         analyzed - sum(per_hop_drops[:h]) for h in range(n_hops)
     )
-    outage_drops = analyzed - int(by_hop[0])
+    outage_drops = sum(per_hop_drops)
+    ok_delays = total_delay[cut:]
     if outage_drops:
-        ok_delays = total_delay[cut:][outage_hop[cut:] < 0]
-    else:
-        ok_delays = total_delay[cut:]
+        ok_delays = ok_delays[outage_hop[cut:] < 0]
     delivered = int(np.count_nonzero(ok_delays <= deadline))
     deadline_drops = int(ok_delays.size - delivered)
     return SimResult(

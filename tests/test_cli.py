@@ -161,6 +161,56 @@ def test_asymptotic_single_protocol_csv(tmp_path, capsys):
     assert lines[3] == "1,2"
 
 
+def test_rate_grid_refuses_more_rates_than_the_cap(tmp_path, capsys):
+    # a tiny step used to expand the grid until memory ran out; a span that
+    # overflows to inf is refused the same way
+    base = {"topology": [2, 2, 2], "protocol": "vbl", "total_window": 3}
+    for spec, reason in (
+        ({"step": 1e-300}, "step 1e-300 from 0.0 to 2.0"),
+        ({"stop": 1e300, "step": 1e-300}, "step 1e-300 from 0.0 to 1e+300"),
+    ):
+        cfg = write_config(tmp_path, dict(base, rate_grid=spec))
+        assert main(["dmdt-asymptotic", "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"mharq: config.rate_grid: {reason} gives more than 1000000 rates\n"
+        )
+
+
+def test_rate_grid_cap_boundary(monkeypatch):
+    # on a cap small enough to reach: 5 rates pass, 6 are refused
+    monkeypatch.setattr(cli, "_MAX_RATES", 5)
+    chk = cli._Checker({"rate_grid": {"stop": 0.4, "step": 0.1}})
+    assert len(cli._rate_grid(chk, 1.0)) == 5
+    assert chk.errors == []
+    chk = cli._Checker({"rate_grid": {"stop": 0.5, "step": 0.1}})
+    assert cli._rate_grid(chk, 1.0) is None
+    assert chk.errors == [
+        "config.rate_grid: step 0.1 from 0.0 to 0.5 gives more than 5 rates"
+    ]
+
+
+def test_window_search_refuses_budgets_past_the_row_cap(tmp_path, capsys):
+    # each of these ran the window search over C(budget, 2) rows and never
+    # finished; now the search refuses before it computes anything
+    refused = "over 2 hops gives more than 1000000 window allocations to enumerate"
+    for command, payload, budget in (
+        ("optimize-arq", dict(OPT_CONFIG, budget=1e30), int(1e30)),
+        ("optimize-arq", dict(OPT_CONFIG, deadline_blocks=1e300), int(1e300)),
+        (
+            "dmdt-finite",
+            dict(OPT_CONFIG, sweep={"axis": "total_window", "values": [4, 1e30]}),
+            int(1e30),
+        ),
+    ):
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"mharq: budget {budget} {refused}\n"
+
+
 def test_config_errors_are_reported_together(tmp_path, capsys):
     cfg = write_config(
         tmp_path,

@@ -90,9 +90,9 @@ def test_general_model_collapses_to_ostbc_for_rank_one():
     # orthogonal-code outage events are the same gamma tail.
     for pair in (HOP1, HOP2):
         for window in (1, 2, 4):
-            general = per_hop_outage(pair, window, SC_20DB, code_model="general")
+            logdet = per_hop_outage(pair, window, SC_20DB, code_model="logdet")
             ostbc = per_hop_outage(pair, window, SC_20DB, code_model="ostbc")
-            assert general == pytest.approx(ostbc, rel=1e-9)
+            assert logdet == pytest.approx(ostbc, rel=1e-9)
 
 
 def test_general_model_matches_rate_split_brute_force():
@@ -110,7 +110,7 @@ def test_general_model_matches_rate_split_brute_force():
             x1 = (pair.m_tx / rho) * (base**b1 - 1.0)
             x2 = (pair.m_tx / rho) * (base**b2 - base**b1)
             best = max(best, gammainc(1, x1) * gammainc(3, x2))
-        got = per_hop_outage(pair, window, scenario, code_model="general")
+        got = per_hop_outage(pair, window, scenario, code_model="logdet")
         assert got == pytest.approx(best, abs=1e-6)
 
 
@@ -139,11 +139,14 @@ def test_outage_validation():
     with pytest.raises(ValueError):
         # the uncoded search is derived under the per-receiver threshold only
         per_hop_outage(
-            AntennaPair(2, 2), 1, SC_20DB, code_model="general",
+            AntennaPair(2, 2), 1, SC_20DB, code_model="logdet",
             threshold_variant="plain",
         )
     with pytest.raises(ValueError):
-        per_hop_outage(AntennaPair(8, 8), 1, SC_20DB, code_model="general")
+        per_hop_outage(AntennaPair(8, 8), 1, SC_20DB, code_model="logdet")
+    with pytest.raises(ValueError, match="choose from \\('logdet', 'ostbc'\\)"):
+        # the log-det model has one name, shared with the simulator
+        per_hop_outage(HOP1, 1, SC_20DB, code_model="general")
 
 
 def test_chain_outage_summary():
@@ -438,6 +441,28 @@ def test_optimize_windows_reaches_eight_node_chain():
     assert len(opt.table) == math.comb(14, 7) == 3432
     assert opt.breakdown.p_total < 1.0
     assert any(row.feasible and row.windows == opt.allocation.windows for row in opt.table)
+
+
+def test_optimize_windows_refuses_budgets_past_the_row_cap(monkeypatch):
+    # an explicit budget, a deadline with no budget: both are refused before
+    # a single tail is computed, where the search used to run for minutes
+    huge = 10**30
+    with pytest.raises(ValueError) as err:
+        optimize_windows(T413, SC_20DB, budget=huge)
+    assert not isinstance(err.value, WindowInfeasibleError)
+    assert str(err.value) == (
+        f"budget {huge} over 2 hops gives more than 1000000 window allocations "
+        "to enumerate"
+    )
+    far = FiniteSnrScenario(100.0, 1.0, arrival_mean_blocks=10.0, deadline_blocks=1e300)
+    with pytest.raises(ValueError, match=f"^budget {int(1e300)} over 2 hops"):
+        optimize_windows(T413, far)
+    # the boundary, on a cap small enough to reach: C(5, 2) = 10 rows run,
+    # C(6, 2) = 15 do not
+    monkeypatch.setattr(finite_snr, "_MAX_ALLOCATIONS", 10)
+    assert len(optimize_windows(T413, SC_20DB, budget=5).table) == 10
+    with pytest.raises(ValueError, match="more than 10 window allocations"):
+        optimize_windows(T413, SC_20DB, budget=6)
 
 
 def test_finite_multiplexing_round_trip():

@@ -1,5 +1,6 @@
 """Simulator determinism, accounting identities, and tail fitting."""
 
+import dataclasses
 import math
 import statistics
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import mharq.netsim as netsim
-from mharq.finite_snr import FiniteSnrScenario
+from mharq.finite_snr import FiniteSnrScenario, mean_service_time
 from mharq.netsim import (
     RandomSource,
     SimConfig,
@@ -399,6 +400,29 @@ def test_conservation_markovian_mode():
     assert res.delays.size == res.analyzed
     assert res.delivered + res.deadline_drops == res.analyzed
     assert all(h.sum() == 0 for h in res.round_histograms)
+
+
+def test_markovian_hop_means_default_to_whole_block_means():
+    # without service_means each hop serves at its whole-block mean service
+    # time; validate's analytic exponent reads the same hop_service_means
+    cfg = config(
+        topology=Topology([4, 1, 3]),
+        protocol=FixedArq([2, 3]),
+        scenario=scenario(snr=100.0, lam=10.0, deadline=25.0),
+        message_count=3000,
+        service_mode="markovian",
+    )
+    want = tuple(
+        mean_service_time(cfg.topology.hop(i), w, cfg.scenario)
+        for i, w in enumerate((2, 3))
+    )
+    assert cfg.hop_service_means() == want
+    given = dataclasses.replace(cfg, service_means=(2.5, 2.5))
+    assert given.hop_service_means() == (2.5, 2.5)
+    derived = run_network_sim(cfg)
+    spelled_out = run_network_sim(dataclasses.replace(cfg, service_means=want))
+    assert np.array_equal(derived.delays, spelled_out.delays)
+    assert derived.per_hop_attempts == (3000, 3000)
 
 
 # ---------------------------------------------------------------------------
