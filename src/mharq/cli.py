@@ -67,6 +67,9 @@ EXIT_INFEASIBLE = 3
 
 # A rate_grid refuses to expand to more points than this.
 _MAX_RATES = 10**6
+# dmdt-asymptotic refuses larger round budgets: its fixed-window optimum
+# walks every split of the budget, about 0.3 s a rate at this cap.
+_MAX_TOTAL_WINDOW = 1000
 
 
 class ConfigError(ValueError):
@@ -194,7 +197,7 @@ class _Checker:
                 self.error(key, f"expected an integer, got {value!r}")
             elif isinstance(value, int):
                 return value
-            elif isinstance(value, float) and value == int(value):
+            elif isinstance(value, float) and value.is_integer():
                 return int(value)
             else:
                 self.error(key, f"expected an integer, got {value!r}")
@@ -297,9 +300,15 @@ def _snr(chk: _Checker) -> float | None:
             "exactly one of the two must be given"
         )
         return None
-    if has_db:
-        return None if db is None else 10.0 ** (db / 10.0)
-    return linear
+    if not has_db:
+        return linear
+    if db is None:
+        return None
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        chk.error("snr_db", f"{db:g} dB overflows the linear SNR")
+        return None
 
 
 def _rate_grid(chk: _Checker, default_stop: float) -> list[float] | None:
@@ -508,6 +517,8 @@ def _run_dmdt_asymptotic(config: dict) -> tuple[list[str], list[list[Any]], dict
     power = chk.get("power_exponent")
     allow_zero = chk.get("allow_zero_rounds")
     total = chk.get("total_window")
+    if total is not None and total > _MAX_TOTAL_WINDOW:
+        chk.error("total_window", f"must be at most {_MAX_TOTAL_WINDOW}, got {total}")
     windows = _windows(chk, topo, required=False)
 
     three_node = topo is not None and topo.n_nodes == 3

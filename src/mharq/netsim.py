@@ -17,14 +17,19 @@ services and the Lindley reflection of every stage run over chunks of
 ``_TANDEM_CHUNK`` messages, and each stage carries its queue state from one
 chunk to the next, so every sum is formed from the same operands in the
 same order as over whole arrays and no number depends on the chunk size.
-What stays full-length is per message: the total delay, the returned
-delays and, in physical mode, the outage hop and each hop's rounds and
-blocks.
+
+In physical mode the hops are decoded at the same time, on a pool of
+threads with one hop per task: each hop reads only its own stream, so no
+number depends on the core count.  What stays full-length is per message:
+the total delay, the returned delays and, with physical service, each
+hop's rounds in a small integer dtype and the hop at which the message was
+dropped.  Each tandem chunk builds its stage services from those.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Sequence
@@ -311,6 +316,48 @@ def _decode_rounds(
     return rounds
 
 
+def _hop_workers(n_hops: int) -> int:
+    """Threads that decode the hops of one run: one per hop, one per core."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    return min(n_hops, cores)
+
+
+def _hop_rounds(config: SimConfig, h: int) -> np.ndarray:
+    """Blocks each message needs on hop h; window + 1 marks outage.
+
+    The hop's channel is drawn from its own stream, turned into capacities
+    and decoded in chunks of whole messages, about ``_CHUNK_UNIFORMS``
+    uniforms each.  The rounds come in the narrowest integer dtype that
+    holds window + 1.
+    """
+    pair = config.topology.hop(h)
+    window = config.protocol.windows[h]
+    scenario = config.scenario
+    n_msgs = config.message_count
+    long_term = config.channel is ChannelAssumption.LONG_TERM_STATIC
+    draw_rounds = 1 if long_term else window
+    target = scenario.multiplexing_gain * math.log2(1.0 + pair.m_rx * scenario.snr)
+    rng = RandomSource(config.seed).stream(1 + h)
+    capacity = partial(
+        _capacities,
+        snr=scenario.snr,
+        r_s=scenario.spatial_code_rate,
+        m_tx=pair.m_tx,
+        code_model=config.code_model,
+    )
+    per_msg = draw_rounds * pair.m_rx * pair.m_tx * 2
+    step = max(1, _CHUNK_UNIFORMS // per_msg)
+    rounds = np.empty(n_msgs, dtype=np.min_scalar_type(window + 1))
+    for start in range(0, n_msgs, step):
+        stop = min(start + step, n_msgs)
+        u = _channel_uniforms(rng, stop - start, draw_rounds, pair.m_rx, pair.m_tx)
+        rounds[start:stop] = _decode_rounds(u, capacity, target, window, long_term)
+    return rounds
+
+
 # Queue state a stage carries between chunks: last arrival, last service,
 # last cumulative drift C and the running minimum of C.
 _LindleyState = tuple[float, float, float, float]
@@ -352,12 +399,26 @@ def _drawn_services(
 
 
 def _block_services(
-    blocks: np.ndarray, stage: int, start: int, stop: int
+    rounds: Sequence[np.ndarray],
+    windows: Sequence[int],
+    outage_hop: np.ndarray,
+    stage: int,
+    start: int,
+    stop: int,
 ) -> np.ndarray:
-    """Physical services of messages start:stop: the stage's hops' blocks."""
-    if blocks.shape[0] == 1:
-        return blocks[0, start:stop]
-    return blocks[stage, start:stop] + blocks[stage + 1, start:stop]
+    """Physical services of messages start:stop: the stage's hops' blocks.
+
+    A hop serves min(rounds, window) blocks, none once an earlier hop has
+    dropped the message.  The sums are of small integers, so exact.
+    """
+    hops = (0,) if len(rounds) == 1 else (stage, stage + 1)
+    dropped_at = outage_hop[start:stop]
+    services = np.zeros(stop - start)
+    for h in hops:
+        blocks = np.minimum(rounds[h][start:stop], windows[h])
+        blocks[dropped_at < h] = 0
+        services += blocks
+    return services
 
 
 def _tandem_delays(
@@ -406,10 +467,13 @@ def run_network_sim(config: SimConfig) -> SimResult:
     one after another from the hop's stream.  Draws are message-major, so
     the chunks see the same uniforms as one draw of every message would,
     and no number depends on the chunk size; memory does not grow with
-    ``message_count`` beyond the per-message arrays.  On short-term hops a
-    later round's capacities are computed only for the messages it has not
-    decoded yet; every round's uniforms are still drawn for every message,
-    so the draws, and every number, are those of computing them all.
+    ``message_count`` beyond the per-message arrays.  The hops run
+    concurrently on ``_hop_workers(n_hops)`` threads; each reads only its
+    own stream, so no number depends on the worker count.  On short-term
+    hops a later round's capacities are computed only for the messages it
+    has not decoded yet; every round's uniforms are still drawn for every
+    message, so the draws, and every number, are those of computing them
+    all.
 
     The tandem of queueing stages is streamed in chunks of
     ``_TANDEM_CHUNK`` messages: each chunk draws its arrivals (and, in
@@ -417,8 +481,9 @@ def run_network_sim(config: SimConfig) -> SimResult:
     streams, and each stage carries its Lindley state to the next chunk, so
     no number depends on the chunk size either.  Full-length arrays remain
     only per message: the total delay, the returned delays and, in physical
-    mode, the outage hop and each hop's rounds and blocks.  Markovian
-    service has no window to overrun, so it counts no outage at all.
+    mode, each hop's rounds and the outage hop; a physical stage's services
+    are formed from them chunk by chunk.  Markovian service has no window
+    to overrun, so it counts no outage at all.
     """
     topo = config.topology
     proto = config.protocol
@@ -439,64 +504,30 @@ def run_network_sim(config: SimConfig) -> SimResult:
         )
         per_hop_drops = (0,) * n_hops  # no window to overrun, so no outage
     else:
-        long_term = config.channel is ChannelAssumption.LONG_TERM_STATIC
-        blocks = np.empty((n_hops, n_msgs))
-        rounds_by_hop = []
-        for h in range(n_hops):
-            pair = topo.hop(h)
-            window = proto.windows[h]
-            draw_rounds = 1 if long_term else window
-            target = scenario.multiplexing_gain * math.log2(
-                1.0 + pair.m_rx * scenario.snr
-            )
-            rng = source.stream(1 + h)
-            capacity = partial(
-                _capacities,
-                snr=scenario.snr,
-                r_s=scenario.spatial_code_rate,
-                m_tx=pair.m_tx,
-                code_model=config.code_model,
-            )
-            per_msg = draw_rounds * pair.m_rx * pair.m_tx * 2
-            step = max(1, _CHUNK_UNIFORMS // per_msg)
-            rounds = np.empty(n_msgs, dtype=np.int64)
-            for start in range(0, n_msgs, step):
-                stop = min(start + step, n_msgs)
-                u = _channel_uniforms(
-                    rng, stop - start, draw_rounds, pair.m_rx, pair.m_tx
-                )
-                rounds[start:stop] = _decode_rounds(
-                    u, capacity, target, window, long_term
-                )
-            rounds_by_hop.append(rounds)
-            blocks[h] = np.minimum(rounds, window)
+        windows = proto.windows
+        # threads, as numpy releases the GIL in the draws and the ufuncs;
+        # imported here so that loading mharq starts no pool machinery
+        from concurrent.futures import ThreadPoolExecutor
 
-        # first window overrun kills the message; later hops carry it for free
-        failed = np.stack(
-            [rounds_by_hop[h] > proto.windows[h] for h in range(n_hops)]
+        with ThreadPoolExecutor(_hop_workers(n_hops)) as pool:
+            rounds = list(pool.map(partial(_hop_rounds, config), range(n_hops)))
+        # the first window overrun kills the message and later hops carry it
+        # for free; n_hops marks no outage, and filling the hops in reverse
+        # leaves the first overrun in place
+        outage_hop = np.full(n_msgs, n_hops, dtype=np.min_scalar_type(n_hops))
+        for h in reversed(range(n_hops)):
+            outage_hop[rounds[h] > windows[h]] = h
+        kept = outage_hop[cut:]
+        histograms = tuple(
+            np.bincount(rounds[h][cut:][kept >= h], minlength=windows[h] + 2)
+            for h in range(n_hops)
         )
-        outage_hop = np.where(
-            failed.any(axis=0), failed.argmax(axis=0), -1
-        ).astype(np.int64)
-        for h in range(n_hops):
-            dead_before = (outage_hop >= 0) & (outage_hop < h)
-            blocks[h, dead_before] = 0.0
-
-        histograms = []
-        for h in range(n_hops):
-            reached = (outage_hop < 0) | (outage_hop >= h)
-            reached[:cut] = False
-            counts = np.bincount(
-                np.minimum(rounds_by_hop[h][reached], proto.windows[h] + 1),
-                minlength=proto.windows[h] + 2,
-            )
-            histograms.append(counts)
-        histograms = tuple(histograms)
-        # slot 0 counts the messages in no outage, slot h + 1 the drops at hop h
-        by_hop = np.bincount(outage_hop[cut:] + 1, minlength=n_hops + 1)
-        per_hop_drops = tuple(int(c) for c in by_hop[1:])
+        # slot h counts the drops at hop h, slot n_hops the messages in no outage
+        by_hop = np.bincount(kept, minlength=n_hops + 1)
+        per_hop_drops = tuple(int(c) for c in by_hop[:n_hops])
         stage_services = [
-            partial(_block_services, blocks, i) for i in range(max(1, n_hops - 1))
+            partial(_block_services, rounds, windows, outage_hop, i)
+            for i in range(max(1, n_hops - 1))
         ]
 
     total_delay = _tandem_delays(
@@ -510,7 +541,7 @@ def run_network_sim(config: SimConfig) -> SimResult:
     outage_drops = sum(per_hop_drops)
     ok_delays = total_delay[cut:]
     if outage_drops:
-        ok_delays = ok_delays[outage_hop[cut:] < 0]
+        ok_delays = ok_delays[outage_hop[cut:] == n_hops]
     delivered = int(np.count_nonzero(ok_delays <= deadline))
     deadline_drops = int(ok_delays.size - delivered)
     return SimResult(

@@ -131,10 +131,14 @@ def test_asymptotic_power_exponent_reaches_fixed_columns(tmp_path, capsys):
 
 
 def test_import_leaves_hashlib_unloaded():
-    # hashlib loads OpenSSL; only runs that emit a config hash import it
+    # hashlib loads OpenSSL; only runs that emit a config hash import it.
+    # The simulator's hop pool is imported by the physical runs that use it
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = "import sys, mharq.cli; print('hashlib' in sys.modules)"
+    probe = (
+        "import sys, mharq.cli; "
+        "print([m in sys.modules for m in ('hashlib', 'concurrent.futures')])"
+    )
     done = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True,
@@ -142,7 +146,7 @@ def test_import_leaves_hashlib_unloaded():
         check=True,
         env={**os.environ, "PYTHONPATH": path},
     )
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[False, False]"
 
 
 def test_asymptotic_single_protocol_csv(tmp_path, capsys):
@@ -189,6 +193,55 @@ def test_rate_grid_cap_boundary(monkeypatch):
     assert chk.errors == [
         "config.rate_grid: step 0.1 from 0.0 to 0.5 gives more than 5 rates"
     ]
+
+
+def test_total_window_past_the_cap_is_refused(tmp_path, capsys):
+    # the short-term VBL, FBL and fixed-window kernels loop over the budget;
+    # this one was still running after five seconds
+    cfg = write_config(
+        tmp_path,
+        {"topology": [2, 2, 2], "protocol": "vbl", "channel": "short_term",
+         "total_window": 1e9, "rates": [0.5]},
+    )
+    assert main(["dmdt-asymptotic", "--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "mharq: config.total_window: must be at most 1000, got 1000000000\n"
+
+
+def test_total_window_cap_boundary(tmp_path, capsys, monkeypatch):
+    # on a cap small enough to reach: a budget of 5 runs, 6 is refused;
+    # "all" runs the fixed, FBL and VBL kernels on the budget
+    monkeypatch.setattr(cli, "_MAX_TOTAL_WINDOW", 5)
+    base = {"topology": [2, 2, 2], "protocol": "all", "rates": [0.5]}
+    cfg = write_config(tmp_path, dict(base, total_window=5))
+    code, lines = run_csv(capsys, ["dmdt-asymptotic", "--config", cfg])
+    assert code == 0
+    assert len(lines) == 3
+    cfg = write_config(tmp_path, dict(base, total_window=6))
+    assert main(["dmdt-asymptotic", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "mharq: config.total_window: must be at most 5, got 6\n"
+    )
+
+
+@pytest.mark.parametrize("value, shown", [(math.inf, "inf"), (math.nan, "nan")])
+def test_integer_key_refuses_nonfinite_floats(tmp_path, capsys, value, shown):
+    # JSON Infinity used to raise OverflowError from int(); NaN lost its path
+    cfg = write_config(tmp_path, dict(OPT_CONFIG, budget=value))
+    assert main(["optimize-arq", "--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"mharq: config.budget: expected an integer, got {shown}\n"
+
+
+def test_snr_db_overflowing_the_linear_snr_is_refused(tmp_path, capsys):
+    # 10 ** (4000 / 10) used to raise OverflowError
+    cfg = write_config(tmp_path, dict(OPT_CONFIG, snr_db=4000.0))
+    assert main(["optimize-arq", "--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "mharq: config.snr_db: 4000 dB overflows the linear SNR\n"
 
 
 def test_window_search_refuses_budgets_past_the_row_cap(tmp_path, capsys):

@@ -192,6 +192,47 @@ def test_chunked_tandem_matches_whole_arrays(monkeypatch, chunk, case, sizes):
         assert all(chunked.per_hop_outage_drops)
 
 
+@pytest.mark.parametrize(
+    "antennas, windows, channel, code_model",
+    [
+        ((2, 2), (2,), ST, "logdet"),
+        ((1, 3), (3,), LT, "ostbc"),
+        ((4, 1, 3), (2, 3), LT, "logdet"),
+        ((2, 2, 2), (2, 2), ST, "ostbc"),
+        ((2, 1, 2, 2, 1, 3), (2, 3, 1, 2, 2), ST, "logdet"),
+        ((2, 1, 2, 2, 1, 3), (2, 3, 1, 2, 2), LT, "ostbc"),
+    ],
+    ids=["1hop-st-logdet", "1hop-lt-ostbc", "2hop-lt-logdet", "2hop-st-ostbc",
+         "5hop-st-logdet", "5hop-lt-ostbc"],
+)
+def test_hop_workers_do_not_change_results(
+    monkeypatch, antennas, windows, channel, code_model
+):
+    # SNR 1 drops messages on every hop; the warmup ends inside the second
+    # tandem chunk, and the channel draws come in several chunks per hop
+    monkeypatch.setattr(netsim, "_TANDEM_CHUNK", 1000)
+    monkeypatch.setattr(netsim, "_CHUNK_UNIFORMS", 4096)
+    cfg = config(
+        topology=Topology(list(antennas)),
+        protocol=FixedArq(list(windows)),
+        channel=channel,
+        scenario=scenario(snr=1.0, lam=10.0, deadline=25.0),
+        message_count=3001,
+        warmup_count=1500,
+        seed=3,
+        code_model=code_model,
+    )
+    n_hops = len(windows)
+    assert 1 <= netsim._hop_workers(n_hops) <= n_hops
+    assert netsim._hop_rounds(cfg, 0).dtype == np.uint8
+    monkeypatch.setattr(netsim, "_hop_workers", lambda n: 1)
+    serial = run_network_sim(cfg)
+    monkeypatch.setattr(netsim, "_hop_workers", lambda n: max(2, n))
+    pooled = run_network_sim(cfg)
+    assert_same_result(serial, pooled)
+    assert all(pooled.per_hop_outage_drops)
+
+
 class _FixedUniforms:
     """Stands in for a generator whose next draws are known."""
 
