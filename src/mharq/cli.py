@@ -19,6 +19,7 @@ import io
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -416,18 +417,48 @@ def _windows(chk: _Checker, topo: Topology | None, *, required: bool) -> list[in
 # output
 
 
-def _format_cell(value: Any) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        if math.isnan(value):
-            return ""
-        return f"{value:.9g}"
-    return str(value)
+# The text of a cell by its type: CSV prints floats to 9 significant
+# digits and JSON as json.dumps does; a NaN is empty in CSV, and every
+# non-finite float is null in JSON.
+_CSV_TEXT: dict[type, Callable[[Any], str]] = {
+    type(None): lambda v: "",
+    bool: lambda v: "true" if v else "false",
+    int: str,
+    float: lambda v: "" if v != v else format(v, ".9g"),
+    str: str,
+}
+_JSON_TEXT: dict[type, Callable[[Any], str]] = {
+    type(None): lambda v: "null",
+    bool: _CSV_TEXT[bool],
+    int: int.__repr__,
+    float: lambda v: float.__repr__(v) if math.isfinite(v) else "null",
+    str: encode_basestring_ascii,
+}
+
+
+def _column_text(values: Sequence[Any], texts: dict[type, Callable]) -> list[str]:
+    """Every cell of one column as text, formatting each distinct value once."""
+    by_type = {kind: texts[kind] for kind in set(map(type, values))}
+    distinct = dict.fromkeys(values)
+    # equal keys can need different texts: 1 == 1.0 == True, and 0.0 == -0.0
+    if len(by_type) != 1 or (0.0 in distinct and type(values[0]) is float):
+        return [by_type[type(v)](v) for v in values]
+    (text,) = by_type.values()
+    memo = {v: text(v) for v in distinct}
+    return list(map(memo.__getitem__, values))
+
+
+def _json_rows(columns: Sequence[str], data: Sequence[Sequence[Any]]) -> str:
+    """The rows array as json.dumps(indent=2, sort_keys=True) nests it one deep."""
+    if not data or not data[0]:
+        return "[]"
+    # a later column of the same name wins, as in a dict built from the row
+    index = {name: i for i, name in enumerate(columns)}
+    keys = sorted(index)
+    fields = (f"      {encode_basestring_ascii(k).replace('%', '%%')}: %s" for k in keys)
+    template = "    {\n" + ",\n".join(fields) + "\n    }"
+    cells = [_column_text(data[index[k]], _JSON_TEXT) for k in keys]
+    return "[\n" + ",\n".join(map(template.__mod__, zip(*cells))) + "\n  ]"
 
 
 def _json_safe(value: Any) -> Any:
@@ -449,16 +480,25 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _by_column(rows: Sequence[Sequence[Any]]) -> list[Sequence[Any]]:
+    return list(zip(*rows))
+
+
 def _emit(
     stream: io.TextIOBase,
     fmt: str,
     command: str,
     config: dict,
     columns: Sequence[str],
-    rows: Sequence[Sequence[Any]],
+    data: Sequence[Sequence[Any]],
     meta_extra: dict[str, Any] | None = None,
     seed: int | None = None,
 ) -> None:
+    """Write a table given column by column: data[j] holds column j.
+
+    Each column becomes text at once; the bytes are those csv.writer and
+    json.dumps(indent=2, sort_keys=True) write for the same rows.
+    """
     digest = _config_hash(config)
     if fmt == "csv":
         header = f"# tool=mharq version={__version__} command={command} config_hash={digest}"
@@ -467,8 +507,7 @@ def _emit(
         stream.write(header + "\n")
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_format_cell(v) for v in row])
+        writer.writerows(zip(*(_column_text(c, _CSV_TEXT) for c in data)))
         return
     meta: dict[str, Any] = {
         "tool": "mharq",
@@ -481,22 +520,18 @@ def _emit(
         meta["seed"] = seed
     if meta_extra:
         meta.update(meta_extra)
-    payload = {
-        "meta": _json_safe(meta),
-        "columns": list(columns),
-        "rows": [
-            {col: _json_safe(v) for col, v in zip(columns, row)} for row in rows
-        ],
-    }
-    stream.write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
-    stream.write("\n")
+    head = {"columns": list(columns), "meta": _json_safe(meta)}
+    text = json.dumps(head, indent=2, sort_keys=True, allow_nan=False)
+    # "rows" sorts after "columns" and "meta": reopen the object to append it
+    stream.write(text[: -len("\n}")] + ',\n  "rows": ')
+    stream.write(_json_rows(columns, data) + "\n}\n")
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _run_dmt(config: dict) -> tuple[list[str], list[list[Any]], dict]:
+def _run_dmt(config: dict) -> tuple[list[str], list[Sequence[Any]], dict]:
     chk = _Checker(config)
     antennas = chk.get("antennas", required=True)
     power = chk.get("power_exponent")
@@ -506,10 +541,10 @@ def _run_dmt(config: dict) -> tuple[list[str], list[list[Any]], dict]:
     if grid is None:
         grid = [float(k) for k in range(pair.min_dim + 1)]
     rows = [[r, float(dmt(pair, r, power_exponent=power))] for r in grid]
-    return ["multiplexing_gain", "diversity_gain"], rows, {}
+    return ["multiplexing_gain", "diversity_gain"], _by_column(rows), {}
 
 
-def _run_dmdt_asymptotic(config: dict) -> tuple[list[str], list[list[Any]], dict]:
+def _run_dmdt_asymptotic(config: dict) -> tuple[list[str], list[Sequence[Any]], dict]:
     chk = _Checker(config)
     topo = _topology(chk)
     protocol = chk.get("protocol", required=True)
@@ -555,14 +590,14 @@ def _run_dmdt_asymptotic(config: dict) -> tuple[list[str], list[list[Any]], dict
             )
             vbl = vbl_dmdt_3node(topo, total, r, channel=channel, power_exponent=power)
             rows.append([r, best.value, best.split_value, fbl, vbl])
-        return columns, rows, {}
+        return columns, _by_column(rows), {}
 
     if protocol == "fixed" and windows is None:
         rows = [
             [r, fixed_optimal_windows(topo, total, r, power_exponent=power).value]
             for r in grid
         ]
-        return ["multiplexing_gain", "diversity_gain"], rows, {}
+        return ["multiplexing_gain", "diversity_gain"], _by_column(rows), {}
 
     if protocol == "fixed":
         arq = FixedArq(windows)
@@ -573,10 +608,10 @@ def _run_dmdt_asymptotic(config: dict) -> tuple[list[str], list[list[Any]], dict
     )
     rows = [[r, d] for r, d in curve.samples]
     meta = {"gaps": list(curve.gaps)} if curve.gaps else {}
-    return ["multiplexing_gain", "diversity_gain"], rows, meta
+    return ["multiplexing_gain", "diversity_gain"], _by_column(rows), meta
 
 
-def _run_dmdt_finite(config: dict) -> tuple[list[str], list[list[Any]], dict]:
+def _run_dmdt_finite(config: dict) -> tuple[list[str], list[Sequence[Any]], dict]:
     chk = _Checker(config)
     topo = _topology(chk)
     variant = chk.get("threshold_variant")
@@ -621,7 +656,7 @@ def _run_dmdt_finite(config: dict) -> tuple[list[str], list[list[Any]], dict]:
                 + [b.p_outage, b.p_deadline, b.p_total]
             )
         meta = {"infeasible_points": unstable} if unstable else {}
-        return columns, rows, meta
+        return columns, _by_column(rows), meta
 
     alloc = WindowAllocation(tuple(windows), sum(windows))
     for v in values:
@@ -636,10 +671,10 @@ def _run_dmdt_finite(config: dict) -> tuple[list[str], list[list[Any]], dict]:
             out = ostbc_outage(topo, alloc, scenario, threshold_variant=variant)
             rows.append([v, out.union_bound, None, None])
     meta = {"unstable_points": unstable} if unstable else {}
-    return [axis, "p_outage", "p_deadline", "p_total"], rows, meta
+    return [axis, "p_outage", "p_deadline", "p_total"], _by_column(rows), meta
 
 
-def _run_optimize(config: dict) -> tuple[list[str], list[list[Any]], dict]:
+def _run_optimize(config: dict) -> tuple[list[str], list[Sequence[Any]], dict]:
     chk = _Checker(config)
     topo = _topology(chk)
     variant = chk.get("threshold_variant")
@@ -655,18 +690,16 @@ def _run_optimize(config: dict) -> tuple[list[str], list[list[Any]], dict]:
     columns += [f"mu_{i + 1}" for i in range(n)]
     columns += ["p_outage", "p_deadline", "p_total"]
     columns += ["feasible", "constraint_conflict", "violations"]
-    ordered = sorted(
-        result.table,
-        key=lambda row: (
-            not row.feasible,
-            row.p_total if row.p_total is not None else math.inf,
-            row.windows,
-        ),
-    )
-    rows = [
-        [*c.windows, *c.means, c.p_outage, c.p_deadline, c.p_total]
-        + [c.feasible, c.constraint_conflict, "; ".join(c.violations)]
-        for c in ordered
+    # feasible rows first, by total error; the table is in lexicographic window
+    # order and lexsort is stable, so ties keep the smallest windows first
+    c = result.columns
+    order = np.lexsort((np.where(c.feasible, c.p_total, math.inf), ~c.feasible))
+    ranked = (c.p_outage, c.p_deadline, c.p_total, c.feasible, c.conflict)
+    data = [
+        *c.windows[order].T.tolist(),
+        *c.means[order].T.tolist(),
+        *(column[order].tolist() for column in ranked),
+        ["; ".join(c.violations[i]) for i in order.tolist()],
     ]
     meta = {
         "best": {
@@ -677,7 +710,7 @@ def _run_optimize(config: dict) -> tuple[list[str], list[list[Any]], dict]:
             "threshold_variant": result.threshold_variant,
         }
     }
-    return columns, rows, meta
+    return columns, data, meta
 
 
 def _sim_config(config: dict, seed_override: int | None) -> SimConfig:
@@ -714,7 +747,7 @@ def _sim_config(config: dict, seed_override: int | None) -> SimConfig:
 
 def _run_simulate(
     config: dict, seed_override: int | None
-) -> tuple[list[str], list[list[Any]], dict, int]:
+) -> tuple[list[str], list[Sequence[Any]], dict, int]:
     sim_cfg = _sim_config(config, seed_override)
     result = run_network_sim(sim_cfg)
     rows: list[list[Any]] = [
@@ -733,12 +766,12 @@ def _run_simulate(
     if result.delays.size:
         rows.append(["mean_delay", float(result.delays.mean())])
         rows.append(["max_delay", float(result.delays.max())])
-    return ["metric", "value"], rows, {}, sim_cfg.seed
+    return ["metric", "value"], _by_column(rows), {}, sim_cfg.seed
 
 
 def _run_validate(
     config: dict, seed_override: int | None
-) -> tuple[list[str], list[list[Any]], dict, int]:
+) -> tuple[list[str], list[Sequence[Any]], dict, int]:
     sim_cfg = _sim_config(config, seed_override)
     result = run_network_sim(sim_cfg)
     topo = sim_cfg.topology
@@ -825,7 +858,7 @@ def _run_validate(
 
     columns = ["check", "analytic", "empirical", "samples", "sigma", "z_score", "verdict"]
     meta = {"note": "z compares the empirical rate against the analytic model"}
-    return columns, rows, meta, sim_cfg.seed
+    return columns, _by_column(rows), meta, sim_cfg.seed
 
 
 # ---------------------------------------------------------------------------
@@ -882,17 +915,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         config = _load_config(args.config)
         seed: int | None = None
         if args.command == "dmt":
-            columns, rows, meta = _run_dmt(config)
+            columns, data, meta = _run_dmt(config)
         elif args.command == "dmdt-asymptotic":
-            columns, rows, meta = _run_dmdt_asymptotic(config)
+            columns, data, meta = _run_dmdt_asymptotic(config)
         elif args.command == "dmdt-finite":
-            columns, rows, meta = _run_dmdt_finite(config)
+            columns, data, meta = _run_dmdt_finite(config)
         elif args.command == "optimize-arq":
-            columns, rows, meta = _run_optimize(config)
+            columns, data, meta = _run_optimize(config)
         elif args.command == "simulate":
-            columns, rows, meta, seed = _run_simulate(config, args.seed)
+            columns, data, meta, seed = _run_simulate(config, args.seed)
         else:
-            columns, rows, meta, seed = _run_validate(config, args.seed)
+            columns, data, meta, seed = _run_validate(config, args.seed)
     except ConfigError as exc:
         for line in exc.errors:
             print(f"mharq: {line}", file=sys.stderr)
@@ -906,7 +939,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_CONFIG
 
     buffer = io.StringIO()
-    _emit(buffer, args.format, args.command, config, columns, rows, meta, seed)
+    _emit(buffer, args.format, args.command, config, columns, data, meta, seed)
     text = buffer.getvalue()
     if args.out is None:
         sys.stdout.write(text)

@@ -16,8 +16,9 @@ and times are in blocks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import chain, combinations, starmap
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain, combinations
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -31,6 +32,7 @@ __all__ = [
     "ErrorBreakdown",
     "OstbcOutage",
     "CandidateRow",
+    "CandidateColumns",
     "WindowOptimum",
     "UnstableQueueError",
     "WindowInfeasibleError",
@@ -48,7 +50,7 @@ __all__ = [
 STABILITY_MARGIN = 1e-9
 
 # The window search refuses budgets with more allocations than this; its
-# table holds about 0.75 KB a row.
+# table of CandidateRows holds about 0.75 KB a row once read.
 _MAX_ALLOCATIONS = 10**6
 
 THRESHOLD_VARIANTS = ("per_receiver", "plain")
@@ -64,9 +66,13 @@ class UnstableQueueError(ValueError):
 class WindowInfeasibleError(ValueError):
     """No window allocation satisfies the stability and budget constraints."""
 
-    def __init__(self, message: str, table: tuple["CandidateRow", ...]):
+    def __init__(self, message: str, columns: CandidateColumns | None):
         super().__init__(message)
-        self.table = table
+        self.columns = columns
+
+    @property
+    def table(self) -> tuple[CandidateRow, ...]:
+        return () if self.columns is None else self.columns.rows
 
 
 @dataclass(frozen=True)
@@ -167,6 +173,30 @@ def _threshold_base(pair: AntennaPair, snr: float, threshold_variant: str) -> fl
     )
 
 
+def _threshold_tail(
+    pair: AntennaPair, shape: int, snr: float, base: float, exponent: float
+) -> float:
+    """regularized_lower_gamma(shape, x) at x = (m_tx / snr) (base**exponent - 1).
+
+    Where base**exponent overflows, or base = 1 + m_rx * snr itself did, x
+    is formed in log form; every x that fits in a float keeps its bits.
+    """
+    if base < math.inf:
+        try:
+            x = (pair.m_tx / snr) * (base**exponent - 1.0)
+        except OverflowError:  # base**exponent is past the largest float
+            log_base = math.log(base)
+        else:
+            return regularized_lower_gamma(shape, x)
+    else:  # 1 + m_rx * snr overflowed, so the 1 is far below an ulp of it
+        log_base = math.log(pair.m_rx) + math.log(snr)
+    # x = (m_tx / snr) e^g (1 - e^-g) with g = exponent * log(base); an x past
+    # e^709 saturates the tail anyway
+    g = exponent * log_base
+    log_x = math.log(pair.m_tx) - math.log(snr) + g + math.log(-math.expm1(-g))
+    return regularized_lower_gamma(shape, math.exp(min(log_x, 709.0)))
+
+
 def _outage_window_ostbc(
     pair: AntennaPair, t: float, scenario: FiniteSnrScenario, threshold_variant: str
 ) -> float:
@@ -176,8 +206,7 @@ def _outage_window_ostbc(
         return 0.0
     base = _threshold_base(pair, scenario.snr, threshold_variant)
     exponent = r / (scenario.spatial_code_rate * t)
-    x = (pair.m_tx / scenario.snr) * (base**exponent - 1.0)
-    return regularized_lower_gamma(pair.m_tx * pair.m_rx, x)
+    return _threshold_tail(pair, pair.m_tx * pair.m_rx, scenario.snr, base, exponent)
 
 
 def _outage_window_logdet(
@@ -200,8 +229,7 @@ def _outage_window_logdet(
     shapes = [gap + 2 * l - 1 for l in range(1, mstar + 1)]
     budget = r / t
     if mstar == 1:
-        x = (pair.m_tx / rho) * (base**budget - 1.0)
-        return regularized_lower_gamma(shapes[0], x)
+        return _threshold_tail(pair, shapes[0], rho, base, budget)
     dim = mstar - 1
     if dim > 6:
         raise ValueError(
@@ -457,14 +485,57 @@ class CandidateRow:
     violations: tuple[str, ...]
 
 
+@dataclass(frozen=True, eq=False)
+class CandidateColumns:
+    """Every allocation of the window search as columns, in lexicographic order.
+
+    windows and means have one column per hop.  Infeasible rows have NaN
+    p_deadline and p_total; feasible rows have no violations.
+    """
+
+    windows: np.ndarray
+    means: np.ndarray
+    p_outage: np.ndarray
+    p_deadline: np.ndarray
+    p_total: np.ndarray
+    feasible: np.ndarray
+    conflict: np.ndarray
+    violations: list[tuple[str, ...]]
+
+    @cached_property
+    def rows(self) -> tuple[CandidateRow, ...]:
+        """The same table as CandidateRows, built when first read."""
+        dl, total = (
+            np.where(self.feasible, p.astype(object), None).tolist()
+            for p in (self.p_deadline, self.p_total)
+        )
+        return tuple(
+            map(
+                CandidateRow,
+                _row_tuples(self.windows),
+                _row_tuples(self.means),
+                self.p_outage.tolist(),
+                dl,
+                total,
+                self.feasible.tolist(),
+                self.conflict.tolist(),
+                self.violations,
+            )
+        )
+
+
 @dataclass(frozen=True)
 class WindowOptimum:
-    """Result of the exhaustive window search."""
+    """Result of the exhaustive window search; table is built when first read."""
 
     allocation: WindowAllocation
     breakdown: ErrorBreakdown
     threshold_variant: str
-    table: tuple[CandidateRow, ...]
+    columns: CandidateColumns = field(repr=False, compare=False)
+
+    @property
+    def table(self) -> tuple[CandidateRow, ...]:
+        return self.columns.rows
 
 
 def _composition_matrix(n_hops: int, budget: int) -> np.ndarray:
@@ -509,6 +580,9 @@ def optimize_windows(
     Allocations where the two constraint families disagree (per-hop bounds
     pass but a stage sum is unstable, or the reverse) are flagged, since the
     two express different readings of the stability requirement.
+
+    Every candidate comes back as arrays in the result's columns; its table
+    of CandidateRows is built when first read.
     """
     arrival, deadline = scenario.require_queueing()
     n_hops = topology.n_hops
@@ -516,7 +590,7 @@ def optimize_windows(
         budget = int(math.floor(deadline))
     if budget < n_hops:
         raise WindowInfeasibleError(
-            f"budget {budget} cannot give each of {n_hops} hops a block", ()
+            f"budget {budget} cannot give each of {n_hops} hops a block", None
         )
     if math.comb(budget, n_hops) > _MAX_ALLOCATIONS:
         raise ValueError(
@@ -608,43 +682,26 @@ def optimize_windows(
             for i, (stage, over) in enumerate(zip(row_stages, row_over))
             if over
         )
-    dl_column = np.full(len(windows), None, dtype=object)
-    total_column = np.full(len(windows), None, dtype=object)
-    dl_column[feasible] = p_deadline[feasible].tolist()
-    total_column[feasible] = p_total[feasible].tolist()
-    table = tuple(
-        starmap(
-            CandidateRow,
-            zip(
-                _row_tuples(windows),
-                # the rows share hop_mean's float objects rather than copies
-                _row_tuples(np.array(hop_mean, dtype=object)[picks]),
-                p_outage.tolist(),
-                dl_column.tolist(),
-                total_column.tolist(),
-                feasible.tolist(),
-                conflict.tolist(),
-                violations,
-            ),
-        )
+    columns = CandidateColumns(
+        windows, means, p_outage, p_deadline, p_total, feasible, conflict, violations
     )
     if not feasible.any():
         detail = "; ".join(
-            f"{row.windows}: {', '.join(row.violations)}" for row in table
+            f"{w}: {', '.join(v)}" for w, v in zip(_row_tuples(windows), violations)
         )
         raise WindowInfeasibleError(
             f"no feasible window allocation within budget {budget} "
             f"(per candidate: {detail})",
-            table,
+            columns,
         )
     # every feasible row is modelled by now; argmin takes the first minimum,
     # which is the lexicographically smallest windows
     best = int(modelled[np.argmin(p_total[modelled])])
     return WindowOptimum(
-        allocation=WindowAllocation(table[best].windows, budget),
+        allocation=WindowAllocation(tuple(windows[best].tolist()), budget),
         breakdown=ErrorBreakdown.combine(
             float(p_outage[best]), float(p_deadline[best])
         ),
         threshold_variant=threshold_variant,
-        table=table,
+        columns=columns,
     )

@@ -95,6 +95,9 @@ def lower_incomplete_gamma(m: int, x: float) -> float:
     m = int(m)
     if x == 0.0:
         return 0.0
+    if x == math.inf:
+        # the recurrence's x^(j-1) e^(-x) terms would be inf - inf there
+        return math.gamma(m)
     if x >= m:
         acc = -math.expm1(-x)
         for j in range(2, m + 1):

@@ -19,23 +19,31 @@ simulator's chunked tandem must agree with bit for bit.
 The fixed-window optimum and the shared-budget split evaluate the public
 mharq.tradeoff.dmt once per window pair, as first shipped; the float-curve
 kernels of mharq.asymptotic must give the same bits.
+The stdlib table writer formats every cell of every row and hands the rows
+to csv.writer or to json.dumps(indent=2, sort_keys=True), as the command
+line first wrote its output; the column-wise writer must give its bytes.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
 from dataclasses import dataclass
 from itertools import product as _cartesian
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from mharq import __version__
 from mharq.asymptotic import (
     FixedWindowOptimum,
     _check_power,
     _check_rate_scalar,
     _require_3node,
 )
+from mharq.cli import _config_hash
 from mharq.finite_snr import (
     STABILITY_MARGIN,
     CandidateRow,
@@ -43,7 +51,6 @@ from mharq.finite_snr import (
     FiniteSnrScenario,
     ServiceModel,
     WindowInfeasibleError,
-    WindowOptimum,
     _outage_window_ostbc,
     _stage_means,
     deadline_probability,
@@ -205,13 +212,35 @@ def finite_multiplexing(rate_bits_per_use: float, m_rx: int, snr: float) -> floa
     return rate_bits_per_use / math.log2(1.0 + m_rx * snr)
 
 
+@dataclass(frozen=True)
+class CubeWalkOptimum:
+    """The cube walk's winner and its table of rows, built one at a time."""
+
+    allocation: WindowAllocation
+    breakdown: ErrorBreakdown
+    threshold_variant: str
+    table: tuple[CandidateRow, ...]
+
+
+class CubeWalkInfeasibleError(WindowInfeasibleError):
+    """WindowInfeasibleError carrying the cube walk's own rows."""
+
+    def __init__(self, message: str, table: tuple[CandidateRow, ...]):
+        super().__init__(message, None)
+        self.rows = table
+
+    @property
+    def table(self) -> tuple[CandidateRow, ...]:
+        return self.rows
+
+
 def cube_walk_optimize_windows(
     topology: Topology,
     scenario: FiniteSnrScenario,
     *,
     budget: int | None = None,
     threshold_variant: str = "per_receiver",
-) -> WindowOptimum:
+) -> CubeWalkOptimum:
     """The window search as first shipped: a filtered budget^n_hops cube walk.
 
     Kept unchanged so the tests can hold optimize_windows, which evaluates
@@ -233,7 +262,7 @@ def cube_walk_optimize_windows(
     if budget is None:
         budget = int(math.floor(deadline))
     if budget < n_hops:
-        raise WindowInfeasibleError(
+        raise CubeWalkInfeasibleError(
             f"budget {budget} cannot give each of {n_hops} hops a block", ()
         )
 
@@ -307,12 +336,12 @@ def cube_walk_optimize_windows(
         detail = "; ".join(
             f"{row.windows}: {', '.join(row.violations)}" for row in table
         )
-        raise WindowInfeasibleError(
+        raise CubeWalkInfeasibleError(
             f"no feasible window allocation within budget {budget} "
             f"(per candidate: {detail})",
             table,
         )
-    return WindowOptimum(
+    return CubeWalkOptimum(
         allocation=WindowAllocation(best[1], budget),
         breakdown=best_breakdown,
         threshold_variant=threshold_variant,
@@ -498,3 +527,77 @@ def whole_array_tandem(
         total_delay += sojourn
         stage_arrivals = stage_arrivals + sojourn
     return total_delay
+
+
+def _format_cell(value: Any) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        if math.isnan(value):
+            return ""
+        return f"{value:.9g}"
+    return str(value)
+
+
+def _json_safe(value: Any) -> Any:
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, tuple):
+        return [_json_safe(v) for v in value]
+    if isinstance(value, list):
+        return [_json_safe(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _json_safe(v) for k, v in value.items()}
+    return value
+
+
+def stdlib_emit(
+    stream: io.TextIOBase,
+    fmt: str,
+    command: str,
+    config: dict,
+    columns: Sequence[str],
+    rows: Sequence[Sequence[Any]],
+    meta_extra: dict[str, Any] | None = None,
+    seed: int | None = None,
+) -> None:
+    """The command line's table writer as first shipped, one row at a time.
+
+    Same contract as mharq.cli._emit, except that it takes the table row by
+    row rather than column by column.
+    """
+    digest = _config_hash(config)
+    if fmt == "csv":
+        header = f"# tool=mharq version={__version__} command={command} config_hash={digest}"
+        if seed is not None:
+            header += f" seed={seed}"
+        stream.write(header + "\n")
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([_format_cell(v) for v in row])
+        return
+    meta: dict[str, Any] = {
+        "tool": "mharq",
+        "version": __version__,
+        "command": command,
+        "config": config,
+        "config_hash": digest,
+    }
+    if seed is not None:
+        meta["seed"] = seed
+    if meta_extra:
+        meta.update(meta_extra)
+    payload = {
+        "meta": _json_safe(meta),
+        "columns": list(columns),
+        "rows": [
+            {col: _json_safe(v) for col, v in zip(columns, row)} for row in rows
+        ],
+    }
+    stream.write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
+    stream.write("\n")

@@ -6,6 +6,7 @@ shell invocation would, and inspects the emitted CSV/JSON or stderr.
 
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -15,9 +16,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mharq.cli as cli
 from mharq.cli import main
+from oracles import stdlib_emit
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -242,6 +246,19 @@ def test_snr_db_overflowing_the_linear_snr_is_refused(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "mharq: config.snr_db: 4000 dB overflows the linear SNR\n"
+
+
+@pytest.mark.parametrize("snr", [{"snr_linear": 1e308}, {"snr_db": 3082.0}])
+def test_optimize_at_a_huge_finite_snr(tmp_path, capsys, snr):
+    # 1 + 3 snr overflows on the (1, 3) hop; the outage tails stay finite
+    payload = {k: v for k, v in OPT_CONFIG.items() if k != "snr_db"} | snr
+    cfg = write_config(tmp_path, payload)
+    code, doc = run_json(capsys, ["optimize-arq", "--config", cfg, "--format", "json"])
+    assert code == 0
+    assert doc["meta"]["best"]["windows"] == [2, 2]
+    for row in doc["rows"]:
+        assert 0.0 <= row["p_outage"] <= 1.0
+        assert row["feasible"] and 0.0 <= row["p_total"] <= 1.0
 
 
 def test_window_search_refuses_budgets_past_the_row_cap(tmp_path, capsys):
@@ -608,3 +625,51 @@ def test_seed_flag_ignored_outside_simulation(tmp_path, capsys):
     code, lines = run_csv(capsys, ["dmt", "--config", cfg, "--seed", "9"])
     assert code == 0
     assert "seed=" not in lines[0]
+
+
+# cells of every type a table holds, with the values whose text is easy to
+# get wrong: non-finite floats (empty / null), -0.0 beside 0.0, subnormals,
+# bools beside the ints they equal, and strings csv must quote or json escape
+_CELLS = [
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(10**40), 10**40),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5e-310, 1e308]),
+    st.text(),
+    st.sampled_from(
+        ["a,b", 'say "hi"', "two\nlines", "cr\r", "tab\t", "", " ", "%s", "nan", "é€😀", "\x00\x1f"]
+    ),
+]
+_COLUMN = st.one_of(
+    *(st.lists(cell, min_size=1, max_size=6) for cell in _CELLS),
+    st.lists(st.one_of(*_CELLS), min_size=1, max_size=6),
+)
+
+
+@st.composite
+def _tables(draw):
+    """Column names (repeats allowed) and equally long columns of cells."""
+    name = st.sampled_from(["mu_1", "mu_10", "mu_2", "%d"]) | st.text()
+    names = draw(st.lists(name, max_size=5))
+    n_rows = draw(st.integers(0, 6))
+    # repeating a drawn column gives the repeated values real tables have
+    return names, [(draw(_COLUMN) * n_rows)[:n_rows] for _ in names]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _tables(),
+    st.sampled_from(["csv", "json"]),
+    st.none() | st.integers(0, 2**64 - 1),
+    st.dictionaries(
+        st.text(max_size=3), st.none() | st.floats() | st.lists(st.floats(), max_size=2)
+    ),
+)
+def test_emit_matches_the_stdlib_writer(table, fmt, seed, meta):
+    columns, data = table
+    got, want = io.StringIO(), io.StringIO()
+    cli._emit(got, fmt, "optimize-arq", {"budget": 3}, columns, data, meta, seed)
+    stdlib_emit(want, fmt, "optimize-arq", {"budget": 3}, columns, list(zip(*data)), meta, seed)
+    assert got.getvalue() == want.getvalue()

@@ -1,16 +1,18 @@
 """Golden corpus of the command line: configs, exit codes and full outputs.
 
 Every case runs through mharq.cli.main three ways (csv, --format json and
---seed 7) and is held against tests/cli_corpus.json: the exit code and the
-full stderr always, and the full stdout for the paths whose code moved when
-the config schema became one field table (the three dmdt-finite sweep axes
-and dmdt-asymptotic's fixed protocol with explicit windows).  The corpus
-reaches every error path of the schema: missing, mistyped, out-of-choice
-and failed-check keys, unknown keys at the top level and inside rate_grid
-and sweep, and every cross-field rule.
+--seed 7) and is held against tests/cli_corpus.json: the exit code, the
+full stderr and the full stdout, byte for byte.  The corpus reaches every
+error path of the config schema (missing, mistyped, out-of-choice and
+failed-check keys, unknown keys at the top level and inside rate_grid and
+sweep, and every cross-field rule) and a successful run of every output
+path of the six subcommands, including optimize-arq tables whose JSON key
+order differs from their column order (mu_10 sorts before mu_2) and whose
+infeasible rows carry violation texts.
 
-The expectations were recorded on the commit before that change.  To
-record them again from a checkout, run
+The expectations were recorded before the table writer became column-wise,
+so they hold it to the bytes the json and csv modules wrote.  To record
+them again from a checkout, run
 
     PYTHONPATH=src python tests/test_cli_corpus.py > tests/cli_corpus.json
 """
@@ -74,33 +76,30 @@ def _mg_sweep(values):
     return {"axis": "multiplexing_gain", "values": values}
 
 
-# (case id, subcommand, config, stdout asserted)
+# (case id, subcommand, config)
 CASES = [
     # dmt
-    ("dmt-default", "dmt", {"antennas": [2, 2]}, False),
+    ("dmt-default", "dmt", {"antennas": [2, 2]}),
     (
         "dmt-grid-power",
         "dmt",
         {"antennas": [3, 2], "multiplexing_gains": [0, 0.5, 1], "power_exponent": 2},
-        False,
     ),
-    ("dmt-missing", "dmt", {}, False),
-    ("dmt-antennas-type", "dmt", {"antennas": "2x2"}, False),
-    ("dmt-antennas-bools", "dmt", {"antennas": [True, 2]}, False),
-    ("dmt-antennas-check", "dmt", {"antennas": [2, 9]}, False),
+    ("dmt-missing", "dmt", {}),
+    ("dmt-antennas-type", "dmt", {"antennas": "2x2"}),
+    ("dmt-antennas-bools", "dmt", {"antennas": [True, 2]}),
+    ("dmt-antennas-check", "dmt", {"antennas": [2, 9]}),
     (
         "dmt-gains-decreasing",
         "dmt",
         {"antennas": [2, 2], "multiplexing_gains": [1, 0.5]},
-        False,
     ),
     (
         "dmt-power-unknown",
         "dmt",
         {"antennas": [2, 2], "power_exponent": -1, "extra": 1},
-        False,
     ),
-    ("dmt-power-below-one", "dmt", {"antennas": [2, 2], "power_exponent": 0.5}, False),
+    ("dmt-power-below-one", "dmt", {"antennas": [2, 2], "power_exponent": 0.5}),
     # dmdt-asymptotic
     (
         "asym-fixed-windows",
@@ -111,7 +110,6 @@ CASES = [
             "windows": [2, 2],
             "rates": [0, 0.5, 1],
         },
-        True,
     ),
     (
         "asym-fixed-windows-grid-power",
@@ -123,7 +121,6 @@ CASES = [
             "power_exponent": 2,
             "rate_grid": {"start": 0.1, "stop": 1.5, "step": 0.25},
         },
-        True,
     ),
     (
         "asym-fixed-windows-default-grid",
@@ -134,7 +131,6 @@ CASES = [
             "windows": [3, 1],
             "channel": "short_term",
         },
-        True,
     ),
     (
         "asym-fixed-windows-power-below-one",
@@ -145,7 +141,6 @@ CASES = [
             "windows": [1, 1],
             "power_exponent": 0.5,
         },
-        True,
     ),
     (
         "asym-fixed-total",
@@ -156,7 +151,6 @@ CASES = [
             "total_window": 4,
             "rates": [0.5, 1],
         },
-        False,
     ),
     (
         "asym-all",
@@ -168,7 +162,6 @@ CASES = [
             "rates": [0, 1],
             "allow_zero_rounds": True,
         },
-        False,
     ),
     (
         "asym-fbl-grid",
@@ -179,7 +172,6 @@ CASES = [
             "total_window": 3,
             "rate_grid": {"stop": 2, "step": 0.5},
         },
-        False,
     ),
     (
         "asym-vbl-four-nodes",
@@ -190,9 +182,8 @@ CASES = [
             "total_window": 5,
             "rates": [0.25, 0.5],
         },
-        False,
     ),
-    ("asym-missing", "dmdt-asymptotic", {}, False),
+    ("asym-missing", "dmdt-asymptotic", {}),
     (
         "asym-bad-choices",
         "dmdt-asymptotic",
@@ -202,15 +193,13 @@ CASES = [
             "channel": "medium",
             "total_window": 3,
         },
-        False,
     ),
-    ("asym-total-not-int", "dmdt-asymptotic", dict(ASYM, total_window=2.5), False),
-    ("asym-total-not-positive", "dmdt-asymptotic", dict(ASYM, total_window=0), False),
+    ("asym-total-not-int", "dmdt-asymptotic", dict(ASYM, total_window=2.5)),
+    ("asym-total-not-positive", "dmdt-asymptotic", dict(ASYM, total_window=0)),
     (
         "asym-fbl-needs-total",
         "dmdt-asymptotic",
         {"topology": [2, 2, 2], "protocol": "fbl"},
-        False,
     ),
     (
         "asym-fixed-both",
@@ -221,61 +210,52 @@ CASES = [
             "windows": [1, 1],
             "total_window": 2,
         },
-        False,
     ),
     (
         "asym-fixed-neither",
         "dmdt-asymptotic",
         {"topology": [2, 2, 2], "protocol": "fixed"},
-        False,
     ),
     (
         "asym-fbl-four-nodes",
         "dmdt-asymptotic",
         {"topology": [2, 2, 2, 2], "protocol": "fbl", "total_window": 3},
-        False,
     ),
     (
         "asym-vbl-two-nodes",
         "dmdt-asymptotic",
         {"topology": [2, 2], "protocol": "vbl", "total_window": 3},
-        False,
     ),
-    ("asym-vbl-windows", "dmdt-asymptotic", dict(ASYM, windows=[1, 2]), False),
+    ("asym-vbl-windows", "dmdt-asymptotic", dict(ASYM, windows=[1, 2])),
     (
         "asym-zero-rounds-vbl",
         "dmdt-asymptotic",
         dict(ASYM, allow_zero_rounds=True),
-        False,
     ),
     (
         "asym-zero-rounds-type",
         "dmdt-asymptotic",
         dict(ASYM, protocol="fbl", allow_zero_rounds=1),
-        False,
     ),
     (
         "asym-windows-count",
         "dmdt-asymptotic",
         {"topology": [2, 2, 2], "protocol": "fixed", "windows": [1, 2, 3]},
-        False,
     ),
     (
         "asym-windows-check",
         "dmdt-asymptotic",
         {"topology": [2, 2, 2], "protocol": "fixed", "windows": [0, 2]},
-        False,
     ),
-    ("asym-rates-and-grid", "dmdt-asymptotic", dict(ASYM, rate_grid={}), False),
-    ("asym-rates-decreasing", "dmdt-asymptotic", dict(ASYM, rates=[0.5, 0.2]), False),
-    ("asym-rates-negative", "dmdt-asymptotic", dict(ASYM, rates=[-0.5, 0.2]), False),
+    ("asym-rates-and-grid", "dmdt-asymptotic", dict(ASYM, rate_grid={})),
+    ("asym-rates-decreasing", "dmdt-asymptotic", dict(ASYM, rates=[0.5, 0.2])),
+    ("asym-rates-negative", "dmdt-asymptotic", dict(ASYM, rates=[-0.5, 0.2])),
     (
         "asym-rates-infinite",
         "dmdt-asymptotic",
         dict(ASYM, rates=[0.1, float("inf")]),
-        False,
     ),
-    ("asym-rates-empty", "dmdt-asymptotic", dict(ASYM, rates=[]), False),
+    ("asym-rates-empty", "dmdt-asymptotic", dict(ASYM, rates=[])),
     (
         "asym-grid-nested-errors",
         "dmdt-asymptotic",
@@ -283,35 +263,30 @@ CASES = [
             _drop(ASYM, "rates"),
             rate_grid={"start": -1, "stop": "x", "step": 0, "extra": 1},
         ),
-        False,
     ),
     (
         "asym-grid-stop-below-start",
         "dmdt-asymptotic",
         dict(_drop(ASYM, "rates"), rate_grid={"start": 1, "stop": 0.5}),
-        False,
     ),
     (
         "asym-grid-not-object",
         "dmdt-asymptotic",
         dict(_drop(ASYM, "rates"), rate_grid=[0, 1]),
-        False,
     ),
-    ("asym-topology-short", "dmdt-asymptotic", dict(ASYM, topology=[1]), False),
+    ("asym-topology-short", "dmdt-asymptotic", dict(ASYM, topology=[1])),
     (
         "asym-topology-antennas",
         "dmdt-asymptotic",
         dict(ASYM, topology=[9, 1, 2]),
-        False,
     ),
-    ("asym-power-string", "dmdt-asymptotic", dict(ASYM, power_exponent="1"), False),
+    ("asym-power-string", "dmdt-asymptotic", dict(ASYM, power_exponent="1")),
     (
         "asym-power-nan",
         "dmdt-asymptotic",
         dict(ASYM, power_exponent=float("nan")),
-        False,
     ),
-    ("asym-unknown", "dmdt-asymptotic", dict(ASYM, mystery=True), False),
+    ("asym-unknown", "dmdt-asymptotic", dict(ASYM, mystery=True)),
     # dmdt-finite
     (
         "finite-mg-unstable-point",
@@ -321,7 +296,6 @@ CASES = [
             arrival_mean_blocks=2.05,
             sweep=_mg_sweep([0.1, 1.0]),
         ),
-        True,
     ),
     (
         "finite-mg-plain-coded",
@@ -332,7 +306,6 @@ CASES = [
             spatial_code_rate=0.5,
             sweep=_mg_sweep([0, 0.25, 0.5]),
         ),
-        True,
     ),
     (
         "finite-deadline",
@@ -342,7 +315,6 @@ CASES = [
             snr_linear=100.0,
             sweep={"axis": "deadline_blocks", "values": [1, 5, 20.5]},
         ),
-        True,
     ),
     (
         "finite-deadline-unstable",
@@ -352,7 +324,6 @@ CASES = [
             arrival_mean_blocks=2.05,
             sweep={"axis": "deadline_blocks", "values": [3, 8]},
         ),
-        True,
     ),
     (
         "finite-total-window",
@@ -362,7 +333,6 @@ CASES = [
             arrival_mean_blocks=3.0,
             sweep={"axis": "total_window", "values": [2, 3, 5]},
         ),
-        True,
     ),
     (
         "finite-total-window-three-hops",
@@ -373,7 +343,6 @@ CASES = [
             threshold_variant="plain",
             sweep={"axis": "total_window", "values": [3, 6]},
         ),
-        True,
     ),
     (
         "finite-total-window-budget-short",
@@ -382,46 +351,39 @@ CASES = [
             _drop(FINITE, "windows"),
             sweep={"axis": "total_window", "values": [1, 4]},
         ),
-        True,
     ),
-    ("finite-sweep-missing", "dmdt-finite", FINITE, False),
-    ("finite-sweep-not-object", "dmdt-finite", dict(FINITE, sweep=[0.5]), False),
+    ("finite-sweep-missing", "dmdt-finite", FINITE),
+    ("finite-sweep-not-object", "dmdt-finite", dict(FINITE, sweep=[0.5])),
     (
         "finite-sweep-nested-errors",
         "dmdt-finite",
         dict(FINITE, sweep={"axis": "snr", "values": [2, 1], "step": 1}),
-        False,
     ),
-    ("finite-sweep-empty", "dmdt-finite", dict(FINITE, sweep={}), False),
+    ("finite-sweep-empty", "dmdt-finite", dict(FINITE, sweep={})),
     (
         "finite-sweep-values-type",
         "dmdt-finite",
         dict(_drop(FINITE, "multiplexing_gain"), sweep=_mg_sweep([True, 2])),
-        False,
     ),
     (
         "finite-mg-already-swept",
         "dmdt-finite",
         dict(FINITE, sweep=_mg_sweep([0.5, 1.0])),
-        False,
     ),
     (
         "finite-deadline-already-swept",
         "dmdt-finite",
         dict(FINITE, sweep={"axis": "deadline_blocks", "values": [2, 3]}),
-        False,
     ),
     (
         "finite-windows-already-swept",
         "dmdt-finite",
         dict(FINITE, sweep={"axis": "total_window", "values": [2.5, 4]}),
-        False,
     ),
     (
         "finite-mg-values-negative",
         "dmdt-finite",
         dict(_drop(FINITE, "multiplexing_gain"), sweep=_mg_sweep([-1, 0.5])),
-        False,
     ),
     (
         "finite-deadline-values-short",
@@ -430,7 +392,6 @@ CASES = [
             _drop(FINITE, "deadline_blocks"),
             sweep={"axis": "deadline_blocks", "values": [0.5, 2]},
         ),
-        False,
     ),
     (
         "finite-total-window-values-zero",
@@ -439,7 +400,6 @@ CASES = [
             _drop(FINITE, "windows"),
             sweep={"axis": "total_window", "values": [0, 3]},
         ),
-        False,
     ),
     (
         "finite-bad-variant-missing-windows",
@@ -449,7 +409,6 @@ CASES = [
             threshold_variant="loose",
             sweep=_mg_sweep([0.5]),
         ),
-        False,
     ),
     (
         "finite-snr-both",
@@ -459,7 +418,6 @@ CASES = [
             snr_linear=5.0,
             sweep=_mg_sweep([0.5]),
         ),
-        False,
     ),
     (
         "finite-snr-neither-bad-fields",
@@ -470,7 +428,6 @@ CASES = [
             deadline_blocks=0.5,
             sweep=_mg_sweep([0.5]),
         ),
-        False,
     ),
     (
         "finite-snr-underflow",
@@ -480,7 +437,6 @@ CASES = [
             snr_db=-4000.0,
             sweep=_mg_sweep([0.5]),
         ),
-        False,
     ),
     (
         "finite-snr-underflow-unknown",
@@ -491,10 +447,9 @@ CASES = [
             clamp_min_one=False,
             sweep=_mg_sweep([0.5]),
         ),
-        False,
     ),
     # optimize-arq
-    ("opt-default-budget", "optimize-arq", OPT, False),
+    ("opt-default-budget", "optimize-arq", OPT),
     (
         "opt-budget-plain",
         "optimize-arq",
@@ -507,19 +462,50 @@ CASES = [
             "budget": 5,
             "threshold_variant": "plain",
         },
-        False,
     ),
-    ("opt-infeasible", "optimize-arq", dict(OPT, arrival_mean_blocks=1.9), False),
-    ("opt-budget-short", "optimize-arq", dict(OPT, budget=1), False),
-    ("opt-budget-zero", "optimize-arq", dict(OPT, budget=0), False),
-    ("opt-budget-string", "optimize-arq", dict(OPT, budget="5"), False),
+    (
+        "opt-ten-hops",
+        "optimize-arq",
+        {
+            "topology": [2] * 11,
+            "snr_db": 30.0,
+            "multiplexing_gain": 0.5,
+            "arrival_mean_blocks": 10.0,
+            "deadline_blocks": 12.0,
+        },
+    ),
+    (
+        "opt-stage-violations",
+        "optimize-arq",
+        {
+            "topology": [4, 1, 3, 2],
+            "snr_linear": 10.0,
+            "multiplexing_gain": 1.0,
+            "arrival_mean_blocks": 3.0,
+            "deadline_blocks": 8.0,
+        },
+    ),
+    (
+        "opt-hop-and-stage-violations",
+        "optimize-arq",
+        {
+            "topology": [4, 1, 3],
+            "snr_linear": 10.0,
+            "multiplexing_gain": 2.0,
+            "arrival_mean_blocks": 4.0,
+            "deadline_blocks": 9.0,
+        },
+    ),
+    ("opt-infeasible", "optimize-arq", dict(OPT, arrival_mean_blocks=1.9)),
+    ("opt-budget-short", "optimize-arq", dict(OPT, budget=1)),
+    ("opt-budget-zero", "optimize-arq", dict(OPT, budget=0)),
+    ("opt-budget-string", "optimize-arq", dict(OPT, budget="5")),
     (
         "opt-missing",
         "optimize-arq",
         _drop(OPT, "multiplexing_gain", "arrival_mean_blocks", "deadline_blocks"),
-        False,
     ),
-    ("opt-windows-unknown", "optimize-arq", dict(OPT, windows=[2, 3]), False),
+    ("opt-windows-unknown", "optimize-arq", dict(OPT, windows=[2, 3])),
     (
         "opt-bad-fields",
         "optimize-arq",
@@ -530,17 +516,15 @@ CASES = [
             spatial_code_rate=0,
             threshold_variant=3,
         ),
-        False,
     ),
-    ("opt-snr-underflow", "optimize-arq", dict(OPT, snr_db=-4000.0), False),
+    ("opt-snr-underflow", "optimize-arq", dict(OPT, snr_db=-4000.0)),
     (
         "opt-snr-underflow-unknown",
         "optimize-arq",
         dict(OPT, snr_db=-4000.0, clamp_min_one=False),
-        False,
     ),
     # simulate
-    ("sim-physical", "simulate", SIM, False),
+    ("sim-physical", "simulate", SIM),
     (
         "sim-short-term-logdet",
         "simulate",
@@ -554,46 +538,40 @@ CASES = [
             arrival_mean_blocks=6.0,
             message_count=1000,
         ),
-        False,
     ),
     (
         "sim-markovian-means",
         "simulate",
         dict(MARKOV, message_count=3000, warmup_count=100, service_means=[2.5, 2.5]),
-        False,
     ),
     (
         "sim-markovian-derived-means",
         "simulate",
         dict(MARKOV, message_count=3000),
-        False,
     ),
-    ("sim-missing", "simulate", _drop(SIM, "message_count", "windows"), False),
+    ("sim-missing", "simulate", _drop(SIM, "message_count", "windows")),
     (
         "sim-bad-choices",
         "simulate",
         dict(SIM, channel="slow", service_mode="fluid", code_model="turbo"),
-        False,
     ),
-    ("sim-seed-range", "simulate", dict(SIM, seed=2**64), False),
-    ("sim-warmup-too-long", "simulate", dict(SIM, warmup_count=2000), False),
-    ("sim-means-physical", "simulate", dict(SIM, service_means=[2.0]), False),
+    ("sim-seed-range", "simulate", dict(SIM, seed=2**64)),
+    ("sim-warmup-too-long", "simulate", dict(SIM, warmup_count=2000)),
+    ("sim-means-physical", "simulate", dict(SIM, service_means=[2.0])),
     (
         "sim-means-count",
         "simulate",
         dict(MARKOV, service_means=[2.0, 2.0, 2.0]),
-        False,
     ),
-    ("sim-means-check", "simulate", dict(MARKOV, service_means=[2.0, 0.0]), False),
+    ("sim-means-check", "simulate", dict(MARKOV, service_means=[2.0, 0.0])),
     (
         "sim-counts-checks",
         "simulate",
         dict(SIM, message_count=2.5, warmup_count=-1, windows=[1, 1]),
-        False,
     ),
-    ("sim-message-count-zero", "simulate", dict(SIM, message_count=0), False),
+    ("sim-message-count-zero", "simulate", dict(SIM, message_count=0)),
     # validate
-    ("val-physical-ostbc", "validate", dict(SIM, message_count=5000), False),
+    ("val-physical-ostbc", "validate", dict(SIM, message_count=5000)),
     (
         "val-physical-logdet",
         "validate",
@@ -605,19 +583,17 @@ CASES = [
             snr_linear=10.0,
             message_count=4000,
         ),
-        False,
     ),
-    ("val-short-term", "validate", dict(SIM, channel="short_term"), False),
-    ("val-markovian-means", "validate", dict(MARKOV, service_means=[2.5, 2.5]), False),
-    ("val-markovian-derived-means", "validate", MARKOV, False),
+    ("val-short-term", "validate", dict(SIM, channel="short_term")),
+    ("val-markovian-means", "validate", dict(MARKOV, service_means=[2.5, 2.5])),
+    ("val-markovian-derived-means", "validate", MARKOV),
     (
         "val-markovian-too-few",
         "validate",
         dict(MARKOV, message_count=50, warmup_count=0),
-        False,
     ),
-    ("val-markovian-thin", "validate", dict(MARKOV, message_count=5000), False),
-    ("val-unknown", "validate", dict(SIM, workers=2), False),
+    ("val-markovian-thin", "validate", dict(MARKOV, message_count=5000)),
+    ("val-unknown", "validate", dict(SIM, workers=2)),
 ]
 
 
@@ -634,13 +610,10 @@ def run_case(command, config, mode):
 
 def record():
     golden = {}
-    for case, command, config, with_stdout in CASES:
+    for case, command, config in CASES:
         for mode in MODES:
             code, out, err = run_case(command, config, mode)
-            entry = {"exit": code, "stderr": err}
-            if with_stdout:
-                entry["stdout"] = out
-            golden[f"{case}-{mode}"] = entry
+            golden[f"{case}-{mode}"] = {"exit": code, "stderr": err, "stdout": out}
     return golden
 
 
@@ -650,7 +623,7 @@ def golden():
 
 
 def test_corpus_covers_every_subcommand_and_case():
-    commands = {command for _, command, _, _ in CASES}
+    commands = {command for _, command, _ in CASES}
     assert commands == {
         "dmt",
         "dmdt-asymptotic",
@@ -659,23 +632,26 @@ def test_corpus_covers_every_subcommand_and_case():
         "simulate",
         "validate",
     }
-    ids = [case for case, _, _, _ in CASES]
+    ids = [case for case, _, _ in CASES]
     assert len(ids) == len(set(ids)) >= 60
     assert sorted(golden()) == sorted(
         f"{case}-{mode}" for case in ids for mode in MODES
     )
+    # every subcommand writes at least one table the corpus holds byte for byte
+    assert {
+        command for case, command, _ in CASES if golden()[f"{case}-csv"]["exit"] == 0
+    } == commands
 
 
 @pytest.mark.parametrize("mode", list(MODES))
 @pytest.mark.parametrize("case", CASES, ids=[case[0] for case in CASES])
 def test_corpus(case, mode):
-    name, command, config, with_stdout = case
+    name, command, config = case
     want = golden()[f"{name}-{mode}"]
     code, out, err = run_case(command, config, mode)
     assert code == want["exit"]
     assert err == want["stderr"]
-    if with_stdout:
-        assert out == want["stdout"]
+    assert out == want["stdout"]
 
 
 if __name__ == "__main__":

@@ -15,12 +15,14 @@ from scipy.special import gammainc
 
 import mharq.finite_snr as finite_snr
 from mharq.finite_snr import (
+    CandidateRow,
     ErrorBreakdown,
     FiniteSnrScenario,
     ServiceModel,
     UnstableQueueError,
     WindowInfeasibleError,
     _composition_matrix,
+    _outage_window_ostbc,
     deadline_exponent,
     deadline_probability,
     mean_service_time,
@@ -29,6 +31,7 @@ from mharq.finite_snr import (
     ostbc_outage,
     per_hop_outage,
 )
+from mharq.numerics import regularized_lower_gamma
 from mharq.tradeoff import AntennaPair, Topology, WindowAllocation
 import oracles
 from oracles import cube_walk_optimize_windows, finite_multiplexing
@@ -95,6 +98,17 @@ def test_general_model_collapses_to_ostbc_for_rank_one():
             assert logdet == pytest.approx(ostbc, rel=1e-9)
 
 
+def test_rank_one_models_agree_where_the_threshold_base_overflows():
+    # at 1e308 the (1, 3) hop's threshold base 1 + 3 snr is inf
+    huge = FiniteSnrScenario(1e308, 1.0)
+    for pair in (HOP1, HOP2):
+        for window in (1, 2, 4):
+            logdet = per_hop_outage(pair, window, huge, code_model="logdet")
+            ostbc = per_hop_outage(pair, window, huge, code_model="ostbc")
+            assert logdet == pytest.approx(ostbc, rel=1e-9)
+    assert per_hop_outage(HOP2, 1, huge, code_model="logdet") > 0.5
+
+
 def test_general_model_matches_rate_split_brute_force():
     # Independent route for the two-eigenmode hop: scan the ordered split
     # b1 <= b2 of the rate-exponent budget directly.
@@ -125,6 +139,37 @@ def test_outage_basic_properties():
     # Zero target rate cannot be in outage.
     zero = FiniteSnrScenario(10.0, 0.0)
     assert per_hop_outage(AntennaPair(2, 2), 1, zero) == 0.0
+
+
+def test_ostbc_outage_keeps_the_direct_form_where_it_fits():
+    pair = AntennaPair(4, 3)
+    for snr, r, t in [(100.0, 1.0, 1.0), (10.0, 0.5, 3.0), (1e300, 1.0, 2.0)]:
+        x = (4 / snr) * ((1.0 + 3 * snr) ** (r / t) - 1.0)
+        got = _outage_window_ostbc(pair, t, FiniteSnrScenario(snr, r), "per_receiver")
+        assert got == regularized_lower_gamma(12, x)
+
+
+@pytest.mark.parametrize("pair", [AntennaPair(1, 3), AntennaPair(2, 3), AntennaPair(4, 4)])
+def test_ostbc_outage_where_the_threshold_base_overflows(pair):
+    # 1 + m_rx * snr is inf here; at r = 1 over one block the threshold is
+    # x = m_tx * m_rx (1 + 1 / (m_rx snr)), which a finite base gives too
+    huge, large = FiniteSnrScenario(1e308, 1.0), FiniteSnrScenario(1e307, 1.0)
+    assert 1.0 + pair.m_rx * huge.snr == math.inf
+    want = gammainc(pair.m_tx * pair.m_rx, pair.m_tx * pair.m_rx)
+    for scenario in (huge, large):
+        got = _outage_window_ostbc(pair, 1.0, scenario, "per_receiver")
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_ostbc_outage_where_the_threshold_power_overflows():
+    # base**exponent is past the largest float though x is not:
+    # x = (4 / snr) base**1.0003 = 4 * 1.7e308**0.0003, about 4.95
+    snr = 1.7e308
+    got = _outage_window_ostbc(HOP1, 1.0, FiniteSnrScenario(snr, 1.0003), "per_receiver")
+    assert got == pytest.approx(gammainc(4, 4.0 * snr**0.0003), rel=1e-12)
+    assert 0.5 < got < 0.9
+    # and where x is past it as well, the tail saturates: 301**200 at 20 dB
+    assert _outage_window_ostbc(HOP1, 1.0, FiniteSnrScenario(100.0, 200.0), "plain") == 1.0
 
 
 def test_outage_validation():
@@ -441,6 +486,30 @@ def test_optimize_windows_reaches_eight_node_chain():
     assert len(opt.table) == math.comb(14, 7) == 3432
     assert opt.breakdown.p_total < 1.0
     assert any(row.feasible and row.windows == opt.allocation.windows for row in opt.table)
+
+
+def test_optimize_windows_builds_its_table_when_first_read(monkeypatch):
+    built = []
+
+    def counting_row(*fields):
+        built.append(fields)
+        return CandidateRow(*fields)
+
+    monkeypatch.setattr(finite_snr, "CandidateRow", counting_row)
+    opt = optimize_windows(Topology([4, 1, 3, 2]), MIXED_POINT, budget=8)
+    tight = FiniteSnrScenario(100.0, 1.0, arrival_mean_blocks=1.9, deadline_blocks=5.0)
+    with pytest.raises(WindowInfeasibleError) as err:
+        optimize_windows(T413, tight)
+    assert built == []
+    table = opt.table
+    assert len(built) == len(table) == math.comb(8, 3)
+    assert opt.table is table
+    assert len(err.value.table) == 10
+    assert err.value.table is err.value.table
+    assert len(built) == math.comb(8, 3) + 10
+    # the columns are the table's own values, column by column
+    assert [row.windows for row in table] == [tuple(w) for w in opt.columns.windows.tolist()]
+    assert [row.feasible for row in table] == opt.columns.feasible.tolist()
 
 
 def test_optimize_windows_refuses_budgets_past_the_row_cap(monkeypatch):

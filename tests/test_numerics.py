@@ -48,6 +48,13 @@ def test_large_argument_saturates_at_factorial():
     assert regularized_lower_gamma(5, 700.0) == 1.0
 
 
+@pytest.mark.parametrize("m", [1, 4, 16, 64])
+def test_infinite_argument_is_the_full_integral(m):
+    # the recurrence's x^(j-1) e^(-x) terms are inf - inf at x = inf
+    assert lower_incomplete_gamma(m, math.inf) == math.gamma(m)
+    assert regularized_lower_gamma(m, math.inf) == 1.0
+
+
 def test_gamma_rejects_bad_shape_and_argument():
     with pytest.raises(ValueError):
         lower_incomplete_gamma(0, 1.0)
