@@ -13,15 +13,12 @@ The package splits into analysis layers that build on each other:
 __version__ = "0.1.0"
 
 from .asymptotic import (
-    DmdtCurve,
     FixedWindowOptimum,
     fbl_dmdt_3node,
     fixed_dmdt_3node,
     fixed_optimal_windows,
     nnode_fbl_bounds,
-    nnode_fixed_bounds,
     nnode_vbl_dmdt,
-    sweep_curve,
     vbl_closed_form,
     vbl_dmdt_3node,
 )
@@ -56,13 +53,9 @@ from .numerics import (
 )
 from .tradeoff import (
     AntennaPair,
-    ArqProtocol,
     ChannelAssumption,
-    FblArq,
     FixedArq,
     Topology,
-    VblArq,
-    WindowAllocation,
     dmt,
 )
 
@@ -70,24 +63,17 @@ __all__ = [
     "__version__",
     # tradeoff
     "AntennaPair",
-    "ArqProtocol",
     "ChannelAssumption",
-    "FblArq",
     "FixedArq",
     "Topology",
-    "VblArq",
-    "WindowAllocation",
     "dmt",
     # asymptotic
-    "DmdtCurve",
     "FixedWindowOptimum",
     "fbl_dmdt_3node",
     "fixed_dmdt_3node",
     "fixed_optimal_windows",
     "nnode_fbl_bounds",
-    "nnode_fixed_bounds",
     "nnode_vbl_dmdt",
-    "sweep_curve",
     "vbl_closed_form",
     "vbl_dmdt_3node",
     # finite snr

@@ -23,22 +23,11 @@ bit-identical to tradeoff.dmt, which stays the array-capable public form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass, replace
 
-from .tradeoff import (
-    AntennaPair,
-    ArqProtocol,
-    ChannelAssumption,
-    FblArq,
-    FixedArq,
-    Topology,
-    VblArq,
-    WindowAllocation,
-)
+from .tradeoff import AntennaPair, ChannelAssumption, Topology
 
 __all__ = [
-    "DmdtCurve",
     "FixedWindowOptimum",
     "fixed_dmdt_3node",
     "fixed_optimal_windows",
@@ -46,9 +35,7 @@ __all__ = [
     "vbl_dmdt_3node",
     "vbl_closed_form",
     "nnode_vbl_dmdt",
-    "nnode_fixed_bounds",
     "nnode_fbl_bounds",
-    "sweep_curve",
 ]
 
 def _require_3node(topology: Topology) -> tuple[AntennaPair, AntennaPair]:
@@ -271,6 +258,12 @@ def _vbl_long_term(hop1: AntennaPair, hop2: AntennaPair, c: float) -> float:
     Along the boundary d1(s1) is linear between integer s1 and
     d2(c*s1/(s1 - c)) is concave between the preimages of hop 2's integer
     knots, so the minimum sits on one of those kinks or an endpoint.
+
+    At the endpoint s1 = lo = c*m2/(m2 - c), s2 is hop 2's last knot m2,
+    where d2 = 0 exactly.  Computing s2 there would cancel: s1 - c keeps
+    few correct digits when c is small (s2 lands below m2 and d2 comes out
+    positive), and once c < ~1e-16 * m2, lo rounds onto c or just below
+    it, where s1 - c is 0 or negative; the max keeps every s1 >= c.
     """
     m1, m2 = hop1.min_dim, hop2.min_dim
     curve1, curve2 = _curve(hop1), _curve(hop2)
@@ -279,7 +272,7 @@ def _vbl_long_term(hop1: AntennaPair, hop2: AntennaPair, c: float) -> float:
     cap = m1 * m2 / (m1 + m2)
     if c >= cap:
         return 0.0
-    lo = c * m2 / (m2 - c)
+    lo = max(c * m2 / (m2 - c), c)
     hi = float(m1)
     cands = {lo, hi}
     for k in range(1, m1 + 1):
@@ -291,7 +284,9 @@ def _vbl_long_term(hop1: AntennaPair, hop2: AntennaPair, c: float) -> float:
             if lo < s1 < hi:
                 cands.add(s1)
     return min(
-        _d_scalar(curve1, s1) + _d_scalar(curve2, c * s1 / (s1 - c)) for s1 in cands
+        _d_scalar(curve1, s1)
+        + (0.0 if s1 == lo else _d_scalar(curve2, c * s1 / (s1 - c)))
+        for s1 in cands
     )
 
 
@@ -471,40 +466,6 @@ def nnode_vbl_dmdt(
     )
 
 
-def nnode_fixed_bounds(
-    topology: Topology, allocation: WindowAllocation, r: float
-) -> tuple[float, float]:
-    """Bounds on a chain's diversity under fixed per-hop windows.
-
-    Lower bound: each three-node window runs its own fixed-window chain at
-    the rate scaled by (heaviest adjacent window pair) / (total budget) --
-    the pipelining argument admits a new message once per window pair, not
-    once per budget.  Upper bound: no fixed allocation can beat dynamic
-    sharing of the full budget on any sub-chain.
-    """
-    if topology.n_nodes < 3:
-        raise ValueError("bounds are defined for chains of at least three nodes")
-    if len(allocation.windows) != topology.n_hops:
-        raise ValueError(
-            f"allocation has {len(allocation.windows)} windows for "
-            f"{topology.n_hops} hops"
-        )
-    r = _check_rate_scalar(r)
-    windows = allocation.windows
-    budget = allocation.total_budget
-    subs = topology.sub_topologies()
-    heaviest_pair = max(
-        windows[i] + windows[i + 1] for i in range(len(subs))
-    )
-    scaled_r = r * heaviest_pair / budget
-    lower = min(
-        fixed_dmdt_3node(sub, windows[i], windows[i + 1], scaled_r)
-        for i, sub in enumerate(subs)
-    )
-    upper = min(vbl_dmdt_3node(sub, budget, r) for sub in subs)
-    return lower, upper
-
-
 def nnode_fbl_bounds(
     topology: Topology,
     total_rounds: int,
@@ -530,140 +491,3 @@ def nnode_fbl_bounds(
     lower = min(vbl_dmdt_3node(sub, total_rounds - n, r, channel) for sub in subs)
     upper = min(vbl_dmdt_3node(sub, total_rounds, r, channel) for sub in subs)
     return lower, upper
-
-
-# ---------------------------------------------------------------------------
-# curve sweeps
-
-
-@dataclass(frozen=True)
-class DmdtCurve:
-    """Sampled diversity-versus-rate curve for one protocol configuration.
-
-    Points where the evaluation raised are kept as NaN samples and listed in
-    gaps, so a sweep never silently drops part of its grid.
-    """
-
-    protocol: ArqProtocol
-    channel: ChannelAssumption
-    topology: Topology
-    samples: tuple[tuple[float, float], ...]
-    gaps: tuple[float, ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        rs = [r for r, _ in self.samples]
-        if any(b <= a for a, b in zip(rs, rs[1:])):
-            raise ValueError("sample grid must be strictly increasing")
-        clean = [(r, d) for r, d in self.samples if not math.isnan(d)]
-        if any(d < 0.0 for _, d in clean):
-            raise ValueError("diversity values must be nonnegative")
-        if any(
-            b - a > 1e-9 for (_, a), (_, b) in zip(clean, clean[1:])
-        ):
-            raise ValueError("diversity must be nonincreasing along the curve")
-
-    @property
-    def rates(self) -> tuple[float, ...]:
-        return tuple(r for r, _ in self.samples)
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(d for _, d in self.samples)
-
-
-def sweep_curve(
-    protocol: ArqProtocol,
-    topology: Topology,
-    channel: ChannelAssumption,
-    r_grid: Sequence[float],
-    *,
-    allow_zero_rounds: bool = False,
-    power_exponent: float = 1.0,
-) -> DmdtCurve:
-    """Evaluate one protocol over a strictly increasing rate grid."""
-    grid = [float(r) for r in r_grid]
-    if not grid:
-        raise ValueError("rate grid must be nonempty")
-    if grid[0] < 0.0:
-        raise ValueError(f"rate grid must be nonnegative, starts at {grid[0]}")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("rate grid must be strictly increasing")
-
-    if isinstance(protocol, FixedArq):
-        if len(protocol.windows) != topology.n_hops:
-            raise ValueError(
-                f"protocol has {len(protocol.windows)} windows for "
-                f"{topology.n_hops} hops"
-            )
-        w1, w2 = protocol.windows if topology.n_nodes == 3 else (None, None)
-        if topology.n_nodes != 3:
-            raise ValueError(
-                "fixed-window sweeps cover three-node chains; use "
-                "nnode_fixed_bounds for longer chains"
-            )
-
-        def evaluate(r: float) -> float:
-            return fixed_dmdt_3node(
-                topology, w1, w2, r, power_exponent=power_exponent
-            )
-
-    elif isinstance(protocol, FblArq):
-        if topology.n_nodes != 3:
-            raise ValueError(
-                "shared-budget sweeps cover three-node chains; use "
-                "nnode_fbl_bounds for longer chains"
-            )
-
-        def evaluate(r: float) -> float:
-            return fbl_dmdt_3node(
-                topology,
-                protocol.total_rounds,
-                r,
-                channel,
-                allow_zero_rounds=allow_zero_rounds,
-                power_exponent=power_exponent,
-            )
-
-    elif isinstance(protocol, VblArq):
-        if topology.n_nodes == 3:
-
-            def evaluate(r: float) -> float:
-                return vbl_dmdt_3node(
-                    topology,
-                    protocol.total_rounds,
-                    r,
-                    channel,
-                    power_exponent=power_exponent,
-                )
-
-        else:
-
-            def evaluate(r: float) -> float:
-                return nnode_vbl_dmdt(
-                    topology,
-                    protocol.total_rounds,
-                    r,
-                    channel,
-                    power_exponent=power_exponent,
-                )
-
-    else:
-        raise TypeError(f"unsupported protocol {protocol!r}")
-
-    # the first point runs unguarded so configuration mistakes raise instead
-    # of producing an all-gap curve; later per-point failures become gaps
-    samples = [(grid[0], float(evaluate(grid[0])))]
-    gaps = []
-    for r in grid[1:]:
-        try:
-            samples.append((r, float(evaluate(r))))
-        except ValueError:
-            samples.append((r, math.nan))
-            gaps.append(r)
-    return DmdtCurve(
-        protocol=protocol,
-        channel=channel,
-        topology=topology,
-        samples=tuple(samples),
-        gaps=tuple(gaps),
-    )

@@ -27,8 +27,9 @@ import numpy as np
 from . import __version__
 from .asymptotic import (
     fbl_dmdt_3node,
+    fixed_dmdt_3node,
     fixed_optimal_windows,
-    sweep_curve,
+    nnode_vbl_dmdt,
     vbl_dmdt_3node,
 )
 from .finite_snr import (
@@ -51,16 +52,7 @@ from .netsim import (
     estimate_delay_exponent,
     run_network_sim,
 )
-from .tradeoff import (
-    AntennaPair,
-    ChannelAssumption,
-    FblArq,
-    FixedArq,
-    Topology,
-    VblArq,
-    WindowAllocation,
-    dmt,
-)
+from .tradeoff import AntennaPair, ChannelAssumption, FixedArq, Topology, dmt
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -340,7 +332,16 @@ def _rate_grid(chk: _Checker, default_stop: float) -> list[float] | None:
             f"step {step} from {start} to {stop} gives more than {_MAX_RATES} rates",
         )
         return None
-    return [start + i * step for i in range(int(math.floor(span)) + 1)]
+    grid = [start + i * step for i in range(int(math.floor(span)) + 1)]
+    # a step below the spacing of floats near the rates repeats a rate
+    if not _increasing(grid):
+        chk.error(
+            "rate_grid",
+            f"step {step} from {start} to {stop} gives rates that do not strictly "
+            "increase",
+        )
+        return None
+    return grid
 
 
 # The operating point's keys in the order optimize-arq, simulate and
@@ -579,36 +580,34 @@ def _run_dmdt_asymptotic(config: dict) -> tuple[list[str], list[Sequence[Any]], 
     chk.done()
     channel = ChannelAssumption(channel_name)
 
+    def fixed(r: float):
+        return fixed_optimal_windows(topo, total, r, power_exponent=power)
+
+    def fbl(r: float) -> float:
+        return fbl_dmdt_3node(
+            topo, total, r, channel, allow_zero_rounds=allow_zero, power_exponent=power
+        )
+
+    def vbl(r: float) -> float:
+        kernel = vbl_dmdt_3node if three_node else nnode_vbl_dmdt
+        return kernel(topo, total, r, channel, power_exponent=power)
+
     if protocol == "all":
         columns = ["multiplexing_gain", "diversity_fixed", "diversity_fixed_equalized"]
         columns += ["diversity_fbl", "diversity_vbl"]
         rows = []
         for r in grid:
-            best = fixed_optimal_windows(topo, total, r, power_exponent=power)
-            fbl = fbl_dmdt_3node(
-                topo, total, r, channel, allow_zero_rounds=allow_zero, power_exponent=power
-            )
-            vbl = vbl_dmdt_3node(topo, total, r, channel=channel, power_exponent=power)
-            rows.append([r, best.value, best.split_value, fbl, vbl])
+            best = fixed(r)
+            rows.append([r, best.value, best.split_value, fbl(r), vbl(r)])
         return columns, _by_column(rows), {}
 
     if protocol == "fixed" and windows is None:
-        rows = [
-            [r, fixed_optimal_windows(topo, total, r, power_exponent=power).value]
-            for r in grid
-        ]
-        return ["multiplexing_gain", "diversity_gain"], _by_column(rows), {}
-
-    if protocol == "fixed":
-        arq = FixedArq(windows)
+        values = [fixed(r).value for r in grid]
+    elif protocol == "fixed":
+        values = [fixed_dmdt_3node(topo, *windows, r, power_exponent=power) for r in grid]
     else:
-        arq = FblArq(total) if protocol == "fbl" else VblArq(total)
-    curve = sweep_curve(
-        arq, topo, channel, grid, allow_zero_rounds=allow_zero, power_exponent=power
-    )
-    rows = [[r, d] for r, d in curve.samples]
-    meta = {"gaps": list(curve.gaps)} if curve.gaps else {}
-    return ["multiplexing_gain", "diversity_gain"], _by_column(rows), meta
+        values = list(map(fbl if protocol == "fbl" else vbl, grid))
+    return ["multiplexing_gain", "diversity_gain"], [grid, values], {}
 
 
 def _run_dmdt_finite(config: dict) -> tuple[list[str], list[Sequence[Any]], dict]:
@@ -658,7 +657,7 @@ def _run_dmdt_finite(config: dict) -> tuple[list[str], list[Sequence[Any]], dict
         meta = {"infeasible_points": unstable} if unstable else {}
         return columns, _by_column(rows), meta
 
-    alloc = WindowAllocation(tuple(windows), sum(windows))
+    alloc = FixedArq(windows)
     for v in values:
         scenario = dataclasses.replace(base, **{axis: v})
         try:
@@ -776,7 +775,7 @@ def _run_validate(
     result = run_network_sim(sim_cfg)
     topo = sim_cfg.topology
     scenario = sim_cfg.scenario
-    alloc = WindowAllocation(sim_cfg.protocol.windows, sim_cfg.protocol.total)
+    alloc = sim_cfg.protocol
     arrival, _ = scenario.require_queueing()
 
     checks: list[tuple[str, float, float, int]] = []

@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .numerics import BoxDomain, Interval, minimize_box, regularized_lower_gamma
-from .tradeoff import AntennaPair, Topology, WindowAllocation
+from .tradeoff import AntennaPair, FixedArq, Topology
 
 __all__ = [
     "FiniteSnrScenario",
@@ -308,7 +308,7 @@ class OstbcOutage:
 
 def ostbc_outage(
     topology: Topology,
-    allocation: WindowAllocation,
+    allocation: FixedArq,
     scenario: FiniteSnrScenario,
     *,
     threshold_variant: str = "per_receiver",
@@ -445,7 +445,7 @@ def _bottleneck_deadline_probability(
 
 def message_error(
     topology: Topology,
-    allocation: WindowAllocation,
+    allocation: FixedArq,
     scenario: FiniteSnrScenario,
     *,
     threshold_variant: str = "per_receiver",
@@ -528,7 +528,7 @@ class CandidateColumns:
 class WindowOptimum:
     """Result of the exhaustive window search; table is built when first read."""
 
-    allocation: WindowAllocation
+    allocation: FixedArq
     breakdown: ErrorBreakdown
     threshold_variant: str
     columns: CandidateColumns = field(repr=False, compare=False)
@@ -698,7 +698,7 @@ def optimize_windows(
     # which is the lexicographically smallest windows
     best = int(modelled[np.argmin(p_total[modelled])])
     return WindowOptimum(
-        allocation=WindowAllocation(tuple(windows[best].tolist()), budget),
+        allocation=FixedArq(windows[best].tolist()),
         breakdown=ErrorBreakdown.combine(
             float(p_outage[best]), float(p_deadline[best])
         ),

@@ -1,7 +1,7 @@
 """Point-to-point diversity-multiplexing machinery and shared protocol types.
 
 This module holds the single-hop tradeoff curve and the small value types
-(antenna pairs, node chains, ARQ protocol tags) that every higher-level
+(antenna pairs, node chains, per-hop ARQ windows) that every higher-level
 module shares.
 """
 
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -19,10 +19,6 @@ __all__ = [
     "Topology",
     "ChannelAssumption",
     "FixedArq",
-    "FblArq",
-    "VblArq",
-    "ArqProtocol",
-    "WindowAllocation",
     "dmt",
 ]
 
@@ -116,60 +112,6 @@ class FixedArq:
         if any(w < 1 for w in windows):
             raise ValueError(f"windows must be >= 1, got {windows}")
         object.__setattr__(self, "windows", windows)
-
-    @property
-    def total(self) -> int:
-        return sum(self.windows)
-
-
-@dataclass(frozen=True)
-class FblArq:
-    """Fixed-block-length ARQ: a shared round budget, split decided offline."""
-
-    total_rounds: int
-
-    def __post_init__(self) -> None:
-        if self.total_rounds < 1:
-            raise ValueError(f"total_rounds must be >= 1, got {self.total_rounds}")
-
-
-@dataclass(frozen=True)
-class VblArq:
-    """Variable-block-length ARQ: the round budget is shared dynamically."""
-
-    total_rounds: int
-
-    def __post_init__(self) -> None:
-        if self.total_rounds < 1:
-            raise ValueError(f"total_rounds must be >= 1, got {self.total_rounds}")
-
-
-ArqProtocol = Union[FixedArq, FblArq, VblArq]
-
-
-@dataclass(frozen=True)
-class WindowAllocation:
-    """Per-hop windows together with the total budget they must respect."""
-
-    windows: tuple[int, ...]
-    total_budget: int
-
-    def __init__(self, windows: Sequence[int], total_budget: int) -> None:
-        windows = tuple(int(w) for w in windows)
-        total_budget = int(total_budget)
-        if not windows:
-            raise ValueError("allocation needs at least one hop window")
-        if any(w < 1 for w in windows):
-            raise ValueError(f"windows must be >= 1, got {windows}")
-        if total_budget < 1:
-            raise ValueError(f"total_budget must be >= 1, got {total_budget}")
-        if sum(windows) > total_budget:
-            raise ValueError(
-                f"window budget violated: sum{windows} = {sum(windows)} "
-                f"> total budget {total_budget}"
-            )
-        object.__setattr__(self, "windows", windows)
-        object.__setattr__(self, "total_budget", total_budget)
 
 
 def _check_rate(r) -> np.ndarray:

@@ -18,7 +18,9 @@ stage's Lindley reflection over all messages at once, the route the
 simulator's chunked tandem must agree with bit for bit.
 The fixed-window optimum and the shared-budget split evaluate the public
 mharq.tradeoff.dmt once per window pair, as first shipped; the float-curve
-kernels of mharq.asymptotic must give the same bits.
+kernels of mharq.asymptotic must give the same bits.  The fixed-window
+chain bounds bracket a chain's fixed-window diversity between its three-node
+windows and dynamic sharing of the whole budget.
 The stdlib table writer formats every cell of every row and hands the rows
 to csv.writer or to json.dumps(indent=2, sort_keys=True), as the command
 line first wrote its output; the column-wise writer must give its bytes.
@@ -42,6 +44,8 @@ from mharq.asymptotic import (
     _check_power,
     _check_rate_scalar,
     _require_3node,
+    fixed_dmdt_3node,
+    vbl_dmdt_3node,
 )
 from mharq.cli import _config_hash
 from mharq.finite_snr import (
@@ -58,8 +62,8 @@ from mharq.finite_snr import (
 from mharq.tradeoff import (
     AntennaPair,
     ChannelAssumption,
+    FixedArq,
     Topology,
-    WindowAllocation,
     dmt,
 )
 
@@ -216,7 +220,7 @@ def finite_multiplexing(rate_bits_per_use: float, m_rx: int, snr: float) -> floa
 class CubeWalkOptimum:
     """The cube walk's winner and its table of rows, built one at a time."""
 
-    allocation: WindowAllocation
+    allocation: FixedArq
     breakdown: ErrorBreakdown
     threshold_variant: str
     table: tuple[CandidateRow, ...]
@@ -342,7 +346,7 @@ def cube_walk_optimize_windows(
             table,
         )
     return CubeWalkOptimum(
-        allocation=WindowAllocation(best[1], budget),
+        allocation=FixedArq(best[1]),
         breakdown=best_breakdown,
         threshold_variant=threshold_variant,
         table=table,
@@ -453,6 +457,33 @@ def dmt_fbl_dmdt_3node(
                 terms.append(dmt(hop, r / l))
         best = min(best, sum(terms))
     return best
+
+
+def nnode_fixed_bounds(
+    topology: Topology, windows: Sequence[int], budget: int, r: float
+) -> tuple[float, float]:
+    """Bounds on a chain's diversity under fixed per-hop windows.
+
+    Lower bound: each three-node window runs its own fixed-window chain at
+    the rate scaled by (heaviest adjacent window pair) / budget -- the
+    pipelining argument admits a new message once per window pair, not
+    once per budget.  Upper bound: no fixed allocation can beat dynamic
+    sharing of the full budget on any sub-chain.
+    """
+    if topology.n_nodes < 3:
+        raise ValueError("bounds are defined for chains of at least three nodes")
+    if len(windows) != topology.n_hops:
+        raise ValueError(f"{len(windows)} windows for {topology.n_hops} hops")
+    r = _check_rate_scalar(r)
+    subs = topology.sub_topologies()
+    heaviest_pair = max(windows[i] + windows[i + 1] for i in range(len(subs)))
+    scaled_r = r * heaviest_pair / budget
+    lower = min(
+        fixed_dmdt_3node(sub, windows[i], windows[i + 1], scaled_r)
+        for i, sub in enumerate(subs)
+    )
+    upper = min(vbl_dmdt_3node(sub, budget, r) for sub in subs)
+    return lower, upper
 
 
 def eigvalsh_capacities(

@@ -37,7 +37,6 @@ from mharq.tradeoff import (
     ChannelAssumption,
     FixedArq,
     Topology,
-    WindowAllocation,
 )
 
 LT = ChannelAssumption.LONG_TERM_STATIC
@@ -183,7 +182,7 @@ def test_criterion_3_window_sweep_minimum():
         10 ** 0.3, 1.0, arrival_mean_blocks=2.0, deadline_blocks=5.0
     )
     sweep = [
-        message_error(topo, WindowAllocation([w], w), scenario)
+        message_error(topo, FixedArq([w]), scenario)
         for w in range(1, 6)
     ]
     totals = [b.p_total for b in sweep]

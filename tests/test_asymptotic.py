@@ -9,34 +9,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mharq.asymptotic import (
-    DmdtCurve,
     _curve,
     _d_scalar,
     fbl_dmdt_3node,
     fixed_dmdt_3node,
     fixed_optimal_windows,
     nnode_fbl_bounds,
-    nnode_fixed_bounds,
     nnode_vbl_dmdt,
-    sweep_curve,
     vbl_closed_form,
     vbl_dmdt_3node,
 )
-from mharq.tradeoff import (
-    AntennaPair,
-    ChannelAssumption,
-    FblArq,
-    FixedArq,
-    Topology,
-    VblArq,
-    WindowAllocation,
-    dmt,
-)
-from oracles import dmt_fbl_dmdt_3node, dmt_fixed_optimal_windows
+from mharq.tradeoff import AntennaPair, ChannelAssumption, Topology, dmt
+from oracles import dmt_fbl_dmdt_3node, dmt_fixed_optimal_windows, nnode_fixed_bounds
 
 LT = ChannelAssumption.LONG_TERM_STATIC
 ST = ChannelAssumption.SHORT_TERM_STATIC
@@ -88,6 +76,25 @@ def test_vbl_closed_form_published_middle_branch():
         c = r / 4.0
         if not 0.5 < c < 2.0 / 3.0:
             assert published == default
+
+
+def test_vbl_long_term_tiny_rate_takes_the_limit():
+    # below c = r/L of about 1e-16 * m2 the boundary endpoint c*m2/(m2 - c)
+    # rounds to c itself and hop 2's rate exponent divided by zero; a bit
+    # above, it lost most of its digits and d2 came out positive
+    for r in (5e-324, 1e-300, 1e-16, 8.3e-13, 1e-9):
+        assert vbl_dmdt_3node(T222, 4, r) == pytest.approx(4.0, abs=1e-8)
+        assert nnode_vbl_dmdt(Topology([2, 2, 2, 2]), 4, r) == pytest.approx(
+            4.0, abs=1e-8
+        )
+        assert vbl_dmdt_3node(T413, 4, r) == pytest.approx(3.0, abs=1e-8)
+        assert vbl_dmdt_3node(Topology([1, 1, 2]), 3, r) == pytest.approx(
+            1.0, abs=1e-8
+        )
+        # here lo rounded just below c, so a knot candidate landed on c
+        assert vbl_dmdt_3node(
+            Topology([1, 3, 3]), 5, r, power_exponent=1.5
+        ) == pytest.approx(4.5, abs=1e-8)
 
 
 def test_vbl_saturation_flag():
@@ -377,14 +384,14 @@ def test_nnode_vbl_weakest_window():
 
 def test_nnode_fixed_bounds_frozen():
     topo = Topology([2, 2, 2, 2])
-    lower, upper = nnode_fixed_bounds(topo, WindowAllocation([2, 2, 2], 6), 1.0)
+    lower, upper = nnode_fixed_bounds(topo, [2, 2, 2], 6, 1.0)
     assert lower == pytest.approx(3.0)
     assert upper == pytest.approx(38.0 / 11.0)
     assert lower <= upper + 1e-12
     with pytest.raises(ValueError):
-        nnode_fixed_bounds(topo, WindowAllocation([2, 2], 6), 1.0)
+        nnode_fixed_bounds(topo, [2, 2], 6, 1.0)
     with pytest.raises(ValueError):
-        nnode_fixed_bounds(Topology([2, 2]), WindowAllocation([2], 2), 1.0)
+        nnode_fixed_bounds(Topology([2, 2]), [2], 2, 1.0)
 
 
 def test_nnode_fbl_bounds_frozen():
@@ -415,53 +422,68 @@ def test_large_budget_gap_closes():
 
 
 # ---------------------------------------------------------------------------
-# curve sweeps
+# curve invariants of every kernel dmdt-asymptotic sweeps
 
 
-def test_sweep_curve_matches_direct_evaluation():
-    grid = [0.0, 0.25, 0.5, 0.75, 1.0]
-    curve = sweep_curve(VblArq(4), T413, LT, grid)
-    assert curve.rates == tuple(grid)
-    for r, d in curve.samples:
-        assert d == pytest.approx(vbl_dmdt_3node(T413, 4, r))
-    assert curve.gaps == ()
+def _swept_kernels(topo, L, channel, g, zero, windows):
+    """Each diversity(r) dmdt-asymptotic can print on this chain.
+
+    The chain's own dynamic-sharing value, and every three-node kernel on
+    each of its three-node windows.
+    """
+    kernels = {"nnode vbl": lambda r: nnode_vbl_dmdt(topo, L, r, channel, power_exponent=g)}
+    for i, sub in enumerate(topo.sub_topologies()):
+        kernels.update({
+            f"fixed optimum {i}": lambda r, sub=sub: fixed_optimal_windows(
+                sub, L, r, power_exponent=g
+            ).value,
+            f"fixed equalized {i}": lambda r, sub=sub: fixed_optimal_windows(
+                sub, L, r, power_exponent=g
+            ).split_value,
+            f"fixed {i}": lambda r, sub=sub: fixed_dmdt_3node(
+                sub, *windows, r, power_exponent=g
+            ),
+            f"fbl {i}": lambda r, sub=sub: fbl_dmdt_3node(
+                sub, L, r, channel, allow_zero_rounds=zero, power_exponent=g
+            ),
+            f"vbl {i}": lambda r, sub=sub: vbl_dmdt_3node(
+                sub, L, r, channel, power_exponent=g
+            ),
+        })
+    return kernels
 
 
-def test_sweep_curve_nnode_dispatch():
-    topo = Topology([2, 2, 2, 2])
-    curve = sweep_curve(VblArq(6), topo, LT, [0.0, 1.0])
-    assert curve.values[1] == pytest.approx(38.0 / 11.0)
+_CURVE_RATES = st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e-17, 1e-16]),
+    st.floats(0.0, 1e-12),  # subnormals included
+    st.floats(0.0, 10.0),  # past the top corner of every hop
+)
 
 
-def test_sweep_curve_first_point_raises_on_config_error():
-    # Budget 2 leaves no strict split at any rate, so the very first point
-    # must surface the mistake instead of yielding an all-gap curve.
-    with pytest.raises(ValueError):
-        sweep_curve(FblArq(2), T413, LT, [0.0, 0.5])
-    with pytest.raises(ValueError):
-        sweep_curve(FixedArq([2, 2]), Topology([2, 2, 2, 2]), LT, [0.0])
-    with pytest.raises(ValueError):
-        sweep_curve(FixedArq([2, 2, 2]), T413, LT, [0.0])
-
-
-def test_sweep_curve_grid_validation():
-    with pytest.raises(ValueError):
-        sweep_curve(VblArq(4), T413, LT, [])
-    with pytest.raises(ValueError):
-        sweep_curve(VblArq(4), T413, LT, [-0.5, 0.0])
-    with pytest.raises(ValueError):
-        sweep_curve(VblArq(4), T413, LT, [0.0, 0.0])
-    with pytest.raises(TypeError):
-        sweep_curve("vbl", T413, LT, [0.0])
-
-
-def test_curve_invariants():
-    good = DmdtCurve(VblArq(4), LT, T413, ((0.0, 2.0), (0.5, 1.0), (1.0, math.nan)),
-                     gaps=(1.0,))
-    assert good.rates == (0.0, 0.5, 1.0)
-    with pytest.raises(ValueError):
-        DmdtCurve(VblArq(4), LT, T413, ((0.5, 1.0), (0.5, 0.5)))
-    with pytest.raises(ValueError):
-        DmdtCurve(VblArq(4), LT, T413, ((0.0, 1.0), (0.5, -0.2)))
-    with pytest.raises(ValueError):
-        DmdtCurve(VblArq(4), LT, T413, ((0.0, 1.0), (0.5, 2.0)))
+@given(
+    antennas=st.lists(st.integers(1, 5), min_size=3, max_size=5),
+    L=st.integers(3, 16),
+    channel=st.sampled_from([LT, ST]),
+    g=st.sampled_from([1.0, 1.5, 3.0]),
+    zero=st.booleans(),
+    windows=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    rates=st.tuples(_CURVE_RATES, _CURVE_RATES).map(sorted),
+)
+# long-term VBL: a division by zero, a lost-digits bump, a knot candidate on c
+@example(antennas=[2, 2, 2], L=4, channel=LT, g=1.0, zero=False, windows=(1, 1),
+         rates=[0.0, 1e-16])
+@example(antennas=[1, 1, 2], L=3, channel=LT, g=1.0, zero=False, windows=(1, 1),
+         rates=[0.0, 8.323789112106525e-13])
+@example(antennas=[1, 3, 3], L=5, channel=LT, g=1.5, zero=False, windows=(1, 1),
+         rates=[0.0, 1e-300])
+@settings(max_examples=200, deadline=None)
+def test_swept_kernels_finite_nonnegative_nonincreasing(
+    antennas, L, channel, g, zero, windows, rates
+):
+    lo, hi = rates
+    topo = Topology(antennas)
+    for name, diversity in _swept_kernels(topo, L, channel, g, zero, windows).items():
+        d_lo, d_hi = diversity(lo), diversity(hi)
+        assert math.isfinite(d_lo) and math.isfinite(d_hi), (name, lo, hi)
+        assert d_lo >= 0.0 and d_hi >= 0.0, (name, lo, d_lo, hi, d_hi)
+        assert d_hi <= d_lo + 1e-9, (name, lo, d_lo, hi, d_hi)

@@ -169,6 +169,19 @@ def test_asymptotic_single_protocol_csv(tmp_path, capsys):
     assert lines[3] == "1,2"
 
 
+def test_asymptotic_kernel_refusal_exits_two(tmp_path, capsys):
+    # a budget the schema accepts but the FBL kernel cannot split fails the
+    # whole run at the first rate, not each rate as a gap
+    cfg = write_config(
+        tmp_path,
+        {"topology": [4, 1, 3], "protocol": "fbl", "total_window": 2, "rates": [0.0, 0.5]},
+    )
+    assert main(["dmdt-asymptotic", "--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "mharq: total_rounds=2 leaves no valid split (need at least 3 rounds)\n"
+
+
 def test_rate_grid_refuses_more_rates_than_the_cap(tmp_path, capsys):
     # a tiny step used to expand the grid until memory ran out; a span that
     # overflows to inf is refused the same way
@@ -184,6 +197,50 @@ def test_rate_grid_refuses_more_rates_than_the_cap(tmp_path, capsys):
         assert err == (
             f"mharq: config.rate_grid: {reason} gives more than 1000000 rates\n"
         )
+
+
+@pytest.mark.parametrize(
+    "protocol, budget",
+    [
+        ("vbl", {"total_window": 4}),
+        ("fbl", {"total_window": 4}),
+        ("fixed", {"windows": [2, 2]}),
+        ("fixed", {"total_window": 4}),
+        ("all", {"total_window": 4}),
+    ],
+)
+def test_rate_grid_refuses_repeated_rates(tmp_path, capsys, protocol, budget):
+    # a step below the spacing of floats near start repeats a rate
+    grid = {"start": 1.0, "stop": 1.0000000000000002, "step": 1e-17}
+    cfg = write_config(
+        tmp_path, {"topology": [2, 2, 2], "protocol": protocol, **budget, "rate_grid": grid}
+    )
+    assert main(["dmdt-asymptotic", "--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "mharq: config.rate_grid: step 1e-17 from 1.0 to 1.0000000000000002 "
+        "gives rates that do not strictly increase\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "topology, protocol, last",
+    [
+        ([2, 2, 2], "vbl", "1e-16,4"),
+        ([2, 2, 2, 2], "vbl", "1e-16,4"),
+        ([2, 2, 2], "all", "1e-16,4,4,8,4"),
+    ],
+)
+def test_asymptotic_vbl_at_a_tiny_rate(tmp_path, capsys, topology, protocol, last):
+    # the long-term VBL minimum divided by zero below r/L ~ 1e-16 * min_dim
+    cfg = write_config(
+        tmp_path,
+        {"topology": topology, "protocol": protocol, "total_window": 4, "rates": [0, 1e-16]},
+    )
+    code, lines = run_csv(capsys, ["dmdt-asymptotic", "--config", cfg])
+    assert code == 0
+    assert lines[-1] == last
 
 
 def test_rate_grid_cap_boundary(monkeypatch):

@@ -32,7 +32,7 @@ from mharq.finite_snr import (
     per_hop_outage,
 )
 from mharq.numerics import regularized_lower_gamma
-from mharq.tradeoff import AntennaPair, Topology, WindowAllocation
+from mharq.tradeoff import AntennaPair, FixedArq, Topology
 import oracles
 from oracles import cube_walk_optimize_windows, finite_multiplexing
 
@@ -195,7 +195,7 @@ def test_outage_validation():
 
 
 def test_chain_outage_summary():
-    alloc = WindowAllocation([2, 3], 5)
+    alloc = FixedArq([2, 3])
     out = ostbc_outage(T413, alloc, SC_20DB)
     assert out.per_hop[0] == pytest.approx(5.365422e-04, rel=1e-6)
     assert out.per_hop[1] == pytest.approx(2.960262e-05, rel=1e-6)
@@ -204,7 +204,7 @@ def test_chain_outage_summary():
     assert out.complement_product == pytest.approx(product, rel=1e-12)
     assert out.complement_product <= out.union_bound
     with pytest.raises(ValueError):
-        ostbc_outage(T413, WindowAllocation([2, 3, 1], 6), SC_20DB)
+        ostbc_outage(T413, FixedArq([2, 3, 1]), SC_20DB)
 
 
 def test_mean_service_time_blockwise():
@@ -322,26 +322,26 @@ def test_error_breakdown():
 
 
 def test_message_error_reproduces_best_allocation():
-    br = message_error(T413, WindowAllocation([2, 3], 5), SC_20DB)
+    br = message_error(T413, FixedArq([2, 3]), SC_20DB)
     assert br.p_total == pytest.approx(0.10617646, abs=1e-6)
     assert br.p_deadline == pytest.approx(0.10567015, abs=1e-6)
     assert br.p_outage == pytest.approx(5.661448e-04, rel=1e-6)
     # outage component uses the union bound, which saturates at one
     lam22 = FiniteSnrScenario(100.0, 1.0, arrival_mean_blocks=2.2, deadline_blocks=5.0)
-    big = message_error(T413, WindowAllocation([1, 1], 2), lam22)
+    big = message_error(T413, FixedArq([1, 1]), lam22)
     assert big.p_outage == 1.0
     assert big.p_total == 1.0
 
 
 def test_message_error_requires_queueing_fields():
     with pytest.raises(ValueError):
-        message_error(T413, WindowAllocation([2, 3], 5), FiniteSnrScenario(100.0, 1.0))
+        message_error(T413, FixedArq([2, 3]), FiniteSnrScenario(100.0, 1.0))
 
 
 def test_optimize_windows_best_split():
     opt = optimize_windows(T413, SC_20DB)
     assert opt.allocation.windows == (2, 3)
-    assert opt.allocation.total_budget == 5
+    assert max(sum(r.windows) for r in opt.table) == 5  # the default budget
     assert opt.breakdown.p_total == pytest.approx(0.10617646, abs=1e-6)
     assert opt.threshold_variant == "per_receiver"
     best_feasible = min(r.p_total for r in opt.table if r.feasible)

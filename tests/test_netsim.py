@@ -15,7 +15,7 @@ from mharq.netsim import (
     estimate_delay_exponent,
     run_network_sim,
 )
-from mharq.tradeoff import ChannelAssumption, FblArq, FixedArq, Topology
+from mharq.tradeoff import ChannelAssumption, FixedArq, Topology
 from oracles import cumsum_decode_rounds, eigvalsh_capacities, whole_array_tandem
 
 LT = ChannelAssumption.LONG_TERM_STATIC
@@ -585,7 +585,7 @@ def test_exponent_stderr_matches_spread_across_seeds(antennas, means, grid):
 
 def test_sim_config_validation():
     with pytest.raises(ValueError, match="fixed-window"):
-        config(protocol=FblArq(4))
+        config(protocol=(2,))
     with pytest.raises(ValueError):
         config(protocol=FixedArq([2, 3]))  # window count vs hop count
     with pytest.raises(ValueError):

@@ -7,15 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mharq.tradeoff import (
-    AntennaPair,
-    FblArq,
-    FixedArq,
-    Topology,
-    VblArq,
-    WindowAllocation,
-    dmt,
-)
+from mharq.tradeoff import AntennaPair, FixedArq, Topology, dmt
 from oracles import (
     NEVER,
     ExponentSchedule,
@@ -243,25 +235,8 @@ def test_topology_validation():
 
 
 def test_protocol_validation():
-    assert FixedArq([2, 3]).total == 5
+    assert FixedArq([2, 3]).windows == (2, 3)
     with pytest.raises(ValueError):
         FixedArq([])
     with pytest.raises(ValueError):
         FixedArq([2, 0])
-    with pytest.raises(ValueError):
-        FblArq(0)
-    with pytest.raises(ValueError):
-        VblArq(0)
-
-
-def test_window_allocation_budget():
-    alloc = WindowAllocation([2, 3], 6)
-    assert alloc.windows == (2, 3)
-    with pytest.raises(ValueError, match="budget"):
-        WindowAllocation([4, 3], 6)
-    with pytest.raises(ValueError):
-        WindowAllocation([0, 3], 6)
-    with pytest.raises(ValueError):
-        WindowAllocation([], 6)
-    with pytest.raises(ValueError):
-        WindowAllocation([1], 0)
