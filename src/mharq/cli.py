@@ -40,9 +40,8 @@ from .finite_snr import (
     UnstableQueueError,
     WindowInfeasibleError,
     deadline_exponent,
-    message_error,
+    evaluate_windows,
     optimize_windows,
-    ostbc_outage,
     per_hop_outage,
 )
 from .netsim import (
@@ -532,6 +531,14 @@ def _emit(
 # subcommands
 
 
+def _check_finite(power: float, cells: Sequence[float]) -> None:
+    """Refuse a power_exponent g so large that a g * d(r / g) cell overflows."""
+    if not all(map(math.isfinite, cells)):
+        raise ConfigError(
+            [f"config.power_exponent: {power:g} overflows the diversity curve"]
+        )
+
+
 def _run_dmt(config: dict) -> tuple[list[str], list[Sequence[Any]], dict]:
     chk = _Checker(config)
     antennas = chk.get("antennas", required=True)
@@ -542,6 +549,7 @@ def _run_dmt(config: dict) -> tuple[list[str], list[Sequence[Any]], dict]:
     if grid is None:
         grid = [float(k) for k in range(pair.min_dim + 1)]
     rows = [[r, float(dmt(pair, r, power_exponent=power))] for r in grid]
+    _check_finite(power, [d for _, d in rows])
     return ["multiplexing_gain", "diversity_gain"], _by_column(rows), {}
 
 
@@ -599,6 +607,7 @@ def _run_dmdt_asymptotic(config: dict) -> tuple[list[str], list[Sequence[Any]], 
         for r in grid:
             best = fixed(r)
             rows.append([r, best.value, best.split_value, fbl(r), vbl(r)])
+        _check_finite(power, [v for row in rows for v in row[1:]])
         return columns, _by_column(rows), {}
 
     if protocol == "fixed" and windows is None:
@@ -607,6 +616,7 @@ def _run_dmdt_asymptotic(config: dict) -> tuple[list[str], list[Sequence[Any]], 
         values = [fixed_dmdt_3node(topo, *windows, r, power_exponent=power) for r in grid]
     else:
         values = list(map(fbl if protocol == "fbl" else vbl, grid))
+    _check_finite(power, values)
     return ["multiplexing_gain", "diversity_gain"], [grid, values], {}
 
 
@@ -657,18 +667,17 @@ def _run_dmdt_finite(config: dict) -> tuple[list[str], list[Sequence[Any]], dict
         meta = {"infeasible_points": unstable} if unstable else {}
         return columns, _by_column(rows), meta
 
-    alloc = FixedArq(windows)
     for v in values:
         scenario = dataclasses.replace(base, **{axis: v})
-        try:
-            breakdown = message_error(
-                topo, alloc, scenario, threshold_variant=variant
-            )
-            rows.append([v, breakdown.p_outage, breakdown.p_deadline, breakdown.p_total])
-        except UnstableQueueError:
+        c = evaluate_windows(
+            topo, scenario, np.array([windows]), threshold_variant=variant
+        )
+        if c.feasible[0]:
+            probs = (c.p_outage, c.p_deadline, c.p_total)
+            rows.append([v, *(float(p[0]) for p in probs)])
+        else:
             unstable.append(v)
-            out = ostbc_outage(topo, alloc, scenario, threshold_variant=variant)
-            rows.append([v, out.union_bound, None, None])
+            rows.append([v, float(c.p_outage[0]), None, None])
     meta = {"unstable_points": unstable} if unstable else {}
     return [axis, "p_outage", "p_deadline", "p_total"], _by_column(rows), meta
 
@@ -787,13 +796,12 @@ def _run_validate(
                     "long_term fading; simulate short_term without validate"
                 ]
             )
-        if sim_cfg.code_model == "ostbc":
-            per_hop_ana: tuple[float, ...] = ostbc_outage(topo, alloc, scenario).per_hop
-        else:
-            per_hop_ana = tuple(
-                per_hop_outage(topo.hop(i), float(w), scenario, code_model="logdet")
-                for i, w in enumerate(alloc.windows)
+        per_hop_ana = tuple(
+            per_hop_outage(
+                topo.hop(i), float(w), scenario, code_model=sim_cfg.code_model
             )
+            for i, w in enumerate(alloc.windows)
+        )
         total_ana = 1.0 - math.prod(1.0 - p for p in per_hop_ana)
         for i in range(topo.n_hops):
             attempts = result.per_hop_attempts[i]
@@ -810,11 +818,11 @@ def _run_validate(
             sigma = math.sqrt(ana * (1.0 - ana) / n)
         else:
             sigma = 0.0
-        if sigma > 0.0:
-            z = (emp - ana) / sigma
+        if n == 0:  # no message reached the hop: nothing to compare
+            z, verdict = math.nan, "no_samples"
         else:
-            z = 0.0 if emp == ana else math.inf
-        verdict = "ok" if abs(z) <= 4.0 else "mismatch"
+            z = (emp - ana) / sigma if sigma > 0.0 else 0.0 if emp == ana else math.inf
+            verdict = "ok" if abs(z) <= 4.0 else "mismatch"
         rows.append([name, ana, emp, n, sigma, z, verdict])
 
     if sim_cfg.service_mode == "markovian":

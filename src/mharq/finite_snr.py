@@ -30,18 +30,17 @@ __all__ = [
     "FiniteSnrScenario",
     "ServiceModel",
     "ErrorBreakdown",
-    "OstbcOutage",
     "CandidateRow",
     "CandidateColumns",
     "WindowOptimum",
     "UnstableQueueError",
     "WindowInfeasibleError",
     "per_hop_outage",
-    "ostbc_outage",
     "mean_service_time",
     "deadline_exponent",
     "deadline_probability",
     "message_error",
+    "evaluate_windows",
     "optimize_windows",
 ]
 
@@ -52,6 +51,8 @@ STABILITY_MARGIN = 1e-9
 # The window search refuses budgets with more allocations than this; its
 # table of CandidateRows holds about 0.75 KB a row once read.
 _MAX_ALLOCATIONS = 10**6
+# An infeasible search names the violations of this many candidates.
+_LISTED_CANDIDATES = 20
 
 THRESHOLD_VARIANTS = ("per_receiver", "plain")
 # Outage models of one hop: the log-det capacity of the MIMO channel, or an
@@ -297,52 +298,6 @@ def per_hop_outage(
     raise ValueError(f"unknown code model {code_model!r}; choose from {CODE_MODELS}")
 
 
-@dataclass(frozen=True)
-class OstbcOutage:
-    """Per-hop and combined outage of a space-time-coded chain."""
-
-    per_hop: tuple[float, ...]
-    union_bound: float
-    complement_product: float
-
-
-def ostbc_outage(
-    topology: Topology,
-    allocation: FixedArq,
-    scenario: FiniteSnrScenario,
-    *,
-    threshold_variant: str = "per_receiver",
-) -> OstbcOutage:
-    """Chain outage under orthogonal space-time coding on every hop.
-
-    Reports the per-hop terms, their plain sum (the union bound used by all
-    number reproduction), and the exact independent-hop combination
-    1 - prod(1 - p_i).
-    """
-    if len(allocation.windows) != topology.n_hops:
-        raise ValueError(
-            f"allocation has {len(allocation.windows)} windows for "
-            f"{topology.n_hops} hops"
-        )
-    per_hop = tuple(
-        min(
-            max(
-                _outage_window_ostbc(
-                    topology.hop(i), float(w), scenario, threshold_variant
-                ),
-                0.0,
-            ),
-            1.0,
-        )
-        for i, w in enumerate(allocation.windows)
-    )
-    union = min(sum(per_hop), 1.0)
-    complement = 1.0 - math.prod(1.0 - p for p in per_hop)
-    return OstbcOutage(
-        per_hop=per_hop, union_bound=union, complement_product=complement
-    )
-
-
 def mean_service_time(
     pair: AntennaPair,
     window: int,
@@ -398,7 +353,6 @@ def deadline_probability(
     service: ServiceModel,
     arrival_mean_blocks: float,
     deadline_blocks: float,
-    n_nodes: int | None = None,
 ) -> float:
     """Probability the end-to-end delay exceeds the deadline.
 
@@ -411,15 +365,10 @@ def deadline_probability(
     a tandem of M/M/1 stages, the prefactor is not: the exact sojourn tail
     is hypoexponential, exp(-k * theta) for one stage.
     """
-    means = service.means
-    if n_nodes is not None and n_nodes != len(means) + 1:
-        raise ValueError(
-            f"n_nodes={n_nodes} inconsistent with {len(means)} hop means"
-        )
     if deadline_blocks < 0.0:
         raise ValueError(f"deadline must be nonnegative, got {deadline_blocks}")
     deadline_exponent(service, arrival_mean_blocks)  # raises on an unstable stage
-    stages = _stage_means(means)
+    stages = _stage_means(service.means)
     return _bottleneck_deadline_probability(
         max(stages), arrival_mean_blocks, deadline_blocks, len(stages) == 1
     )
@@ -452,23 +401,23 @@ def message_error(
 ) -> ErrorBreakdown:
     """Total message-error probability of one window allocation.
 
-    Outage uses the space-time-coded union bound; the deadline tail runs on
-    the whole-block mean service times.
+    The one-row evaluate_windows: outage is the space-time-coded union
+    bound, and the deadline tail runs on the whole-block mean service times.
+    An allocation with an unstable stage raises UnstableQueueError.
     """
-    arrival, deadline = scenario.require_queueing()
-    outage = ostbc_outage(
-        topology, allocation, scenario, threshold_variant=threshold_variant
-    )
-    means = tuple(
-        mean_service_time(
-            topology.hop(i), w, scenario, threshold_variant=threshold_variant
+    arrival, _ = scenario.require_queueing()
+    if len(allocation.windows) != topology.n_hops:
+        raise ValueError(
+            f"allocation has {len(allocation.windows)} windows for "
+            f"{topology.n_hops} hops"
         )
-        for i, w in enumerate(allocation.windows)
+    row = evaluate_windows(
+        topology, scenario, np.array([allocation.windows]),
+        threshold_variant=threshold_variant,
     )
-    p_deadline = deadline_probability(
-        ServiceModel(means), arrival, deadline, topology.n_nodes
-    )
-    return ErrorBreakdown.combine(outage.union_bound, p_deadline)
+    if not row.feasible[0]:  # infeasible rows are exactly the unstable ones
+        deadline_exponent(ServiceModel(row.means[0]), arrival)
+    return ErrorBreakdown.combine(float(row.p_outage[0]), float(row.p_deadline[0]))
 
 
 @dataclass(frozen=True)
@@ -487,7 +436,7 @@ class CandidateRow:
 
 @dataclass(frozen=True, eq=False)
 class CandidateColumns:
-    """Every allocation of the window search as columns, in lexicographic order.
+    """Evaluated window allocations as columns, one row per allocation.
 
     windows and means have one column per hop.  Infeasible rows have NaN
     p_deadline and p_total; feasible rows have no violations.
@@ -558,67 +507,43 @@ def _row_tuples(matrix: np.ndarray) -> Iterator[tuple]:
     return zip(*matrix.T.tolist())
 
 
-def optimize_windows(
+def evaluate_windows(
     topology: Topology,
     scenario: FiniteSnrScenario,
+    windows: np.ndarray,
     *,
-    budget: int | None = None,
     threshold_variant: str = "per_receiver",
-) -> WindowOptimum:
-    """Best integer window allocation under the deadline budget.
+) -> CandidateColumns:
+    """Message error of every allocation in an int matrix, one row each.
 
-    Enumerates every allocation with all windows >= 1 and total at most the
-    budget (the deadline, rounded down, unless given explicitly): the
-    C(budget, n_hops) compositions, in lexicographic order, which is also
-    the order of the table.  It discards the ones violating the per-hop
-    mean bound mu <= arrival mean or the stage stability margin, and returns
-    the feasible argmin of the total error; ties break toward the
-    lexicographically smallest windows.  A budget with more than
-    _MAX_ALLOCATIONS allocations is refused with a ValueError before any
-    of them is built.
-
-    Allocations where the two constraint families disagree (per-hop bounds
-    pass but a stage sum is unstable, or the reverse) are flagged, since the
-    two express different readings of the stability requirement.
-
-    Every candidate comes back as arrays in the result's columns; its table
-    of CandidateRows is built when first read.
+    Outage is the space-time-coded union bound, and the deadline tail runs
+    on the whole-block mean service times.  A row is feasible when every
+    half-duplex stage is stable against the arrival mean.  A stable stage
+    is shorter than the arrival mean, and so is each hop in it, so a
+    feasible row also keeps every hop mean mu <= arrival mean.  Rows that
+    pass that per-hop bound but have an unstable stage are flagged as
+    conflicts.  Infeasible rows list their violations: hops above the
+    arrival mean, then unstable stages.
     """
     arrival, deadline = scenario.require_queueing()
     n_hops = topology.n_hops
-    if budget is None:
-        budget = int(math.floor(deadline))
-    if budget < n_hops:
-        raise WindowInfeasibleError(
-            f"budget {budget} cannot give each of {n_hops} hops a block", None
-        )
-    if math.comb(budget, n_hops) > _MAX_ALLOCATIONS:
-        raise ValueError(
-            f"budget {budget} over {n_hops} hops gives more than "
-            f"{_MAX_ALLOCATIONS} window allocations to enumerate"
-        )
-
-    # per-hop outage tails are shared across candidates; precompute them
-    hop_tail: list[list[float]] = []
-    for i in range(n_hops):
-        hop = topology.hop(i)
-        hop_tail.append(
-            [
-                _outage_window_ostbc(hop, float(j), scenario, threshold_variant)
-                for j in range(1, budget + 1)
-            ]
-        )
+    # per-hop outage tails are shared across rows; precompute them
+    lengths = range(1, int(windows.max()) + 1)
+    hop_tail = [
+        [
+            _outage_window_ostbc(pair, float(j), scenario, threshold_variant)
+            for j in lengths
+        ]
+        for pair in map(topology.hop, range(n_hops))
+    ]
 
     # whole-block means, as in mean_service_time, indexed by window - 1; each
     # prefix goes through sum() itself so the floats match it on every Python
     # (3.12 made float sum() compensated, so a running sum would drift)
-    hop_mean = [
-        [1.0 + sum(tail[: w - 1]) for w in range(1, budget + 1)] for tail in hop_tail
-    ]
+    hop_mean = [[1.0 + sum(tail[:k]) for k in range(len(tail))] for tail in hop_tail]
 
-    # one row per candidate, one column per hop; every expression below is
-    # the IEEE arithmetic the scalar definitions do, so the bits match them
-    windows = _composition_matrix(n_hops, budget)
+    # one column per hop; every expression below is the IEEE arithmetic the
+    # scalar definitions do, so the bits match them
     picks = (np.arange(n_hops), windows - 1)
     means = np.array(hop_mean)[picks]
     # the union bound sums with sum() for the same reason as hop_mean
@@ -635,9 +560,8 @@ def optimize_windows(
 
     # Every stage of a feasible row is stable, so the deadline term depends
     # on the largest stage alone: evaluate it once per distinct bottleneck
-    # and share the value.  Rows ServiceModel would refuse are left out here
-    # and replayed below.
-    modelled = np.flatnonzero(feasible & (means > 0.0).all(axis=1))
+    # and share the value.
+    modelled = np.flatnonzero(feasible)
     bottlenecks, group = np.unique(
         stages[modelled].max(axis=1), return_inverse=True
     )
@@ -651,19 +575,6 @@ def optimize_windows(
     )[group]
     p_total = p_outage + (1.0 - p_outage) * p_deadline
 
-    probs = np.stack([p_outage, p_deadline, p_total])
-    in_range = ((probs >= 0.0) & (probs <= 1.0)).all(axis=0)
-    broken = np.flatnonzero(feasible & ~in_range)
-    if broken.size:
-        # the first feasible row that fails a check raises what it always did
-        r = int(broken[0])
-        ErrorBreakdown.combine(
-            float(p_outage[r]),
-            deadline_probability(ServiceModel(means[r]), arrival, deadline),
-        )
-
-    # violations, for infeasible rows only: hops above the arrival mean, then
-    # unstable stages
     violations: list[tuple[str, ...]] = [()] * len(windows)
     rejected = np.flatnonzero(~feasible)
     for r, row_means, row_stages, row_over in zip(
@@ -682,25 +593,73 @@ def optimize_windows(
             for i, (stage, over) in enumerate(zip(row_stages, row_over))
             if over
         )
-    columns = CandidateColumns(
+    return CandidateColumns(
         windows, means, p_outage, p_deadline, p_total, feasible, conflict, violations
     )
-    if not feasible.any():
-        detail = "; ".join(
-            f"{w}: {', '.join(v)}" for w, v in zip(_row_tuples(windows), violations)
+
+
+def optimize_windows(
+    topology: Topology,
+    scenario: FiniteSnrScenario,
+    *,
+    budget: int | None = None,
+    threshold_variant: str = "per_receiver",
+) -> WindowOptimum:
+    """Best integer window allocation under the deadline budget.
+
+    Evaluates every allocation with all windows >= 1 and total at most the
+    budget (the deadline, rounded down, unless given explicitly): the
+    C(budget, n_hops) compositions, in lexicographic order, which is also
+    the order of the table.  Returns the feasible argmin of the total error
+    (see evaluate_windows); ties break toward the lexicographically
+    smallest windows.  A budget with more than _MAX_ALLOCATIONS allocations
+    is refused with a ValueError before any of them is built.  With no
+    feasible row, WindowInfeasibleError names the first
+    _LISTED_CANDIDATES candidates' violations.
+
+    Every candidate comes back as arrays in the result's columns; its table
+    of CandidateRows is built when first read.
+    """
+    _, deadline = scenario.require_queueing()
+    n_hops = topology.n_hops
+    if budget is None:
+        budget = int(math.floor(deadline))
+    if budget < n_hops:
+        raise WindowInfeasibleError(
+            f"budget {budget} cannot give each of {n_hops} hops a block", None
         )
+    if math.comb(budget, n_hops) > _MAX_ALLOCATIONS:
+        raise ValueError(
+            f"budget {budget} over {n_hops} hops gives more than "
+            f"{_MAX_ALLOCATIONS} window allocations to enumerate"
+        )
+    columns = evaluate_windows(
+        topology,
+        scenario,
+        _composition_matrix(n_hops, budget),
+        threshold_variant=threshold_variant,
+    )
+    feasible = np.flatnonzero(columns.feasible)
+    if not feasible.size:
+        listed = columns.windows[:_LISTED_CANDIDATES]
+        detail = "; ".join(
+            f"{w}: {', '.join(v)}"
+            for w, v in zip(_row_tuples(listed), columns.violations)
+        )
+        if len(columns.windows) > len(listed):
+            detail += f"; and {len(columns.windows) - len(listed)} more"
         raise WindowInfeasibleError(
             f"no feasible window allocation within budget {budget} "
             f"(per candidate: {detail})",
             columns,
         )
-    # every feasible row is modelled by now; argmin takes the first minimum,
-    # which is the lexicographically smallest windows
-    best = int(modelled[np.argmin(p_total[modelled])])
+    # argmin takes the first minimum, which is the lexicographically
+    # smallest windows
+    best = int(feasible[np.argmin(columns.p_total[feasible])])
     return WindowOptimum(
-        allocation=FixedArq(windows[best].tolist()),
+        allocation=FixedArq(columns.windows[best].tolist()),
         breakdown=ErrorBreakdown.combine(
-            float(p_outage[best]), float(p_deadline[best])
+            float(columns.p_outage[best]), float(columns.p_deadline[best])
         ),
         threshold_variant=threshold_variant,
         columns=columns,

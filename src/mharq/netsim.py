@@ -238,7 +238,11 @@ def _capacities(
     m_rx = u.shape[2]
     if code_model == "ostbc" or min(m_rx, m_tx) == 1:
         frob = -np.log1p(-u[..., 0]).sum(axis=(2, 3))
-        cap = np.log2(1.0 + snr * frob / m_tx)
+        with np.errstate(over="ignore"):
+            cap = np.log2(1.0 + snr * frob / m_tx)
+        over = np.isinf(cap)
+        if over.any():  # snr * frob overflowed, so the 1 is far below an ulp
+            cap[over] = np.log2(frob[over]) + (math.log2(snr) - math.log2(m_tx))
         return r_s * cap if code_model == "ostbc" else cap
     a = snr / m_tx
     sides = (2, 3) if m_rx <= m_tx else (3, 2)  # rank side first
@@ -339,7 +343,14 @@ def _hop_rounds(config: SimConfig, h: int) -> np.ndarray:
     n_msgs = config.message_count
     long_term = config.channel is ChannelAssumption.LONG_TERM_STATIC
     draw_rounds = 1 if long_term else window
-    target = scenario.multiplexing_gain * math.log2(1.0 + pair.m_rx * scenario.snr)
+    base = 1.0 + pair.m_rx * scenario.snr
+    # where m_rx * snr overflows, the 1 is far below an ulp of it
+    log_base = (
+        math.log2(base)
+        if base < math.inf
+        else math.log2(pair.m_rx) + math.log2(scenario.snr)
+    )
+    target = scenario.multiplexing_gain * log_base
     rng = RandomSource(config.seed).stream(1 + h)
     capacity = partial(
         _capacities,

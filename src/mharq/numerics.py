@@ -19,7 +19,6 @@ import numpy as np
 __all__ = [
     "Interval",
     "BoxDomain",
-    "lower_incomplete_gamma",
     "regularized_lower_gamma",
     "minimize_box",
 ]
@@ -71,7 +70,7 @@ class BoxDomain:
         return len(self.bounds)
 
 
-def lower_incomplete_gamma(m: int, x: float) -> float:
+def _lower_incomplete_gamma(m: int, x: float) -> float:
     """Unnormalised lower incomplete gamma gamma(m, x) for integer m >= 1.
 
     gamma(m, x) = integral of t^(m-1) e^(-t) over [0, x]; it increases
@@ -116,7 +115,7 @@ def lower_incomplete_gamma(m: int, x: float) -> float:
 
 def regularized_lower_gamma(m: int, x: float) -> float:
     """gamma(m, x) / (m-1)!, a probability in [0, 1]."""
-    p = lower_incomplete_gamma(m, x) / math.gamma(m)
+    p = _lower_incomplete_gamma(m, x) / math.gamma(m)
     # saturation can overshoot 1 by an ulp or two
     return min(max(p, 0.0), 1.0)
 

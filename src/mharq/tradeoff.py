@@ -45,9 +45,6 @@ class AntennaPair:
     def min_dim(self) -> int:
         return min(self.m_tx, self.m_rx)
 
-    def swapped(self) -> "AntennaPair":
-        return AntennaPair(self.m_rx, self.m_tx)
-
 
 @dataclass(frozen=True)
 class Topology:
@@ -79,9 +76,6 @@ class Topology:
         if not 0 <= i < self.n_hops:
             raise IndexError(f"hop index {i} out of range for {self.n_hops} hops")
         return AntennaPair(self.antennas[i], self.antennas[i + 1])
-
-    def hops(self) -> tuple[AntennaPair, ...]:
-        return tuple(self.hop(i) for i in range(self.n_hops))
 
     def sub_topologies(self) -> tuple["Topology", ...]:
         """All contiguous three-node windows (requires >= 3 nodes)."""

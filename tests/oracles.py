@@ -247,7 +247,8 @@ def cube_walk_optimize_windows(
 ) -> CubeWalkOptimum:
     """The window search as first shipped: a filtered budget^n_hops cube walk.
 
-    Kept unchanged so the tests can hold optimize_windows, which evaluates
+    Kept unchanged, apart from the infeasible message's cap of 20 listed
+    candidates, so the tests can hold optimize_windows, which evaluates
     only the compositions of the budget, as arrays, to the same table row
     for row.
 
@@ -338,8 +339,10 @@ def cube_walk_optimize_windows(
     table = tuple(rows)
     if best is None or best_breakdown is None:
         detail = "; ".join(
-            f"{row.windows}: {', '.join(row.violations)}" for row in table
+            f"{row.windows}: {', '.join(row.violations)}" for row in table[:20]
         )
+        if len(table) > 20:
+            detail += f"; and {len(table) - 20} more"
         raise CubeWalkInfeasibleError(
             f"no feasible window allocation within budget {budget} "
             f"(per candidate: {detail})",

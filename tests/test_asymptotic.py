@@ -56,7 +56,7 @@ def test_vbl_long_term_frozen_values(topology, L, r, expected):
 @pytest.mark.parametrize("topology", [T413, T141, T222, Topology([3, 1, 2])])
 @pytest.mark.parametrize("L", [2, 5])
 def test_vbl_matches_closed_form_families(topology, L):
-    r_max = min(dmt(h, 0.0) for h in topology.hops())  # past here both are 0
+    r_max = min(dmt(topology.hop(i), 0.0) for i in range(topology.n_hops))  # past here both are 0
     for r in np.linspace(0.0, L, 21):
         want = vbl_closed_form(topology, L, float(r))
         got = vbl_dmdt_3node(topology, L, float(r))
@@ -159,7 +159,7 @@ def test_vbl_short_term_not_above_dense_scan(antennas, L, r):
     # every returned value is itself an objective evaluation, so the check
     # only needs one side: nothing on a dense grid of splits does better
     topo = Topology(list(antennas))
-    hop1, hop2 = topo.hops()
+    hop1, hop2 = topo.hop(0), topo.hop(1)
     tau = np.linspace(0.0, float(L), 2000 * L + 1)
     scan = _dense_hop_cost(hop1, r, tau) + _dense_hop_cost(hop2, r, L - tau)
     assert vbl_dmdt_3node(topo, L, r, ST) <= float(scan.min()) + 1e-12

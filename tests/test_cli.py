@@ -134,6 +134,34 @@ def test_asymptotic_power_exponent_reaches_fixed_columns(tmp_path, capsys):
     assert got["all"]["diversity_fixed_equalized"] >= 5.5 - 1e-9
 
 
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("dmt", {"antennas": [2, 2], "power_exponent": 1e308}),
+        (
+            "dmdt-asymptotic",
+            {
+                "topology": [2, 2, 2],
+                "protocol": "all",
+                "total_window": 4,
+                "power_exponent": 1e308,
+                "rates": [0.0, 1.0],
+            },
+        ),
+    ],
+)
+def test_power_exponent_that_overflows_the_curve_is_refused(
+    tmp_path, capsys, command, payload
+):
+    # g * d(r / g) is inf at g = 1e308; those cells used to print as inf
+    cfg = write_config(tmp_path, payload)
+    with np.errstate(over="ignore"):
+        assert main([command, "--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "mharq: config.power_exponent: 1e+308 overflows the diversity curve\n"
+
+
 def test_import_leaves_hashlib_unloaded():
     # hashlib loads OpenSSL; only runs that emit a config hash import it.
     # The simulator's hop pool is imported by the physical runs that use it
@@ -544,6 +572,36 @@ def test_validate_physical_link(tmp_path, capsys):
     assert rows["outage_total"]["verdict"] == "ok"
     assert rows["outage_hop_1"]["analytic"] == pytest.approx(0.339140199, abs=1e-6)
     assert abs(rows["outage_hop_1"]["z_score"]) <= 4.0
+
+
+@pytest.mark.parametrize("code_model", ["ostbc", "logdet"])
+def test_validate_at_a_huge_finite_snr(tmp_path, capsys, code_model):
+    # snr * ||H||^2 and 1 + m_rx * snr overflow at 1e308; the simulated
+    # capacities and target rate must not
+    payload = dict(
+        SIM_CONFIG,
+        topology=[1, 3, 1],
+        windows=[1, 1],
+        snr_linear=1e308,
+        message_count=20000,
+        code_model=code_model,
+    )
+    cfg = write_config(tmp_path, payload)
+    code, doc = run_json(capsys, ["validate", "--config", cfg, "--format", "json"])
+    assert code == 0
+    assert [row["verdict"] for row in doc["rows"]] == ["ok", "ok", "ok"]
+
+
+def test_validate_hop_without_attempts(tmp_path, capsys):
+    # at r = 40 and SNR 1 every message is lost on hop 1, so hop 2 sees none
+    payload = dict(SIM_CONFIG, topology=[1, 1, 1], windows=[1, 1], multiplexing_gain=40.0)
+    cfg = write_config(tmp_path, payload)
+    code, doc = run_json(capsys, ["validate", "--config", cfg, "--format", "json"])
+    assert code == 0
+    row = {row["check"]: row for row in doc["rows"]}["outage_hop_2"]
+    assert row["samples"] == 0
+    assert row["empirical"] is None and row["z_score"] is None
+    assert row["verdict"] == "no_samples"
 
 
 def test_validate_rejects_short_term_physical(tmp_path, capsys):

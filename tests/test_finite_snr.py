@@ -28,12 +28,10 @@ from mharq.finite_snr import (
     mean_service_time,
     message_error,
     optimize_windows,
-    ostbc_outage,
     per_hop_outage,
 )
 from mharq.numerics import regularized_lower_gamma
 from mharq.tradeoff import AntennaPair, FixedArq, Topology
-import oracles
 from oracles import cube_walk_optimize_windows, finite_multiplexing
 
 HOP1 = AntennaPair(4, 1)
@@ -196,15 +194,16 @@ def test_outage_validation():
 
 def test_chain_outage_summary():
     alloc = FixedArq([2, 3])
-    out = ostbc_outage(T413, alloc, SC_20DB)
-    assert out.per_hop[0] == pytest.approx(5.365422e-04, rel=1e-6)
-    assert out.per_hop[1] == pytest.approx(2.960262e-05, rel=1e-6)
-    assert out.union_bound == pytest.approx(sum(out.per_hop), rel=1e-12)
-    product = 1.0 - (1.0 - out.per_hop[0]) * (1.0 - out.per_hop[1])
-    assert out.complement_product == pytest.approx(product, rel=1e-12)
-    assert out.complement_product <= out.union_bound
+    per_hop = [
+        per_hop_outage(T413.hop(i), w, SC_20DB, code_model="ostbc")
+        for i, w in enumerate(alloc.windows)
+    ]
+    assert per_hop[0] == pytest.approx(5.365422e-04, rel=1e-6)
+    assert per_hop[1] == pytest.approx(2.960262e-05, rel=1e-6)
+    # the chain outage is the union bound of the per-hop terms
+    assert message_error(T413, alloc, SC_20DB).p_outage == sum(per_hop)
     with pytest.raises(ValueError):
-        ostbc_outage(T413, FixedArq([2, 3, 1]), SC_20DB)
+        message_error(T413, FixedArq([2, 3, 1]), SC_20DB)
 
 
 def test_mean_service_time_blockwise():
@@ -241,7 +240,7 @@ def test_deadline_probability_single_stage():
 def test_deadline_probability_multi_stage_keeps_exponent_only():
     service = ServiceModel([2.0, 2.0, 2.0, 2.0])  # stages 4, 4, 4
     theta = 1.0 / 4.0 - 1.0 / 10.0
-    got = deadline_probability(service, 10.0, 20.0, n_nodes=5)
+    got = deadline_probability(service, 10.0, 20.0)
     assert got == pytest.approx(math.exp(-20.0 * theta), rel=1e-12)
 
 
@@ -276,8 +275,6 @@ def test_deadline_validation():
         deadline_exponent(ServiceModel([2.0]), 2.0)  # knife-edge counts as unstable
     with pytest.raises(ValueError):
         deadline_exponent(ServiceModel([2.0]), 0.0)
-    with pytest.raises(ValueError):
-        deadline_probability(ServiceModel([2.0, 2.0]), 10.0, 5.0, n_nodes=2)
     with pytest.raises(ValueError):
         deadline_probability(ServiceModel([2.0]), 10.0, -1.0)
 
@@ -454,30 +451,57 @@ def test_optimize_windows_matches_cube_walk_on_random_chains(
     assert got == want
 
 
-@pytest.mark.parametrize("bad_tail", [-0.25, math.nan], ids=["negative", "nan"])
-@pytest.mark.parametrize("window", [1, 2])
-def test_optimize_windows_raises_what_the_failing_row_raised(
-    monkeypatch, bad_tail, window
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 5).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.integers(1, 4), min_size=n, max_size=n),
+            st.lists(st.integers(1, 4), min_size=n - 1, max_size=n - 1),
+        )
+    ),
+    st.floats(-0.5, 2.0),
+    st.floats(0.25, 4.0),
+    st.floats(0.1, 1.1),
+    st.floats(1.0, 40.0),
+)
+def test_message_error_is_the_cube_walk_row(
+    chain, log_snr, rate, log_arrival, deadline
 ):
-    # a broken tail at one window of the middle hop puts some feasible rows'
-    # probabilities out of [0, 1]; the first such row in table order must
-    # raise the error the cube walk raises there
-    tail = finite_snr._outage_window_ostbc
+    # the cube walk over a budget of sum(windows) has the allocation as one
+    # of its rows; message_error must give that row's bits, and raise
+    # UnstableQueueError exactly where the row is infeasible
+    antennas, windows = chain
+    topo = Topology(antennas)
+    scenario = FiniteSnrScenario(
+        10.0**log_snr,
+        rate,
+        arrival_mean_blocks=10.0**log_arrival,
+        deadline_blocks=deadline,
+    )
+    try:
+        table = cube_walk_optimize_windows(topo, scenario, budget=sum(windows)).table
+    except WindowInfeasibleError as err:
+        table = err.table
+    (row,) = [row for row in table if row.windows == tuple(windows)]
+    if not row.feasible:
+        with pytest.raises(UnstableQueueError):
+            message_error(topo, FixedArq(windows), scenario)
+        return
+    got = message_error(topo, FixedArq(windows), scenario)
+    want = (row.p_outage, row.p_deadline, row.p_total)
+    assert repr((got.p_outage, got.p_deadline, got.p_total)) == repr(want)
 
-    def broken(pair, t, scenario, variant):
-        if pair == AntennaPair(1, 3) and t == window:
-            return bad_tail
-        return tail(pair, t, scenario, variant)
 
-    monkeypatch.setattr(finite_snr, "_outage_window_ostbc", broken)
-    monkeypatch.setattr(oracles, "_outage_window_ostbc", broken)
-    topo = Topology([4, 1, 3, 2])
-    with pytest.raises(ValueError) as got:
-        optimize_windows(topo, WINDOW_POINT, budget=8)
-    with pytest.raises(ValueError) as want:
-        cube_walk_optimize_windows(topo, WINDOW_POINT, budget=8)
-    assert type(got.value) is type(want.value)
-    assert str(got.value) == str(want.value)
+def test_optimize_windows_infeasible_text_lists_twenty_candidates():
+    # every one of the C(12, 2) = 66 rows overloads the shared stage
+    tight = FiniteSnrScenario(100.0, 1.0, arrival_mean_blocks=1.9, deadline_blocks=5.0)
+    with pytest.raises(WindowInfeasibleError) as err:
+        optimize_windows(T413, tight, budget=12)
+    assert len(err.value.table) == 66
+    text = str(err.value)
+    assert text.count("stage 0 occupancy") == 20
+    assert "(1, 1): " in text and "(2, 9): " in text and "(2, 10): " not in text
+    assert text.endswith("; and 46 more)")
 
 
 def test_optimize_windows_reaches_eight_node_chain():
