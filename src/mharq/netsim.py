@@ -17,6 +17,10 @@ services and the Lindley reflection of every stage run over chunks of
 ``_TANDEM_CHUNK`` messages, and each stage carries its queue state from one
 chunk to the next, so every sum is formed from the same operands in the
 same order as over whole arrays and no number depends on the chunk size.
+A worker thread forms the arrivals and services one chunk ahead, into the
+idle one of two buffers per stream, while the Lindley reflections of the
+chunk before run; it alone reads the streams, in message order, so no
+number depends on the core count.
 
 In physical mode the hops are decoded at the same time, on a pool of
 threads with one hop per task: each hop reads only its own stream, so no
@@ -68,8 +72,10 @@ _STREAM_MARKOV_BASE = 1001
 _CHUNK_UNIFORMS = 1 << 17
 
 # Messages per tandem chunk: one chunk's arrivals, services and Lindley
-# temporaries (8 bytes a message each) stay well inside a 4 MiB L2 cache.
-_TANDEM_CHUNK = 1 << 16
+# temporaries (8 bytes a message each) stay inside a 2 MiB L2 cache.
+# Each stream has two chunk buffers: a worker thread fills one a chunk ahead
+# while the other is reflected, and no number depends on the core count.
+_TANDEM_CHUNK = 1 << 15
 
 
 class RandomSource:
@@ -84,11 +90,13 @@ class RandomSource:
         return np.random.Generator(np.random.Philox(key=[self.seed, int(index)]))
 
 
-def _exponential(rng: np.random.Generator, mean: float, size: int) -> np.ndarray:
+def _exponential(
+    rng: np.random.Generator, mean: float, size: int, out: np.ndarray | None = None
+) -> np.ndarray:
     # inverse-CDF from uniforms; log1p keeps the u -> 1 tail exact.  Worked
-    # in place on the uniforms: log1p(-u) * -mean has the bits of
-    # -mean * log1p(-u), as IEEE multiplication commutes
-    u = rng.random(size)
+    # in place on the uniforms, in ``out`` when given: log1p(-u) * -mean has
+    # the bits of -mean * log1p(-u), as IEEE multiplication commutes
+    u = rng.random(size, out=out)
     np.negative(u, out=u)
     np.log1p(u, out=u)
     return np.multiply(u, -mean, out=u)
@@ -403,10 +411,10 @@ def _lindley_chunk(
 
 
 def _drawn_services(
-    rng: np.random.Generator, mean: float, start: int, stop: int
+    rng: np.random.Generator, mean: float, start: int, stop: int, out=None
 ) -> np.ndarray:
     """Markovian services of messages start:stop, the stream's next draws."""
-    return _exponential(rng, mean, stop - start)
+    return _exponential(rng, mean, stop - start, out)
 
 
 def _block_services(
@@ -416,6 +424,7 @@ def _block_services(
     stage: int,
     start: int,
     stop: int,
+    out=None,
 ) -> np.ndarray:
     """Physical services of messages start:stop: the stage's hops' blocks.
 
@@ -424,7 +433,8 @@ def _block_services(
     """
     hops = (0,) if len(rounds) == 1 else (stage, stage + 1)
     dropped_at = outage_hop[start:stop]
-    services = np.zeros(stop - start)
+    services = np.empty(stop - start) if out is None else out
+    services.fill(0.0)
     for h in hops:
         blocks = np.minimum(rounds[h][start:stop], windows[h])
         blocks[dropped_at < h] = 0
@@ -436,32 +446,53 @@ def _tandem_delays(
     arrival_rng: np.random.Generator,
     arrival_mean: float,
     n_msgs: int,
-    stage_services: Sequence[Callable[[int, int], np.ndarray]],
+    stage_services: Sequence[Callable[..., np.ndarray]],
 ) -> np.ndarray:
     """Total sojourn of every message through the tandem of FIFO stages.
 
     Messages run through every stage ``_TANDEM_CHUNK`` at a time; each
     stage's departures are the next stage's arrivals.  The Poisson arrival
     times continue their cumulative sum from the previous chunk's last
-    arrival, and ``stage_services[i](start, stop)`` gives stage i's service
-    times of messages start:stop, asked for in message order.
+    arrival, and ``stage_services[i](start, stop, out=buffer)`` writes stage
+    i's service times of messages start:stop into the buffer.  One worker
+    thread forms each chunk's inputs, in message order, while this thread
+    reflects the chunk before; its exceptions are raised here, once joined.
     """
-    total_delay = np.zeros(n_msgs)
-    states: list[_LindleyState | None] = [None] * len(stage_services)
+    # imported here so that loading mharq starts no pool machinery
+    from concurrent.futures import ThreadPoolExecutor
+
+    step = min(_TANDEM_CHUNK, n_msgs)
+    # chunks alternate between two buffer sets; rows: the arrivals, then
+    # each stage's services
+    buffer_sets = [np.empty((1 + len(stage_services), step)) for _ in range(2)]
     last_arrival = 0.0
-    for start in range(0, n_msgs, _TANDEM_CHUNK):
-        stop = min(start + _TANDEM_CHUNK, n_msgs)
-        arrivals = _exponential(arrival_rng, arrival_mean, stop - start)
+
+    def draw(start: int) -> np.ndarray:
+        nonlocal last_arrival
+        stop = min(start + step, n_msgs)
+        buffers = buffer_sets[start // step % 2][:, : stop - start]
+        arrivals = _exponential(arrival_rng, arrival_mean, stop - start, buffers[0])
         arrivals[0] += last_arrival
         np.cumsum(arrivals, out=arrivals)
         last_arrival = arrivals[-1]
-        delay = total_delay[start:stop]
-        for i, take in enumerate(stage_services):
-            services = take(start, stop)
-            sojourn, states[i] = _lindley_chunk(services, arrivals, states[i])
-            sojourn += services
-            delay += sojourn
-            arrivals += sojourn  # departures feed the next stage
+        for take, services in zip(stage_services, buffers[1:]):
+            take(start, stop, out=services)
+        return buffers
+
+    total_delay = np.zeros(n_msgs)
+    states: list[_LindleyState | None] = [None] * len(stage_services)
+    with ThreadPoolExecutor(1) as worker:
+        ahead = worker.submit(draw, 0)
+        for start in range(0, n_msgs, step):
+            arrivals, *stage_inputs = ahead.result()
+            if start + step < n_msgs:
+                ahead = worker.submit(draw, start + step)
+            delay = total_delay[start : start + arrivals.size]
+            for i, services in enumerate(stage_inputs):
+                sojourn, states[i] = _lindley_chunk(services, arrivals, states[i])
+                sojourn += services
+                delay += sojourn
+                arrivals += sojourn  # departures feed the next stage
     return total_delay
 
 
@@ -489,12 +520,13 @@ def run_network_sim(config: SimConfig) -> SimResult:
     The tandem of queueing stages is streamed in chunks of
     ``_TANDEM_CHUNK`` messages: each chunk draws its arrivals (and, in
     markovian mode, each stage's services) as the next uniforms of their
-    streams, and each stage carries its Lindley state to the next chunk, so
-    no number depends on the chunk size either.  Full-length arrays remain
-    only per message: the total delay, the returned delays and, in physical
-    mode, each hop's rounds and the outage hop; a physical stage's services
-    are formed from them chunk by chunk.  Markovian service has no window
-    to overrun, so it counts no outage at all.
+    streams, one chunk ahead on a worker thread, and each stage carries its
+    Lindley state to the next chunk, so no number depends on the chunk size
+    either.  Full-length arrays remain only per message: the total delay,
+    the returned delays and, in physical mode, each hop's rounds and the
+    outage hop; a physical stage's services are formed from them chunk by
+    chunk.  Markovian service has no window to overrun, so it counts no
+    outage at all.
     """
     topo = config.topology
     proto = config.protocol

@@ -133,7 +133,9 @@ def dmt(pair: AntennaPair, r, *, power_exponent: float = 1.0):
     rr = _check_rate(r) / power_exponent
     k = np.arange(pair.min_dim + 1, dtype=float)
     corners = (pair.m_tx - k) * (pair.m_rx - k)
-    d = power_exponent * np.interp(rr, k, corners)
+    # a huge power_exponent overflows to inf here, which callers refuse
+    with np.errstate(over="ignore"):
+        d = power_exponent * np.interp(rr, k, corners)
     if np.isscalar(r) or np.ndim(r) == 0:
         return float(d)
     return d

@@ -150,13 +150,14 @@ def test_asymptotic_power_exponent_reaches_fixed_columns(tmp_path, capsys):
         ),
     ],
 )
+# any warning fails the run: stderr holds the one mharq: line, not numpy's
+@pytest.mark.filterwarnings("error")
 def test_power_exponent_that_overflows_the_curve_is_refused(
     tmp_path, capsys, command, payload
 ):
     # g * d(r / g) is inf at g = 1e308; those cells used to print as inf
     cfg = write_config(tmp_path, payload)
-    with np.errstate(over="ignore"):
-        assert main([command, "--config", cfg]) == 2
+    assert main([command, "--config", cfg]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "mharq: config.power_exponent: 1e+308 overflows the diversity curve\n"

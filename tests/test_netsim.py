@@ -3,6 +3,8 @@
 import dataclasses
 import math
 import statistics
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -192,6 +194,61 @@ def test_chunked_tandem_matches_whole_arrays(monkeypatch, chunk, case, sizes):
         assert all(chunked.per_hop_outage_drops)
 
 
+@pytest.mark.parametrize("case", ["markov-4stage", "physical-4stage"])
+def test_tandem_worker_is_joined(monkeypatch, case):
+    # several chunks and a ragged last one, so the worker draws ahead
+    monkeypatch.setattr(netsim, "_TANDEM_CHUNK", 1000)
+    before = threading.active_count()
+    run_network_sim(config(message_count=3500, **TANDEM_CASES[case]))
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("case", ["markov-4stage", "physical-4stage"])
+def test_tandem_pipeline_under_fast_thread_switching(monkeypatch, case):
+    # the worker refills one buffer set while this thread reads the other;
+    # switching threads every microsecond gives a missed handoff many
+    # chances to show in the bits
+    cfg = config(message_count=4000, seed=5, **TANDEM_CASES[case])
+    monkeypatch.setattr(netsim, "_tandem_delays", whole_array_tandem)
+    whole = run_network_sim(cfg)
+    monkeypatch.undo()
+    monkeypatch.setattr(netsim, "_TANDEM_CHUNK", 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pipelined = run_network_sim(cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    assert_same_result(whole, pipelined)
+
+
+class _ServiceFailed(RuntimeError):
+    pass
+
+
+@pytest.mark.parametrize(
+    "case, service",
+    [("markov-4stage", "_drawn_services"), ("physical-4stage", "_block_services")],
+)
+def test_tandem_worker_exception_reaches_the_caller(monkeypatch, case, service):
+    monkeypatch.setattr(netsim, "_TANDEM_CHUNK", 1000)
+    take = getattr(netsim, service)
+    raised = []
+
+    def fail_on_second_chunk(*args, **kwargs):
+        if args[-2] == 1000:  # start of messages start:stop
+            raised.append(_ServiceFailed(service))
+            raise raised[-1]
+        return take(*args, **kwargs)
+
+    monkeypatch.setattr(netsim, service, fail_on_second_chunk)
+    before = threading.active_count()
+    with pytest.raises(_ServiceFailed) as caught:
+        run_network_sim(config(message_count=3500, **TANDEM_CASES[case]))
+    assert caught.value is raised[0]
+    assert threading.active_count() == before
+
+
 @pytest.mark.parametrize(
     "antennas, windows, channel, code_model",
     [
@@ -239,9 +296,12 @@ class _FixedUniforms:
     def __init__(self, u):
         self.u = u
 
-    def random(self, size):
+    def random(self, size, out=None):
         assert size == self.u.size
-        return self.u.copy()
+        if out is None:
+            return self.u.copy()
+        out[...] = self.u
+        return out
 
 
 @pytest.mark.parametrize("mean", [1.0, 2.5, 10.0, 1e-3, 7.3])
@@ -249,8 +309,13 @@ def test_in_place_exponential_matches_formula(mean):
     u = np.concatenate(
         [RandomSource(5).stream(0).random(10_000), [0.0, np.nextafter(1.0, 0.0)]]
     )
-    got = netsim._exponential(_FixedUniforms(u), mean, u.size)
     want = -mean * np.log1p(-u)
+    got = netsim._exponential(_FixedUniforms(u), mean, u.size)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # the tandem's worker draws into a buffer of its own
+    out = np.full(u.size, np.nan)
+    got = netsim._exponential(_FixedUniforms(u), mean, u.size, out)
+    assert got is out
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
