@@ -14,18 +14,25 @@ preimages of the integer knots of the Zheng-Tse tradeoff curve, so the exact
 minimum is the smallest value over a finite candidate set; the closed forms
 for the special antenna families serve as independent oracles for it.
 
-Every kernel evaluates the Zheng-Tse curve of a hop through _d_scalar on
-its corner diversities, held as a tuple of Python floats (_curve), so the
-module runs on plain float arithmetic and needs no numpy.  The results are
-bit-identical to tradeoff.dmt, which stays the array-capable public form.
+Every kernel evaluates the Zheng-Tse curve of a hop through
+tradeoff._d_scalar on its corner diversities, held as a tuple of Python
+floats (tradeoff._curve), so the module runs on plain float arithmetic and
+needs no numpy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .tradeoff import AntennaPair, ChannelAssumption, Topology
+from .tradeoff import (
+    AntennaPair,
+    ChannelAssumption,
+    Topology,
+    _check_rate_scalar,
+    _curve,
+    _d_scalar,
+)
 
 __all__ = [
     "FixedWindowOptimum",
@@ -46,55 +53,12 @@ def _require_3node(topology: Topology) -> tuple[AntennaPair, AntennaPair]:
     return topology.hop(0), topology.hop(1)
 
 
-def _curve(pair: AntennaPair) -> tuple[float, ...]:
-    """Corner diversities (m_tx - k)(m_rx - k) at the knots k = 0..min_dim."""
-    return tuple(
-        float((pair.m_tx - k) * (pair.m_rx - k)) for k in range(pair.min_dim + 1)
-    )
-
-
-def _d_scalar(corners: tuple[float, ...], s: float) -> float:
-    """Piecewise-linear tradeoff evaluation with integer corner knots.
-
-    Agrees bit for bit with tradeoff.dmt: np.interp forms the same
-    (hi - lo) * (s - j) + lo between knots and returns the end corners
-    outside [0, top].
-    """
-    top = len(corners) - 1
-    if s >= top:
-        return 0.0
-    if s <= 0.0:
-        return corners[0]
-    j = int(s)
-    lo, hi = corners[j], corners[j + 1]
-    return lo + (s - j) * (hi - lo)
-
-
-def _check_rate_scalar(r: float) -> float:
-    r = float(r)
-    if math.isnan(r) or r < 0.0:
-        raise ValueError(f"multiplexing gain must be nonnegative, got {r!r}")
-    return r
-
-
-def _check_power(power_exponent: float) -> float:
-    g = float(power_exponent)
-    if not g >= 1.0:
-        raise ValueError(f"power exponent must be >= 1, got {power_exponent}")
-    return g
-
-
 # ---------------------------------------------------------------------------
 # fixed per-hop windows
 
 
 def fixed_dmdt_3node(
-    topology: Topology,
-    window1: int,
-    window2: int,
-    r: float,
-    *,
-    power_exponent: float = 1.0,
+    topology: Topology, window1: int, window2: int, r: float
 ) -> float:
     """Weakest-link diversity of a three-node chain with fixed windows.
 
@@ -105,9 +69,6 @@ def fixed_dmdt_3node(
     if window1 < 1 or window2 < 1:
         raise ValueError(f"windows must be >= 1, got ({window1}, {window2})")
     r = _check_rate_scalar(r)
-    g = _check_power(power_exponent)
-    if g != 1.0:
-        return g * fixed_dmdt_3node(topology, window1, window2, r / g)
     return min(
         _d_scalar(_curve(hop1), r / window1), _d_scalar(_curve(hop2), r / window2)
     )
@@ -124,11 +85,7 @@ class FixedWindowOptimum:
 
 
 def fixed_optimal_windows(
-    topology: Topology,
-    total_rounds: int,
-    r: float,
-    *,
-    power_exponent: float = 1.0,
+    topology: Topology, total_rounds: int, r: float
 ) -> FixedWindowOptimum:
     """Optimal division of a round budget between the two hops.
 
@@ -140,18 +97,11 @@ def fixed_optimal_windows(
     equalizes the two per-hop curves, d1(r/x) = d2(r/(total - x)), by
     bisection (the difference is monotone in x), stopped once the bracket
     is two adjacent floats, or after 100 steps.
-
-    With power exponent g the windows and split are those at rate r/g, and
-    both diversities are scaled by g, as in fixed_dmdt_3node.
     """
     hop1, hop2 = _require_3node(topology)
     if total_rounds < 2:
         raise ValueError(f"need at least two rounds to serve two hops, got {total_rounds}")
     r = _check_rate_scalar(r)
-    g = _check_power(power_exponent)
-    if g != 1.0:
-        opt = fixed_optimal_windows(topology, total_rounds, r / g)
-        return replace(opt, value=g * opt.value, split_value=g * opt.split_value)
     L = int(total_rounds)
     curve1, curve2 = _curve(hop1), _curve(hop2)
     d1 = {w: _d_scalar(curve1, r / w) for w in range(1, L)}
@@ -200,7 +150,6 @@ def fbl_dmdt_3node(
     channel: ChannelAssumption = ChannelAssumption.LONG_TERM_STATIC,
     *,
     allow_zero_rounds: bool = False,
-    power_exponent: float = 1.0,
 ) -> float:
     """Diversity of the shared-budget protocol with an offline round split.
 
@@ -218,11 +167,6 @@ def fbl_dmdt_3node(
     """
     hop1, hop2 = _require_3node(topology)
     r = _check_rate_scalar(r)
-    g = _check_power(power_exponent)
-    if g != 1.0:
-        return g * fbl_dmdt_3node(
-            topology, total_rounds, r / g, channel, allow_zero_rounds=allow_zero_rounds
-        )
     low = 0 if allow_zero_rounds else 1
     data_rounds = int(total_rounds) - 1
     if data_rounds < 2 * low or data_rounds < 1:
@@ -367,8 +311,6 @@ def vbl_dmdt_3node(
     total_rounds: int,
     r: float,
     channel: ChannelAssumption = ChannelAssumption.LONG_TERM_STATIC,
-    *,
-    power_exponent: float = 1.0,
 ) -> float:
     """Optimal diversity when the round budget is shared dynamically.
 
@@ -383,21 +325,12 @@ def vbl_dmdt_3node(
     if total_rounds < 1:
         raise ValueError(f"total_rounds must be >= 1, got {total_rounds}")
     r = _check_rate_scalar(r)
-    g = _check_power(power_exponent)
-    if g != 1.0:
-        return g * vbl_dmdt_3node(topology, total_rounds, r / g, channel)
     if channel is ChannelAssumption.SHORT_TERM_STATIC:
         return _vbl_short_term(hop1, hop2, total_rounds, r)
     return _vbl_long_term(hop1, hop2, r / total_rounds)
 
 
-def vbl_closed_form(
-    topology: Topology,
-    total_rounds: int,
-    r: float,
-    *,
-    paper_branches: bool = False,
-) -> float:
+def vbl_closed_form(topology: Topology, total_rounds: int, r: float) -> float:
     """Closed-form optimal diversity for the three special antenna families.
 
     Families: (M1, 1, M3) and (1, M, 1), both min{M1,M3} * (1-2c)/(1-c) for
@@ -407,9 +340,8 @@ def vbl_closed_form(
     For (2, 2, 2) the published three-branch form inserts a middle branch on
     (1/2, 2/3) whose value sits strictly above the true optimum there (it is
     the cost of the boundary knot at s1 = 1, which is not the global
-    minimizer on that band).  The default follows the true optimum, which is
-    what the numeric search finds; paper_branches reproduces the published
-    piecewise form instead.
+    minimizer on that band).  This form follows the true optimum, which is
+    what the numeric search finds.
     """
     if topology.n_nodes != 3:
         raise ValueError("closed forms cover three-node chains only")
@@ -429,8 +361,6 @@ def vbl_closed_form(
             return 0.0
         low_branch = 2.0 * (4.0 - 5.0 * c) / (2.0 - c)
         high_branch = 4.0 * (1.0 - c) / (2.0 - c)
-        if paper_branches and 0.5 < c < 2.0 / 3.0:
-            return (3.0 - 4.0 * c) / (1.0 - c)
         return low_branch if c <= 2.0 / 3.0 else high_branch
     raise ValueError(
         f"no closed form for {topology.antennas}; "
@@ -447,8 +377,6 @@ def nnode_vbl_dmdt(
     total_rounds: int,
     r: float,
     channel: ChannelAssumption = ChannelAssumption.LONG_TERM_STATIC,
-    *,
-    power_exponent: float = 1.0,
 ) -> float:
     """Dynamic-sharing diversity of a chain: weakest three-node window wins.
 
@@ -459,10 +387,7 @@ def nnode_vbl_dmdt(
     if topology.n_nodes < 3:
         raise ValueError("need at least three nodes; use dmt for a single hop")
     return min(
-        vbl_dmdt_3node(
-            sub, total_rounds, r, channel, power_exponent=power_exponent
-        )
-        for sub in topology.sub_topologies()
+        vbl_dmdt_3node(sub, total_rounds, r, channel) for sub in topology.sub_topologies()
     )
 
 

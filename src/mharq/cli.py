@@ -13,14 +13,14 @@ Exit codes: 0 success, 2 invalid config or arguments, 3 infeasible
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
-import io
 import json
 import math
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Sequence, TextIO
 
 import numpy as np
 
@@ -485,7 +485,7 @@ def _by_column(rows: Sequence[Sequence[Any]]) -> list[Sequence[Any]]:
 
 
 def _emit(
-    stream: io.TextIOBase,
+    stream: TextIO,
     fmt: str,
     command: str,
     config: dict,
@@ -531,6 +531,16 @@ def _emit(
 # subcommands
 
 
+def _check_power(g: float) -> None:
+    """Refuse a power_exponent g below 1.
+
+    At power exponent g every printed cell is g * K(r / g), where K is the
+    library kernel: the library holds the g = 1 curves only.
+    """
+    if g < 1.0:
+        raise ValueError(f"power exponent must be >= 1, got {g}")
+
+
 def _check_finite(power: float, cells: Sequence[float]) -> None:
     """Refuse a power_exponent g so large that a g * d(r / g) cell overflows."""
     if not all(map(math.isfinite, cells)):
@@ -542,14 +552,15 @@ def _check_finite(power: float, cells: Sequence[float]) -> None:
 def _run_dmt(config: dict) -> tuple[list[str], list[Sequence[Any]], dict]:
     chk = _Checker(config)
     antennas = chk.get("antennas", required=True)
-    power = chk.get("power_exponent")
+    g = chk.get("power_exponent")
     grid = chk.get("multiplexing_gains")
     chk.done()
+    _check_power(g)
     pair = AntennaPair(antennas[0], antennas[1])
     if grid is None:
         grid = [float(k) for k in range(pair.min_dim + 1)]
-    rows = [[r, float(dmt(pair, r, power_exponent=power))] for r in grid]
-    _check_finite(power, [d for _, d in rows])
+    rows = [[r, g * dmt(pair, r / g)] for r in grid]
+    _check_finite(g, [d for _, d in rows])
     return ["multiplexing_gain", "diversity_gain"], _by_column(rows), {}
 
 
@@ -558,7 +569,7 @@ def _run_dmdt_asymptotic(config: dict) -> tuple[list[str], list[Sequence[Any]], 
     topo = _topology(chk)
     protocol = chk.get("protocol", required=True)
     channel_name = chk.get("channel")
-    power = chk.get("power_exponent")
+    g = chk.get("power_exponent")
     allow_zero = chk.get("allow_zero_rounds")
     total = chk.get("total_window")
     if total is not None and total > _MAX_TOTAL_WINDOW:
@@ -586,19 +597,19 @@ def _run_dmdt_asymptotic(config: dict) -> tuple[list[str], list[Sequence[Any]], 
     hops = [] if topo is None else [topo.hop(i) for i in range(topo.n_hops)]
     grid = _rate_grid(chk, float(min((h.min_dim for h in hops), default=1.0)))
     chk.done()
+    _check_power(g)
     channel = ChannelAssumption(channel_name)
 
+    # the fixed optimum picks its windows and split at r / g
     def fixed(r: float):
-        return fixed_optimal_windows(topo, total, r, power_exponent=power)
+        return fixed_optimal_windows(topo, total, r / g)
 
     def fbl(r: float) -> float:
-        return fbl_dmdt_3node(
-            topo, total, r, channel, allow_zero_rounds=allow_zero, power_exponent=power
-        )
+        return g * fbl_dmdt_3node(topo, total, r / g, channel, allow_zero_rounds=allow_zero)
 
     def vbl(r: float) -> float:
         kernel = vbl_dmdt_3node if three_node else nnode_vbl_dmdt
-        return kernel(topo, total, r, channel, power_exponent=power)
+        return g * kernel(topo, total, r / g, channel)
 
     if protocol == "all":
         columns = ["multiplexing_gain", "diversity_fixed", "diversity_fixed_equalized"]
@@ -606,17 +617,17 @@ def _run_dmdt_asymptotic(config: dict) -> tuple[list[str], list[Sequence[Any]], 
         rows = []
         for r in grid:
             best = fixed(r)
-            rows.append([r, best.value, best.split_value, fbl(r), vbl(r)])
-        _check_finite(power, [v for row in rows for v in row[1:]])
+            rows.append([r, g * best.value, g * best.split_value, fbl(r), vbl(r)])
+        _check_finite(g, [v for row in rows for v in row[1:]])
         return columns, _by_column(rows), {}
 
     if protocol == "fixed" and windows is None:
-        values = [fixed(r).value for r in grid]
+        values = [g * fixed(r).value for r in grid]
     elif protocol == "fixed":
-        values = [fixed_dmdt_3node(topo, *windows, r, power_exponent=power) for r in grid]
+        values = [g * fixed_dmdt_3node(topo, *windows, r / g) for r in grid]
     else:
         values = list(map(fbl if protocol == "fbl" else vbl, grid))
-    _check_finite(power, values)
+    _check_finite(g, values)
     return ["multiplexing_gain", "diversity_gain"], [grid, values], {}
 
 
@@ -945,14 +956,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"mharq: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    buffer = io.StringIO()
-    _emit(buffer, args.format, args.command, config, columns, data, meta, seed)
-    text = buffer.getvalue()
+    # every refusal is raised above, so an --out file is never left partial
     if args.out is None:
-        sys.stdout.write(text)
+        stream = contextlib.nullcontext(sys.stdout)
     else:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        stream = open(args.out, "w", encoding="utf-8", newline="")
+    with stream as fh:
+        _emit(fh, args.format, args.command, config, columns, data, meta, seed)
     return EXIT_OK
 
 

@@ -1,12 +1,14 @@
 """Point-to-point diversity-multiplexing machinery and shared protocol types.
 
-This module holds the single-hop tradeoff curve and the small value types
+This module holds the single-hop tradeoff curve, in the one plain-float
+form that dmt and the high-SNR kernels share, and the small value types
 (antenna pairs, node chains, per-hop ARQ windows) that every higher-level
 module shares.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -108,34 +110,45 @@ class FixedArq:
         object.__setattr__(self, "windows", windows)
 
 
-def _check_rate(r) -> np.ndarray:
-    arr = np.asarray(r, dtype=float)
-    if np.any(np.isnan(arr)) or np.any(arr < 0.0):
+def _curve(pair: AntennaPair) -> tuple[float, ...]:
+    """Corner diversities (m_tx - k)(m_rx - k) at the knots k = 0..min_dim."""
+    return tuple(
+        float((pair.m_tx - k) * (pair.m_rx - k)) for k in range(pair.min_dim + 1)
+    )
+
+
+def _d_scalar(corners: tuple[float, ...], s: float) -> float:
+    """Piecewise-linear tradeoff evaluation with integer corner knots.
+
+    Between knots j and j + 1 the value is lo + (s - j) * (hi - lo), the
+    form of numpy's linear interpolation, which the tests hold it to bit
+    for bit; outside [0, top] it is the end corner.
+    """
+    top = len(corners) - 1
+    if s >= top:
+        return 0.0
+    if s <= 0.0:
+        return corners[0]
+    j = int(s)
+    lo, hi = corners[j], corners[j + 1]
+    return lo + (s - j) * (hi - lo)
+
+
+def _check_rate_scalar(r: float) -> float:
+    r = float(r)
+    if math.isnan(r) or r < 0.0:
         raise ValueError(f"multiplexing gain must be nonnegative, got {r!r}")
-    return arr
+    return r
 
 
-def dmt(pair: AntennaPair, r, *, power_exponent: float = 1.0):
+def dmt(pair: AntennaPair, r: float) -> float:
     """Optimal diversity order of a single hop at multiplexing gain r.
 
-    The piecewise-linear curve through the corner points
-    (k, (m_tx - k)(m_rx - k)) for k = 0..min(m_tx, m_rx); zero from the
-    rightmost corner on.  Accepts a scalar or an array of gains.
-
-    power_exponent scales the per-round transmit-energy budget: with budget g
-    the curve becomes g * d(r / g), which reduces to the plain curve at
-    g = 1.
+    The Zheng-Tse curve: piecewise linear through the corner points
+    (k, (m_tx - k)(m_rx - k)) for k = 0..min(m_tx, m_rx), and zero from the
+    rightmost corner on.  The high-SNR kernels read the same curve through
+    _curve and _d_scalar.
     """
     if not isinstance(pair, AntennaPair):
         raise TypeError("pair must be an AntennaPair")
-    if not power_exponent >= 1.0:
-        raise ValueError(f"power exponent must be >= 1, got {power_exponent}")
-    rr = _check_rate(r) / power_exponent
-    k = np.arange(pair.min_dim + 1, dtype=float)
-    corners = (pair.m_tx - k) * (pair.m_rx - k)
-    # a huge power_exponent overflows to inf here, which callers refuse
-    with np.errstate(over="ignore"):
-        d = power_exponent * np.interp(rr, k, corners)
-    if np.isscalar(r) or np.ndim(r) == 0:
-        return float(d)
-    return d
+    return _d_scalar(_curve(pair), _check_rate_scalar(r))

@@ -16,11 +16,13 @@ short-term round's capacity for every message, the route the simulator's
 lazy decode must agree with.  The whole-array tandem runs every queueing
 stage's Lindley reflection over all messages at once, the route the
 simulator's chunked tandem must agree with bit for bit.
-The fixed-window optimum and the shared-budget split evaluate the public
-mharq.tradeoff.dmt once per window pair, as first shipped; the float-curve
-kernels of mharq.asymptotic must give the same bits.  The fixed-window
-chain bounds bracket a chain's fixed-window diversity between its three-node
-windows and dynamic sharing of the whole budget.
+The np.interp curve is the single-hop curve as mharq.tradeoff.dmt first
+shipped it; dmt's float curve must give its bits.  The fixed-window optimum
+and the shared-budget split evaluate that curve once per window pair, as
+first shipped; the float-curve kernels of mharq.asymptotic must give the
+same bits.  The fixed-window chain bounds bracket a chain's fixed-window
+diversity between its three-node windows and dynamic sharing of the whole
+budget.
 The stdlib table writer formats every cell of every row and hands the rows
 to csv.writer or to json.dumps(indent=2, sort_keys=True), as the command
 line first wrote its output; the column-wise writer must give its bytes.
@@ -41,8 +43,6 @@ import numpy as np
 from mharq import __version__
 from mharq.asymptotic import (
     FixedWindowOptimum,
-    _check_power,
-    _check_rate_scalar,
     _require_3node,
     fixed_dmdt_3node,
     vbl_dmdt_3node,
@@ -64,7 +64,7 @@ from mharq.tradeoff import (
     ChannelAssumption,
     FixedArq,
     Topology,
-    dmt,
+    _check_rate_scalar,
 )
 
 
@@ -72,11 +72,11 @@ from mharq.tradeoff import (
 NEVER = math.inf
 
 
-def _check_rate(r: float) -> float:
-    r = float(r)
-    if math.isnan(r) or r < 0.0:
-        raise ValueError(f"multiplexing gain must be nonnegative, got {r!r}")
-    return r
+def interp_dmt(pair: AntennaPair, r: float) -> float:
+    """The single-hop curve through np.interp on the integer knots 0..min_dim."""
+    k = np.arange(pair.min_dim + 1, dtype=float)
+    corners = (pair.m_tx - k) * (pair.m_rx - k)
+    return float(np.interp(_check_rate_scalar(r), k, corners))
 
 
 @dataclass(frozen=True)
@@ -171,7 +171,7 @@ def decoding_time_blockwise(S_per_round: Sequence[float], r: float):
     over positive round counts, so r = 0 still costs one round: feedback
     arrives only at round boundaries.
     """
-    r = _check_rate(r)
+    r = _check_rate_scalar(r)
     total = 0.0
     count = 0
     for s in S_per_round:
@@ -192,7 +192,7 @@ def decoding_time_continuous(S_per_round: Sequence[float], r: float):
     the distinction from a strict-floor reading only matters on exact
     integers, a measure-zero set.
     """
-    r = _check_rate(r)
+    r = _check_rate_scalar(r)
     if r == 0.0:
         return 0.0
     acc = 0.0
@@ -359,7 +359,7 @@ def cube_walk_optimize_windows(
 def dmt_fixed_optimal_windows(
     topology: Topology, total_rounds: int, r: float
 ) -> FixedWindowOptimum:
-    """The fixed-window optimum as first shipped: dmt per window pair.
+    """The fixed-window optimum as first shipped: the curve per window pair.
 
     Kept unchanged so the tests can hold fixed_optimal_windows, which reads
     each hop's diversity once per window from a float curve, to the same
@@ -380,23 +380,23 @@ def dmt_fixed_optimal_windows(
     best: tuple[float, int, int] | None = None
     for w1 in range(1, L):
         for w2 in range(1, L - w1 + 1):
-            v = min(dmt(hop1, r / w1), dmt(hop2, r / w2))
+            v = min(interp_dmt(hop1, r / w1), interp_dmt(hop2, r / w2))
             key = (-v, abs(w1 - w2), w1)
             if best is None or key < best[0]:
                 best = (key, w1, w2)
     assert best is not None
     _, w1, w2 = best
-    value = min(dmt(hop1, r / w1), dmt(hop2, r / w2))
+    value = min(interp_dmt(hop1, r / w1), interp_dmt(hop2, r / w2))
 
     if r == 0.0:
         # both curves are flat at full diversity; call the midpoint the split
         x = L / 2.0
-        split_value = min(dmt(hop1, 0.0), dmt(hop2, 0.0))
+        split_value = min(interp_dmt(hop1, 0.0), interp_dmt(hop2, 0.0))
     else:
         lo, hi = 1e-12 * L, L * (1.0 - 1e-12)
 
         def gap(x: float) -> float:
-            return dmt(hop1, r / x) - dmt(hop2, r / (L - x))
+            return interp_dmt(hop1, r / x) - interp_dmt(hop2, r / (L - x))
 
         for _ in range(100):
             mid = 0.5 * (lo + hi)
@@ -405,7 +405,7 @@ def dmt_fixed_optimal_windows(
             else:
                 hi = mid
         x = 0.5 * (lo + hi)
-        split_value = min(dmt(hop1, r / x), dmt(hop2, r / (L - x)))
+        split_value = min(interp_dmt(hop1, r / x), interp_dmt(hop2, r / (L - x)))
     return FixedWindowOptimum(
         windows=(w1, w2), value=value, split=(x, L - x), split_value=split_value
     )
@@ -418,9 +418,8 @@ def dmt_fbl_dmdt_3node(
     channel: ChannelAssumption = ChannelAssumption.LONG_TERM_STATIC,
     *,
     allow_zero_rounds: bool = False,
-    power_exponent: float = 1.0,
 ) -> float:
-    """The shared-budget split as first shipped: dmt per hop and split.
+    """The shared-budget split as first shipped: the curve per hop and split.
 
     Kept unchanged so the tests can hold fbl_dmdt_3node, which evaluates
     the same terms on a float curve, to the same bits.
@@ -433,11 +432,6 @@ def dmt_fbl_dmdt_3node(
     """
     hop1, hop2 = _require_3node(topology)
     r = _check_rate_scalar(r)
-    g = _check_power(power_exponent)
-    if g != 1.0:
-        return g * dmt_fbl_dmdt_3node(
-            topology, total_rounds, r / g, channel, allow_zero_rounds=allow_zero_rounds
-        )
     low = 0 if allow_zero_rounds else 1
     data_rounds = int(total_rounds) - 1
     if data_rounds < 2 * low or data_rounds < 1:
@@ -455,9 +449,9 @@ def dmt_fbl_dmdt_3node(
             if l == 0:
                 terms.append(0.0)
             elif short_term:
-                terms.append(l * dmt(hop, r / l))
+                terms.append(l * interp_dmt(hop, r / l))
             else:
-                terms.append(dmt(hop, r / l))
+                terms.append(interp_dmt(hop, r / l))
         best = min(best, sum(terms))
     return best
 

@@ -13,8 +13,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mharq.asymptotic import (
-    _curve,
-    _d_scalar,
     fbl_dmdt_3node,
     fixed_dmdt_3node,
     fixed_optimal_windows,
@@ -23,8 +21,13 @@ from mharq.asymptotic import (
     vbl_closed_form,
     vbl_dmdt_3node,
 )
-from mharq.tradeoff import AntennaPair, ChannelAssumption, Topology, dmt
-from oracles import dmt_fbl_dmdt_3node, dmt_fixed_optimal_windows, nnode_fixed_bounds
+from mharq.tradeoff import AntennaPair, ChannelAssumption, Topology, _curve, dmt
+from oracles import (
+    dmt_fbl_dmdt_3node,
+    dmt_fixed_optimal_windows,
+    interp_dmt,
+    nnode_fixed_bounds,
+)
 
 LT = ChannelAssumption.LONG_TERM_STATIC
 ST = ChannelAssumption.SHORT_TERM_STATIC
@@ -64,18 +67,21 @@ def test_vbl_matches_closed_form_families(topology, L):
 
 
 def test_vbl_closed_form_published_middle_branch():
-    # On c in (1/2, 2/3) the published (2, 2, 2) form has a third branch
-    # that sits strictly above the optimum the search finds; outside that
-    # band the two readings agree.
+    # On c in (1/2, 2/3) the published (2, 2, 2) form has a third branch,
+    # (3 - 4c)/(1 - c), the cost of the boundary knot at s1 = 1.  It meets
+    # the two true branches at the ends of that band and sits strictly
+    # above the optimum the search finds inside it.
+    def published(c):
+        return (3.0 - 4.0 * c) / (1.0 - c)
+
+    assert published(0.5) == pytest.approx(vbl_closed_form(T222, 4, 2.0))
+    assert published(2.0 / 3.0) == pytest.approx(vbl_closed_form(T222, 4, 8.0 / 3.0))
+    assert published(2.5 / 4.0) == pytest.approx(4.0 / 3.0)
     assert vbl_closed_form(T222, 4, 2.5) == pytest.approx(14.0 / 11.0)
-    assert vbl_closed_form(T222, 4, 2.5, paper_branches=True) == pytest.approx(4.0 / 3.0)
-    for r in np.linspace(0.0, 4.0, 41):
-        default = vbl_closed_form(T222, 4, float(r))
-        published = vbl_closed_form(T222, 4, float(r), paper_branches=True)
-        assert published >= default - 1e-12
-        c = r / 4.0
-        if not 0.5 < c < 2.0 / 3.0:
-            assert published == default
+    for r in np.linspace(2.0, 8.0 / 3.0, 17)[1:-1]:
+        c = float(r) / 4.0
+        assert published(c) > vbl_closed_form(T222, 4, float(r)) + 1e-6
+        assert published(c) > vbl_dmdt_3node(T222, 4, float(r)) + 1e-6
 
 
 def test_vbl_long_term_tiny_rate_takes_the_limit():
@@ -92,9 +98,9 @@ def test_vbl_long_term_tiny_rate_takes_the_limit():
             1.0, abs=1e-8
         )
         # here lo rounded just below c, so a knot candidate landed on c
-        assert vbl_dmdt_3node(
-            Topology([1, 3, 3]), 5, r, power_exponent=1.5
-        ) == pytest.approx(4.5, abs=1e-8)
+        assert 1.5 * vbl_dmdt_3node(Topology([1, 3, 3]), 5, r / 1.5) == pytest.approx(
+            4.5, abs=1e-8
+        )
 
 
 def test_vbl_saturation_flag():
@@ -263,32 +269,6 @@ def test_fixed_real_split_dominates_integer_split():
         assert opt.split[0] + opt.split[1] == pytest.approx(5.0)
 
 
-@pytest.mark.parametrize("topology, L", [(T413, 4), (T222, 5), (T141, 7)])
-def test_fixed_optimal_windows_power_scaling(topology, L):
-    g = 2.0
-    for r in (0.0, 0.5, 1.0, 1.7, 3.0):
-        opt = fixed_optimal_windows(topology, L, r, power_exponent=g)
-        base = fixed_optimal_windows(topology, L, r / g)
-        assert opt.windows == base.windows
-        assert opt.split == base.split
-        assert opt.value == pytest.approx(g * base.value)
-        assert opt.split_value == pytest.approx(g * base.split_value)
-        # the optimum is at least every split's weakest link at the same power
-        for w1 in range(1, L):
-            for w2 in range(1, L - w1 + 1):
-                fixed = fixed_dmdt_3node(topology, w1, w2, r, power_exponent=g)
-                assert opt.value >= fixed, (r, w1, w2)
-    # (4,1,3), budget 4, r = 0.5: windows (1,3) give 2 * 2.75, above (2,2)'s 2 * 2.625
-    opt = fixed_optimal_windows(T413, 4, 0.5, power_exponent=2.0)
-    assert opt.windows == (1, 3)
-    assert opt.value == pytest.approx(5.5)
-    assert fixed_optimal_windows(T413, 4, 0.5, power_exponent=1.0) == (
-        fixed_optimal_windows(T413, 4, 0.5)
-    )
-    with pytest.raises(ValueError):
-        fixed_optimal_windows(T413, 4, 0.5, power_exponent=0.5)
-
-
 # ---------------------------------------------------------------------------
 # float-curve kernels against the per-call dmt oracles
 
@@ -327,43 +307,30 @@ def test_float_curve_kernels_match_dmt_oracles(antennas, L, r, channel, zero):
 
 @pytest.mark.parametrize("m_tx, m_rx", [(1, 1), (4, 1), (1, 3), (2, 2), (4, 3), (6, 6)])
 def test_d_scalar_matches_dmt_bitwise(m_tx, m_rx):
+    # dmt, and the kernels through it, read the float curve; the np.interp
+    # curve it replaced must give the same bits
     pair = AntennaPair(m_tx, m_rx)
-    corners = _curve(pair)
-    assert all(type(c) is float for c in corners)
+    assert all(type(c) is float for c in _curve(pair))
     m = pair.min_dim
     rng = np.random.default_rng(10 * m_tx + m_rx)
     # every knot from 0 to min_dim, past the top corner, and random points
     points = [*map(float, range(m + 1)), m + 0.5, 2.0 * m + 3.0, 1e300, math.inf]
     points += rng.uniform(0.0, m + 1.0, 200).tolist()
     for s in points:
-        got = _d_scalar(corners, s)
+        got = dmt(pair, s)
         assert type(got) is float
-        assert got.hex() == dmt(pair, s).hex(), s
+        assert got.hex() == interp_dmt(pair, s).hex(), s
 
 
 # ---------------------------------------------------------------------------
 # power scaling
 
 
-@pytest.mark.parametrize("g", [1.5, 2.0, 3.0])
-def test_power_scaling_identity_all_protocols(g):
-    r = 0.8
-    assert fixed_dmdt_3node(T413, 2, 2, r, power_exponent=g) == pytest.approx(
-        g * fixed_dmdt_3node(T413, 2, 2, r / g)
-    )
-    for channel in (LT, ST):
-        assert fbl_dmdt_3node(
-            T413, 4, r, channel, power_exponent=g
-        ) == pytest.approx(g * fbl_dmdt_3node(T413, 4, r / g, channel))
-        assert vbl_dmdt_3node(
-            T413, 4, r, channel, power_exponent=g
-        ) == pytest.approx(g * vbl_dmdt_3node(T413, 4, r / g, channel))
-
-
 def test_power_scaling_never_hurts():
+    # power exponent g turns each kernel K into g * K(r / g)
     for r in (0.0, 0.5, 1.0):
         base = vbl_dmdt_3node(T222, 4, r)
-        assert vbl_dmdt_3node(T222, 4, r, power_exponent=2.0) >= base - 1e-12
+        assert 2.0 * vbl_dmdt_3node(T222, 4, r / 2.0) >= base - 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -425,30 +392,26 @@ def test_large_budget_gap_closes():
 # curve invariants of every kernel dmdt-asymptotic sweeps
 
 
-def _swept_kernels(topo, L, channel, g, zero, windows):
+def _swept_kernels(topo, L, channel, zero, windows):
     """Each diversity(r) dmdt-asymptotic can print on this chain.
 
     The chain's own dynamic-sharing value, and every three-node kernel on
     each of its three-node windows.
     """
-    kernels = {"nnode vbl": lambda r: nnode_vbl_dmdt(topo, L, r, channel, power_exponent=g)}
+    kernels = {"nnode vbl": lambda r: nnode_vbl_dmdt(topo, L, r, channel)}
     for i, sub in enumerate(topo.sub_topologies()):
         kernels.update({
             f"fixed optimum {i}": lambda r, sub=sub: fixed_optimal_windows(
-                sub, L, r, power_exponent=g
+                sub, L, r
             ).value,
             f"fixed equalized {i}": lambda r, sub=sub: fixed_optimal_windows(
-                sub, L, r, power_exponent=g
+                sub, L, r
             ).split_value,
-            f"fixed {i}": lambda r, sub=sub: fixed_dmdt_3node(
-                sub, *windows, r, power_exponent=g
-            ),
+            f"fixed {i}": lambda r, sub=sub: fixed_dmdt_3node(sub, *windows, r),
             f"fbl {i}": lambda r, sub=sub: fbl_dmdt_3node(
-                sub, L, r, channel, allow_zero_rounds=zero, power_exponent=g
+                sub, L, r, channel, allow_zero_rounds=zero
             ),
-            f"vbl {i}": lambda r, sub=sub: vbl_dmdt_3node(
-                sub, L, r, channel, power_exponent=g
-            ),
+            f"vbl {i}": lambda r, sub=sub: vbl_dmdt_3node(sub, L, r, channel),
         })
     return kernels
 
@@ -464,25 +427,24 @@ _CURVE_RATES = st.one_of(
     antennas=st.lists(st.integers(1, 5), min_size=3, max_size=5),
     L=st.integers(3, 16),
     channel=st.sampled_from([LT, ST]),
-    g=st.sampled_from([1.0, 1.5, 3.0]),
     zero=st.booleans(),
     windows=st.tuples(st.integers(1, 6), st.integers(1, 6)),
     rates=st.tuples(_CURVE_RATES, _CURVE_RATES).map(sorted),
 )
 # long-term VBL: a division by zero, a lost-digits bump, a knot candidate on c
-@example(antennas=[2, 2, 2], L=4, channel=LT, g=1.0, zero=False, windows=(1, 1),
+@example(antennas=[2, 2, 2], L=4, channel=LT, zero=False, windows=(1, 1),
          rates=[0.0, 1e-16])
-@example(antennas=[1, 1, 2], L=3, channel=LT, g=1.0, zero=False, windows=(1, 1),
+@example(antennas=[1, 1, 2], L=3, channel=LT, zero=False, windows=(1, 1),
          rates=[0.0, 8.323789112106525e-13])
-@example(antennas=[1, 3, 3], L=5, channel=LT, g=1.5, zero=False, windows=(1, 1),
-         rates=[0.0, 1e-300])
+@example(antennas=[1, 3, 3], L=5, channel=LT, zero=False, windows=(1, 1),
+         rates=[0.0, 1e-300 / 1.5])
 @settings(max_examples=200, deadline=None)
 def test_swept_kernels_finite_nonnegative_nonincreasing(
-    antennas, L, channel, g, zero, windows, rates
+    antennas, L, channel, zero, windows, rates
 ):
     lo, hi = rates
     topo = Topology(antennas)
-    for name, diversity in _swept_kernels(topo, L, channel, g, zero, windows).items():
+    for name, diversity in _swept_kernels(topo, L, channel, zero, windows).items():
         d_lo, d_hi = diversity(lo), diversity(hi)
         assert math.isfinite(d_lo) and math.isfinite(d_hi), (name, lo, hi)
         assert d_lo >= 0.0 and d_hi >= 0.0, (name, lo, d_lo, hi, d_hi)

@@ -4,6 +4,7 @@ Each test drives mharq.cli.main with a JSON config on disk, the same way a
 shell invocation would, and inspects the emitted CSV/JSON or stderr.
 """
 
+import contextlib
 import dataclasses
 import hashlib
 import io
@@ -20,7 +21,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mharq.cli as cli
+from mharq.asymptotic import (
+    fbl_dmdt_3node,
+    fixed_dmdt_3node,
+    fixed_optimal_windows,
+    nnode_vbl_dmdt,
+)
 from mharq.cli import main
+from mharq.tradeoff import AntennaPair, ChannelAssumption, Topology, dmt
 from oracles import stdlib_emit
 
 
@@ -161,6 +169,91 @@ def test_power_exponent_that_overflows_the_curve_is_refused(
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "mharq: config.power_exponent: 1e+308 overflows the diversity curve\n"
+
+
+@st.composite
+def _powered_runs(draw):
+    """A dmt or dmdt-asymptotic config at power exponent g in [1, 8].
+
+    Returns the subcommand, the config, its rates and the g = 1 library
+    kernels whose scaled values g * K(r / g) the printed columns must hold.
+    """
+    g = draw(st.floats(1.0, 8.0))
+    rates = sorted(set(draw(st.lists(st.floats(0.0, 12.0), min_size=1, max_size=4))))
+    case = draw(st.sampled_from(
+        ["dmt", "fixed windows", "fixed budget", "fbl", "fbl zero", "vbl", "all"]
+    ))
+    if case == "dmt":
+        pair = AntennaPair(draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+        config = {"antennas": [pair.m_tx, pair.m_rx], "multiplexing_gains": rates}
+        return "dmt", {**config, "power_exponent": g}, rates, [lambda r: dmt(pair, r)]
+    n_nodes = draw(st.integers(3, 5)) if case == "vbl" else 3
+    antennas = draw(st.lists(st.integers(1, 4), min_size=n_nodes, max_size=n_nodes))
+    topo = Topology(antennas)
+    channel = draw(st.sampled_from(ChannelAssumption))
+    total = draw(st.integers(3, 8))
+    zero = case == "fbl zero" or (case == "all" and draw(st.booleans()))
+    config = {
+        "topology": antennas, "channel": channel.value, "power_exponent": g, "rates": rates
+    }
+    if case == "fixed windows":
+        windows = draw(st.lists(st.integers(1, 4), min_size=2, max_size=2))
+        config.update(protocol="fixed", windows=windows)
+        return "dmdt-asymptotic", config, rates, [
+            lambda r: fixed_dmdt_3node(topo, *windows, r)
+        ]
+    config.update(protocol=case.split()[0], total_window=total)
+    if zero:
+        config["allow_zero_rounds"] = True
+    fixed = [
+        lambda r: fixed_optimal_windows(topo, total, r).value,
+        lambda r: fixed_optimal_windows(topo, total, r).split_value,
+    ]
+    fbl = [lambda r: fbl_dmdt_3node(topo, total, r, channel, allow_zero_rounds=zero)]
+    vbl = [lambda r: nnode_vbl_dmdt(topo, total, r, channel)]
+    kernels = {"fixed": fixed[:1], "fbl": fbl, "vbl": vbl, "all": fixed + fbl + vbl}
+    return "dmdt-asymptotic", config, rates, kernels[config["protocol"]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_powered_runs())
+def test_printed_cells_are_the_scaled_unit_power_kernels(tmp_path_factory, run):
+    # the library kernels are the g = 1 curves; the CLI prints g * K(r / g)
+    command, config, rates, kernels = run
+    g = config["power_exponent"]
+    path = tmp_path_factory.getbasetemp() / "powered.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main([command, "--config", str(path), "--format", "json"]) == 0
+    doc = json.loads(out.getvalue())
+    assert [row["multiplexing_gain"] for row in doc["rows"]] == rates
+    got = [[row[c].hex() for c in doc["columns"][1:]] for row in doc["rows"]]
+    assert got == [[(g * kernel(r / g)).hex() for kernel in kernels] for r in rates]
+
+
+def test_power_exponent_below_one_is_refused_before_any_kernel(tmp_path, capsys):
+    # a budget of one round leaves the fixed optimum no split either, but the
+    # power exponent is checked once, before any kernel runs
+    cfg = write_config(
+        tmp_path,
+        {"topology": [3, 3, 2], "protocol": "fixed", "total_window": 1,
+         "power_exponent": 0.5},
+    )
+    assert main(["dmdt-asymptotic", "--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "mharq: power exponent must be >= 1, got 0.5\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_to_stdout_and_to_out_file_are_the_same_bytes(tmp_path, capsys, fmt):
+    cfg = write_config(tmp_path, dict(OPT_CONFIG, topology=[4, 1, 3, 2], budget=9))
+    assert main(["optimize-arq", "--config", cfg, "--format", fmt]) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / f"table.{fmt}"
+    assert main(["optimize-arq", "--config", cfg, "--format", fmt, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed.encode("utf-8")
 
 
 def test_import_leaves_hashlib_unloaded():

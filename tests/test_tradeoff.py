@@ -27,16 +27,6 @@ def test_dmt_square_pair_knots(r, expected):
     assert dmt(AntennaPair(2, 2), r) == pytest.approx(expected)
 
 
-def test_dmt_array_input_matches_scalars():
-    pair = AntennaPair(3, 2)
-    grid = np.linspace(0.0, 3.0, 13)
-    vec = dmt(pair, grid)
-    assert isinstance(vec, np.ndarray)
-    assert vec.shape == grid.shape
-    for r, d in zip(grid, vec):
-        assert d == dmt(pair, float(r))
-
-
 def test_dmt_swap_symmetry():
     pair = AntennaPair(4, 1)
     for r in np.linspace(0.0, 1.0, 11):
@@ -45,8 +35,7 @@ def test_dmt_swap_symmetry():
 
 def test_dmt_nonincreasing_and_convex():
     pair = AntennaPair(3, 3)
-    grid = np.linspace(0.0, 3.0, 301)
-    d = dmt(pair, grid)
+    d = np.array([dmt(pair, float(r)) for r in np.linspace(0.0, 3.0, 301)])
     diffs = np.diff(d)
     assert np.all(diffs <= 1e-12)
     # Piecewise-linear in r with slopes that only ever get shallower.
@@ -60,24 +49,21 @@ def test_dmt_nonincreasing_and_convex():
     g=st.floats(min_value=1.0, max_value=3.0),
 )
 @settings(max_examples=200, deadline=None)
-def test_dmt_power_scaling_identity(m_tx, m_rx, r, g):
+def test_dmt_more_energy_never_hurts(m_tx, m_rx, r, g):
+    # power exponent g turns the curve into g * d(r / g), which never
+    # falls below d(r)
     pair = AntennaPair(m_tx, m_rx)
-    direct = dmt(pair, r, power_exponent=g)
-    assert direct == pytest.approx(g * dmt(pair, r / g), abs=1e-12)
-    # Extra transmit energy can only help.
-    assert direct >= dmt(pair, r) - 1e-12
+    assert g * dmt(pair, r / g) >= dmt(pair, r) - 1e-12
 
 
 def test_dmt_rejects_bad_inputs():
     pair = AntennaPair(2, 2)
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="pair must be an AntennaPair"):
         dmt((2, 2), 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonnegative, got -0.5"):
         dmt(pair, -0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="multiplexing gain must be nonnegative"):
         dmt(pair, math.nan)
-    with pytest.raises(ValueError):
-        dmt(pair, 1.0, power_exponent=0.5)
 
 
 @pytest.mark.parametrize("pair", [AntennaPair(2, 2), AntennaPair(3, 1)])
