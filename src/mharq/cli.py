@@ -20,7 +20,7 @@ import json
 import math
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Sequence, TextIO
+from typing import Any, Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -62,6 +62,8 @@ _MAX_RATES = 10**6
 # dmdt-asymptotic refuses larger round budgets: its fixed-window optimum
 # walks every split of the budget, about 0.3 s a rate at this cap.
 _MAX_TOTAL_WINDOW = 1000
+# Tables become text and are written this many rows at a time.
+_ROW_BLOCK = 1 << 12
 
 
 class ConfigError(ValueError):
@@ -438,6 +440,7 @@ _JSON_TEXT: dict[type, Callable[[Any], str]] = {
 
 def _column_text(values: Sequence[Any], texts: dict[type, Callable]) -> list[str]:
     """Every cell of one column as text, formatting each distinct value once."""
+    values = values.tolist() if isinstance(values, np.ndarray) else values
     by_type = {kind: texts[kind] for kind in set(map(type, values))}
     distinct = dict.fromkeys(values)
     # equal keys can need different texts: 1 == 1.0 == True, and 0.0 == -0.0
@@ -448,17 +451,10 @@ def _column_text(values: Sequence[Any], texts: dict[type, Callable]) -> list[str
     return list(map(memo.__getitem__, values))
 
 
-def _json_rows(columns: Sequence[str], data: Sequence[Sequence[Any]]) -> str:
-    """The rows array as json.dumps(indent=2, sort_keys=True) nests it one deep."""
-    if not data or not data[0]:
-        return "[]"
-    # a later column of the same name wins, as in a dict built from the row
-    index = {name: i for i, name in enumerate(columns)}
-    keys = sorted(index)
-    fields = (f"      {encode_basestring_ascii(k).replace('%', '%%')}: %s" for k in keys)
-    template = "    {\n" + ",\n".join(fields) + "\n    }"
-    cells = [_column_text(data[index[k]], _JSON_TEXT) for k in keys]
-    return "[\n" + ",\n".join(map(template.__mod__, zip(*cells))) + "\n  ]"
+def _text_blocks(data: Sequence, texts: dict[type, Callable]) -> Iterator[list]:
+    """The cells of each _ROW_BLOCK rows as text, column by column."""
+    for lo in range(0, len(data[0]) if data else 0, _ROW_BLOCK):
+        yield [_column_text(column[lo : lo + _ROW_BLOCK], texts) for column in data]
 
 
 def _json_safe(value: Any) -> Any:
@@ -496,8 +492,8 @@ def _emit(
 ) -> None:
     """Write a table given column by column: data[j] holds column j.
 
-    Each column becomes text at once; the bytes are those csv.writer and
-    json.dumps(indent=2, sort_keys=True) write for the same rows.
+    The rows become text a block at a time; the bytes are those csv.writer
+    and json.dumps(indent=2, sort_keys=True) write for the same rows.
     """
     digest = _config_hash(config)
     if fmt == "csv":
@@ -507,7 +503,8 @@ def _emit(
         stream.write(header + "\n")
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(columns)
-        writer.writerows(zip(*(_column_text(c, _CSV_TEXT) for c in data)))
+        for cells in _text_blocks(data, _CSV_TEXT):
+            writer.writerows(zip(*cells))
         return
     meta: dict[str, Any] = {
         "tool": "mharq",
@@ -524,7 +521,19 @@ def _emit(
     text = json.dumps(head, indent=2, sort_keys=True, allow_nan=False)
     # "rows" sorts after "columns" and "meta": reopen the object to append it
     stream.write(text[: -len("\n}")] + ',\n  "rows": ')
-    stream.write(_json_rows(columns, data) + "\n}\n")
+    if not data or not len(data[0]):
+        stream.write("[]\n}\n")
+        return
+    # a later column of the same name wins, as in a dict built from the row
+    index = {name: i for i, name in enumerate(columns)}
+    keys = sorted(index)
+    fields = (f"      {encode_basestring_ascii(k).replace('%', '%%')}: %s" for k in keys)
+    template = "    {\n" + ",\n".join(fields) + "\n    }"
+    lead = "[\n"
+    for cells in _text_blocks([data[index[k]] for k in keys], _JSON_TEXT):
+        stream.write(lead + ",\n".join(map(template.__mod__, zip(*cells))))
+        lead = ",\n"
+    stream.write("\n  ]\n}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -715,9 +724,9 @@ def _run_optimize(config: dict) -> tuple[list[str], list[Sequence[Any]], dict]:
     order = np.lexsort((np.where(c.feasible, c.p_total, math.inf), ~c.feasible))
     ranked = (c.p_outage, c.p_deadline, c.p_total, c.feasible, c.conflict)
     data = [
-        *c.windows[order].T.tolist(),
-        *c.means[order].T.tolist(),
-        *(column[order].tolist() for column in ranked),
+        *c.windows[order].T,
+        *c.means[order].T,
+        *(column[order] for column in ranked),
         ["; ".join(c.violations[i]) for i in order.tolist()],
     ]
     meta = {
@@ -792,6 +801,14 @@ def _run_validate(
     config: dict, seed_override: int | None
 ) -> tuple[list[str], list[Sequence[Any]], dict, int]:
     sim_cfg = _sim_config(config, seed_override)
+    physical = sim_cfg.service_mode == "physical"
+    if physical and sim_cfg.channel is not ChannelAssumption.LONG_TERM_STATIC:
+        raise ConfigError(
+            [
+                "config.channel: the analytic outage references assume "
+                "long_term fading; simulate short_term without validate"
+            ]
+        )
     result = run_network_sim(sim_cfg)
     topo = sim_cfg.topology
     scenario = sim_cfg.scenario
@@ -799,14 +816,7 @@ def _run_validate(
     arrival, _ = scenario.require_queueing()
 
     checks: list[tuple[str, float, float, int]] = []
-    if sim_cfg.service_mode == "physical":
-        if sim_cfg.channel is not ChannelAssumption.LONG_TERM_STATIC:
-            raise ConfigError(
-                [
-                    "config.channel: the analytic outage references assume "
-                    "long_term fading; simulate short_term without validate"
-                ]
-            )
+    if physical:
         per_hop_ana = tuple(
             per_hop_outage(
                 topo.hop(i), float(w), scenario, code_model=sim_cfg.code_model

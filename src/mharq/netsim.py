@@ -24,10 +24,10 @@ number depends on the core count.
 
 In physical mode the hops are decoded at the same time, on a pool of
 threads with one hop per task: each hop reads only its own stream, so no
-number depends on the core count.  What stays full-length is per message:
-the total delay, the returned delays and, with physical service, each
-hop's rounds in a small integer dtype and the hop at which the message was
-dropped.  Each tandem chunk builds its stage services from those.
+number depends on the core count.  Per message only the returned delay
+stays full-length, with physical service also each hop's rounds and the
+hop at which the message was dropped, a byte each for windows below 255.
+Each tandem chunk builds its stage services from those.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -66,9 +66,9 @@ SERVICE_MODES = ("physical", "markovian")
 _STREAM_ARRIVALS = 0
 _STREAM_MARKOV_BASE = 1001
 
-# Uniforms per channel chunk: each hop's stream is drawn, turned into
-# capacities and decoded this many uniforms (whole messages) at a time, so
-# memory stays flat in message_count.
+# Uniforms per channel chunk (1 MiB of whole messages) that each hop thread
+# draws, turns into capacities and decodes at a time; the capacity kernel's
+# temporaries peak at up to 1 MiB (ostbc, rank 1) or 3.3 MiB (ranks 2-8).
 _CHUNK_UNIFORMS = 1 << 17
 
 # Messages per tandem chunk: one chunk's arrivals, services and Lindley
@@ -223,8 +223,8 @@ def _capacities(
 
     Every rank >= 2 takes one path in plain real arithmetic:
 
-    - The uniforms are copied once into entry-major order (rank side, other
-      side, [mag, phase], msg, round), so each matrix entry is one
+    - The magnitudes, then the angles, are formed in entry-major order
+      (rank side, other side, msg, round), so each matrix entry is one
       contiguous vector over the messages and rounds.
     - Row i of H is multiplied by exp(-i phi_i0) and column k by
       exp(-i (phi_0k - phi_00)).  G goes to a unitary similarity of itself,
@@ -254,28 +254,32 @@ def _capacities(
         return r_s * cap if code_model == "ostbc" else cap
     a = snr / m_tx
     sides = (2, 3) if m_rx <= m_tx else (3, 2)  # rank side first
-    e = np.ascontiguousarray(u.transpose(*sides, 4, 0, 1))
-    rank = e.shape[0]
-    mags_sq = -np.log1p(-e[:, :, 0])  # (rank side, other side, msg, round)
-    mags = np.sqrt(mags_sq)
-    phase = e[:, :, 1]  # in turns
-    turns = phase[1:, 1:] - phase[1:, :1] - phase[:1, 1:] + phase[0, 0]
-    turns -= np.rint(turns)  # cos and sin are cheapest on [-pi, pi]
-    angle = 2.0 * np.pi * turns
-    h_re = mags.copy()
-    h_im = np.zeros_like(mags)
-    h_re[1:, 1:] *= np.cos(angle)
-    np.multiply(mags[1:, 1:], np.sin(angle), out=h_im[1:, 1:])
+    phase = u[..., 1].transpose(*sides, 0, 1)  # in turns
+    mags_sq = np.ascontiguousarray(u[..., 0].transpose(*sides, 0, 1))
+    rank = mags_sq.shape[0]
+    # -log1p(-u) in place
+    np.negative(np.log1p(np.negative(mags_sq, out=mags_sq), out=mags_sq), out=mags_sq)
     # lower triangle of G, row by row; the upper one is never read
-    g_re = np.zeros((rank, rank) + mags.shape[2:])
+    g_re = np.zeros((rank, rank) + mags_sq.shape[2:])
     g_im = np.zeros_like(g_re)
     diag = np.arange(rank)
     g_re[diag, diag] = mags_sq.sum(axis=1)
+    h_re = np.sqrt(mags_sq, out=mags_sq)  # |H| now, Re H once turned below
+    # the angle in turns, rounded as cos and sin are cheapest on [-pi, pi]
+    angle = np.subtract(phase[1:, 1:], phase[1:, :1], order="C")
+    angle -= phase[:1, 1:]
+    angle += phase[0, 0]
+    angle -= np.rint(angle)
+    angle *= 2.0 * np.pi
+    h_im = np.zeros_like(h_re)
+    np.multiply(h_re[1:, 1:], np.sin(angle), out=h_im[1:, 1:])
+    h_re[1:, 1:] *= np.cos(angle, out=angle)
     for i in range(1, rank):
         re, im = h_re[:i], h_im[:i]
         g_re[i, :i] = (h_re[i] * re).sum(axis=1) + (h_im[i] * im).sum(axis=1)
         g_im[i, :i] = (h_im[i] * re).sum(axis=1) - (h_re[i] * im).sum(axis=1)
-    cap = np.zeros(mags.shape[2:])
+    del h_re, h_im, angle, re, im  # the pivots read only G
+    cap = np.zeros(g_re.shape[2:])
     for k in range(rank):
         # the Schur complement of I + a G at pivot k is I + a B with
         # B = G[k+1:, k+1:] - a / (1 + a G[k, k]) G[k+1:, k] G[k+1:, k]^H,
@@ -447,8 +451,9 @@ def _tandem_delays(
     arrival_mean: float,
     n_msgs: int,
     stage_services: Sequence[Callable[..., np.ndarray]],
-) -> np.ndarray:
-    """Total sojourn of every message through the tandem of FIFO stages.
+    out: np.ndarray | None = None,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yields (start, delay): message start + j's sojourn in the tandem is delay[j].
 
     Messages run through every stage ``_TANDEM_CHUNK`` at a time; each
     stage's departures are the next stage's arrivals.  The Poisson arrival
@@ -457,6 +462,8 @@ def _tandem_delays(
     i's service times of messages start:stop into the buffer.  One worker
     thread forms each chunk's inputs, in message order, while this thread
     reflects the chunk before; its exceptions are raised here, once joined.
+    Delays are summed in ``out`` for the last out.size messages, else in
+    one buffer that the next chunk reuses.
     """
     # imported here so that loading mharq starts no pool machinery
     from concurrent.futures import ThreadPoolExecutor
@@ -479,7 +486,8 @@ def _tandem_delays(
             take(start, stop, out=services)
         return buffers
 
-    total_delay = np.zeros(n_msgs)
+    delay_buffer = np.empty(step)
+    first_out = n_msgs - (0 if out is None else out.size)
     states: list[_LindleyState | None] = [None] * len(stage_services)
     with ThreadPoolExecutor(1) as worker:
         ahead = worker.submit(draw, 0)
@@ -487,13 +495,15 @@ def _tandem_delays(
             arrivals, *stage_inputs = ahead.result()
             if start + step < n_msgs:
                 ahead = worker.submit(draw, start + step)
-            delay = total_delay[start : start + arrivals.size]
+            lo = start - first_out
+            delay = (out[lo:] if lo >= 0 else delay_buffer)[: arrivals.size]
+            delay.fill(0.0)
             for i, services in enumerate(stage_inputs):
                 sojourn, states[i] = _lindley_chunk(services, arrivals, states[i])
                 sojourn += services
                 delay += sojourn
                 arrivals += sojourn  # departures feed the next stage
-    return total_delay
+            yield start, delay
 
 
 def run_network_sim(config: SimConfig) -> SimResult:
@@ -508,46 +518,41 @@ def run_network_sim(config: SimConfig) -> SimResult:
     chunks of whole messages, about ``_CHUNK_UNIFORMS`` uniforms each, taken
     one after another from the hop's stream.  Draws are message-major, so
     the chunks see the same uniforms as one draw of every message would,
-    and no number depends on the chunk size; memory does not grow with
-    ``message_count`` beyond the per-message arrays.  The hops run
-    concurrently on ``_hop_workers(n_hops)`` threads; each reads only its
-    own stream, so no number depends on the worker count.  On short-term
-    hops a later round's capacities are computed only for the messages it
-    has not decoded yet; every round's uniforms are still drawn for every
-    message, so the draws, and every number, are those of computing them
-    all.
+    and no number depends on the chunk size.  The hops run concurrently on
+    ``_hop_workers(n_hops)`` threads; each reads only its own stream, so no
+    number depends on the worker count.  On short-term hops a later round's
+    capacities are computed only for the messages it has not decoded yet;
+    every round's uniforms are still drawn for every message, so the draws,
+    and every number, are those of computing them all.
 
     The tandem of queueing stages is streamed in chunks of
     ``_TANDEM_CHUNK`` messages: each chunk draws its arrivals (and, in
     markovian mode, each stage's services) as the next uniforms of their
     streams, one chunk ahead on a worker thread, and each stage carries its
     Lindley state to the next chunk, so no number depends on the chunk size
-    either.  Full-length arrays remain only per message: the total delay,
-    the returned delays and, in physical mode, each hop's rounds and the
-    outage hop; a physical stage's services are formed from them chunk by
-    chunk.  Markovian service has no window to overrun, so it counts no
-    outage at all.
+    either.  Per message only the returned delays and, in physical mode,
+    each hop's rounds and the outage hop (a stage's services are formed
+    from them chunk by chunk) are held.  The delays are sized once the drops
+    are counted; markovian service has no window to overrun, so it counts
+    no outage at all, and a run with no drop sums its delays there in place.
     """
     topo = config.topology
-    proto = config.protocol
+    windows = config.protocol.windows
     scenario = config.scenario
     arrival_mean, deadline = scenario.require_queueing()
     n_msgs = config.message_count
     n_hops = topo.n_hops
     cut = config.warmup_count
     source = RandomSource(config.seed)
+    # the last slot of hop h's histogram counts the outage drops at hop h
+    histograms = tuple(np.zeros(w + 2, dtype=np.int64) for w in windows)
 
     if config.service_mode == "markovian":
         stage_services = [
             partial(_drawn_services, source.stream(_STREAM_MARKOV_BASE + i), m)
             for i, m in enumerate(_stage_means(config.hop_service_means()))
         ]
-        histograms = tuple(
-            np.zeros(proto.windows[i] + 2, dtype=np.int64) for i in range(n_hops)
-        )
-        per_hop_drops = (0,) * n_hops  # no window to overrun, so no outage
     else:
-        windows = proto.windows
         # threads, as numpy releases the GIL in the draws and the ufuncs;
         # imported here so that loading mharq starts no pool machinery
         from concurrent.futures import ThreadPoolExecutor
@@ -560,39 +565,44 @@ def run_network_sim(config: SimConfig) -> SimResult:
         outage_hop = np.full(n_msgs, n_hops, dtype=np.min_scalar_type(n_hops))
         for h in reversed(range(n_hops)):
             outage_hop[rounds[h] > windows[h]] = h
-        kept = outage_hop[cut:]
-        histograms = tuple(
-            np.bincount(rounds[h][cut:][kept >= h], minlength=windows[h] + 2)
-            for h in range(n_hops)
-        )
-        # slot h counts the drops at hop h, slot n_hops the messages in no outage
-        by_hop = np.bincount(kept, minlength=n_hops + 1)
-        per_hop_drops = tuple(int(c) for c in by_hop[:n_hops])
+        # counted a tandem chunk at a time, as bincount widens its input to intp
+        for lo in range(cut, n_msgs, _TANDEM_CHUNK):
+            dropped_at = outage_hop[lo : lo + _TANDEM_CHUNK]
+            for h, hist in enumerate(histograms):
+                reached = rounds[h][lo : lo + dropped_at.size][dropped_at >= h]
+                hist += np.bincount(reached, minlength=hist.size)
         stage_services = [
             partial(_block_services, rounds, windows, outage_hop, i)
             for i in range(max(1, n_hops - 1))
         ]
 
-    total_delay = _tandem_delays(
-        source.stream(_STREAM_ARRIVALS), arrival_mean, n_msgs, stage_services
-    )
-
+    per_hop_drops = tuple(int(hist[-1]) for hist in histograms)
     analyzed = n_msgs - cut
     per_hop_attempts = tuple(
         analyzed - sum(per_hop_drops[:h]) for h in range(n_hops)
     )
     outage_drops = sum(per_hop_drops)
-    ok_delays = total_delay[cut:]
-    if outage_drops:
-        ok_delays = ok_delays[outage_hop[cut:] == n_hops]
-    delivered = int(np.count_nonzero(ok_delays <= deadline))
-    deadline_drops = int(ok_delays.size - delivered)
+    delays = np.empty(analyzed - outage_drops)
+    filled = delivered = 0
+    # with no outage to drop, every chunk past the warmup is summed in place
+    in_place = None if outage_drops else delays
+    for start, delay in _tandem_delays(
+        source.stream(_STREAM_ARRIVALS), arrival_mean, n_msgs, stage_services, in_place
+    ):
+        kept = delay[max(cut - start, 0) :]
+        if outage_drops:
+            stop = start + delay.size
+            kept = kept[outage_hop[stop - kept.size : stop] == n_hops]
+        if kept.base is not delays:
+            delays[filled : filled + kept.size] = kept
+        filled += kept.size
+        delivered += int(np.count_nonzero(kept <= deadline))
     return SimResult(
         config=config,
-        delays=ok_delays,
+        delays=delays,
         delivered=delivered,
         outage_drops=outage_drops,
-        deadline_drops=deadline_drops,
+        deadline_drops=delays.size - delivered,
         per_hop_outage_drops=per_hop_drops,
         per_hop_attempts=per_hop_attempts,
         round_histograms=histograms,

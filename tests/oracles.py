@@ -36,7 +36,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import product as _cartesian
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -537,11 +537,13 @@ def whole_array_tandem(
     arrival_mean: float,
     n_msgs: int,
     stage_services: Sequence[Callable[[int, int], np.ndarray]],
-) -> np.ndarray:
+    out: np.ndarray | None = None,
+) -> Iterator[tuple[int, np.ndarray]]:
     """Total delay through the FIFO tandem, every stage over whole arrays.
 
-    Same contract as mharq.netsim._tandem_delays; each stage's services are
-    asked for once, for messages 0:n_msgs.
+    Same contract as mharq.netsim._tandem_delays, as one chunk of every
+    message that ``out`` never holds; each stage's services are asked for
+    once, for messages 0:n_msgs.
     """
     arrivals = np.cumsum(-arrival_mean * np.log1p(-arrival_rng.random(n_msgs)))
     stage_services = [take(0, n_msgs) for take in stage_services]
@@ -554,7 +556,7 @@ def whole_array_tandem(
         sojourn = waits + services
         total_delay += sojourn
         stage_arrivals = stage_arrivals + sojourn
-    return total_delay
+    yield 0, total_delay
 
 
 def _format_cell(value: Any) -> str:

@@ -705,6 +705,21 @@ def test_validate_rejects_short_term_physical(tmp_path, capsys):
     assert "long_term" in capsys.readouterr().err
 
 
+def test_validate_refuses_short_term_physical_before_simulating(
+    tmp_path, capsys, monkeypatch
+):
+    def no_simulation(sim_cfg):
+        raise AssertionError("validate simulated a config it refuses")
+
+    monkeypatch.setattr(cli, "run_network_sim", no_simulation)
+    cfg = write_config(tmp_path, dict(SIM_CONFIG, channel="short_term"))
+    assert main(["validate", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "mharq: config.channel: the analytic outage references assume "
+        "long_term fading; simulate short_term without validate\n"
+    )
+
+
 def test_validate_markovian_exponent(tmp_path, capsys):
     cfg = write_config(
         tmp_path,

@@ -549,6 +549,51 @@ CASES = [
         "simulate",
         dict(MARKOV, message_count=3000),
     ),
+    # runs longer than one tandem chunk (1 << 15 messages) and many channel
+    # chunks; their delays print to 17 digits in json
+    (
+        "sim-chunks-ostbc-long-term",
+        "simulate",
+        dict(
+            SIM,
+            topology=[4, 1, 3],
+            windows=[2, 3],
+            snr_linear=3.0,
+            deadline_blocks=25.0,
+            message_count=200_000,
+            warmup_count=40_000,
+        ),
+    ),
+    (
+        "sim-chunks-logdet-rank3",
+        "simulate",
+        dict(
+            SIM,
+            topology=[4, 3, 4],
+            windows=[2, 2],
+            code_model="logdet",
+            snr_linear=3.0,
+            multiplexing_gain=2.0,
+            deadline_blocks=25.0,
+            message_count=50_000,
+            warmup_count=5_000,
+        ),
+    ),
+    (
+        "sim-chunks-logdet-rank4-short-term",
+        "simulate",
+        dict(
+            SIM,
+            topology=[4, 4, 4],
+            windows=[3, 3],
+            code_model="logdet",
+            channel="short_term",
+            snr_linear=3.0,
+            multiplexing_gain=4.0,
+            deadline_blocks=25.0,
+            message_count=50_000,
+        ),
+    ),
     ("sim-missing", "simulate", _drop(SIM, "message_count", "windows")),
     (
         "sim-bad-choices",

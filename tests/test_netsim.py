@@ -5,6 +5,7 @@ import math
 import statistics
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -529,6 +530,44 @@ def test_markovian_hop_means_default_to_whole_block_means():
     spelled_out = run_network_sim(dataclasses.replace(cfg, service_means=want))
     assert np.array_equal(derived.delays, spelled_out.delays)
     assert derived.per_hop_attempts == (3000, 3000)
+
+
+# ---------------------------------------------------------------------------
+# memory
+
+
+def traced_peak(call) -> int:
+    """Bytes by which the traced allocations of call() peak above their start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_physical_run_memory_per_message():
+    # a byte of rounds for each of the two hops, a byte of outage hop and
+    # the 8-byte returned delay; the tandem's and the channel chunks' buffers
+    # come on top, and a full-length total delay would add another 8 bytes
+    n_msgs = 2_000_000
+    cfg = config(
+        topology=Topology([4, 1, 3]),
+        protocol=FixedArq([2, 3]),
+        scenario=scenario(snr=3.0, deadline=25.0),
+        message_count=n_msgs,
+        seed=1,
+    )
+    assert traced_peak(lambda: run_network_sim(cfg)) <= 13 * n_msgs
+
+
+def test_rank_two_capacity_chunk_working_set():
+    # one chunk of _CHUNK_UNIFORMS uniforms on a long-term 2 x 2 hop is
+    # 16,384 messages, 1 MiB of uniforms
+    u = netsim._channel_uniforms(RandomSource(1).stream(1), 16_384, 1, 2, 2)
+    peak = traced_peak(lambda: netsim._capacities(u, 10.0, 1.0, 2, "logdet"))
+    assert peak <= 4.5e6
 
 
 # ---------------------------------------------------------------------------
