@@ -723,11 +723,12 @@ def _run_optimize(config: dict) -> tuple[list[str], list[Sequence[Any]], dict]:
     c = result.columns
     order = np.lexsort((np.where(c.feasible, c.p_total, math.inf), ~c.feasible))
     ranked = (c.p_outage, c.p_deadline, c.p_total, c.feasible, c.conflict)
+    n_feasible = np.count_nonzero(c.feasible)
     data = [
         *c.windows[order].T,
         *c.means[order].T,
         *(column[order] for column in ranked),
-        ["; ".join(c.violations[i]) for i in order.tolist()],
+        [""] * n_feasible + ["; ".join(v) for v in c.violations(order[n_feasible:])],
     ]
     meta = {
         "best": {
@@ -855,11 +856,11 @@ def _run_validate(
             raise ConfigError(
                 ["config.message_count: too few delays to fit the tail exponent"]
             )
-        # the grid ends come from a sorted copy; the fit takes the delays in
-        # arrival order, which its batch stderr needs
+        # the fit's batch stderr needs the delays in arrival order; the grid
+        # ends come from a sorted copy, which the quantile partitions once hi is read
         ranked = np.sort(delays)
-        lo = float(np.quantile(ranked, 0.9))
         hi = float(ranked[-100]) if ranked.size >= 100 else float(ranked[-60])
+        lo = float(np.quantile(ranked, 0.9, overwrite_input=True))
         if hi <= lo:
             raise ConfigError(
                 ["config.message_count: delay tail too thin to fit an exponent"]

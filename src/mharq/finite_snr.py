@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain, combinations, compress
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -48,8 +48,8 @@ __all__ = [
 # are treated as unstable outright; the deadline exponent would blow up.
 STABILITY_MARGIN = 1e-9
 
-# The window search refuses budgets with more allocations than this; its
-# table of CandidateRows holds about 0.75 KB a row once read.
+# The window search refuses budgets with more allocations than this; the
+# CandidateRows of its table, texts formatted, hold about 0.75 KB a row once read.
 _MAX_ALLOCATIONS = 10**6
 # An infeasible search names the violations of this many candidates.
 _LISTED_CANDIDATES = 20
@@ -70,10 +70,6 @@ class WindowInfeasibleError(ValueError):
     def __init__(self, message: str, columns: CandidateColumns | None):
         super().__init__(message)
         self.columns = columns
-
-    @property
-    def table(self) -> tuple[CandidateRow, ...]:
-        return () if self.columns is None else self.columns.rows
 
 
 @dataclass(frozen=True)
@@ -438,8 +434,9 @@ class CandidateRow:
 class CandidateColumns:
     """Evaluated window allocations as columns, one row per allocation.
 
-    windows and means have one column per hop.  Infeasible rows have NaN
-    p_deadline and p_total; feasible rows have no violations.
+    windows, means and hop_over have one column per hop, stage_over one per
+    stage.  The masks mark hops above the arrival mean and unstable stages;
+    infeasible rows have NaN p_deadline and p_total.
     """
 
     windows: np.ndarray
@@ -448,8 +445,33 @@ class CandidateColumns:
     p_deadline: np.ndarray
     p_total: np.ndarray
     feasible: np.ndarray
-    conflict: np.ndarray
-    violations: list[tuple[str, ...]]
+    hop_over: np.ndarray
+    stage_over: np.ndarray
+    arrival: float
+
+    @property
+    def conflict(self) -> np.ndarray:
+        """Rows where the per-hop bounds and the stage stability disagree."""
+        return self.hop_over.any(axis=1) != self.stage_over.any(axis=1)
+
+    def violations(self, rows: np.ndarray) -> list[tuple[str, ...]]:
+        """Violation texts of rows: hops over the arrival mean, then unstable stages."""
+        arrival = f"arrival mean {self.arrival:.6g}"
+        return [
+            tuple(
+                f"mu[{i}]={m:.6g} exceeds {arrival}"
+                for i, m in compress(enumerate(means), hops)
+            )
+            + tuple(
+                f"stage {i} occupancy {stage:.6g} not stable against {arrival}"
+                for i, stage in compress(enumerate(_stage_means(means)), stages)
+            )
+            for means, hops, stages in zip(
+                self.means[rows].tolist(),
+                self.hop_over[rows].tolist(),
+                self.stage_over[rows].tolist(),
+            )
+        ]
 
     @cached_property
     def rows(self) -> tuple[CandidateRow, ...]:
@@ -458,6 +480,8 @@ class CandidateColumns:
             np.where(self.feasible, p.astype(object), None).tolist()
             for p in (self.p_deadline, self.p_total)
         )
+        feasible = self.feasible.tolist()
+        texts = iter(self.violations(np.flatnonzero(~self.feasible)))
         return tuple(
             map(
                 CandidateRow,
@@ -466,9 +490,9 @@ class CandidateColumns:
                 self.p_outage.tolist(),
                 dl,
                 total,
-                self.feasible.tolist(),
+                feasible,
                 self.conflict.tolist(),
-                self.violations,
+                [() if ok else next(texts) for ok in feasible],
             )
         )
 
@@ -520,10 +544,8 @@ def evaluate_windows(
     on the whole-block mean service times.  A row is feasible when every
     half-duplex stage is stable against the arrival mean.  A stable stage
     is shorter than the arrival mean, and so is each hop in it, so a
-    feasible row also keeps every hop mean mu <= arrival mean.  Rows that
-    pass that per-hop bound but have an unstable stage are flagged as
-    conflicts.  Infeasible rows list their violations: hops above the
-    arrival mean, then unstable stages.
+    feasible row also keeps every hop mean mu <= arrival mean.  Both
+    constraint families come back as masks, with no text.
     """
     arrival, deadline = scenario.require_queueing()
     n_hops = topology.n_hops
@@ -553,10 +575,7 @@ def evaluate_windows(
     stages = means if n_hops == 1 else means[:, :-1] + means[:, 1:]
     hop_over = means > arrival
     stage_over = 1.0 / stages - 1.0 / arrival <= STABILITY_MARGIN
-    per_hop_ok = ~hop_over.any(axis=1)
-    stable = ~stage_over.any(axis=1)
-    feasible = per_hop_ok & stable
-    conflict = per_hop_ok != stable
+    feasible = ~(hop_over.any(axis=1) | stage_over.any(axis=1))
 
     # Every stage of a feasible row is stable, so the deadline term depends
     # on the largest stage alone: evaluate it once per distinct bottleneck
@@ -575,26 +594,9 @@ def evaluate_windows(
     )[group]
     p_total = p_outage + (1.0 - p_outage) * p_deadline
 
-    violations: list[tuple[str, ...]] = [()] * len(windows)
-    rejected = np.flatnonzero(~feasible)
-    for r, row_means, row_stages, row_over in zip(
-        rejected.tolist(),
-        means[rejected].tolist(),
-        stages[rejected].tolist(),
-        stage_over[rejected].tolist(),
-    ):
-        violations[r] = tuple(
-            f"mu[{i}]={m:.6g} exceeds arrival mean {arrival:.6g}"
-            for i, m in enumerate(row_means)
-            if m > arrival
-        ) + tuple(
-            f"stage {i} occupancy {stage:.6g} not stable against "
-            f"arrival mean {arrival:.6g}"
-            for i, (stage, over) in enumerate(zip(row_stages, row_over))
-            if over
-        )
     return CandidateColumns(
-        windows, means, p_outage, p_deadline, p_total, feasible, conflict, violations
+        windows, means, p_outage, p_deadline, p_total, feasible, hop_over,
+        stage_over, arrival,
     )
 
 
@@ -614,11 +616,11 @@ def optimize_windows(
     (see evaluate_windows); ties break toward the lexicographically
     smallest windows.  A budget with more than _MAX_ALLOCATIONS allocations
     is refused with a ValueError before any of them is built.  With no
-    feasible row, WindowInfeasibleError names the first
-    _LISTED_CANDIDATES candidates' violations.
+    feasible row, WindowInfeasibleError names the violations of the first
+    _LISTED_CANDIDATES candidates, the only rows whose texts it formats.
 
-    Every candidate comes back as arrays in the result's columns; its table
-    of CandidateRows is built when first read.
+    Every candidate comes back as arrays and masks in the result's columns;
+    its table of CandidateRows, texts included, is built when first read.
     """
     _, deadline = scenario.require_queueing()
     n_hops = topology.n_hops
@@ -642,9 +644,9 @@ def optimize_windows(
     feasible = np.flatnonzero(columns.feasible)
     if not feasible.size:
         listed = columns.windows[:_LISTED_CANDIDATES]
+        texts = columns.violations(np.arange(len(listed)))
         detail = "; ".join(
-            f"{w}: {', '.join(v)}"
-            for w, v in zip(_row_tuples(listed), columns.violations)
+            f"{w}: {', '.join(v)}" for w, v in zip(_row_tuples(listed), texts)
         )
         if len(columns.windows) > len(listed):
             detail += f"; and {len(columns.windows) - len(listed)} more"

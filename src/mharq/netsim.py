@@ -238,7 +238,8 @@ def _capacities(
       negative nor overflow a later step, however singular G and however
       high the SNR.
     - The capacity is the sum of the pivots' log2, not the log2 of their
-      product, so no SNR overflows it.
+      product, and a pivot whose a * b overflows is taken as a * b, so no
+      SNR overflows it.
 
     No rank has a closed form of its own, and no rank calls a batched
     LAPACK determinant.
@@ -280,20 +281,26 @@ def _capacities(
         g_im[i, :i] = (h_im[i] * re).sum(axis=1) - (h_re[i] * im).sum(axis=1)
     del h_re, h_im, angle, re, im  # the pivots read only G
     cap = np.zeros(g_re.shape[2:])
-    for k in range(rank):
-        # the Schur complement of I + a G at pivot k is I + a B with
-        # B = G[k+1:, k+1:] - a / (1 + a G[k, k]) G[k+1:, k] G[k+1:, k]^H,
-        # so the recursion runs on B, at the scale of G for any SNR
-        b = np.maximum(g_re[k, k], 0.0)
-        pivot = 1.0 + a * b
-        cap += np.log2(pivot)
-        # a semidefinite B with a zero pivot has a zero column there, so
-        # whatever roundoff left in that column is dropped, not scaled by a
-        scale = np.where(b > 0.0, a / pivot, 0.0)
-        col_re, col_im = g_re[k + 1 :, k], g_im[k + 1 :, k]
-        w_re, w_im = scale * col_re, scale * col_im
-        g_re[k + 1 :, k + 1 :] -= w_re[:, None] * col_re + w_im[:, None] * col_im
-        g_im[k + 1 :, k + 1 :] -= w_im[:, None] * col_re - w_re[:, None] * col_im
+    with np.errstate(over="ignore"):  # a * b overflows past SNR ~1e307
+        for k in range(rank):
+            # the Schur complement of I + a G at pivot k is I + a B with
+            # B = G[k+1:, k+1:] - a / (1 + a G[k, k]) G[k+1:, k] G[k+1:, k]^H,
+            # so the recursion runs on B, at the scale of G for any SNR
+            b = np.maximum(g_re[k, k], 0.0)
+            pivot = 1.0 + a * b
+            log_pivot = np.log2(pivot)
+            # a semidefinite B with a zero pivot has a zero column there, so
+            # whatever roundoff left in that column is dropped, not scaled by a
+            scale = np.where(b > 0.0, a / pivot, 0.0)
+            if pivot.max(initial=1.0) == math.inf:
+                over = np.isinf(pivot)
+                log_pivot[over] = np.log2(b[over]) + math.log2(a)
+                scale[over] = 1.0 / b[over]
+            cap += log_pivot
+            col_re, col_im = g_re[k + 1 :, k], g_im[k + 1 :, k]
+            w_re, w_im = scale * col_re, scale * col_im
+            g_re[k + 1 :, k + 1 :] -= w_re[:, None] * col_re + w_im[:, None] * col_im
+            g_im[k + 1 :, k + 1 :] -= w_im[:, None] * col_re - w_re[:, None] * col_im
     return cap
 
 
@@ -451,7 +458,6 @@ def _tandem_delays(
     arrival_mean: float,
     n_msgs: int,
     stage_services: Sequence[Callable[..., np.ndarray]],
-    out: np.ndarray | None = None,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yields (start, delay): message start + j's sojourn in the tandem is delay[j].
 
@@ -462,8 +468,7 @@ def _tandem_delays(
     i's service times of messages start:stop into the buffer.  One worker
     thread forms each chunk's inputs, in message order, while this thread
     reflects the chunk before; its exceptions are raised here, once joined.
-    Delays are summed in ``out`` for the last out.size messages, else in
-    one buffer that the next chunk reuses.
+    Delays are summed in one buffer that the next chunk reuses.
     """
     # imported here so that loading mharq starts no pool machinery
     from concurrent.futures import ThreadPoolExecutor
@@ -487,7 +492,6 @@ def _tandem_delays(
         return buffers
 
     delay_buffer = np.empty(step)
-    first_out = n_msgs - (0 if out is None else out.size)
     states: list[_LindleyState | None] = [None] * len(stage_services)
     with ThreadPoolExecutor(1) as worker:
         ahead = worker.submit(draw, 0)
@@ -495,8 +499,7 @@ def _tandem_delays(
             arrivals, *stage_inputs = ahead.result()
             if start + step < n_msgs:
                 ahead = worker.submit(draw, start + step)
-            lo = start - first_out
-            delay = (out[lo:] if lo >= 0 else delay_buffer)[: arrivals.size]
+            delay = delay_buffer[: arrivals.size]
             delay.fill(0.0)
             for i, services in enumerate(stage_inputs):
                 sojourn, states[i] = _lindley_chunk(services, arrivals, states[i])
@@ -534,7 +537,7 @@ def run_network_sim(config: SimConfig) -> SimResult:
     each hop's rounds and the outage hop (a stage's services are formed
     from them chunk by chunk) are held.  The delays are sized once the drops
     are counted; markovian service has no window to overrun, so it counts
-    no outage at all, and a run with no drop sums its delays there in place.
+    no outage at all.
     """
     topo = config.topology
     windows = config.protocol.windows
@@ -584,17 +587,14 @@ def run_network_sim(config: SimConfig) -> SimResult:
     outage_drops = sum(per_hop_drops)
     delays = np.empty(analyzed - outage_drops)
     filled = delivered = 0
-    # with no outage to drop, every chunk past the warmup is summed in place
-    in_place = None if outage_drops else delays
     for start, delay in _tandem_delays(
-        source.stream(_STREAM_ARRIVALS), arrival_mean, n_msgs, stage_services, in_place
+        source.stream(_STREAM_ARRIVALS), arrival_mean, n_msgs, stage_services
     ):
         kept = delay[max(cut - start, 0) :]
         if outage_drops:
             stop = start + delay.size
             kept = kept[outage_hop[stop - kept.size : stop] == n_hops]
-        if kept.base is not delays:
-            delays[filled : filled + kept.size] = kept
+        delays[filled : filled + kept.size] = kept
         filled += kept.size
         delivered += int(np.count_nonzero(kept <= deadline))
     return SimResult(

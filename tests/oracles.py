@@ -537,13 +537,12 @@ def whole_array_tandem(
     arrival_mean: float,
     n_msgs: int,
     stage_services: Sequence[Callable[[int, int], np.ndarray]],
-    out: np.ndarray | None = None,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Total delay through the FIFO tandem, every stage over whole arrays.
 
     Same contract as mharq.netsim._tandem_delays, as one chunk of every
-    message that ``out`` never holds; each stage's services are asked for
-    once, for messages 0:n_msgs.
+    message; each stage's services are asked for once, for messages
+    0:n_msgs.
     """
     arrivals = np.cumsum(-arrival_mean * np.log1p(-arrival_rng.random(n_msgs)))
     stage_services = [take(0, n_msgs) for take in stage_services]

@@ -13,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mharq.cli as cli
+import mharq.finite_snr as finite_snr
 from mharq.asymptotic import (
     fbl_dmdt_3node,
     fixed_dmdt_3node,
@@ -28,7 +30,15 @@ from mharq.asymptotic import (
     nnode_vbl_dmdt,
 )
 from mharq.cli import main
-from mharq.tradeoff import AntennaPair, ChannelAssumption, Topology, dmt
+from mharq.finite_snr import (
+    CandidateColumns,
+    FiniteSnrScenario,
+    UnstableQueueError,
+    WindowInfeasibleError,
+    message_error,
+    optimize_windows,
+)
+from mharq.tradeoff import AntennaPair, ChannelAssumption, FixedArq, Topology, dmt
 from oracles import stdlib_emit
 
 
@@ -560,6 +570,55 @@ def test_optimize_infeasible_exits_three(tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+def test_violation_texts_are_formatted_only_for_rows_that_are_printed(
+    tmp_path, capsys, monkeypatch
+):
+    formatted = []
+    format_rows = CandidateColumns.violations
+
+    def counting(columns, rows):
+        texts = format_rows(columns, rows)
+        formatted.extend(texts)
+        return texts
+
+    monkeypatch.setattr(CandidateColumns, "violations", counting)
+    tight = FiniteSnrScenario(100.0, 1.0, arrival_mean_blocks=1.9, deadline_blocks=5.0)
+    # C(12, 2) = 66 rows, none feasible: the message lists the first 20
+    with pytest.raises(WindowInfeasibleError):
+        optimize_windows(Topology([4, 1, 3]), tight, budget=12)
+    assert len(formatted) == finite_snr._LISTED_CANDIDATES
+    formatted.clear()
+    # a feasible search, an unstable allocation and a sweep with an unstable
+    # point print no text
+    mixed = FiniteSnrScenario(1.0, 4.0, arrival_mean_blocks=4.0, deadline_blocks=8.0)
+    columns = optimize_windows(Topology([4, 1, 3, 2]), mixed).columns
+    with pytest.raises(UnstableQueueError):
+        message_error(Topology([4, 1, 3]), FixedArq([1, 1]), tight)
+    sweep = {
+        "topology": [4, 1, 3],
+        "windows": [2, 3],
+        "snr_db": 20.0,
+        "arrival_mean_blocks": 2.05,
+        "deadline_blocks": 5.0,
+        "sweep": {"axis": "multiplexing_gain", "values": [0.1, 1.0]},
+    }
+    assert main(["dmdt-finite", "--config", write_config(tmp_path, sweep)]) == 0
+    assert formatted == []
+    # optimize-arq prints the texts of its infeasible rows alone
+    opt = {
+        "topology": [4, 1, 3, 2],
+        "snr_linear": 1.0,
+        "multiplexing_gain": 4.0,
+        "arrival_mean_blocks": 4.0,
+        "deadline_blocks": 8.0,
+    }
+    assert main(["optimize-arq", "--config", write_config(tmp_path, opt)]) == 0
+    n_infeasible = int(np.count_nonzero(~columns.feasible))
+    assert 0 < n_infeasible < len(columns.feasible)
+    assert len(formatted) == n_infeasible
+    capsys.readouterr()
+
+
 def test_finite_sweep_flags_unstable_points(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -752,6 +811,36 @@ def test_validate_markovian_exponent(tmp_path, capsys):
         (row["empirical"] - row["analytic"]) / row["sigma"]
     )
     assert abs(row["z_score"]) <= 3.0
+
+
+def test_validate_markovian_holds_two_copies_of_the_delays(tmp_path, capsys):
+    # the returned delays and their sorted copy are 7.6 MiB each at 10**6
+    # messages; the tandem's chunk buffers and the fit come on top, and a
+    # third copy for the quantile would add another 7.6 MiB
+    cfg = write_config(
+        tmp_path,
+        {
+            "topology": [4, 1, 3],
+            "windows": [2, 3],
+            "snr_db": 20.0,
+            "multiplexing_gain": 1.0,
+            "arrival_mean_blocks": 10.0,
+            "deadline_blocks": 25.0,
+            "message_count": 1_000_000,
+            "service_mode": "markovian",
+            "service_means": [2.5, 2.5],
+            "seed": 3,
+        },
+    )
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert main(["validate", "--config", cfg]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 18 * 2**20
+    assert ",ok\n" in capsys.readouterr().out
 
 
 MARKOV_VALIDATE = {

@@ -497,6 +497,18 @@ CASES = [
         },
     ),
     ("opt-infeasible", "optimize-arq", dict(OPT, arrival_mean_blocks=1.9)),
+    # 120 allocations: the 20 listed mix hop and stage texts, then a tail
+    (
+        "opt-infeasible-listed",
+        "optimize-arq",
+        {
+            "topology": [4, 1, 3, 2],
+            "snr_linear": 1.0,
+            "multiplexing_gain": 2.0,
+            "arrival_mean_blocks": 1.9,
+            "deadline_blocks": 10.0,
+        },
+    ),
     ("opt-budget-short", "optimize-arq", dict(OPT, budget=1)),
     ("opt-budget-zero", "optimize-arq", dict(OPT, budget=0)),
     ("opt-budget-string", "optimize-arq", dict(OPT, budget="5")),

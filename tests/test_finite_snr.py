@@ -32,7 +32,11 @@ from mharq.finite_snr import (
 )
 from mharq.numerics import regularized_lower_gamma
 from mharq.tradeoff import AntennaPair, FixedArq, Topology
-from oracles import cube_walk_optimize_windows, finite_multiplexing
+from oracles import (
+    CubeWalkInfeasibleError,
+    cube_walk_optimize_windows,
+    finite_multiplexing,
+)
 
 HOP1 = AntennaPair(4, 1)
 HOP2 = AntennaPair(1, 3)
@@ -361,7 +365,7 @@ def test_optimize_windows_reports_constraint_conflict():
     tight = FiniteSnrScenario(100.0, 1.0, arrival_mean_blocks=1.9, deadline_blocks=5.0)
     with pytest.raises(WindowInfeasibleError) as err:
         optimize_windows(T413, tight)
-    rows = err.value.table
+    rows = err.value.columns.rows
     assert len(rows) == 10
     assert all(not r.feasible for r in rows)
     assert all(r.constraint_conflict for r in rows)
@@ -406,7 +410,7 @@ def test_optimize_windows_infeasible_report_matches_cube_walk():
     with pytest.raises(WindowInfeasibleError) as want:
         cube_walk_optimize_windows(T413, tight)
     assert str(got.value) == str(want.value)
-    assert [repr(row) for row in got.value.table] == [
+    assert [repr(row) for row in got.value.columns.rows] == [
         repr(row) for row in want.value.table
     ]
 
@@ -415,8 +419,10 @@ def _search_outcome(search, topo, scenario, budget):
     """Everything a search reports, spelled with repr so equal means equal bits."""
     try:
         opt = search(topo, scenario, budget=budget)
-    except WindowInfeasibleError as err:
+    except CubeWalkInfeasibleError as err:
         return "infeasible", str(err), [repr(row) for row in err.table]
+    except WindowInfeasibleError as err:
+        return "infeasible", str(err), [repr(row) for row in err.columns.rows]
     rows = [repr(row) for row in opt.table]
     return "optimum", repr(opt.allocation), repr(opt.breakdown), rows
 
@@ -497,7 +503,7 @@ def test_optimize_windows_infeasible_text_lists_twenty_candidates():
     tight = FiniteSnrScenario(100.0, 1.0, arrival_mean_blocks=1.9, deadline_blocks=5.0)
     with pytest.raises(WindowInfeasibleError) as err:
         optimize_windows(T413, tight, budget=12)
-    assert len(err.value.table) == 66
+    assert len(err.value.columns.rows) == 66
     text = str(err.value)
     assert text.count("stage 0 occupancy") == 20
     assert "(1, 1): " in text and "(2, 9): " in text and "(2, 10): " not in text
@@ -528,8 +534,8 @@ def test_optimize_windows_builds_its_table_when_first_read(monkeypatch):
     table = opt.table
     assert len(built) == len(table) == math.comb(8, 3)
     assert opt.table is table
-    assert len(err.value.table) == 10
-    assert err.value.table is err.value.table
+    assert len(err.value.columns.rows) == 10
+    assert err.value.columns.rows is err.value.columns.rows
     assert len(built) == math.comb(8, 3) + 10
     # the columns are the table's own values, column by column
     assert [row.windows for row in table] == [tuple(w) for w in opt.columns.windows.tolist()]

@@ -6,6 +6,7 @@ import statistics
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -352,11 +353,51 @@ def test_capacities_match_eigenvalue_oracle(m_rx, m_tx, rounds):
         want = eigvalsh_capacities(u, snr, 0.75, m_tx, "ostbc")
         assert np.array_equal(got, want)
     # roundoff at high SNR neither raises nor drives a capacity negative
-    for snr in (1e6, 1e300):
+    for snr in (1e6, 1e300, 1e308):
         with np.errstate(all="raise"):
             caps = netsim._capacities(u, snr, 1.0, m_tx, "logdet")
         assert np.isfinite(caps).all()
         assert (caps >= 0.0).all()
+
+
+@pytest.mark.parametrize("m_rx, m_tx", [(2, 2), (3, 4), (4, 4), (8, 8), (6, 3)])
+def test_capacities_past_the_overflowing_snr(monkeypatch, m_rx, m_tx):
+    u = netsim._channel_uniforms(
+        RandomSource(11).stream(10 * m_rx + m_tx), 500, 3, m_rx, m_tx
+    )
+    # the rank >= 2 kernel calls math.log2 only on pivots whose a * b overflows
+    overflowed = []
+    log2 = math.log2
+    monkeypatch.setattr(math, "log2", lambda x: overflowed.append(x) or log2(x))
+    caps = {}
+    for snr in (1e300, 1e306, 1e308):
+        overflowed.clear()
+        with np.errstate(all="raise"):
+            caps[snr] = netsim._capacities(u, snr, 1.0, m_tx, "logdet")
+        # up to 1e306 every pivot fits, so it keeps the bits of 1 + a * b
+        assert bool(overflowed) == (snr == 1e308)
+    # past SNR 1e307 a * b overflows in the larger pivots; their log2 is
+    # then log2 a + log2 b, so each of the rank pivots gains log2(1e8)
+    gain = caps[1e308] - caps[1e300]
+    np.testing.assert_allclose(
+        gain, min(m_rx, m_tx) * log2(1e8), rtol=0.0, atol=1e-10
+    )
+
+
+def test_simulated_drops_hold_past_the_overflowing_snr():
+    drops = []
+    for snr in (1e300, 1e306, 1e308):
+        cfg = config(
+            topology=Topology([2, 2, 2]),
+            protocol=FixedArq([1, 1]),
+            scenario=scenario(snr=snr, r=2.0),
+            message_count=20_000,
+            code_model="logdet",
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            drops.append(run_network_sim(cfg).per_hop_outage_drops)
+    assert drops == [(19_885, 115)] * 3
 
 
 @pytest.mark.parametrize("m_rx, m_tx", [(2, 2), (4, 4), (3, 5), (6, 3), (8, 8)])
