@@ -30,13 +30,11 @@ from .asymptotic import (
     fixed_dmdt_3node,
     fixed_optimal_windows,
     nnode_vbl_dmdt,
-    vbl_dmdt_3node,
 )
 from .finite_snr import (
     CODE_MODELS,
     THRESHOLD_VARIANTS,
     FiniteSnrScenario,
-    ServiceModel,
     UnstableQueueError,
     WindowInfeasibleError,
     deadline_exponent,
@@ -585,7 +583,6 @@ def _run_dmdt_asymptotic(config: dict) -> tuple[list[str], list[Sequence[Any]], 
         chk.error("total_window", f"must be at most {_MAX_TOTAL_WINDOW}, got {total}")
     windows = _windows(chk, topo, required=False)
 
-    three_node = topo is not None and topo.n_nodes == 3
     if protocol in ("fbl", "vbl", "all") and total is None:
         chk.error("total_window", f"required for protocol {protocol!r}")
     if protocol == "fixed" and (windows is None) == (total is None):
@@ -593,7 +590,7 @@ def _run_dmdt_asymptotic(config: dict) -> tuple[list[str], list[Sequence[Any]], 
             "config.windows / config.total_window: fixed protocol needs "
             "exactly one of explicit windows or a budget to split"
         )
-    if protocol in ("fixed", "fbl", "all") and topo is not None and not three_node:
+    if protocol in ("fixed", "fbl", "all") and topo is not None and topo.n_nodes != 3:
         chk.error("topology", f"protocol {protocol!r} needs exactly three nodes")
     if protocol == "vbl" and topo is not None and topo.n_nodes < 3:
         chk.error("topology", "protocol 'vbl' needs at least three nodes")
@@ -617,8 +614,7 @@ def _run_dmdt_asymptotic(config: dict) -> tuple[list[str], list[Sequence[Any]], 
         return g * fbl_dmdt_3node(topo, total, r / g, channel, allow_zero_rounds=allow_zero)
 
     def vbl(r: float) -> float:
-        kernel = vbl_dmdt_3node if three_node else nnode_vbl_dmdt
-        return g * kernel(topo, total, r / g, channel)
+        return g * nnode_vbl_dmdt(topo, total, r / g, channel)
 
     if protocol == "all":
         columns = ["multiplexing_gain", "diversity_fixed", "diversity_fixed_equalized"]
@@ -810,21 +806,25 @@ def _run_validate(
                 "long_term fading; simulate short_term without validate"
             ]
         )
-    result = run_network_sim(sim_cfg)
     topo = sim_cfg.topology
     scenario = sim_cfg.scenario
-    alloc = sim_cfg.protocol
     arrival, _ = scenario.require_queueing()
-
-    checks: list[tuple[str, float, float, int]] = []
+    # the analytic references come first, so a refused one exits before the
+    # simulation runs
     if physical:
         per_hop_ana = tuple(
             per_hop_outage(
                 topo.hop(i), float(w), scenario, code_model=sim_cfg.code_model
             )
-            for i, w in enumerate(alloc.windows)
+            for i, w in enumerate(sim_cfg.protocol.windows)
         )
         total_ana = 1.0 - math.prod(1.0 - p for p in per_hop_ana)
+    else:
+        theta = deadline_exponent(sim_cfg.hop_service_means(), arrival)
+    result = run_network_sim(sim_cfg)
+
+    checks: list[tuple[str, float, float, int]] = []
+    if physical:
         for i in range(topo.n_hops):
             attempts = result.per_hop_attempts[i]
             emp = (
@@ -847,10 +847,9 @@ def _run_validate(
             verdict = "ok" if abs(z) <= 4.0 else "mismatch"
         rows.append([name, ana, emp, n, sigma, z, verdict])
 
-    if sim_cfg.service_mode == "markovian":
+    if not physical:
         # the analytic tail and the simulated sojourn share an exponent but
         # not a prefactor, so the check compares decay rates
-        theta = deadline_exponent(ServiceModel(sim_cfg.hop_service_means()), arrival)
         delays = result.delays
         if delays.size < 60:
             raise ConfigError(

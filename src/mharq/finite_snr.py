@@ -28,7 +28,6 @@ from .tradeoff import AntennaPair, FixedArq, Topology
 
 __all__ = [
     "FiniteSnrScenario",
-    "ServiceModel",
     "ErrorBreakdown",
     "CandidateRow",
     "CandidateColumns",
@@ -116,21 +115,6 @@ class FiniteSnrScenario:
 
 
 @dataclass(frozen=True)
-class ServiceModel:
-    """Per-hop mean service times, in blocks; every mean is positive."""
-
-    means: tuple[float, ...]
-
-    def __init__(self, means: Sequence[float]) -> None:
-        means = tuple(float(m) for m in means)
-        if not means:
-            raise ValueError("service model needs at least one hop")
-        if any(math.isnan(m) or m <= 0.0 for m in means):
-            raise ValueError(f"service means must be positive, got {means}")
-        object.__setattr__(self, "means", means)
-
-
-@dataclass(frozen=True)
 class ErrorBreakdown:
     """Message-error probability split into its two loss mechanisms."""
 
@@ -152,11 +136,6 @@ class ErrorBreakdown:
                 f"inconsistent breakdown: outage {self.p_outage} and deadline "
                 f"{self.p_deadline} compose to {expected}, not {self.p_total}"
             )
-
-    @classmethod
-    def combine(cls, p_outage: float, p_deadline: float) -> "ErrorBreakdown":
-        total = p_outage + (1.0 - p_outage) * p_deadline
-        return cls(p_outage=p_outage, p_deadline=p_deadline, p_total=total)
 
 
 def _threshold_base(pair: AntennaPair, snr: float, threshold_variant: str) -> float:
@@ -322,35 +301,46 @@ def mean_service_time(
     )
 
 
-def _stage_means(means: Sequence[float]) -> list[float]:
-    """Mean occupancy of each half-duplex stage (adjacent hop pairs)."""
-    if len(means) == 1:
-        return [means[0]]
-    return [means[i] + means[i + 1] for i in range(len(means) - 1)]
+def _stage_means(means: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Half-duplex stage means on the last axis: hops i and i + 1, or the one hop."""
+    means = np.asarray(means, dtype=float)
+    if means.shape[-1] == 1:
+        return means
+    return means[..., :-1] + means[..., 1:]
 
 
-def deadline_exponent(service: ServiceModel, arrival_mean_blocks: float) -> float:
-    """Decay rate of the end-to-end delay tail; positive iff stable."""
+def _decay_rates(stages: float | np.ndarray, arrival_mean_blocks: float):
+    """Each stage's theta = 1/stage - 1/arrival; stable iff above STABILITY_MARGIN."""
+    return 1.0 / stages - 1.0 / arrival_mean_blocks
+
+
+def deadline_exponent(means: Sequence[float], arrival_mean_blocks: float) -> float:
+    """Smallest stage theta of positive per-hop means; raises on an unstable stage."""
+    hops = np.asarray(means, dtype=float)
+    if not hops.size:
+        raise ValueError("service model needs at least one hop")
+    if not (hops > 0.0).all():  # NaN compares false too
+        raise ValueError(f"service means must be positive, got {tuple(hops.tolist())}")
     if not arrival_mean_blocks > 0.0:
         raise ValueError(f"arrival mean must be positive, got {arrival_mean_blocks}")
-    thetas = []
-    for i, stage in enumerate(_stage_means(service.means)):
-        theta = 1.0 / stage - 1.0 / arrival_mean_blocks
-        if theta <= STABILITY_MARGIN:
-            raise UnstableQueueError(
-                f"stage {i} is unstable: mean occupancy {stage:.6g} blocks "
-                f"against mean inter-arrival {arrival_mean_blocks:.6g}"
-            )
-        thetas.append(theta)
-    return min(thetas)
+    stages = _stage_means(hops)
+    thetas = _decay_rates(stages, arrival_mean_blocks)
+    unstable = np.flatnonzero(thetas <= STABILITY_MARGIN)
+    if unstable.size:
+        i = int(unstable[0])
+        raise UnstableQueueError(
+            f"stage {i} is unstable: mean occupancy {stages[i]:.6g} blocks "
+            f"against mean inter-arrival {arrival_mean_blocks:.6g}"
+        )
+    return float(thetas.min())
 
 
 def deadline_probability(
-    service: ServiceModel,
+    means: Sequence[float],
     arrival_mean_blocks: float,
     deadline_blocks: float,
 ) -> float:
-    """Probability the end-to-end delay exceeds the deadline.
+    """Probability the end-to-end delay exceeds the deadline, from per-hop means.
 
     This is the paper's M/M/1-stage approximation: each half-duplex stage
     is read as an M/M/1 queue with decay rate theta = 1/stage - 1/arrival.
@@ -363,10 +353,10 @@ def deadline_probability(
     """
     if deadline_blocks < 0.0:
         raise ValueError(f"deadline must be nonnegative, got {deadline_blocks}")
-    deadline_exponent(service, arrival_mean_blocks)  # raises on an unstable stage
-    stages = _stage_means(service.means)
+    deadline_exponent(means, arrival_mean_blocks)  # raises on an unstable stage
+    stages = _stage_means(means)
     return _bottleneck_deadline_probability(
-        max(stages), arrival_mean_blocks, deadline_blocks, len(stages) == 1
+        float(stages.max()), arrival_mean_blocks, deadline_blocks, stages.size == 1
     )
 
 
@@ -383,8 +373,7 @@ def _bottleneck_deadline_probability(
     stage theta bit for bit.  one_stage adds the M/M/1 prefactor
     stage / arrival of a single queueing stage.
     """
-    theta = 1.0 / bottleneck - 1.0 / arrival_mean_blocks
-    tail = math.exp(-deadline_blocks * theta)
+    tail = math.exp(-deadline_blocks * _decay_rates(bottleneck, arrival_mean_blocks))
     return bottleneck / arrival_mean_blocks * tail if one_stage else tail
 
 
@@ -397,23 +386,17 @@ def message_error(
 ) -> ErrorBreakdown:
     """Total message-error probability of one window allocation.
 
-    The one-row evaluate_windows: outage is the space-time-coded union
-    bound, and the deadline tail runs on the whole-block mean service times.
-    An allocation with an unstable stage raises UnstableQueueError.
+    The one-row evaluate_windows, which refuses an allocation without one
+    window of at least one block per hop.  An allocation with an unstable
+    stage raises UnstableQueueError, naming the first such stage.
     """
-    arrival, _ = scenario.require_queueing()
-    if len(allocation.windows) != topology.n_hops:
-        raise ValueError(
-            f"allocation has {len(allocation.windows)} windows for "
-            f"{topology.n_hops} hops"
-        )
     row = evaluate_windows(
         topology, scenario, np.array([allocation.windows]),
         threshold_variant=threshold_variant,
     )
     if not row.feasible[0]:  # infeasible rows are exactly the unstable ones
-        deadline_exponent(ServiceModel(row.means[0]), arrival)
-    return ErrorBreakdown.combine(float(row.p_outage[0]), float(row.p_deadline[0]))
+        deadline_exponent(row.means[0], row.arrival)
+    return row.breakdown(0)
 
 
 @dataclass(frozen=True)
@@ -457,21 +440,29 @@ class CandidateColumns:
     def violations(self, rows: np.ndarray) -> list[tuple[str, ...]]:
         """Violation texts of rows: hops over the arrival mean, then unstable stages."""
         arrival = f"arrival mean {self.arrival:.6g}"
+        means = self.means[rows]
         return [
             tuple(
                 f"mu[{i}]={m:.6g} exceeds {arrival}"
-                for i, m in compress(enumerate(means), hops)
+                for i, m in compress(enumerate(hop_means), hops)
             )
             + tuple(
                 f"stage {i} occupancy {stage:.6g} not stable against {arrival}"
-                for i, stage in compress(enumerate(_stage_means(means)), stages)
+                for i, stage in compress(enumerate(stage_means), stages)
             )
-            for means, hops, stages in zip(
-                self.means[rows].tolist(),
+            for hop_means, hops, stage_means, stages in zip(
+                means.tolist(),
                 self.hop_over[rows].tolist(),
+                _stage_means(means).tolist(),
                 self.stage_over[rows].tolist(),
             )
         ]
+
+    def breakdown(self, row: int) -> ErrorBreakdown:
+        """The error split of a feasible row, as evaluate_windows composed it."""
+        return ErrorBreakdown(
+            float(self.p_outage[row]), float(self.p_deadline[row]), float(self.p_total[row])
+        )
 
     @cached_property
     def rows(self) -> tuple[CandidateRow, ...]:
@@ -545,10 +536,17 @@ def evaluate_windows(
     half-duplex stage is stable against the arrival mean.  A stable stage
     is shorter than the arrival mean, and so is each hop in it, so a
     feasible row also keeps every hop mean mu <= arrival mean.  Both
-    constraint families come back as masks, with no text.
+    constraint families come back as masks, with no text.  A matrix without
+    one column per hop, or with a window below one block, raises ValueError.
     """
     arrival, deadline = scenario.require_queueing()
     n_hops = topology.n_hops
+    if windows.shape[1:] != (n_hops,):
+        raise ValueError(
+            f"allocation matrix of shape {windows.shape} needs {n_hops} windows a row"
+        )
+    if (windows < 1).any():
+        raise ValueError(f"window must be >= 1 block, got {windows.min()}")
     # per-hop outage tails are shared across rows; precompute them
     lengths = range(1, int(windows.max()) + 1)
     hop_tail = [
@@ -572,9 +570,9 @@ def evaluate_windows(
     p_outage = np.minimum(
         list(map(sum, _row_tuples(np.array(hop_tail, dtype=object)[picks]))), 1.0
     )
-    stages = means if n_hops == 1 else means[:, :-1] + means[:, 1:]
+    stages = _stage_means(means)
     hop_over = means > arrival
-    stage_over = 1.0 / stages - 1.0 / arrival <= STABILITY_MARGIN
+    stage_over = _decay_rates(stages, arrival) <= STABILITY_MARGIN
     feasible = ~(hop_over.any(axis=1) | stage_over.any(axis=1))
 
     # Every stage of a feasible row is stable, so the deadline term depends
@@ -660,9 +658,7 @@ def optimize_windows(
     best = int(feasible[np.argmin(columns.p_total[feasible])])
     return WindowOptimum(
         allocation=FixedArq(columns.windows[best].tolist()),
-        breakdown=ErrorBreakdown.combine(
-            float(columns.p_outage[best]), float(columns.p_deadline[best])
-        ),
+        breakdown=columns.breakdown(best),
         threshold_variant=threshold_variant,
         columns=columns,
     )

@@ -53,11 +53,8 @@ from mharq.finite_snr import (
     CandidateRow,
     ErrorBreakdown,
     FiniteSnrScenario,
-    ServiceModel,
     WindowInfeasibleError,
     _outage_window_ostbc,
-    _stage_means,
-    deadline_probability,
 )
 from mharq.tradeoff import (
     AntennaPair,
@@ -250,7 +247,9 @@ def cube_walk_optimize_windows(
     Kept unchanged, apart from the infeasible message's cap of 20 listed
     candidates, so the tests can hold optimize_windows, which evaluates
     only the compositions of the budget, as arrays, to the same table row
-    for row.
+    for row.  It writes its own queue model (adjacent-pair stage sums, the
+    stability test, the deadline tail and the error composition) rather
+    than import mharq.finite_snr's, so the two share no code there.
 
     Enumerates every allocation with all windows >= 1 and total at most the
     budget (the deadline, rounded down, unless given explicitly), discards
@@ -301,9 +300,15 @@ def cube_walk_optimize_windows(
                     f"mu[{i}]={m:.6g} exceeds arrival mean {arrival:.6g}"
                 )
         per_hop_ok = not violations
+        # a half-duplex stage serves two adjacent hops; one hop is its own stage
+        if n_hops == 1:
+            stages = list(means)
+        else:
+            stages = [a + b for a, b in zip(means, means[1:])]
+        thetas = [1.0 / stage - 1.0 / arrival for stage in stages]
         stage_violations: list[str] = []
-        for i, stage in enumerate(_stage_means(means)):
-            if 1.0 / stage - 1.0 / arrival <= STABILITY_MARGIN:
+        for i, (stage, theta) in enumerate(zip(stages, thetas)):
+            if theta <= STABILITY_MARGIN:
                 stage_violations.append(
                     f"stage {i} occupancy {stage:.6g} not stable against "
                     f"arrival mean {arrival:.6g}"
@@ -313,11 +318,13 @@ def cube_walk_optimize_windows(
         feasible = per_hop_ok and stable
         conflict = per_hop_ok != stable
         if feasible:
-            p_deadline = deadline_probability(
-                ServiceModel(means), arrival, deadline
-            )
-            breakdown = ErrorBreakdown.combine(p_outage, p_deadline)
-            p_total = breakdown.p_total
+            # the M/M/1-stage tail at the slowest decay rate, with the
+            # prefactor rho = stage / arrival when there is one stage
+            p_deadline = math.exp(-deadline * min(thetas))
+            if len(stages) == 1:
+                p_deadline = stages[0] / arrival * p_deadline
+            p_total = p_outage + (1.0 - p_outage) * p_deadline
+            breakdown = ErrorBreakdown(p_outage, p_deadline, p_total)
             if best is None or (p_total, windows) < best:
                 best = (p_total, windows)
                 best_breakdown = breakdown

@@ -18,13 +18,13 @@ from mharq.finite_snr import (
     CandidateRow,
     ErrorBreakdown,
     FiniteSnrScenario,
-    ServiceModel,
     UnstableQueueError,
     WindowInfeasibleError,
     _composition_matrix,
     _outage_window_ostbc,
     deadline_exponent,
     deadline_probability,
+    evaluate_windows,
     mean_service_time,
     message_error,
     optimize_windows,
@@ -230,21 +230,18 @@ def test_mean_service_time_blockwise():
 
 def test_deadline_probability_single_stage():
     # one queueing stage: exact exponential sojourn tail with prefactor
-    service = ServiceModel([2.0])
-    assert deadline_exponent(service, 4.0) == pytest.approx(0.25)
-    got = deadline_probability(service, 4.0, 6.0)
+    assert deadline_exponent([2.0], 4.0) == pytest.approx(0.25)
+    got = deadline_probability([2.0], 4.0, 6.0)
     assert got == pytest.approx((2.0 / 4.0) * math.exp(-1.5), rel=1e-12)
     # two hops still form a single half-duplex stage
-    service = ServiceModel([1.5, 1.6])
     theta = 1.0 / 3.1 - 1.0 / 10.0
-    got = deadline_probability(service, 10.0, 5.0)
+    got = deadline_probability([1.5, 1.6], 10.0, 5.0)
     assert got == pytest.approx((3.1 / 10.0) * math.exp(-5.0 * theta), rel=1e-12)
 
 
 def test_deadline_probability_multi_stage_keeps_exponent_only():
-    service = ServiceModel([2.0, 2.0, 2.0, 2.0])  # stages 4, 4, 4
     theta = 1.0 / 4.0 - 1.0 / 10.0
-    got = deadline_probability(service, 10.0, 20.0)
+    got = deadline_probability([2.0, 2.0, 2.0, 2.0], 10.0, 20.0)  # stages 4, 4, 4
     assert got == pytest.approx(math.exp(-20.0 * theta), rel=1e-12)
 
 
@@ -259,38 +256,42 @@ def test_deadline_probability_multi_stage_keeps_exponent_only():
     st.floats(0.0, 60.0),
 )
 def test_deadline_probability_is_the_smallest_stage_theta(means, arrival, deadline):
-    # keyed by the bottleneck stage, the tail keeps the bits of the smallest
-    # stage decay rate, ties between stages included
+    # the exponent is the smallest stage decay rate of the scalar loop, and,
+    # keyed by the bottleneck stage, the tail keeps its bits, ties included
     if len(means) == 1:
         stages = means
     else:
         stages = [a + b for a, b in zip(means, means[1:])]
     theta = min(1.0 / s - 1.0 / arrival for s in stages)
+    assert deadline_exponent(means, arrival) == theta
     want = math.exp(-deadline * theta)
     if len(stages) == 1:
         want = stages[0] / arrival * want
-    assert deadline_probability(ServiceModel(means), arrival, deadline) == want
+    assert deadline_probability(means, arrival, deadline) == want
 
 
 def test_deadline_validation():
     with pytest.raises(UnstableQueueError):
-        deadline_exponent(ServiceModel([2.0, 2.0]), 3.9)
+        deadline_exponent([2.0, 2.0], 3.9)
     with pytest.raises(UnstableQueueError):
-        deadline_exponent(ServiceModel([2.0]), 2.0)  # knife-edge counts as unstable
+        deadline_exponent([2.0], 2.0)  # knife-edge counts as unstable
     with pytest.raises(ValueError):
-        deadline_exponent(ServiceModel([2.0]), 0.0)
+        deadline_exponent([2.0], 0.0)
     with pytest.raises(ValueError):
-        deadline_probability(ServiceModel([2.0]), 10.0, -1.0)
+        deadline_probability([2.0], 10.0, -1.0)
 
 
 def test_service_model_validation():
-    assert ServiceModel([1.0, 2.5]).means == (1.0, 2.5)
-    with pytest.raises(ValueError):
-        ServiceModel([])
-    with pytest.raises(ValueError):
-        ServiceModel([1.0, 0.0])
+    # the per-hop means are checked where the queue model reads them
+    assert deadline_exponent([1.0, 2.5], 10.0) == 1.0 / 3.5 - 1.0 / 10.0
+    with pytest.raises(ValueError, match="^service model needs at least one hop$"):
+        deadline_exponent([], 10.0)
+    with pytest.raises(ValueError, match=r"^service means must be positive, got \(1\.0, 0\.0\)$"):
+        deadline_probability([1.0, 0.0], 10.0, 5.0)
+    with pytest.raises(ValueError, match=r"got \(nan,\)$"):
+        deadline_exponent([math.nan], 10.0)
     # the only rule is positivity; whole-block means are >= 1 by construction
-    assert ServiceModel([0.9]).means == (0.9,)
+    assert deadline_exponent([0.9], 10.0) == 1.0 / 0.9 - 1.0 / 10.0
 
 
 def test_scenario_validation():
@@ -314,8 +315,8 @@ def test_scenario_validation():
 
 
 def test_error_breakdown():
-    br = ErrorBreakdown.combine(0.1, 0.2)
-    assert br.p_total == pytest.approx(0.1 + 0.9 * 0.2)
+    br = ErrorBreakdown(0.1, 0.2, 0.1 + 0.9 * 0.2)
+    assert br.p_total == pytest.approx(0.28)
     with pytest.raises(ValueError):
         ErrorBreakdown(1.2, 0.0, 1.2)
     with pytest.raises(ValueError):
@@ -337,6 +338,20 @@ def test_message_error_reproduces_best_allocation():
 def test_message_error_requires_queueing_fields():
     with pytest.raises(ValueError):
         message_error(T413, FixedArq([2, 3]), FiniteSnrScenario(100.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "antennas, windows, match",
+    [
+        # one column for three hops would broadcast to windows (2, 2, 2)
+        ([4, 1, 3, 2], [[2]], r"shape \(1, 1\) needs 3 windows a row"),
+        # window 0 would index position -1, hop 1's largest-window mean
+        ([4, 1, 3], [[0, 3]], r"window must be >= 1 block, got 0"),
+    ],
+)
+def test_evaluate_windows_refuses_malformed_allocations(antennas, windows, match):
+    with pytest.raises(ValueError, match=match):
+        evaluate_windows(Topology(antennas), SC_20DB, np.array(windows))
 
 
 def test_optimize_windows_best_split():

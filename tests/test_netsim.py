@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import mharq.netsim as netsim
-from mharq.finite_snr import FiniteSnrScenario, mean_service_time
+from mharq.finite_snr import FiniteSnrScenario, _stage_means, mean_service_time
 from mharq.netsim import (
     RandomSource,
     SimConfig,
@@ -571,6 +571,41 @@ def test_markovian_hop_means_default_to_whole_block_means():
     spelled_out = run_network_sim(dataclasses.replace(cfg, service_means=want))
     assert np.array_equal(derived.delays, spelled_out.delays)
     assert derived.per_hop_attempts == (3000, 3000)
+
+
+@pytest.mark.parametrize(
+    "antennas, windows",
+    [([2, 2], [2]), ([4, 1, 3], [2, 3]), ([2, 3, 2, 4, 1], [2, 2, 3, 2])],
+)
+def test_physical_stages_pair_hops_as_the_queue_model(monkeypatch, antennas, windows):
+    # the simulator forms each stage's services from its hops' blocks; over
+    # the messages no hop drops, its stages must be the stages of the
+    # analytic queue model, _stage_means of the per-hop block matrix
+    real = netsim._block_services
+    seen = {}
+
+    def recording(rounds, windows, outage_hop, stage, *span, **kwargs):
+        seen[stage] = (rounds, windows, outage_hop)
+        return real(rounds, windows, outage_hop, stage, *span, **kwargs)
+
+    monkeypatch.setattr(netsim, "_block_services", recording)
+    run_network_sim(
+        config(
+            topology=Topology(antennas),
+            protocol=FixedArq(windows),
+            scenario=scenario(snr=10.0),
+            message_count=2000,
+        )
+    )
+    rounds, wins, outage_hop = seen[0]
+    kept = outage_hop == len(windows)
+    assert 0 < kept.sum() < kept.size  # some messages are dropped, some are not
+    blocks = np.column_stack([np.minimum(r, w) for r, w in zip(rounds, wins)])
+    want = _stage_means(blocks[kept])
+    assert sorted(seen) == list(range(want.shape[1]))
+    for stage in seen:
+        got = real(rounds, wins, outage_hop, stage, 0, kept.size)
+        assert np.array_equal(got[kept], want[:, stage])
 
 
 # ---------------------------------------------------------------------------
