@@ -437,8 +437,16 @@ _JSON_TEXT: dict[type, Callable[[Any], str]] = {
 
 
 def _column_text(values: Sequence[Any], texts: dict[type, Callable]) -> list[str]:
-    """Every cell of one column as text, formatting each distinct value once."""
-    values = values.tolist() if isinstance(values, np.ndarray) else values
+    """Every cell of one column as text, formatting each distinct value once.
+
+    Array cells are told apart by their bits, list cells by value and type.
+    """
+    if hasattr(values, "dtype"):
+        bits = values.view(f"u{values.itemsize}")
+        keys, cells = np.unique(bits, return_inverse=True)
+        distinct = keys.view(values.dtype).tolist()
+        text = texts[type(distinct[0])]
+        return np.array(list(map(text, distinct)), dtype=object)[cells].tolist()
     by_type = {kind: texts[kind] for kind in set(map(type, values))}
     distinct = dict.fromkeys(values)
     # equal keys can need different texts: 1 == 1.0 == True, and 0.0 == -0.0
@@ -501,8 +509,15 @@ def _emit(
         stream.write(header + "\n")
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(columns)
+        row = ",".join(["%s"] * len(columns)) + "\n"
         for cells in _text_blocks(data, _CSV_TEXT):
-            writer.writerows(zip(*cells))
+            # only csv.writer quotes: a cell holding , " \r or \n, and the
+            # empty cell of a one-column row
+            joined = map("".join, cells)
+            if len(cells) < 2 or any(c in j for j in joined for c in ',"\r\n'):
+                writer.writerows(zip(*cells))
+            else:
+                stream.writelines(map(row.__mod__, zip(*cells)))
         return
     meta: dict[str, Any] = {
         "tool": "mharq",

@@ -16,9 +16,10 @@ and times are in blocks.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, combinations, compress
+from itertools import compress
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -69,6 +70,18 @@ class WindowInfeasibleError(ValueError):
     def __init__(self, message: str, columns: CandidateColumns | None):
         super().__init__(message)
         self.columns = columns
+
+    def __str__(self) -> str:
+        if self.columns is None:
+            return super().__str__()
+        listed = self.columns.windows[:_LISTED_CANDIDATES]
+        texts = self.columns.violations(np.arange(len(listed)))
+        detail = "; ".join(
+            f"{w}: {', '.join(v)}" for w, v in zip(_row_tuples(listed), texts)
+        )
+        if len(self.columns.windows) > len(listed):
+            detail += f"; and {len(self.columns.windows) - len(listed)} more"
+        return f"{super().__str__()} (per candidate: {detail})"
 
 
 @dataclass(frozen=True)
@@ -355,26 +368,29 @@ def deadline_probability(
         raise ValueError(f"deadline must be nonnegative, got {deadline_blocks}")
     deadline_exponent(means, arrival_mean_blocks)  # raises on an unstable stage
     stages = _stage_means(means)
-    return _bottleneck_deadline_probability(
-        float(stages.max()), arrival_mean_blocks, deadline_blocks, stages.size == 1
+    tail = _bottleneck_deadline_probabilities(
+        stages.max(keepdims=True), arrival_mean_blocks, deadline_blocks, stages.size == 1
     )
+    return float(tail[0])
 
 
-def _bottleneck_deadline_probability(
-    bottleneck: float,
+def _bottleneck_deadline_probabilities(
+    bottlenecks: np.ndarray,
     arrival_mean_blocks: float,
     deadline_blocks: float,
     one_stage: bool,
-) -> float:
-    """deadline_probability of a stable chain from its largest stage mean.
+) -> np.ndarray:
+    """deadline_probability of stable chains from their largest stage means.
 
     theta = 1/stage - 1/arrival falls as the stage grows, and IEEE division
     and subtraction are monotone, so the bottleneck's theta is the smallest
     stage theta bit for bit.  one_stage adds the M/M/1 prefactor
-    stage / arrival of a single queueing stage.
+    stage / arrival of a single queueing stage.  The exponentials go
+    through math.exp, as np.exp need not round as it does.
     """
-    tail = math.exp(-deadline_blocks * _decay_rates(bottleneck, arrival_mean_blocks))
-    return bottleneck / arrival_mean_blocks * tail if one_stage else tail
+    exponents = -deadline_blocks * _decay_rates(bottlenecks, arrival_mean_blocks)
+    tails = np.fromiter(map(math.exp, exponents.tolist()), float, len(exponents))
+    return bottlenecks / arrival_mean_blocks * tails if one_stage else tails
 
 
 def message_error(
@@ -507,14 +523,38 @@ def _composition_matrix(n_hops: int, budget: int) -> np.ndarray:
 
     Row k is the k-th of the C(budget, n_hops) tuples.  They are the gaps
     between 0 and n_hops strictly increasing cut points in 1..budget, and
-    cut points sort in the same order as the windows they cut.
+    cut points sort in the same order as the windows they cut.  Each prefix
+    of cuts is repeated once per value its next cut can take, in order.
     """
-    cuts = np.fromiter(
-        chain.from_iterable(combinations(range(1, budget + 1), n_hops)),
-        dtype=np.intp,
-        count=math.comb(budget, n_hops) * n_hops,
-    ).reshape(-1, n_hops)
+    cuts = np.arange(1, budget - n_hops + 2)[:, None]
+    for k in range(1, n_hops):
+        last = cuts[:, -1]
+        counts = budget - n_hops + k + 1 - last  # the next cut runs last + 1 .. top
+        prefix = np.repeat(np.arange(len(cuts)), counts)
+        step = np.arange(len(prefix)) - np.repeat(np.cumsum(counts) - counts, counts)
+        cuts = np.column_stack((cuts[prefix], last[prefix] + 1 + step))
     return np.diff(cuts, axis=1, prepend=0)
+
+
+def _row_sums(matrix: np.ndarray) -> np.ndarray:
+    """Each row's builtin sum() on the running Python, bit for bit.
+
+    The window search's sums keep the bits of the scalar definitions this
+    way.  Before 3.12, sum() adds floats left to right from 0 + the first
+    value.  From 3.12 on it adds them with Neumaier's compensation, applied
+    here to whole columns at once: with t = s + x, c gains (s - t) + x where
+    |s| >= |x| and (x - t) + s otherwise, and s + c is taken at the end where
+    c is nonzero and finite.  A numpy sum need match neither.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = matrix[:, 0] + 0.0
+        c = np.zeros_like(s)
+        for x in matrix[:, 1:].T:
+            t = s + x
+            if sys.version_info >= (3, 12):
+                c += np.where(np.abs(s) >= np.abs(x), (s - t) + x, (x - t) + s)
+            s = t
+        return np.where((c != 0.0) & np.isfinite(c), s + c, s)
 
 
 def _row_tuples(matrix: np.ndarray) -> Iterator[tuple]:
@@ -547,29 +587,28 @@ def evaluate_windows(
         )
     if (windows < 1).any():
         raise ValueError(f"window must be >= 1 block, got {windows.min()}")
-    # per-hop outage tails are shared across rows; precompute them
+    # per-hop outage tails are shared across rows, and across the hops of
+    # one antenna pair; precompute them
     lengths = range(1, int(windows.max()) + 1)
-    hop_tail = [
-        [
+    pairs = list(map(topology.hop, range(n_hops)))
+    pair_tail = {
+        pair: [
             _outage_window_ostbc(pair, float(j), scenario, threshold_variant)
             for j in lengths
         ]
-        for pair in map(topology.hop, range(n_hops))
-    ]
+        for pair in set(pairs)
+    }
+    hop_tail = [pair_tail[pair] for pair in pairs]
 
     # whole-block means, as in mean_service_time, indexed by window - 1; each
-    # prefix goes through sum() itself so the floats match it on every Python
-    # (3.12 made float sum() compensated, so a running sum would drift)
+    # prefix goes through sum() itself, for the reason _row_sums gives
     hop_mean = [[1.0 + sum(tail[:k]) for k in range(len(tail))] for tail in hop_tail]
 
     # one column per hop; every expression below is the IEEE arithmetic the
     # scalar definitions do, so the bits match them
     picks = (np.arange(n_hops), windows - 1)
     means = np.array(hop_mean)[picks]
-    # the union bound sums with sum() for the same reason as hop_mean
-    p_outage = np.minimum(
-        list(map(sum, _row_tuples(np.array(hop_tail, dtype=object)[picks]))), 1.0
-    )
+    p_outage = np.minimum(_row_sums(np.array(hop_tail)[picks]), 1.0)
     stages = _stage_means(means)
     hop_over = means > arrival
     stage_over = _decay_rates(stages, arrival) <= STABILITY_MARGIN
@@ -582,13 +621,9 @@ def evaluate_windows(
     bottlenecks, group = np.unique(
         stages[modelled].max(axis=1), return_inverse=True
     )
-    one_stage = stages.shape[1] == 1
     p_deadline = np.full(len(windows), math.nan)
-    p_deadline[modelled] = np.array(
-        [
-            _bottleneck_deadline_probability(b, arrival, deadline, one_stage)
-            for b in bottlenecks.tolist()
-        ]
+    p_deadline[modelled] = _bottleneck_deadline_probabilities(
+        bottlenecks, arrival, deadline, stages.shape[1] == 1
     )[group]
     p_total = p_outage + (1.0 - p_outage) * p_deadline
 
@@ -615,7 +650,7 @@ def optimize_windows(
     smallest windows.  A budget with more than _MAX_ALLOCATIONS allocations
     is refused with a ValueError before any of them is built.  With no
     feasible row, WindowInfeasibleError names the violations of the first
-    _LISTED_CANDIDATES candidates, the only rows whose texts it formats.
+    _LISTED_CANDIDATES candidates once its text is read.
 
     Every candidate comes back as arrays and masks in the result's columns;
     its table of CandidateRows, texts included, is built when first read.
@@ -641,17 +676,8 @@ def optimize_windows(
     )
     feasible = np.flatnonzero(columns.feasible)
     if not feasible.size:
-        listed = columns.windows[:_LISTED_CANDIDATES]
-        texts = columns.violations(np.arange(len(listed)))
-        detail = "; ".join(
-            f"{w}: {', '.join(v)}" for w, v in zip(_row_tuples(listed), texts)
-        )
-        if len(columns.windows) > len(listed):
-            detail += f"; and {len(columns.windows) - len(listed)} more"
         raise WindowInfeasibleError(
-            f"no feasible window allocation within budget {budget} "
-            f"(per candidate: {detail})",
-            columns,
+            f"no feasible window allocation within budget {budget}", columns
         )
     # argmin takes the first minimum, which is the lexicographically
     # smallest windows

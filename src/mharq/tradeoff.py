@@ -9,11 +9,10 @@ module shares.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
-
-import numpy as np
 
 __all__ = [
     "MAX_ANTENNAS",
@@ -38,7 +37,7 @@ class AntennaPair:
 
     def __post_init__(self) -> None:
         for name, m in (("m_tx", self.m_tx), ("m_rx", self.m_rx)):
-            if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+            if isinstance(m, bool) or not isinstance(m, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {m!r}")
             if not 1 <= m <= MAX_ANTENNAS:
                 raise ValueError(f"{name} must be in [1, {MAX_ANTENNAS}], got {m}")

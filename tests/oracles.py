@@ -8,7 +8,11 @@ rules give the round counts that accumulated mutual information needs.
 The finite-SNR multiplexing gain normalises a rate by log2(1 + m_rx * snr).
 The cube-walk window search scans every tuple of the budget^n_hops cube and
 keeps those that fit the budget, one candidate at a time; optimize_windows
-must give its table.
+must give its table.  The combination gaps are the window search's
+compositions as itertools.combinations makes them, the order
+_composition_matrix must keep.  The plain and compensated sums are
+builtin sum() of a float list before and from Python 3.12, one value at a
+time, which _row_sums must give bit for bit.
 The eigenvalue capacity sums log2(1 + snr * lambda / m_tx) over every
 eigenvalue of the receive-side Gram matrix, the route the simulator's
 log-det identity must agree with.  The cumulative-sum decode takes every
@@ -35,6 +39,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain, combinations
 from itertools import product as _cartesian
 from typing import Any, Callable, Iterator, Sequence
 
@@ -361,6 +366,41 @@ def cube_walk_optimize_windows(
         threshold_variant=threshold_variant,
         table=table,
     )
+
+
+def combination_gaps(n_hops: int, budget: int) -> np.ndarray:
+    """The C(budget, n_hops) compositions: gaps of combinations of 1..budget."""
+    cuts = np.fromiter(
+        chain.from_iterable(combinations(range(1, budget + 1), n_hops)),
+        dtype=np.intp,
+        count=math.comb(budget, n_hops) * n_hops,
+    ).reshape(-1, n_hops)
+    return np.diff(cuts, axis=1, prepend=0)
+
+
+def plain_sum(values: Sequence[float]) -> float:
+    """builtin sum() of a nonempty float list before 3.12: 0 + each in turn."""
+    total = 0 + values[0]
+    for x in values[1:]:
+        total += x
+    return total
+
+
+def compensated_sum(values: Sequence[float]) -> float:
+    """builtin sum() of a nonempty float list from 3.12 on, as CPython writes it.
+
+    Neumaier's compensated sum (Z. angew. Math. Mech. 54, 1974): the
+    compensation is added at the end only where it is nonzero and finite.
+    """
+    total, c = 0 + values[0], 0.0
+    for x in values[1:]:
+        t = total + x
+        if abs(total) >= abs(x):
+            c += (total - t) + x
+        else:
+            c += (x - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
 
 
 def dmt_fixed_optimal_windows(

@@ -15,10 +15,11 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mharq.cli as cli
@@ -583,9 +584,12 @@ def test_violation_texts_are_formatted_only_for_rows_that_are_printed(
 
     monkeypatch.setattr(CandidateColumns, "violations", counting)
     tight = FiniteSnrScenario(100.0, 1.0, arrival_mean_blocks=1.9, deadline_blocks=5.0)
-    # C(12, 2) = 66 rows, none feasible: the message lists the first 20
-    with pytest.raises(WindowInfeasibleError):
+    # C(12, 2) = 66 rows, none feasible: the raise formats no text, and the
+    # message, once read, lists the first 20
+    with pytest.raises(WindowInfeasibleError) as err:
         optimize_windows(Topology([4, 1, 3]), tight, budget=12)
+    assert formatted == []
+    assert str(err.value).endswith("; and 46 more)")
     assert len(formatted) == finite_snr._LISTED_CANDIDATES
     formatted.clear()
     # a feasible search, an unstable allocation and a sweep with an unstable
@@ -658,7 +662,13 @@ def test_finite_sweep_rejects_duplicate_axis_value(tmp_path, capsys):
     assert "already swept" in capsys.readouterr().err
 
 
-def test_window_sweep_leaves_infeasible_rows_blank(tmp_path, capsys):
+def test_window_sweep_leaves_infeasible_rows_blank(tmp_path, capsys, monkeypatch):
+    def refuse(columns, rows):
+        raise AssertionError("a sweep never prints a violation text")
+
+    # budgets 12 and 30 have more candidates than an infeasible search's
+    # message lists, and the sweep reads none of them
+    monkeypatch.setattr(CandidateColumns, "violations", refuse)
     cfg = write_config(
         tmp_path,
         {
@@ -667,14 +677,13 @@ def test_window_sweep_leaves_infeasible_rows_blank(tmp_path, capsys):
             "snr_db": 20.0,
             "arrival_mean_blocks": 1.9,
             "deadline_blocks": 5.0,
-            "sweep": {"axis": "total_window", "values": [2, 4]},
+            "sweep": {"axis": "total_window", "values": [2, 4, 12, 30]},
         },
     )
     code, lines = run_csv(capsys, ["dmdt-finite", "--config", cfg])
     assert code == 0
     assert lines[1] == "total_window,window_1,window_2,p_outage,p_deadline,p_total"
-    assert lines[2] == "2,,,,,"
-    assert lines[3] == "4,,,,,"
+    assert lines[2:] == ["2,,,,,", "4,,,,,", "12,,,,,", "30,,,,,"]
 
 
 def test_simulate_byte_identical_reruns(tmp_path, capsys):
@@ -998,13 +1007,15 @@ def test_seed_flag_ignored_outside_simulation(tmp_path, capsys):
 # cells of every type a table holds, with the values whose text is easy to
 # get wrong: non-finite floats (empty / null), -0.0 beside 0.0, subnormals,
 # bools beside the ints they equal, and strings csv must quote or json escape
+_FLOAT = st.floats() | st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5e-310, 1e308]
+)
 _CELLS = [
     st.none(),
     st.booleans(),
     st.integers(),
     st.integers(-(10**40), 10**40),
-    st.floats(),
-    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5e-310, 1e308]),
+    _FLOAT,
     st.text(),
     st.sampled_from(
         ["a,b", 'say "hi"', "two\nlines", "cr\r", "tab\t", "", " ", "%s", "nan", "é€😀", "\x00\x1f"]
@@ -1013,6 +1024,14 @@ _CELLS = [
 _COLUMN = st.one_of(
     *(st.lists(cell, min_size=1, max_size=6) for cell in _CELLS),
     st.lists(st.one_of(*_CELLS), min_size=1, max_size=6),
+)
+# the numpy columns optimize-arq hands over: windows, masks and floats
+_ARRAY = st.one_of(
+    st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=6).map(
+        lambda v: np.array(v, dtype=np.int64)
+    ),
+    st.lists(st.booleans(), min_size=1, max_size=6).map(lambda v: np.array(v, dtype=bool)),
+    st.lists(_FLOAT, min_size=1, max_size=6).map(lambda v: np.array(v, dtype=np.float64)),
 )
 
 
@@ -1023,7 +1042,14 @@ def _tables(draw):
     names = draw(st.lists(name, max_size=5))
     n_rows = draw(st.integers(0, 6))
     # repeating a drawn column gives the repeated values real tables have
-    return names, [(draw(_COLUMN) * n_rows)[:n_rows] for _ in names]
+    columns = []
+    for _ in names:
+        column = draw(_COLUMN | _ARRAY)
+        if isinstance(column, np.ndarray):
+            columns.append(np.resize(column, n_rows))
+        else:
+            columns.append((column * n_rows)[:n_rows])
+    return names, columns
 
 
 @settings(max_examples=300, deadline=None)
@@ -1034,10 +1060,19 @@ def _tables(draw):
     st.dictionaries(
         st.text(max_size=3), st.none() | st.floats() | st.lists(st.floats(), max_size=2)
     ),
+    st.sampled_from([2, cli._ROW_BLOCK]),
 )
-def test_emit_matches_the_stdlib_writer(table, fmt, seed, meta):
+# csv.writer quotes the empty cell of a one-column row, so its empty line
+# is not read back as no row
+@example((["only"], [np.array([1.0, math.nan, 0.0])]), "csv", None, {}, 2)
+def test_emit_matches_the_stdlib_writer(table, fmt, seed, meta, block):
     columns, data = table
+    # the stdlib writer sees each cell as the Python value an array holds
+    cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in data]
     got, want = io.StringIO(), io.StringIO()
-    cli._emit(got, fmt, "optimize-arq", {"budget": 3}, columns, data, meta, seed)
-    stdlib_emit(want, fmt, "optimize-arq", {"budget": 3}, columns, list(zip(*data)), meta, seed)
+    # blocks of two rows mix blocks that csv.writer must quote and blocks
+    # that need no quoting
+    with mock.patch.object(cli, "_ROW_BLOCK", block):
+        cli._emit(got, fmt, "optimize-arq", {"budget": 3}, columns, data, meta, seed)
+    stdlib_emit(want, fmt, "optimize-arq", {"budget": 3}, columns, list(zip(*cells)), meta, seed)
     assert got.getvalue() == want.getvalue()

@@ -5,7 +5,9 @@ independent engine; see the module docstrings for the closed forms.
 """
 
 import math
+import sys
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from mharq.finite_snr import (
     WindowInfeasibleError,
     _composition_matrix,
     _outage_window_ostbc,
+    _row_sums,
     deadline_exponent,
     deadline_probability,
     evaluate_windows,
@@ -34,8 +37,11 @@ from mharq.numerics import regularized_lower_gamma
 from mharq.tradeoff import AntennaPair, FixedArq, Topology
 from oracles import (
     CubeWalkInfeasibleError,
+    combination_gaps,
+    compensated_sum,
     cube_walk_optimize_windows,
     finite_multiplexing,
+    plain_sum,
 )
 
 HOP1 = AntennaPair(4, 1)
@@ -394,6 +400,50 @@ def test_compositions_are_the_filtered_cube_in_order(n_hops, budget):
     cube = [t for t in product(range(1, budget + 1), repeat=n_hops) if sum(t) <= budget]
     assert got == cube
     assert len(got) == math.comb(budget, n_hops)
+
+
+@pytest.mark.parametrize("n_hops", range(1, 8))
+def test_compositions_are_the_combination_gaps(n_hops):
+    for budget in range(21):
+        got, want = _composition_matrix(n_hops, budget), combination_gaps(n_hops, budget)
+        assert got.dtype == want.dtype
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+# float rows with the values whose sums are easy to get wrong: -0.0 beside
+# 0.0, subnormals, 1e16 beside 1.0 (whose compensation is nonzero),
+# negatives, overflow and infinities
+_SUMMAND = st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e16, 1.0, -1.0, 1e308, math.inf, -math.inf]
+)
+_ROWS = st.integers(1, 9).flatmap(
+    lambda n: st.lists(st.lists(_SUMMAND, min_size=n, max_size=n), min_size=1, max_size=6)
+)
+
+
+def _same_bits(got: np.ndarray, want: list[float]) -> bool:
+    want = np.array(want)
+    nan = np.isnan(got) & np.isnan(want)
+    return bool(((got.view(np.int64) == want.view(np.int64)) | nan).all())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ROWS)
+def test_row_sums_are_the_builtin_sum(rows):
+    assert _same_bits(_row_sums(np.array(rows)), [sum(row) for row in rows])
+
+
+@pytest.mark.parametrize(
+    "version, oracle", [((3, 11), plain_sum), ((3, 12), compensated_sum)]
+)
+@settings(max_examples=150, deadline=None)
+@given(rows=_ROWS)
+def test_row_sums_follow_the_sum_of_each_python(version, oracle, rows):
+    # each Python of the CI matrix checks the branch it does not run itself
+    with mock.patch.object(sys, "version_info", version):
+        got = _row_sums(np.array(rows))
+    assert _same_bits(got, [oracle(row) for row in rows])
 
 
 # the window-search operating point (every row feasible) and a low-SNR,

@@ -1,6 +1,10 @@
 """Single-hop tradeoff curves, decoding times, and the shared value types."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,8 +172,27 @@ def test_antenna_pair_validation():
         AntennaPair(True, 2)
     with pytest.raises(ValueError):
         AntennaPair(1.5, 2)
+    with pytest.raises(ValueError):
+        AntennaPair(np.bool_(True), 2)
     pair = AntennaPair(3, 2)
     assert pair.min_dim == 2
+    assert AntennaPair(np.int64(3), np.int32(2)).min_dim == 2
+
+
+def test_import_leaves_numpy_unloaded():
+    # the high-SNR curves compute in plain floats, so importing them loads
+    # no numpy
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, mharq.asymptotic; print('numpy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_exponent_vector_validation():
