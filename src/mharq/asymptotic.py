@@ -89,14 +89,15 @@ def fixed_optimal_windows(
 ) -> FixedWindowOptimum:
     """Optimal division of a round budget between the two hops.
 
-    The integer part enumerates every split with window1 + window2 <=
-    total_rounds and maximizes the weakest-link diversity; ties prefer the
-    more balanced split, then the smaller first window.  Each hop's
-    diversity at r/w is computed once per window w = 1..total_rounds - 1,
-    and the enumeration compares those stored values.  The real part
-    equalizes the two per-hop curves, d1(r/x) = d2(r/(total - x)), by
-    bisection (the difference is monotone in x), stopped once the bracket
-    is two adjacent floats, or after 100 steps.
+    The integer part maximizes the weakest-link diversity over every split
+    with window1 + window2 <= total_rounds; ties prefer the more balanced
+    split, then the smaller first window.  Each hop's diversity at r/w is
+    computed once per window w and is nondecreasing in w, so the splits that
+    tie at the best value are a >= a0, b >= b0, a + b <= total_rounds, with
+    a0 and b0 the first windows to reach it.  The real part equalizes the
+    two per-hop curves, d1(r/x) = d2(r/(total - x)), by bisection (the
+    difference is monotone in x), stopped once the bracket is two adjacent
+    floats, or after 100 steps.
     """
     hop1, hop2 = _require_3node(topology)
     if total_rounds < 2:
@@ -107,12 +108,12 @@ def fixed_optimal_windows(
     d1 = {w: _d_scalar(curve1, r / w) for w in range(1, L)}
     d2 = {w: _d_scalar(curve2, r / w) for w in range(1, L)}
 
-    _, _, w1, w2 = min(
-        (-min(d1[a], d2[b]), abs(a - b), a, b)
-        for a in range(1, L)
-        for b in range(1, L - a + 1)
-    )
-    value = min(d1[w1], d2[w2])
+    value = max(min(d1[a], d2[L - a]) for a in range(1, L))
+    a0 = next(a for a in d1 if d1[a] >= value)
+    b0 = next(b for b in d2 if d2[b] >= value)
+    # the most balanced tie: equal windows if both fit, else one side at its floor
+    c = max(a0, b0)
+    w1, w2 = (c, c) if 2 * c <= L else (a0, L - a0) if a0 > b0 else (L - b0, b0)
 
     if r == 0.0:
         # both curves are flat at full diversity; call the midpoint the split
@@ -234,44 +235,45 @@ def _vbl_long_term(hop1: AntennaPair, hop2: AntennaPair, c: float) -> float:
     )
 
 
-def _partial_round_cost(
-    curve: tuple[float, ...], min_dim: int, r: float, tau: float
-) -> float:
-    """Exponent of one hop failing to decode within tau rounds (fresh fades).
+def _partial_round_costs(
+    curve: tuple[float, ...], min_dim: int, r: float, taus: set[float]
+) -> dict[float, float]:
+    """Exponent of one hop failing to decode within tau rounds, for each tau.
 
     tau = m + f with m whole rounds and a final fraction f; the rate budget
-    splits as m*s + f*y >= r with per-round costs d(s) and d(y).  Even
-    spreading over the whole rounds is optimal (the curve is convex), and
-    the remaining one-dimensional minimum over y sits at a knot of either
-    piecewise-linear term, so only knots and endpoints are evaluated.
+    splits as m*s + f*y >= r with per-round costs d(s) and d(y) (fresh
+    fades).  Even spreading over the whole rounds is optimal (the curve is
+    convex), and the remaining one-dimensional minimum over y sits at a knot
+    of either piecewise-linear term, so only knots and endpoints are tried.
     """
-    if tau <= 0.0:
-        return 0.0
-    frac = tau - math.floor(tau)
-    f = 1.0 if frac == 0.0 else frac
-    m = math.ceil(tau) - 1
-    ycap = min(float(min_dim), r / f) if r > 0.0 else 0.0
-    if m == 0:
-        return _d_scalar(curve, ycap)
-    cands = {0.0, ycap}
-    for k in range(0, min_dim + 1):
-        if 0.0 < k < ycap:
-            cands.add(float(k))
-        y = (r - m * k) / f
-        if 0.0 < y < ycap:
-            cands.add(y)
-    return min(
-        m * _d_scalar(curve, (r - f * y) / m) + _d_scalar(curve, y) for y in cands
-    )
+    d = _d_scalar
+    knots = [d(curve, float(k)) for k in range(min_dim + 1)]
+    costs = {}
+    for tau in taus:
+        f = tau - math.floor(tau) or 1.0  # a whole tau ends on a full round
+        m = math.ceil(tau) - 1
+        ycap = min(float(min_dim), r / f) if r > 0.0 else 0.0
+        best = d(curve, ycap)  # m = 0: the final round carries all of r
+        if m > 0:  # y = ycap, y = 0, then the knots of d(y) and of d((r - f*y)/m)
+            best += m * d(curve, (r - f * ycap) / m)
+            best = min(best, m * d(curve, r / m) + knots[0])
+            for k in range(1, min_dim + 1):
+                if k < ycap:
+                    best = min(best, m * d(curve, (r - f * k) / m) + knots[k])
+                y = (r - m * k) / f  # k = 0 would give r / f >= ycap
+                if 0.0 < y < ycap:
+                    best = min(best, m * d(curve, (r - f * y) / m) + d(curve, y))
+        costs[tau] = 0.0 if tau <= 0.0 else best
+    return costs
 
 
 def _kink_fractions(min_dim: int, r: float, m: int) -> set[float]:
     """Final-round fractions f in (0, 1) where a hop's cost over m + f kinks.
 
-    Every kink of _partial_round_cost in f is a point where one of its rate
-    arguments, r/f, (r - f*y)/m or (r - m*k)/f, crosses an integer knot,
-    which puts f on the grid (r - m*a)/b with a = 0..min_dim and
-    b = 1..min_dim.
+    Every kink of a hop's cost in f is where a rate argument, r/f,
+    (r - f*y)/m or (r - m*k)/f, crosses an integer knot: f = (r - m*a)/b,
+    a = 0..min_dim, b = 1..min_dim.  Each m + f is a key of the hop's table,
+    the {tau: cost} of its curve that one call builds and then drops.
     """
     fracs = set()
     for a in range(min_dim + 1):
@@ -283,7 +285,7 @@ def _kink_fractions(min_dim: int, r: float, m: int) -> set[float]:
 
 
 def _vbl_short_term(
-    hop1: AntennaPair, hop2: AntennaPair, total_rounds: int, r: float
+    hop1: AntennaPair, hop2: AntennaPair, total_rounds: int, r: float, tables: dict
 ) -> float:
     """Best split point tau of the round budget between the two hops.
 
@@ -291,19 +293,33 @@ def _vbl_short_term(
     kinks, m + f on hop 1's side and L - m - f on hop 2's) both hop costs
     are concave in tau, so their sum is too and its minimum over the budget
     sits on a candidate.
+
+    A hop's cost at tau depends on its curve and r alone: tables maps each
+    curve to its table {tau: cost}, filled here with the taus it lacks.  A
+    public call makes its tables at one r and drops them when it returns, so
+    the hops, windows and budgets of that call that share a curve share one.
     """
     L = int(total_rounds)
-    curve1, curve2 = _curve(hop1), _curve(hop2)
-    m1, m2 = hop1.min_dim, hop2.min_dim
     taus = {float(t) for t in range(L + 1)}
     for m in range(L):
-        taus.update(m + f for f in _kink_fractions(m1, r, m))
-        taus.update(L - m - f for f in _kink_fractions(m2, r, m))
-    return min(
-        _partial_round_cost(curve1, m1, r, tau)
-        + _partial_round_cost(curve2, m2, r, L - tau)
-        for tau in taus
-    )
+        taus.update(m + f for f in _kink_fractions(hop1.min_dim, r, m))
+        taus.update(L - m - f for f in _kink_fractions(hop2.min_dim, r, m))
+    for hop, need in ((hop1, taus), (hop2, {L - tau for tau in taus})):
+        curve = _curve(hop)
+        table = tables.setdefault(curve, {})
+        table.update(_partial_round_costs(curve, hop.min_dim, r, need - table.keys()))
+    cost1, cost2 = tables[_curve(hop1)], tables[_curve(hop2)]
+    return min(cost1[tau] + cost2[L - tau] for tau in taus)
+
+
+def _vbl_weakest(subs, L: int, r: float, channel, tables: dict) -> float:
+    """Weakest dynamic-sharing value over three-node chains, at budget L."""
+    if L < 1:
+        raise ValueError(f"total_rounds must be >= 1, got {L}")
+    r = _check_rate_scalar(r)
+    if channel is not ChannelAssumption.SHORT_TERM_STATIC:
+        return min(_vbl_long_term(sub.hop(0), sub.hop(1), r / L) for sub in subs)
+    return min(_vbl_short_term(sub.hop(0), sub.hop(1), L, r, tables) for sub in subs)
 
 
 def vbl_dmdt_3node(
@@ -321,13 +337,8 @@ def vbl_dmdt_3node(
 
     A rate too high for the chain to support at all yields zero diversity.
     """
-    hop1, hop2 = _require_3node(topology)
-    if total_rounds < 1:
-        raise ValueError(f"total_rounds must be >= 1, got {total_rounds}")
-    r = _check_rate_scalar(r)
-    if channel is ChannelAssumption.SHORT_TERM_STATIC:
-        return _vbl_short_term(hop1, hop2, total_rounds, r)
-    return _vbl_long_term(hop1, hop2, r / total_rounds)
+    _require_3node(topology)
+    return _vbl_weakest((topology,), total_rounds, r, channel, {})
 
 
 def vbl_closed_form(topology: Topology, total_rounds: int, r: float) -> float:
@@ -386,9 +397,7 @@ def nnode_vbl_dmdt(
     """
     if topology.n_nodes < 3:
         raise ValueError("need at least three nodes; use dmt for a single hop")
-    return min(
-        vbl_dmdt_3node(sub, total_rounds, r, channel) for sub in topology.sub_topologies()
-    )
+    return _vbl_weakest(topology.sub_topologies(), total_rounds, r, channel, {})
 
 
 def nnode_fbl_bounds(
@@ -412,7 +421,7 @@ def nnode_fbl_bounds(
             f"need more rounds than nodes: total_rounds={total_rounds}, nodes={n}"
         )
     r = _check_rate_scalar(r)
-    subs = topology.sub_topologies()
-    lower = min(vbl_dmdt_3node(sub, total_rounds - n, r, channel) for sub in subs)
-    upper = min(vbl_dmdt_3node(sub, total_rounds, r, channel) for sub in subs)
+    subs, tables = topology.sub_topologies(), {}
+    lower = _vbl_weakest(subs, total_rounds - n, r, channel, tables)
+    upper = _vbl_weakest(subs, total_rounds, r, channel, tables)
     return lower, upper

@@ -71,6 +71,9 @@ class WindowInfeasibleError(ValueError):
         super().__init__(message)
         self.columns = columns
 
+    def __reduce__(self):
+        return type(self), (self.args[0], self.columns)
+
     def __str__(self) -> str:
         if self.columns is None:
             return super().__str__()

@@ -642,6 +642,9 @@ class TailFitError(ValueError):
         super().__init__(message)
         self.largest_usable = largest_usable
 
+    def __reduce__(self):
+        return type(self), (self.args[0], self.largest_usable)
+
 
 def estimate_delay_exponent(
     delays: np.ndarray, k_grid: Sequence[float]

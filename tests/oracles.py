@@ -24,7 +24,10 @@ The np.interp curve is the single-hop curve as mharq.tradeoff.dmt first
 shipped it; dmt's float curve must give its bits.  The fixed-window optimum
 and the shared-budget split evaluate that curve once per window pair, as
 first shipped; the float-curve kernels of mharq.asymptotic must give the
-same bits.  The fixed-window chain bounds bracket a chain's fixed-window
+same bits.  The per-tau short-term split costs each hop afresh at every
+split point, with a new candidate set each time, as first shipped; the
+table-driven short-term kernels of mharq.asymptotic must give its bits.
+The fixed-window chain bounds bracket a chain's fixed-window
 diversity between its three-node windows and dynamic sharing of the whole
 budget.
 The stdlib table writer formats every cell of every row and hands the rows
@@ -48,6 +51,7 @@ import numpy as np
 from mharq import __version__
 from mharq.asymptotic import (
     FixedWindowOptimum,
+    _kink_fractions,
     _require_3node,
     fixed_dmdt_3node,
     vbl_dmdt_3node,
@@ -67,6 +71,8 @@ from mharq.tradeoff import (
     FixedArq,
     Topology,
     _check_rate_scalar,
+    _curve,
+    _d_scalar,
 )
 
 
@@ -501,6 +507,64 @@ def dmt_fbl_dmdt_3node(
                 terms.append(interp_dmt(hop, r / l))
         best = min(best, sum(terms))
     return best
+
+
+def partial_round_cost(
+    curve: tuple[float, ...], min_dim: int, r: float, tau: float
+) -> float:
+    """Exponent of one hop failing to decode within tau rounds (fresh fades).
+
+    tau = m + f with m whole rounds and a final fraction f; the rate budget
+    splits as m*s + f*y >= r with per-round costs d(s) and d(y).  Even
+    spreading over the whole rounds is optimal (the curve is convex), and
+    the remaining one-dimensional minimum over y sits at a knot of either
+    piecewise-linear term, so only knots and endpoints are evaluated.
+    """
+    if tau <= 0.0:
+        return 0.0
+    frac = tau - math.floor(tau)
+    f = 1.0 if frac == 0.0 else frac
+    m = math.ceil(tau) - 1
+    ycap = min(float(min_dim), r / f) if r > 0.0 else 0.0
+    if m == 0:
+        return _d_scalar(curve, ycap)
+    cands = {0.0, ycap}
+    for k in range(0, min_dim + 1):
+        if 0.0 < k < ycap:
+            cands.add(float(k))
+        y = (r - m * k) / f
+        if 0.0 < y < ycap:
+            cands.add(y)
+    return min(
+        m * _d_scalar(curve, (r - f * y) / m) + _d_scalar(curve, y) for y in cands
+    )
+
+
+def per_tau_vbl_short_term(
+    hop1: AntennaPair, hop2: AntennaPair, total_rounds: int, r: float
+) -> float:
+    """The short-term split as first shipped: both hops costed per split point.
+
+    Kept unchanged so the tests can hold the short-term kernels, which read
+    each curve's costs from one table per call, to the same bits.
+
+    Between consecutive candidates (the whole-round splits and each hop's
+    kinks, m + f on hop 1's side and L - m - f on hop 2's) both hop costs
+    are concave in tau, so their sum is too and its minimum over the budget
+    sits on a candidate.
+    """
+    L = int(total_rounds)
+    curve1, curve2 = _curve(hop1), _curve(hop2)
+    m1, m2 = hop1.min_dim, hop2.min_dim
+    taus = {float(t) for t in range(L + 1)}
+    for m in range(L):
+        taus.update(m + f for f in _kink_fractions(m1, r, m))
+        taus.update(L - m - f for f in _kink_fractions(m2, r, m))
+    return min(
+        partial_round_cost(curve1, m1, r, tau)
+        + partial_round_cost(curve2, m2, r, L - tau)
+        for tau in taus
+    )
 
 
 def nnode_fixed_bounds(

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mharq.asymptotic import (
+    _partial_round_costs,
     fbl_dmdt_3node,
     fixed_dmdt_3node,
     fixed_optimal_windows,
@@ -27,6 +28,8 @@ from oracles import (
     dmt_fixed_optimal_windows,
     interp_dmt,
     nnode_fixed_bounds,
+    partial_round_cost,
+    per_tau_vbl_short_term,
 )
 
 LT = ChannelAssumption.LONG_TERM_STATIC
@@ -303,6 +306,122 @@ def test_float_curve_kernels_match_dmt_oracles(antennas, L, r, channel, zero):
     assert _outcome(
         fbl_dmdt_3node, topo, L, r, channel, allow_zero_rounds=zero
     ) == _outcome(dmt_fbl_dmdt_3node, topo, L, r, channel, allow_zero_rounds=zero)
+
+
+@given(
+    antennas=st.tuples(*[st.integers(1, 6)] * 3),
+    L=st.integers(2, 60),
+    r=st.one_of(
+        st.integers(0, 24).map(float),  # 0, knots and full saturation
+        st.integers(1, 240).map(lambda k: k / 6.0),  # r/w on a knot for many w
+        st.floats(0.0, 12.0),
+    ),
+)
+@example(antennas=(2, 3, 2), L=40, r=0.0)  # every split ties at full diversity
+@example(antennas=(4, 4, 4), L=40, r=200.0)  # every split ties at zero
+@example(antennas=(4, 1, 3), L=7, r=1.0)  # a0 + b0 = L: one tied pair, (3, 4)
+# d1[4] == d2[2] == 0.5 and one round to spare: (4, 3) ties (5, 2) and wins
+@example(antennas=(1, 2, 2), L=7, r=3.0)
+@example(antennas=(2, 2, 1), L=7, r=3.0)  # the mirror image: (3, 4)
+@settings(max_examples=150, deadline=None)
+def test_fixed_split_ties_match_the_enumeration(antennas, L, r):
+    # the one-pass tie-break must pick the pair the full enumeration picks,
+    # at budgets well past the small ones above and on rates that tie
+    topo = Topology(antennas)
+    assert repr(fixed_optimal_windows(topo, L, r)) == repr(
+        dmt_fixed_optimal_windows(topo, L, r)
+    )
+
+
+# ---------------------------------------------------------------------------
+# short-term kernels against the per-split-point oracle
+
+
+def _per_tau_chain(topo, L, r):
+    """Weakest three-node window of the chain, every hop costed per tau."""
+    return min(
+        per_tau_vbl_short_term(sub.hop(0), sub.hop(1), L, r)
+        for sub in topo.sub_topologies()
+    )
+
+
+@given(
+    pair=st.tuples(st.integers(1, 6), st.integers(1, 6)).map(lambda t: AntennaPair(*t)),
+    r=st.one_of(st.integers(0, 24).map(float), st.floats(0.0, 30.0)),
+    taus=st.lists(
+        st.one_of(
+            st.integers(0, 12).map(float),
+            st.tuples(st.integers(1, 60), st.integers(1, 7)).map(lambda t: t[0] / t[1]),
+            st.floats(0.0, 12.0),
+        ),
+        max_size=12,
+    ),
+)
+# the minimum sits where the whole rounds reach a knot: y = (r - m*k)/f
+@example(pair=AntennaPair(2, 2), r=5.0, taus=[14.0 / 3.0])
+@settings(max_examples=300, deadline=None)
+def test_partial_round_costs_match_per_tau_oracle(pair, r, taus):
+    curve = _curve(pair)
+    costs = _partial_round_costs(curve, pair.min_dim, r, set(taus))
+    assert sorted(costs) == sorted(set(taus))
+    for tau in taus:
+        assert costs[tau].hex() == partial_round_cost(curve, pair.min_dim, r, tau).hex()
+
+
+_ST_RATES = st.one_of(
+    st.integers(0, 48).map(float),  # 0, the knots, and at and past saturation
+    st.integers(1, 96).map(lambda k: k / 4.0),
+    st.floats(0.0, 50.0),
+    st.just(math.inf),
+)
+
+
+@given(
+    antennas=st.one_of(
+        st.tuples(*[st.integers(1, 6)] * 3),
+        # (a, b, a): mirrored hops, one curve; a = b is a one-antenna-count chain
+        st.tuples(st.integers(1, 6), st.integers(1, 6)).map(lambda t: (*t, t[0])),
+    ),
+    L=st.integers(1, 10),
+    r=_ST_RATES,
+)
+@example(antennas=(4, 4, 4), L=10, r=2.0)
+@example(antennas=(2, 3, 2), L=1, r=0.0)
+@example(antennas=(3, 2, 3), L=1, r=0.75)
+@example(antennas=(4, 4, 4), L=3, r=12.0)  # saturation: every split is free
+@example(antennas=(6, 3, 4), L=6, r=7.290584483674822)  # a y = (r - m*k)/f optimum
+@settings(max_examples=200, deadline=None)
+def test_vbl_short_term_matches_per_tau_oracle(antennas, L, r):
+    topo = Topology(antennas)
+    got = vbl_dmdt_3node(topo, L, r, ST)
+    assert got.hex() == per_tau_vbl_short_term(topo.hop(0), topo.hop(1), L, r).hex()
+
+
+@given(
+    # few antenna counts, so hops repeat along the chain and its windows
+    # share hops and curves
+    antennas=st.lists(st.sampled_from([1, 2, 3, 4]), min_size=3, max_size=6),
+    L=st.integers(1, 12),
+    r=_ST_RATES,
+)
+@example(antennas=[2, 3, 2, 4, 1], L=8, r=1.5)
+@example(antennas=[4, 4, 4, 4], L=1, r=0.0)
+@example(antennas=[2, 3, 2, 3, 2, 3], L=7, r=0.0)
+@example(antennas=[3, 3, 3, 3, 3], L=12, r=36.0)  # saturated on both budgets
+@settings(max_examples=150, deadline=None)
+def test_chain_kernels_match_per_tau_oracle(antennas, L, r):
+    topo, n = Topology(antennas), len(antennas)
+    got = nnode_vbl_dmdt(topo, L, r, ST)
+    assert got.hex() == _per_tau_chain(topo, L, r).hex()
+    lt = min(vbl_dmdt_3node(sub, L, r, LT) for sub in topo.sub_topologies())
+    assert nnode_vbl_dmdt(topo, L, r, LT).hex() == lt.hex()
+    if L <= n:
+        with pytest.raises(ValueError):
+            nnode_fbl_bounds(topo, L, r, ST)
+        return
+    lower, upper = nnode_fbl_bounds(topo, L, r, ST)
+    assert lower.hex() == _per_tau_chain(topo, L - n, r).hex()
+    assert upper.hex() == got.hex()
 
 
 @pytest.mark.parametrize("m_tx, m_rx", [(1, 1), (4, 1), (1, 3), (2, 2), (4, 3), (6, 6)])

@@ -5,6 +5,7 @@ independent engine; see the module docstrings for the closed forms.
 """
 
 import math
+import pickle
 import sys
 from itertools import product
 from unittest import mock
@@ -391,6 +392,25 @@ def test_optimize_windows_reports_constraint_conflict():
     assert all(not r.feasible for r in rows)
     assert all(r.constraint_conflict for r in rows)
     assert all(r.violations for r in rows)
+
+
+def test_window_infeasible_error_survives_pickle():
+    # a process pool, or a test runner with workers, ships exceptions
+    # between processes as pickles
+    tight = FiniteSnrScenario(100.0, 1.0, arrival_mean_blocks=1.9, deadline_blocks=5.0)
+    with pytest.raises(WindowInfeasibleError) as err:
+        optimize_windows(T413, tight)
+    with pytest.raises(WindowInfeasibleError) as short:
+        optimize_windows(Topology([4, 1, 3, 2]), tight, budget=2)
+    assert short.value.columns is None
+    for raised in (err.value, short.value):
+        back = pickle.loads(pickle.dumps(raised))
+        assert type(back) is WindowInfeasibleError
+        assert str(back) == str(raised)
+        if raised.columns is None:
+            assert back.columns is None
+        else:
+            assert back.columns.rows == raised.columns.rows
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pickle
 import statistics
 import sys
 import threading
@@ -16,6 +17,7 @@ from mharq.finite_snr import FiniteSnrScenario, _stage_means, mean_service_time
 from mharq.netsim import (
     RandomSource,
     SimConfig,
+    TailFitError,
     estimate_delay_exponent,
     run_network_sim,
 )
@@ -698,6 +700,20 @@ def test_exponent_fit_refuses_thin_tails():
         estimate_delay_exponent(delays, [5.0])
     with pytest.raises(ValueError):
         estimate_delay_exponent(delays, [5.0, 5.0])
+
+
+def test_tail_fit_error_survives_pickle():
+    # a process pool, or a test runner with workers, ships exceptions
+    # between processes as pickles
+    rng = np.random.default_rng(7)
+    delays = rng.exponential(2.0, size=50_000)
+    for grid, usable in (([5.0, 20.0, 60.0], 5.0), ([60.0, 70.0], None)):
+        with pytest.raises(TailFitError) as err:
+            estimate_delay_exponent(delays, grid)
+        back = pickle.loads(pickle.dumps(err.value))
+        assert type(back) is TailFitError
+        assert str(back) == str(err.value)
+        assert back.largest_usable == err.value.largest_usable == usable
 
 
 def test_exponent_fit_refuses_tail_held_by_one_batch():
