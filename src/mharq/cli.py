@@ -33,7 +33,6 @@ from .asymptotic import (
 )
 from .finite_snr import (
     CODE_MODELS,
-    THRESHOLD_VARIANTS,
     FiniteSnrScenario,
     UnstableQueueError,
     WindowInfeasibleError,
@@ -148,7 +147,6 @@ _FIELDS: dict[str, tuple[str, Any, Sequence[Any] | None, Callable | None]] = {
         "number", None, None,
         _rule(lambda v: v >= 1, "must be at least one block, got {v}"),
     ),
-    "threshold_variant": ("str", "per_receiver", THRESHOLD_VARIANTS, None),
     "sweep": ("dict", None, None, None),
     "axis": ("str", None, tuple(_SWEEP_AXES), None),
     "values": (
@@ -654,7 +652,6 @@ def _run_dmdt_asymptotic(config: dict) -> tuple[list[str], list[Sequence[Any]], 
 def _run_dmdt_finite(config: dict) -> tuple[list[str], list[Sequence[Any]], dict]:
     chk = _Checker(config)
     topo = _topology(chk)
-    variant = chk.get("threshold_variant")
     sweep = chk.get("sweep", required=True)
     axis = values = None
     if sweep is not None:
@@ -682,9 +679,7 @@ def _run_dmdt_finite(config: dict) -> tuple[list[str], list[Sequence[Any]], dict
         columns += ["p_outage", "p_deadline", "p_total"]
         for v in values:
             try:
-                opt = optimize_windows(
-                    topo, base, budget=int(v), threshold_variant=variant
-                )
+                opt = optimize_windows(topo, base, budget=int(v))
             except WindowInfeasibleError:
                 unstable.append(v)
                 rows.append([int(v)] + [None] * (topo.n_hops + 3))
@@ -700,9 +695,7 @@ def _run_dmdt_finite(config: dict) -> tuple[list[str], list[Sequence[Any]], dict
 
     for v in values:
         scenario = dataclasses.replace(base, **{axis: v})
-        c = evaluate_windows(
-            topo, scenario, np.array([windows]), threshold_variant=variant
-        )
+        c = evaluate_windows(topo, scenario, np.array([windows]))
         if c.feasible[0]:
             probs = (c.p_outage, c.p_deadline, c.p_total)
             rows.append([v, *(float(p[0]) for p in probs)])
@@ -716,14 +709,11 @@ def _run_dmdt_finite(config: dict) -> tuple[list[str], list[Sequence[Any]], dict
 def _run_optimize(config: dict) -> tuple[list[str], list[Sequence[Any]], dict]:
     chk = _Checker(config)
     topo = _topology(chk)
-    variant = chk.get("threshold_variant")
     budget = chk.get("budget")
     scenario = _build_scenario(_scenario_fields(chk), chk)
     chk.done()
 
-    result = optimize_windows(
-        topo, scenario, budget=budget, threshold_variant=variant
-    )
+    result = optimize_windows(topo, scenario, budget=budget)
     n = topo.n_hops
     columns = [f"window_{i + 1}" for i in range(n)]
     columns += [f"mu_{i + 1}" for i in range(n)]
@@ -827,10 +817,9 @@ def _run_validate(
     # the analytic references come first, so a refused one exits before the
     # simulation runs
     if physical:
+        code_model = sim_cfg.code_model
         per_hop_ana = tuple(
-            per_hop_outage(
-                topo.hop(i), float(w), scenario, code_model=sim_cfg.code_model
-            )
+            per_hop_outage(topo.hop(i), float(w), scenario, code_model=code_model)
             for i, w in enumerate(sim_cfg.protocol.windows)
         )
         total_ana = 1.0 - math.prod(1.0 - p for p in per_hop_ana)

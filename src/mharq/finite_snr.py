@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
-from typing import Iterator, Sequence
+from typing import ClassVar, Iterator, Sequence
 
 import numpy as np
 
@@ -54,7 +54,6 @@ _MAX_ALLOCATIONS = 10**6
 # An infeasible search names the violations of this many candidates.
 _LISTED_CANDIDATES = 20
 
-THRESHOLD_VARIANTS = ("per_receiver", "plain")
 # Outage models of one hop: the log-det capacity of the MIMO channel, or an
 # orthogonal space-time code; the simulator draws the same two.
 CODE_MODELS = ("logdet", "ostbc")
@@ -154,34 +153,52 @@ class ErrorBreakdown:
             )
 
 
-def _threshold_base(pair: AntennaPair, snr: float, threshold_variant: str) -> float:
-    if threshold_variant == "per_receiver":
-        return 1.0 + pair.m_rx * snr
-    if threshold_variant == "plain":
-        return 1.0 + snr
-    raise ValueError(
-        f"unknown threshold variant {threshold_variant!r}; "
-        f"choose from {THRESHOLD_VARIANTS}"
-    )
+def _target_base(pair: AntennaPair, snr: float, log=math.log) -> tuple[float, float]:
+    """The base 1 + m_rx snr of a hop's target rate r log(base), and its log.
 
-
-def _threshold_tail(
-    pair: AntennaPair, shape: int, snr: float, base: float, exponent: float
-) -> float:
-    """regularized_lower_gamma(shape, x) at x = (m_tx / snr) (base**exponent - 1).
-
-    Where base**exponent overflows, or base = 1 + m_rx * snr itself did, x
-    is formed in log form; every x that fits in a float keeps its bits.
+    Each reader passes its own log, math.log or math.log2.  Where m_rx snr
+    overflows, the base is inf and its log is log m_rx + log snr.
     """
+    base = 1.0 + pair.m_rx * snr
+    return base, log(base) if base < math.inf else log(pair.m_rx) + log(snr)
+
+
+def _code_rate(pair: AntennaPair, scenario: FiniteSnrScenario, code_model: str):
+    """A hop's rate factor on log(1 + snr/m_tx ||H||^2), or None for no gamma law.
+
+    A space-time code has spatial_code_rate, a rank-1 log-det hop 1.0 (its
+    one eigenmode is ||H||^2) and a log-det hop of rank >= 2 None.
+    """
+    if code_model == "ostbc":
+        return scenario.spatial_code_rate
+    if code_model == "logdet":
+        return 1.0 if pair.min_dim == 1 else None
+    raise ValueError(f"unknown code model {code_model!r}; choose from {CODE_MODELS}")
+
+
+def _outage_window_gamma(
+    pair: AntennaPair, t: float, scenario: FiniteSnrScenario, rate: float
+) -> float:
+    """P{hop of rate factor rate still in outage after t blocks}.
+
+    ||H||^2 is gamma of shape m_tx m_rx, so this is regularized_lower_gamma
+    at x = (m_tx / snr) (base**exponent - 1), exponent = r / (rate t).  Where
+    base**exponent overflows, or the base did, x is formed in log form;
+    every x that fits in a float keeps its bits.
+    """
+    r = scenario.multiplexing_gain
+    if r == 0.0:
+        return 0.0
+    snr, shape = scenario.snr, pair.m_tx * pair.m_rx
+    exponent = r / (rate * t)
+    base, log_base = _target_base(pair, snr)
     if base < math.inf:
         try:
             x = (pair.m_tx / snr) * (base**exponent - 1.0)
         except OverflowError:  # base**exponent is past the largest float
-            log_base = math.log(base)
+            pass
         else:
             return regularized_lower_gamma(shape, x)
-    else:  # 1 + m_rx * snr overflowed, so the 1 is far below an ulp of it
-        log_base = math.log(pair.m_rx) + math.log(snr)
     # x = (m_tx / snr) e^g (1 - e^-g) with g = exponent * log(base); an x past
     # e^709 saturates the tail anyway
     g = exponent * log_base
@@ -189,22 +206,10 @@ def _threshold_tail(
     return regularized_lower_gamma(shape, math.exp(min(log_x, 709.0)))
 
 
-def _outage_window_ostbc(
-    pair: AntennaPair, t: float, scenario: FiniteSnrScenario, threshold_variant: str
-) -> float:
-    """P{space-time-coded hop still in outage after t blocks}."""
-    r = scenario.multiplexing_gain
-    if r == 0.0:
-        return 0.0
-    base = _threshold_base(pair, scenario.snr, threshold_variant)
-    exponent = r / (scenario.spatial_code_rate * t)
-    return _threshold_tail(pair, pair.m_tx * pair.m_rx, scenario.snr, base, exponent)
-
-
 def _outage_window_logdet(
     pair: AntennaPair, t: float, scenario: FiniteSnrScenario
 ) -> float:
-    """P{hop in outage after t blocks} for an uncoded MIMO hop.
+    """P{hop in outage after t blocks} for an uncoded MIMO hop of rank >= 2.
 
     The outage event partitions the rate exponent budget B = r/t across the
     shared eigenmodes as 0 = b_0 <= b_1 <= ... <= b_M*, with the dominant
@@ -215,13 +220,11 @@ def _outage_window_logdet(
     if r == 0.0:
         return 0.0
     rho = scenario.snr
-    base = 1.0 + pair.m_rx * rho
+    base, _ = _target_base(pair, rho)
     mstar = pair.min_dim
     gap = abs(pair.m_tx - pair.m_rx)
     shapes = [gap + 2 * l - 1 for l in range(1, mstar + 1)]
     budget = r / t
-    if mstar == 1:
-        return _threshold_tail(pair, shapes[0], rho, base, budget)
     dim = mstar - 1
     if dim > 6:
         raise ValueError(
@@ -267,7 +270,6 @@ def per_hop_outage(
     scenario: FiniteSnrScenario,
     *,
     code_model: str = "logdet",
-    threshold_variant: str = "per_receiver",
 ) -> float:
     """Probability one hop exhausts its retransmission window in outage.
 
@@ -277,42 +279,26 @@ def per_hop_outage(
     """
     if not window > 0.0:
         raise ValueError(f"window must be positive, got {window}")
-    if code_model == "logdet":
-        if threshold_variant != "per_receiver":
-            raise ValueError(
-                "the rate-split outage form is defined per receiving array; "
-                "threshold variants apply to the ostbc model only"
-            )
+    rate = _code_rate(pair, scenario, code_model)
+    if rate is None:
         return _outage_window_logdet(pair, window, scenario)
-    if code_model == "ostbc":
-        return _outage_window_ostbc(pair, window, scenario, threshold_variant)
-    raise ValueError(f"unknown code model {code_model!r}; choose from {CODE_MODELS}")
+    return _outage_window_gamma(pair, window, scenario, rate)
 
 
 def mean_service_time(
-    pair: AntennaPair,
-    window: int,
-    scenario: FiniteSnrScenario,
-    *,
-    code_model: str = "ostbc",
-    threshold_variant: str = "per_receiver",
+    pair: AntennaPair, window: int, scenario: FiniteSnrScenario
 ) -> float:
     """Mean blocks a hop occupies per message under a window of whole blocks.
 
     The service is counted in whole blocks: mu = E[min(ceil(t), window)] =
     1 + sum of the outage tail at each intermediate window, which guarantees
-    mu >= 1 and matches the queueing unit of the delay analysis.
+    mu >= 1 and matches the queueing unit of the delay analysis.  The tail
+    is the space-time-coded (ostbc) one of the window search.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1 block, got {window}")
     return 1.0 + sum(
-        per_hop_outage(
-            pair,
-            float(j),
-            scenario,
-            code_model=code_model,
-            threshold_variant=threshold_variant,
-        )
+        per_hop_outage(pair, float(j), scenario, code_model="ostbc")
         for j in range(1, int(window))
     )
 
@@ -400,8 +386,6 @@ def message_error(
     topology: Topology,
     allocation: FixedArq,
     scenario: FiniteSnrScenario,
-    *,
-    threshold_variant: str = "per_receiver",
 ) -> ErrorBreakdown:
     """Total message-error probability of one window allocation.
 
@@ -409,10 +393,7 @@ def message_error(
     window of at least one block per hop.  An allocation with an unstable
     stage raises UnstableQueueError, naming the first such stage.
     """
-    row = evaluate_windows(
-        topology, scenario, np.array([allocation.windows]),
-        threshold_variant=threshold_variant,
-    )
+    row = evaluate_windows(topology, scenario, np.array([allocation.windows]))
     if not row.feasible[0]:  # infeasible rows are exactly the unstable ones
         deadline_exponent(row.means[0], row.arrival)
     return row.breakdown(0)
@@ -511,9 +492,10 @@ class CandidateColumns:
 class WindowOptimum:
     """Result of the exhaustive window search; table is built when first read."""
 
+    # the one target-rate convention, r log(1 + m_rx snr)
+    threshold_variant: ClassVar[str] = "per_receiver"
     allocation: FixedArq
     breakdown: ErrorBreakdown
-    threshold_variant: str
     columns: CandidateColumns = field(repr=False, compare=False)
 
     @property
@@ -569,8 +551,6 @@ def evaluate_windows(
     topology: Topology,
     scenario: FiniteSnrScenario,
     windows: np.ndarray,
-    *,
-    threshold_variant: str = "per_receiver",
 ) -> CandidateColumns:
     """Message error of every allocation in an int matrix, one row each.
 
@@ -594,11 +574,9 @@ def evaluate_windows(
     # one antenna pair; precompute them
     lengths = range(1, int(windows.max()) + 1)
     pairs = list(map(topology.hop, range(n_hops)))
+    r_s = scenario.spatial_code_rate
     pair_tail = {
-        pair: [
-            _outage_window_ostbc(pair, float(j), scenario, threshold_variant)
-            for j in lengths
-        ]
+        pair: [_outage_window_gamma(pair, float(j), scenario, r_s) for j in lengths]
         for pair in set(pairs)
     }
     hop_tail = [pair_tail[pair] for pair in pairs]
@@ -641,7 +619,6 @@ def optimize_windows(
     scenario: FiniteSnrScenario,
     *,
     budget: int | None = None,
-    threshold_variant: str = "per_receiver",
 ) -> WindowOptimum:
     """Best integer window allocation under the deadline budget.
 
@@ -671,12 +648,7 @@ def optimize_windows(
             f"budget {budget} over {n_hops} hops gives more than "
             f"{_MAX_ALLOCATIONS} window allocations to enumerate"
         )
-    columns = evaluate_windows(
-        topology,
-        scenario,
-        _composition_matrix(n_hops, budget),
-        threshold_variant=threshold_variant,
-    )
+    columns = evaluate_windows(topology, scenario, _composition_matrix(n_hops, budget))
     feasible = np.flatnonzero(columns.feasible)
     if not feasible.size:
         raise WindowInfeasibleError(
@@ -688,6 +660,5 @@ def optimize_windows(
     return WindowOptimum(
         allocation=FixedArq(columns.windows[best].tolist()),
         breakdown=columns.breakdown(best),
-        threshold_variant=threshold_variant,
         columns=columns,
     )

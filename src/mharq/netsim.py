@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterator, Sequence
@@ -43,7 +44,9 @@ import numpy as np
 from .finite_snr import (
     CODE_MODELS,
     FiniteSnrScenario,
+    _code_rate,
     _stage_means,
+    _target_base,
     mean_service_time,
 )
 from .tradeoff import ChannelAssumption, FixedArq, Topology
@@ -104,7 +107,15 @@ def _exponential(
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Everything one simulation run depends on."""
+    """Everything one simulation run depends on.
+
+    Let N be message_count, H the hop count and m the largest of the arrival
+    mean and each hop's service_means entry, else window, which its mean
+    service never passes.  A draw from 53-bit uniforms is at most 53 ln 2
+    times its mean, so no time or delay passes T = N 53 ln 2 (1 + 2H) m and
+    the delays mean_delay sums stay under N T.  N T past the largest float
+    is refused.
+    """
 
     topology: Topology
     protocol: FixedArq
@@ -156,13 +167,24 @@ class SimConfig:
                 )
             if any(m <= 0.0 for m in self.service_means):
                 raise ValueError(f"service means must be positive: {self.service_means}")
-        self.scenario.require_queueing()
+        arrival, _ = self.scenario.require_queueing()
+        n, bounds = self.message_count, self.service_means or self.protocol.windows
+        # in logs, as a count or a window may be an int past the float range
+        reach = math.log(n * n * (1 + 2 * len(bounds))) + math.log(max(arrival, *bounds))
+        if reach > math.log(sys.float_info.max / (53 * math.log(2.0))):
+            raise ValueError(
+                f"{n} messages at arrival mean {arrival:.6g} and hop service "
+                f"bounds {bounds} can take times past the largest float"
+            )
 
     def hop_service_means(self) -> tuple[float, ...]:
         """Mean service of each hop in markovian mode, in blocks.
 
         service_means when given, else each hop's whole-block mean service
-        time under its window (finite_snr.mean_service_time).
+        time under its window (finite_snr.mean_service_time).  Those derived
+        means use the space-time-coded (ostbc) outage law of the window
+        search whatever code_model says; on a rank-1 hop at spatial code
+        rate 1 that is the log-det law too.
         """
         if self.service_means is not None:
             return self.service_means
@@ -209,17 +231,16 @@ def _channel_uniforms(
     return rng.random((n_msgs, rounds, m_rx, m_tx, 2))
 
 
-def _capacities(
-    u: np.ndarray, snr: float, r_s: float, m_tx: int, code_model: str
-) -> np.ndarray:
+def _capacities(u: np.ndarray, snr: float, m_tx: int, rate: float | None) -> np.ndarray:
     """Per-round capacities in bits per use from raw uniforms.
 
     Entries are unit complex Gaussians via the polar transform, so the
     squared magnitudes are unit exponentials.  Log-det capacity is
     sum_i log2(1 + a * lambda_i) = log2 det(I + a * G) with a = snr / m_tx
     and G the Gram matrix of H on its min(m_rx, m_tx) side (Telatar 1999).
-    A rank-1 hop reduces to log2(1 + a * ||H||^2), which needs only the
-    magnitudes, and so does the space-time-coded (ostbc) model.
+    A hop with a code rate factor (finite_snr._code_rate: a space-time code,
+    or a rank-1 log-det hop at rate 1) has rate * log2(1 + a * ||H||^2),
+    which needs only the magnitudes; rate None takes the log-det path.
 
     Every rank >= 2 takes one path in plain real arithmetic:
 
@@ -245,14 +266,14 @@ def _capacities(
     LAPACK determinant.
     """
     m_rx = u.shape[2]
-    if code_model == "ostbc" or min(m_rx, m_tx) == 1:
+    if rate is not None:
         frob = -np.log1p(-u[..., 0]).sum(axis=(2, 3))
         with np.errstate(over="ignore"):
             cap = np.log2(1.0 + snr * frob / m_tx)
         over = np.isinf(cap)
         if over.any():  # snr * frob overflowed, so the 1 is far below an ulp
             cap[over] = np.log2(frob[over]) + (math.log2(snr) - math.log2(m_tx))
-        return r_s * cap if code_model == "ostbc" else cap
+        return rate * cap
     a = snr / m_tx
     sides = (2, 3) if m_rx <= m_tx else (3, 2)  # rank side first
     phase = u[..., 1].transpose(*sides, 0, 1)  # in turns
@@ -323,7 +344,8 @@ def _decode_rounds(
     """
     if long_term:
         c = capacity(u)[:, 0]
-        needed = np.ceil(target_rate / np.maximum(c, 1e-300))
+        with np.errstate(over="ignore"):  # window + 1 caps an inf quotient
+            needed = np.ceil(target_rate / np.maximum(c, 1e-300))
         rounds = np.minimum(needed, window + 1).astype(np.int64)
         return np.maximum(rounds, 1)
     rounds = np.full(u.shape[0], window + 1, dtype=np.int64)
@@ -362,22 +384,10 @@ def _hop_rounds(config: SimConfig, h: int) -> np.ndarray:
     n_msgs = config.message_count
     long_term = config.channel is ChannelAssumption.LONG_TERM_STATIC
     draw_rounds = 1 if long_term else window
-    base = 1.0 + pair.m_rx * scenario.snr
-    # where m_rx * snr overflows, the 1 is far below an ulp of it
-    log_base = (
-        math.log2(base)
-        if base < math.inf
-        else math.log2(pair.m_rx) + math.log2(scenario.snr)
-    )
-    target = scenario.multiplexing_gain * log_base
+    target = scenario.multiplexing_gain * _target_base(pair, scenario.snr, math.log2)[1]
     rng = RandomSource(config.seed).stream(1 + h)
-    capacity = partial(
-        _capacities,
-        snr=scenario.snr,
-        r_s=scenario.spatial_code_rate,
-        m_tx=pair.m_tx,
-        code_model=config.code_model,
-    )
+    rate = _code_rate(pair, scenario, config.code_model)
+    capacity = partial(_capacities, snr=scenario.snr, m_tx=pair.m_tx, rate=rate)
     per_msg = draw_rounds * pair.m_rx * pair.m_tx * 2
     step = max(1, _CHUNK_UNIFORMS // per_msg)
     rounds = np.empty(n_msgs, dtype=np.min_scalar_type(window + 1))

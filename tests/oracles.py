@@ -63,7 +63,7 @@ from mharq.finite_snr import (
     ErrorBreakdown,
     FiniteSnrScenario,
     WindowInfeasibleError,
-    _outage_window_ostbc,
+    _outage_window_gamma,
 )
 from mharq.tradeoff import (
     AntennaPair,
@@ -230,7 +230,6 @@ class CubeWalkOptimum:
 
     allocation: FixedArq
     breakdown: ErrorBreakdown
-    threshold_variant: str
     table: tuple[CandidateRow, ...]
 
 
@@ -251,7 +250,6 @@ def cube_walk_optimize_windows(
     scenario: FiniteSnrScenario,
     *,
     budget: int | None = None,
-    threshold_variant: str = "per_receiver",
 ) -> CubeWalkOptimum:
     """The window search as first shipped: a filtered budget^n_hops cube walk.
 
@@ -282,12 +280,13 @@ def cube_walk_optimize_windows(
         )
 
     # per-hop outage tails are shared across candidates; precompute them
+    code_rate = scenario.spatial_code_rate
     hop_tail: list[list[float]] = []
     for i in range(n_hops):
         hop = topology.hop(i)
         hop_tail.append(
             [
-                _outage_window_ostbc(hop, float(j), scenario, threshold_variant)
+                _outage_window_gamma(hop, float(j), scenario, code_rate)
                 for j in range(1, budget + 1)
             ]
         )
@@ -369,7 +368,6 @@ def cube_walk_optimize_windows(
     return CubeWalkOptimum(
         allocation=FixedArq(best[1]),
         breakdown=best_breakdown,
-        threshold_variant=threshold_variant,
         table=table,
     )
 
@@ -599,10 +597,12 @@ def eigvalsh_capacities(
 ) -> np.ndarray:
     """Per-round capacities from raw uniforms, one eigendecomposition each.
 
-    Same contract as mharq.netsim._capacities: u has shape
+    The uniforms are those of mharq.netsim._capacities: u has shape
     (msg, round, rx, tx, [mag, phase]) and entries are unit complex
-    Gaussians via the polar transform.  The log-det model takes batched
-    ``eigvalsh`` of the full m_rx x m_rx Gram matrix, whatever its rank.
+    Gaussians via the polar transform.  The code model is named here, not
+    read from the package's rule: ostbc is r_s * log2(1 + snr ||H||^2 / m_tx),
+    and log-det takes batched ``eigvalsh`` of the full m_rx x m_rx Gram
+    matrix, whatever its rank.
     """
     mags_sq = -np.log1p(-u[..., 0])  # (msg, round, rx, tx)
     if code_model == "ostbc":

@@ -754,6 +754,20 @@ def test_validate_at_a_huge_finite_snr(tmp_path, capsys, code_model):
     assert [row["verdict"] for row in doc["rows"]] == ["ok", "ok", "ok"]
 
 
+def test_simulate_refuses_times_past_the_largest_float(tmp_path, capsys):
+    payload = dict(
+        SIM_CONFIG,
+        topology=[4, 1, 3],
+        windows=[2, 3],
+        arrival_mean_blocks=1e308,
+        service_mode="markovian",
+    )
+    cfg = write_config(tmp_path, payload)
+    assert main(["simulate", "--config", cfg]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("mharq: config: ")
+
+
 def test_validate_hop_without_attempts(tmp_path, capsys):
     # at r = 40 and SNR 1 every message is lost on hop 1, so hop 2 sees none
     payload = dict(SIM_CONFIG, topology=[1, 1, 1], windows=[1, 1], multiplexing_gain=40.0)

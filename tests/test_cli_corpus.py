@@ -302,7 +302,6 @@ CASES = [
         "dmdt-finite",
         dict(
             _drop(FINITE, "multiplexing_gain"),
-            threshold_variant="plain",
             spatial_code_rate=0.5,
             sweep=_mg_sweep([0, 0.25, 0.5]),
         ),
@@ -340,7 +339,6 @@ CASES = [
         dict(
             _drop(FINITE, "windows"),
             topology=[2, 2, 2, 2],
-            threshold_variant="plain",
             sweep={"axis": "total_window", "values": [3, 6]},
         ),
     ),
@@ -460,7 +458,6 @@ CASES = [
             "arrival_mean_blocks": 8.0,
             "deadline_blocks": 6.0,
             "budget": 5,
-            "threshold_variant": "plain",
         },
     ),
     (

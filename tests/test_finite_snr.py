@@ -24,7 +24,7 @@ from mharq.finite_snr import (
     UnstableQueueError,
     WindowInfeasibleError,
     _composition_matrix,
-    _outage_window_ostbc,
+    _outage_window_gamma,
     _row_sums,
     deadline_exponent,
     deadline_probability,
@@ -53,58 +53,36 @@ SC_20DB = FiniteSnrScenario(100.0, 1.0, arrival_mean_blocks=10.0, deadline_block
 
 # P{hop not decoded within window} for windows 1..10 at rho = 100, r = 1.
 OUTAGE_TABLE = {
-    (HOP1, "per_receiver"): [
+    HOP1: [
         5.665299e-01, 5.365422e-04, 1.697599e-05, 2.207370e-06, 5.380044e-07,
         1.848408e-07, 7.859911e-08, 3.860670e-08, 2.103202e-08, 1.238419e-08,
     ],
-    (HOP2, "per_receiver"): [
+    HOP2: [
         5.768099e-01, 6.446392e-04, 2.960262e-05, 5.161468e-06, 1.587794e-06,
         6.604859e-07, 3.301490e-07, 1.865009e-07, 1.149047e-07, 7.551106e-08,
-    ],
-    (HOP2, "plain"): [
-        8.030140e-02, 1.154426e-04, 7.930970e-06, 1.675929e-06, 5.751383e-07,
-        2.565757e-07, 1.346090e-07, 7.877953e-08, 4.986387e-08, 3.347175e-08,
     ],
 }
 
 
 @pytest.mark.parametrize("key", list(OUTAGE_TABLE))
 def test_ostbc_outage_frozen_tables(key):
-    pair, variant = key
     for window, expected in enumerate(OUTAGE_TABLE[key], start=1):
-        got = per_hop_outage(
-            pair, window, SC_20DB, code_model="ostbc", threshold_variant=variant
-        )
+        got = per_hop_outage(key, window, SC_20DB, code_model="ostbc")
         assert got == pytest.approx(expected, rel=1e-6), f"window {window}"
-
-
-def test_plain_variant_collapses_for_single_receive_antenna():
-    # With one receive antenna the two threshold conventions coincide.
-    for window in (1, 3, 7):
-        per_rx = per_hop_outage(HOP1, window, SC_20DB, code_model="ostbc")
-        plain = per_hop_outage(
-            HOP1, window, SC_20DB, code_model="ostbc", threshold_variant="plain"
-        )
-        assert per_rx == pytest.approx(plain, rel=1e-12)
-
-
-def test_plain_variant_never_exceeds_per_receiver():
-    for window in (1, 2, 5):
-        hi = per_hop_outage(HOP2, window, SC_20DB, code_model="ostbc")
-        lo = per_hop_outage(
-            HOP2, window, SC_20DB, code_model="ostbc", threshold_variant="plain"
-        )
-        assert lo <= hi + 1e-15
 
 
 def test_general_model_collapses_to_ostbc_for_rank_one():
     # min(m_tx, m_rx) = 1 leaves a single eigenmode, where the uncoded and
-    # orthogonal-code outage events are the same gamma tail.
+    # orthogonal-code outage events are the same gamma tail, bit for bit
+    coded = FiniteSnrScenario(100.0, 1.0, spatial_code_rate=0.6)
     for pair in (HOP1, HOP2):
         for window in (1, 2, 4):
             logdet = per_hop_outage(pair, window, SC_20DB, code_model="logdet")
             ostbc = per_hop_outage(pair, window, SC_20DB, code_model="ostbc")
-            assert logdet == pytest.approx(ostbc, rel=1e-9)
+            assert logdet == ostbc
+            # a spatial code rate below 1 moves the code's tail, not log-det's
+            assert per_hop_outage(pair, window, coded, code_model="logdet") == logdet
+            assert per_hop_outage(pair, window, coded, code_model="ostbc") > ostbc
 
 
 def test_rank_one_models_agree_where_the_threshold_base_overflows():
@@ -114,7 +92,7 @@ def test_rank_one_models_agree_where_the_threshold_base_overflows():
         for window in (1, 2, 4):
             logdet = per_hop_outage(pair, window, huge, code_model="logdet")
             ostbc = per_hop_outage(pair, window, huge, code_model="ostbc")
-            assert logdet == pytest.approx(ostbc, rel=1e-9)
+            assert logdet == ostbc
     assert per_hop_outage(HOP2, 1, huge, code_model="logdet") > 0.5
 
 
@@ -154,7 +132,7 @@ def test_ostbc_outage_keeps_the_direct_form_where_it_fits():
     pair = AntennaPair(4, 3)
     for snr, r, t in [(100.0, 1.0, 1.0), (10.0, 0.5, 3.0), (1e300, 1.0, 2.0)]:
         x = (4 / snr) * ((1.0 + 3 * snr) ** (r / t) - 1.0)
-        got = _outage_window_ostbc(pair, t, FiniteSnrScenario(snr, r), "per_receiver")
+        got = _outage_window_gamma(pair, t, FiniteSnrScenario(snr, r), 1.0)
         assert got == regularized_lower_gamma(12, x)
 
 
@@ -166,7 +144,7 @@ def test_ostbc_outage_where_the_threshold_base_overflows(pair):
     assert 1.0 + pair.m_rx * huge.snr == math.inf
     want = gammainc(pair.m_tx * pair.m_rx, pair.m_tx * pair.m_rx)
     for scenario in (huge, large):
-        got = _outage_window_ostbc(pair, 1.0, scenario, "per_receiver")
+        got = _outage_window_gamma(pair, 1.0, scenario, 1.0)
         assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -174,11 +152,11 @@ def test_ostbc_outage_where_the_threshold_power_overflows():
     # base**exponent is past the largest float though x is not:
     # x = (4 / snr) base**1.0003 = 4 * 1.7e308**0.0003, about 4.95
     snr = 1.7e308
-    got = _outage_window_ostbc(HOP1, 1.0, FiniteSnrScenario(snr, 1.0003), "per_receiver")
+    got = _outage_window_gamma(HOP1, 1.0, FiniteSnrScenario(snr, 1.0003), 1.0)
     assert got == pytest.approx(gammainc(4, 4.0 * snr**0.0003), rel=1e-12)
     assert 0.5 < got < 0.9
-    # and where x is past it as well, the tail saturates: 301**200 at 20 dB
-    assert _outage_window_ostbc(HOP1, 1.0, FiniteSnrScenario(100.0, 200.0), "plain") == 1.0
+    # and where x is past it as well, the tail saturates: 101**200 at 20 dB
+    assert _outage_window_gamma(HOP1, 1.0, FiniteSnrScenario(100.0, 200.0), 1.0) == 1.0
 
 
 def test_outage_validation():
@@ -188,14 +166,6 @@ def test_outage_validation():
         per_hop_outage(HOP1, -1.0, SC_20DB)
     with pytest.raises(ValueError):
         per_hop_outage(HOP1, 1, SC_20DB, code_model="turbo")
-    with pytest.raises(ValueError):
-        per_hop_outage(HOP1, 1, SC_20DB, threshold_variant="both")
-    with pytest.raises(ValueError):
-        # the uncoded search is derived under the per-receiver threshold only
-        per_hop_outage(
-            AntennaPair(2, 2), 1, SC_20DB, code_model="logdet",
-            threshold_variant="plain",
-        )
     with pytest.raises(ValueError):
         per_hop_outage(AntennaPair(8, 8), 1, SC_20DB, code_model="logdet")
     with pytest.raises(ValueError, match="choose from \\('logdet', 'ostbc'\\)"):

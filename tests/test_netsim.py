@@ -13,7 +13,12 @@ import numpy as np
 import pytest
 
 import mharq.netsim as netsim
-from mharq.finite_snr import FiniteSnrScenario, _stage_means, mean_service_time
+from mharq.finite_snr import (
+    FiniteSnrScenario,
+    _code_rate,
+    _stage_means,
+    mean_service_time,
+)
 from mharq.netsim import (
     RandomSource,
     SimConfig,
@@ -21,7 +26,7 @@ from mharq.netsim import (
     estimate_delay_exponent,
     run_network_sim,
 )
-from mharq.tradeoff import ChannelAssumption, FixedArq, Topology
+from mharq.tradeoff import AntennaPair, ChannelAssumption, FixedArq, Topology
 from oracles import cumsum_decode_rounds, eigvalsh_capacities, whole_array_tandem
 
 LT = ChannelAssumption.LONG_TERM_STATIC
@@ -32,6 +37,13 @@ def scenario(snr=1.0, lam=10.0, deadline=60.0, r=1.0):
     return FiniteSnrScenario(
         snr, r, arrival_mean_blocks=lam, deadline_blocks=deadline
     )
+
+
+def capacities(u, snr, m_tx, code_model="logdet", r_s=1.0):
+    """netsim._capacities of a hop, at the rate factor of its code-model rule."""
+    pair = AntennaPair(m_tx, u.shape[2])
+    rate = _code_rate(pair, FiniteSnrScenario(snr, 1.0, r_s), code_model)
+    return netsim._capacities(u, snr, m_tx, rate)
 
 
 def config(**overrides):
@@ -347,17 +359,20 @@ def test_capacities_match_eigenvalue_oracle(m_rx, m_tx, rounds):
     rng = RandomSource(11).stream(10 * m_rx + m_tx)
     u = netsim._channel_uniforms(rng, 500, rounds, m_rx, m_tx)
     for snr in (0.5, 10.0, 1000.0):
-        got = netsim._capacities(u, snr, 1.0, m_tx, "logdet")
+        got = capacities(u, snr, m_tx)
         want = eigvalsh_capacities(u, snr, 1.0, m_tx, "logdet")
         assert got.shape == want.shape == (500, rounds)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
-        got = netsim._capacities(u, snr, 0.75, m_tx, "ostbc")
+        if min(m_rx, m_tx) == 1:
+            # a rank-1 log-det hop is the space-time code at rate 1
+            assert np.array_equal(got, eigvalsh_capacities(u, snr, 1.0, m_tx, "ostbc"))
+        got = capacities(u, snr, m_tx, "ostbc", 0.75)
         want = eigvalsh_capacities(u, snr, 0.75, m_tx, "ostbc")
         assert np.array_equal(got, want)
     # roundoff at high SNR neither raises nor drives a capacity negative
     for snr in (1e6, 1e300, 1e308):
         with np.errstate(all="raise"):
-            caps = netsim._capacities(u, snr, 1.0, m_tx, "logdet")
+            caps = capacities(u, snr, m_tx)
         assert np.isfinite(caps).all()
         assert (caps >= 0.0).all()
 
@@ -375,7 +390,7 @@ def test_capacities_past_the_overflowing_snr(monkeypatch, m_rx, m_tx):
     for snr in (1e300, 1e306, 1e308):
         overflowed.clear()
         with np.errstate(all="raise"):
-            caps[snr] = netsim._capacities(u, snr, 1.0, m_tx, "logdet")
+            caps[snr] = capacities(u, snr, m_tx)
         # up to 1e306 every pivot fits, so it keeps the bits of 1 + a * b
         assert bool(overflowed) == (snr == 1e308)
     # past SNR 1e307 a * b overflows in the larger pivots; their log2 is
@@ -402,6 +417,24 @@ def test_simulated_drops_hold_past_the_overflowing_snr():
     assert drops == [(19_885, 115)] * 3
 
 
+def test_huge_multiplexing_gain_gives_outage_without_warning():
+    # r log2(1 + snr) is near the largest float, so over a small capacity
+    # the rounds needed overflow to inf, which the window caps
+    cfg = config(
+        topology=Topology([4, 1, 3]),
+        protocol=FixedArq([2, 3]),
+        scenario=FiniteSnrScenario(
+            0.5, 1e308, arrival_mean_blocks=10.0, deadline_blocks=25.0
+        ),
+        message_count=2000,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_network_sim(cfg)
+    assert result.p_outage == 1.0
+    assert result.per_hop_outage_drops == (2000, 0)
+
+
 @pytest.mark.parametrize("m_rx, m_tx", [(2, 2), (4, 4), (3, 5), (6, 3), (8, 8)])
 def test_capacities_of_a_singular_channel_stay_finite(m_rx, m_tx):
     # three equal rows on the rank side make G singular: the exact pivots
@@ -414,7 +447,7 @@ def test_capacities_of_a_singular_channel_stay_finite(m_rx, m_tx):
         u[:, :, :, 1:3] = u[:, :, :, :1]
     for snr in (1e6, 1e17, 1e30, 1e300):
         with np.errstate(all="raise"):
-            caps = netsim._capacities(u, snr, 1.0, m_tx, "logdet")
+            caps = capacities(u, snr, m_tx)
         assert np.isfinite(caps).all()
         assert (caps >= 0.0).all()
 
@@ -437,7 +470,7 @@ def test_decode_rounds_agree_with_eigenvalue_oracle(m_rx, m_tx, channel):
     )
     got = netsim._decode_rounds(
         u,
-        lambda v: netsim._capacities(v, snr, 1.0, m_tx, "logdet"),
+        lambda v: capacities(v, snr, m_tx),
         target,
         window,
         long_term,
@@ -477,11 +510,11 @@ def test_lazy_short_term_decode_matches_cumulative_sum(
 
     def capacity(v):
         sizes.append(v.shape[:2])
-        return netsim._capacities(v, snr, 1.0, m_tx, code_model)
+        return capacities(v, snr, m_tx, code_model)
 
     got = netsim._decode_rounds(u, capacity, target, window, False)
     want = cumsum_decode_rounds(
-        netsim._capacities(u, snr, 1.0, m_tx, code_model), target, window
+        capacities(u, snr, m_tx, code_model), target, window
     )
     assert np.array_equal(got, want)
     # round k is computed once, for exactly the messages rounds 1..k-1 left
@@ -644,7 +677,7 @@ def test_rank_two_capacity_chunk_working_set():
     # one chunk of _CHUNK_UNIFORMS uniforms on a long-term 2 x 2 hop is
     # 16,384 messages, 1 MiB of uniforms
     u = netsim._channel_uniforms(RandomSource(1).stream(1), 16_384, 1, 2, 2)
-    peak = traced_peak(lambda: netsim._capacities(u, 10.0, 1.0, 2, "logdet"))
+    peak = traced_peak(lambda: netsim._capacities(u, 10.0, 2, None))
     assert peak <= 4.5e6
 
 
@@ -802,3 +835,36 @@ def test_sim_config_validation():
         config(service_mode="markovian", service_means=(0.0,))
     with pytest.raises(ValueError):
         config(scenario=FiniteSnrScenario(1.0, 1.0))  # queueing fields required
+
+
+def markov_413(arrival_mean, message_count=2000):
+    return config(
+        topology=Topology([4, 1, 3]),
+        protocol=FixedArq([2, 3]),
+        scenario=scenario(snr=100.0, lam=arrival_mean, deadline=25.0),
+        message_count=message_count,
+        service_mode="markovian",
+    )
+
+
+@pytest.mark.parametrize("arrival_mean", [1e308, 1e306])
+def test_sim_config_refuses_times_past_the_largest_float(arrival_mean):
+    # 2000 arrivals of mean 1e306 can sum past 1.8e308
+    with pytest.raises(ValueError, match="largest float"):
+        markov_413(arrival_mean)
+
+
+def test_sim_config_at_half_the_time_bound_runs_without_warning():
+    # n^2 53 ln 2 (1 + 2 hops) arrival mean at half the largest float, where
+    # the arrival mean is the largest mean of the run
+    n = 2000
+    arrival = sys.float_info.max / 2 / (n * n * 53 * math.log(2.0) * 5)
+    cfg = markov_413(arrival, n)
+    with pytest.raises(ValueError, match="largest float"):
+        markov_413(4 * arrival, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_network_sim(cfg)
+    # the queue is all but empty: no message misses the deadline
+    assert result.p_deadline == 0.0
+    assert 1.0 <= result.delays.mean() < 10.0
