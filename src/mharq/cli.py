@@ -382,23 +382,18 @@ def _scenario_fields(
     return fields
 
 
-def _build_scenario(
-    fields: dict[str, Any], chk: _Checker | None = None
-) -> FiniteSnrScenario | None:
+def _build_scenario(fields: dict[str, Any], chk: _Checker) -> FiniteSnrScenario | None:
     """The scenario of the fields _scenario_fields read.
 
     Fields that pass the schema can still fail here: an snr_db far enough
-    below zero underflows to a linear SNR of 0.  Given a checker, no
-    scenario is built once a field has failed and the refusal joins the
-    checker's errors; without one the ValueError goes through.
+    below zero underflows to a linear SNR of 0.  No scenario is built once a
+    field has failed, and a refusal joins the checker's errors.
     """
-    if chk is not None and chk.errors:
+    if chk.errors:
         return None
     try:
         return FiniteSnrScenario(**fields)
     except ValueError as exc:
-        if chk is None:
-            raise
         chk.errors.append(f"{chk.path}: {exc}")
         return None
 
@@ -668,8 +663,8 @@ def _run_dmdt_finite(config: dict) -> tuple[list[str], list[Sequence[Any]], dict
         valid, problem, _ = _SWEEP_AXES[axis]
         if not all(map(valid, values)):
             chk.errors.append(f"{chk.path}.sweep.values: {problem}")
+    base = _build_scenario(fields, chk)
     chk.done()
-    base = _build_scenario(fields)
 
     unstable: list[float] = []
     rows = []
@@ -827,31 +822,16 @@ def _run_validate(
         theta = deadline_exponent(sim_cfg.hop_service_means(), arrival)
     result = run_network_sim(sim_cfg)
 
-    checks: list[tuple[str, float, float, int]] = []
+    # (name, analytic, empirical, samples, sigma)
+    checks: list[tuple[str, float, float, int, float]] = []
     if physical:
-        for i in range(topo.n_hops):
-            attempts = result.per_hop_attempts[i]
-            emp = (
-                result.per_hop_outage_drops[i] / attempts if attempts else math.nan
-            )
-            checks.append((f"outage_hop_{i + 1}", per_hop_ana[i], emp, attempts))
-        checks.append(
-            ("outage_total", total_ana, result.p_outage, result.analyzed)
-        )
-    rows = []
-    for name, ana, emp, n in checks:
-        if n > 0 and 0.0 < ana < 1.0:
-            sigma = math.sqrt(ana * (1.0 - ana) / n)
-        else:
-            sigma = 0.0
-        if n == 0:  # no message reached the hop: nothing to compare
-            z, verdict = math.nan, "no_samples"
-        else:
-            z = (emp - ana) / sigma if sigma > 0.0 else 0.0 if emp == ana else math.inf
-            verdict = "ok" if abs(z) <= 4.0 else "mismatch"
-        rows.append([name, ana, emp, n, sigma, z, verdict])
-
-    if not physical:
+        names = [f"outage_hop_{i + 1}" for i in range(topo.n_hops)] + ["outage_total"]
+        drops = (*result.per_hop_outage_drops, result.outage_drops)
+        samples = (*result.per_hop_attempts, result.analyzed)
+        for name, ana, k, n in zip(names, (*per_hop_ana, total_ana), drops, samples):
+            sigma = math.sqrt(ana * (1.0 - ana) / n) if n > 0 and 0.0 < ana < 1.0 else 0.0
+            checks.append((name, ana, k / n if n else math.nan, n, sigma))
+    else:
         # the analytic tail and the simulated sojourn share an exponent but
         # not a prefactor, so the check compares decay rates
         delays = result.delays
@@ -880,13 +860,18 @@ def _run_validate(
                 fit = estimate_delay_exponent(delays, list(np.linspace(lo, top, 8)))
         except ValueError as exc:
             raise ConfigError([f"config.message_count: {exc}"]) from exc
-        z = (fit.exponent - theta) / fit.stderr if fit.stderr > 0 else math.inf
         # sigma is the fit's batch-jackknife stderr, which tracks the spread
         # across seeds, so the verdict is the |z| <= 4 rule of the outage rows
-        verdict = "ok" if abs(z) <= 4.0 else "mismatch"
-        rows.append(
-            ["delay_exponent", theta, fit.exponent, delays.size, fit.stderr, z, verdict]
-        )
+        checks.append(("delay_exponent", theta, fit.exponent, delays.size, fit.stderr))
+
+    rows = []
+    for name, ana, emp, n, sigma in checks:
+        if n == 0:  # no message reached the hop: nothing to compare
+            z, verdict = math.nan, "no_samples"
+        else:
+            z = (emp - ana) / sigma if sigma > 0.0 else 0.0 if emp == ana else math.inf
+            verdict = "ok" if abs(z) <= 4.0 else "mismatch"
+        rows.append([name, ana, emp, n, sigma, z, verdict])
 
     columns = ["check", "analytic", "empirical", "samples", "sigma", "z_score", "verdict"]
     meta = {"note": "z compares the empirical rate against the analytic model"}

@@ -220,7 +220,7 @@ def _outage_window_logdet(
     if r == 0.0:
         return 0.0
     rho = scenario.snr
-    base, _ = _target_base(pair, rho)
+    base, log_base = _target_base(pair, rho)
     mstar = pair.min_dim
     gap = abs(pair.m_tx - pair.m_rx)
     shapes = [gap + 2 * l - 1 for l in range(1, mstar + 1)]
@@ -244,8 +244,15 @@ def _outage_window_logdet(
                 b = prev_b + pts[:, l - 1] * (upper - prev_b)
             else:
                 b = budget - used
-            cur_pow = base**b
-            x = (pair.m_tx / rho) * (cur_pow - prev_pow)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                cur_pow = base**b
+                x = (pair.m_tx / rho) * (cur_pow - prev_pow)
+                # where that overflows, x = (m_tx / rho) e^(b L) (1 - e^((b_prev - b) L))
+                # with L = log(base), in logs; past e^709 it saturates the tail anyway
+                far = ~np.isfinite(x)
+                log_x = math.log(pair.m_tx) - math.log(rho) + b[far] * log_base
+                log_x += np.log(-np.expm1((prev_b[far] - b[far]) * log_base))
+                x[far] = np.exp(np.minimum(log_x, 709.0))
             prob *= np.array(
                 [regularized_lower_gamma(shapes[l - 1], float(v)) for v in x]
             )
@@ -285,22 +292,30 @@ def per_hop_outage(
     return _outage_window_gamma(pair, window, scenario, rate)
 
 
+def _block_tails(
+    pair: AntennaPair, longest: int, scenario: FiniteSnrScenario
+) -> list[float]:
+    """P(S > j), j = 1..longest, of the whole blocks S a hop needs to decode.
+
+    The window search's law: the space-time-coded gamma tail at the
+    scenario's spatial code rate, whatever code model a simulation draws.
+    """
+    r_s = scenario.spatial_code_rate
+    return [_outage_window_gamma(pair, float(j), scenario, r_s) for j in range(1, longest + 1)]
+
+
 def mean_service_time(
     pair: AntennaPair, window: int, scenario: FiniteSnrScenario
 ) -> float:
     """Mean blocks a hop occupies per message under a window of whole blocks.
 
-    The service is counted in whole blocks: mu = E[min(ceil(t), window)] =
-    1 + sum of the outage tail at each intermediate window, which guarantees
-    mu >= 1 and matches the queueing unit of the delay analysis.  The tail
-    is the space-time-coded (ostbc) one of the window search.
+    The service is counted in whole blocks: mu = E[min(S, window)] = 1 + the
+    sum of _block_tails below the window, which guarantees mu >= 1 and
+    matches the queueing unit of the delay analysis.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1 block, got {window}")
-    return 1.0 + sum(
-        per_hop_outage(pair, float(j), scenario, code_model="ostbc")
-        for j in range(1, int(window))
-    )
+    return 1.0 + sum(_block_tails(pair, int(window) - 1, scenario))
 
 
 def _stage_means(means: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -572,13 +587,9 @@ def evaluate_windows(
         raise ValueError(f"window must be >= 1 block, got {windows.min()}")
     # per-hop outage tails are shared across rows, and across the hops of
     # one antenna pair; precompute them
-    lengths = range(1, int(windows.max()) + 1)
+    longest = int(windows.max())
     pairs = list(map(topology.hop, range(n_hops)))
-    r_s = scenario.spatial_code_rate
-    pair_tail = {
-        pair: [_outage_window_gamma(pair, float(j), scenario, r_s) for j in lengths]
-        for pair in set(pairs)
-    }
+    pair_tail = {pair: _block_tails(pair, longest, scenario) for pair in set(pairs)}
     hop_tail = [pair_tail[pair] for pair in pairs]
 
     # whole-block means, as in mean_service_time, indexed by window - 1; each

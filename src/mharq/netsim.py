@@ -431,51 +431,40 @@ def _lindley_chunk(
     return np.subtract(cum, mins, out=mins), next_state
 
 
-def _drawn_services(
-    rng: np.random.Generator, mean: float, start: int, stop: int, out=None
-) -> np.ndarray:
-    """Markovian services of messages start:stop, the stream's next draws."""
-    return _exponential(rng, mean, stop - start, out)
-
-
-def _block_services(
+def _hop_blocks(
     rounds: Sequence[np.ndarray],
     windows: Sequence[int],
     outage_hop: np.ndarray,
-    stage: int,
     start: int,
     stop: int,
-    out=None,
 ) -> np.ndarray:
-    """Physical services of messages start:stop: the stage's hops' blocks.
+    """Whole blocks each hop serves messages start:stop, one column per hop.
 
     A hop serves min(rounds, window) blocks, none once an earlier hop has
-    dropped the message.  The sums are of small integers, so exact.
+    dropped the message.
     """
-    hops = (0,) if len(rounds) == 1 else (stage, stage + 1)
+    blocks = np.empty((stop - start, len(rounds)))
     dropped_at = outage_hop[start:stop]
-    services = np.empty(stop - start) if out is None else out
-    services.fill(0.0)
-    for h in hops:
-        blocks = np.minimum(rounds[h][start:stop], windows[h])
-        blocks[dropped_at < h] = 0
-        services += blocks
-    return services
+    for h, (hop_rounds, window) in enumerate(zip(rounds, windows)):
+        np.minimum(hop_rounds[start:stop], window, out=blocks[:, h])
+        blocks[dropped_at < h, h] = 0.0
+    return blocks
 
 
 def _tandem_delays(
     arrival_rng: np.random.Generator,
     arrival_mean: float,
     n_msgs: int,
-    stage_services: Sequence[Callable[..., np.ndarray]],
+    n_stages: int,
+    fill: Callable[[int, int, np.ndarray], None],
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yields (start, delay): message start + j's sojourn in the tandem is delay[j].
 
     Messages run through every stage ``_TANDEM_CHUNK`` at a time; each
     stage's departures are the next stage's arrivals.  The Poisson arrival
     times continue their cumulative sum from the previous chunk's last
-    arrival, and ``stage_services[i](start, stop, out=buffer)`` writes stage
-    i's service times of messages start:stop into the buffer.  One worker
+    arrival, and ``fill(start, stop, out)`` writes every stage's service
+    times of messages start:stop into out, one row per stage.  One worker
     thread forms each chunk's inputs, in message order, while this thread
     reflects the chunk before; its exceptions are raised here, once joined.
     Delays are summed in one buffer that the next chunk reuses.
@@ -486,7 +475,7 @@ def _tandem_delays(
     step = min(_TANDEM_CHUNK, n_msgs)
     # chunks alternate between two buffer sets; rows: the arrivals, then
     # each stage's services
-    buffer_sets = [np.empty((1 + len(stage_services), step)) for _ in range(2)]
+    buffer_sets = [np.empty((1 + n_stages, step)) for _ in range(2)]
     last_arrival = 0.0
 
     def draw(start: int) -> np.ndarray:
@@ -497,12 +486,11 @@ def _tandem_delays(
         arrivals[0] += last_arrival
         np.cumsum(arrivals, out=arrivals)
         last_arrival = arrivals[-1]
-        for take, services in zip(stage_services, buffers[1:]):
-            take(start, stop, out=services)
+        fill(start, stop, buffers[1:])
         return buffers
 
     delay_buffer = np.empty(step)
-    states: list[_LindleyState | None] = [None] * len(stage_services)
+    states: list[_LindleyState | None] = [None] * n_stages
     with ThreadPoolExecutor(1) as worker:
         ahead = worker.submit(draw, 0)
         for start in range(0, n_msgs, step):
@@ -544,10 +532,11 @@ def run_network_sim(config: SimConfig) -> SimResult:
     streams, one chunk ahead on a worker thread, and each stage carries its
     Lindley state to the next chunk, so no number depends on the chunk size
     either.  Per message only the returned delays and, in physical mode,
-    each hop's rounds and the outage hop (a stage's services are formed
-    from them chunk by chunk) are held.  The delays are sized once the drops
-    are counted; markovian service has no window to overrun, so it counts
-    no outage at all.
+    each hop's rounds and the outage hop are held; each chunk forms its
+    hops' whole blocks from them, and its stage services are the
+    analysis's stages of those blocks, finite_snr._stage_means.  The delays
+    are sized once the drops are counted; markovian service has no window
+    to overrun, so it counts no outage at all.
     """
     topo = config.topology
     windows = config.protocol.windows
@@ -559,12 +548,16 @@ def run_network_sim(config: SimConfig) -> SimResult:
     source = RandomSource(config.seed)
     # the last slot of hop h's histogram counts the outage drops at hop h
     histograms = tuple(np.zeros(w + 2, dtype=np.int64) for w in windows)
+    n_stages = _stage_means(windows).size
 
     if config.service_mode == "markovian":
-        stage_services = [
-            partial(_drawn_services, source.stream(_STREAM_MARKOV_BASE + i), m)
-            for i, m in enumerate(_stage_means(config.hop_service_means()))
-        ]
+        rngs = [source.stream(_STREAM_MARKOV_BASE + i) for i in range(n_stages)]
+        means = _stage_means(config.hop_service_means())
+
+        def fill(start: int, stop: int, out: np.ndarray) -> None:
+            for rng, mean, row in zip(rngs, means, out):
+                _exponential(rng, mean, stop - start, row)
+
     else:
         # threads, as numpy releases the GIL in the draws and the ufuncs;
         # imported here so that loading mharq starts no pool machinery
@@ -584,10 +577,11 @@ def run_network_sim(config: SimConfig) -> SimResult:
             for h, hist in enumerate(histograms):
                 reached = rounds[h][lo : lo + dropped_at.size][dropped_at >= h]
                 hist += np.bincount(reached, minlength=hist.size)
-        stage_services = [
-            partial(_block_services, rounds, windows, outage_hop, i)
-            for i in range(max(1, n_hops - 1))
-        ]
+
+        def fill(start: int, stop: int, out: np.ndarray) -> None:
+            # sums of small integers, so exact
+            blocks = _hop_blocks(rounds, windows, outage_hop, start, stop)
+            out[:] = _stage_means(blocks).T
 
     per_hop_drops = tuple(int(hist[-1]) for hist in histograms)
     analyzed = n_msgs - cut
@@ -598,7 +592,7 @@ def run_network_sim(config: SimConfig) -> SimResult:
     delays = np.empty(analyzed - outage_drops)
     filled = delivered = 0
     for start, delay in _tandem_delays(
-        source.stream(_STREAM_ARRIVALS), arrival_mean, n_msgs, stage_services
+        source.stream(_STREAM_ARRIVALS), arrival_mean, n_msgs, n_stages, fill
     ):
         kept = delay[max(cut - start, 0) :]
         if outage_drops:

@@ -647,16 +647,18 @@ def whole_array_tandem(
     arrival_rng: np.random.Generator,
     arrival_mean: float,
     n_msgs: int,
-    stage_services: Sequence[Callable[[int, int], np.ndarray]],
+    n_stages: int,
+    fill: Callable[[int, int, np.ndarray], None],
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Total delay through the FIFO tandem, every stage over whole arrays.
 
     Same contract as mharq.netsim._tandem_delays, as one chunk of every
-    message; each stage's services are asked for once, for messages
+    message; the services of every stage are asked for once, for messages
     0:n_msgs.
     """
     arrivals = np.cumsum(-arrival_mean * np.log1p(-arrival_rng.random(n_msgs)))
-    stage_services = [take(0, n_msgs) for take in stage_services]
+    stage_services = np.empty((n_stages, n_msgs))
+    fill(0, n_msgs, stage_services)
 
     # tandem of FIFO stages; each stage's departures arrive at the next
     stage_arrivals = arrivals

@@ -534,6 +534,20 @@ CASES = [
     ),
     # simulate
     ("sim-physical", "simulate", SIM),
+    # four physical stages: every hop drops messages, over two tandem chunks
+    (
+        "sim-physical-five-node",
+        "simulate",
+        dict(
+            SIM,
+            topology=[2, 1, 2, 2, 1, 3],
+            windows=[2, 3, 1, 2, 2],
+            snr_linear=3.0,
+            arrival_mean_blocks=6.0,
+            deadline_blocks=25.0,
+            message_count=40000,
+        ),
+    ),
     (
         "sim-short-term-logdet",
         "simulate",

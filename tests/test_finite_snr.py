@@ -4,9 +4,11 @@ Frozen tables were computed with scipy's regularized incomplete gamma as an
 independent engine; see the module docstrings for the closed forms.
 """
 
+import contextlib
 import math
 import pickle
 import sys
+import warnings
 from itertools import product
 from unittest import mock
 
@@ -23,6 +25,7 @@ from mharq.finite_snr import (
     FiniteSnrScenario,
     UnstableQueueError,
     WindowInfeasibleError,
+    _block_tails,
     _composition_matrix,
     _outage_window_gamma,
     _row_sums,
@@ -159,6 +162,20 @@ def test_ostbc_outage_where_the_threshold_power_overflows():
     assert _outage_window_gamma(HOP1, 1.0, FiniteSnrScenario(100.0, 200.0), 1.0) == 1.0
 
 
+@pytest.mark.parametrize(
+    "snr, r, low, high", [(1e6, 50.0, 1.0, 1.0), (1e308, 1.0, 0.0, 1e-300)]
+)
+def test_rank_two_logdet_outage_where_the_threshold_power_overflows(snr, r, low, high):
+    # base**b overflows, or the base does; x is then formed in logs, with no
+    # numpy warning, and a rank-3 search may still refuse, but with no warning
+    scenario = FiniteSnrScenario(snr, r)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert low <= per_hop_outage(AntennaPair(2, 2), 1.0, scenario) <= high
+        with contextlib.suppress(ValueError):
+            per_hop_outage(AntennaPair(3, 3), 1.0, scenario)
+
+
 def test_outage_validation():
     with pytest.raises(ValueError):
         per_hop_outage(HOP1, 0, SC_20DB)
@@ -203,6 +220,31 @@ def test_mean_service_time_blockwise():
     assert all(b >= a for a, b in zip(mus, mus[1:]))
     with pytest.raises(ValueError):
         mean_service_time(pair, 0, scenario)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(1, 4), min_size=2, max_size=5),
+    st.lists(st.lists(st.integers(1, 9), min_size=4, max_size=4), min_size=1, max_size=4),
+    st.floats(0.1, 1e6),
+    st.floats(0.0, 4.0),
+    st.floats(0.05, 1.0, exclude_max=True),
+)
+def test_window_means_are_one_plus_the_block_tails(antennas, rows, snr, r, r_s):
+    # the window search and mean_service_time read one whole-block law, so
+    # their means agree bit for bit, at any spatial code rate
+    topology = Topology(antennas)
+    windows = np.array(rows)[:, : topology.n_hops]
+    scenario = FiniteSnrScenario(
+        snr, r, r_s, arrival_mean_blocks=10.0, deadline_blocks=25.0
+    )
+    means = evaluate_windows(topology, scenario, windows).means
+    for row, hop_windows in enumerate(windows.tolist()):
+        for hop, window in enumerate(hop_windows):
+            pair = topology.hop(hop)
+            mean = mean_service_time(pair, window, scenario)
+            assert means[row, hop] == mean
+            assert mean == 1.0 + sum(_block_tails(pair, window - 1, scenario))
 
 
 def test_deadline_probability_single_stage():

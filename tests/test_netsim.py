@@ -242,22 +242,24 @@ class _ServiceFailed(RuntimeError):
     pass
 
 
-@pytest.mark.parametrize(
-    "case, service",
-    [("markov-4stage", "_drawn_services"), ("physical-4stage", "_block_services")],
-)
-def test_tandem_worker_exception_reaches_the_caller(monkeypatch, case, service):
+@pytest.mark.parametrize("case", ["markov-4stage", "physical-4stage"])
+def test_tandem_worker_exception_reaches_the_caller(monkeypatch, case):
     monkeypatch.setattr(netsim, "_TANDEM_CHUNK", 1000)
-    take = getattr(netsim, service)
+    tandem = netsim._tandem_delays
     raised = []
 
-    def fail_on_second_chunk(*args, **kwargs):
-        if args[-2] == 1000:  # start of messages start:stop
-            raised.append(_ServiceFailed(service))
-            raise raised[-1]
-        return take(*args, **kwargs)
+    def failing_tandem(*args):
+        *head, fill = args
 
-    monkeypatch.setattr(netsim, service, fail_on_second_chunk)
+        def fail_on_second_chunk(start, stop, out):
+            if start == 1000:
+                raised.append(_ServiceFailed(case))
+                raise raised[-1]
+            fill(start, stop, out)
+
+        return tandem(*head, fail_on_second_chunk)
+
+    monkeypatch.setattr(netsim, "_tandem_delays", failing_tandem)
     before = threading.active_count()
     with pytest.raises(_ServiceFailed) as caught:
         run_network_sim(config(message_count=3500, **TANDEM_CASES[case]))
@@ -608,39 +610,57 @@ def test_markovian_hop_means_default_to_whole_block_means():
     assert derived.per_hop_attempts == (3000, 3000)
 
 
+def test_markovian_stage_draws_from_its_own_stream():
+    # stage i serves exponentials of stream 1001 + i at its _stage_means
+    # mean, so a whole-array tandem fed with them gives the simulator's
+    # delays bit for bit
+    n_msgs = 3000
+    cfg = config(message_count=n_msgs, **TANDEM_CASES["markov-4stage"])
+    source = RandomSource(cfg.seed)
+    stages = _stage_means(cfg.service_means)
+
+    def fill(start, stop, out):
+        for i, (mean, row) in enumerate(zip(stages, out)):
+            row[:] = -mean * np.log1p(-source.stream(1001 + i).random(stop - start))
+
+    arrival = cfg.scenario.arrival_mean_blocks
+    [(_, delay)] = whole_array_tandem(source.stream(0), arrival, n_msgs, stages.size, fill)
+    assert np.array_equal(run_network_sim(cfg).delays, delay)
+
+
 @pytest.mark.parametrize(
     "antennas, windows",
     [([2, 2], [2]), ([4, 1, 3], [2, 3]), ([2, 3, 2, 4, 1], [2, 2, 3, 2])],
 )
-def test_physical_stages_pair_hops_as_the_queue_model(monkeypatch, antennas, windows):
-    # the simulator forms each stage's services from its hops' blocks; over
-    # the messages no hop drops, its stages must be the stages of the
-    # analytic queue model, _stage_means of the per-hop block matrix
-    real = netsim._block_services
-    seen = {}
-
-    def recording(rounds, windows, outage_hop, stage, *span, **kwargs):
-        seen[stage] = (rounds, windows, outage_hop)
-        return real(rounds, windows, outage_hop, stage, *span, **kwargs)
-
-    monkeypatch.setattr(netsim, "_block_services", recording)
-    run_network_sim(
-        config(
-            topology=Topology(antennas),
-            protocol=FixedArq(windows),
-            scenario=scenario(snr=10.0),
-            message_count=2000,
-        )
+def test_physical_stages_pair_hops_as_the_queue_model(antennas, windows):
+    # a hop serves min(rounds, window) blocks up to the hop that drops the
+    # message, and none after it; the tandem's stages are the analytic queue
+    # model's, _stage_means of those blocks, so a whole-array tandem fed with
+    # them gives the simulator's delays bit for bit
+    n_msgs, n_hops = 2000, len(windows)
+    cfg = config(
+        topology=Topology(antennas),
+        protocol=FixedArq(windows),
+        scenario=scenario(snr=10.0),
+        message_count=n_msgs,
     )
-    rounds, wins, outage_hop = seen[0]
-    kept = outage_hop == len(windows)
+    rounds = [netsim._hop_rounds(cfg, h) for h in range(n_hops)]
+    over = np.column_stack([r > w for r, w in zip(rounds, windows)])
+    outage_hop = np.where(over.any(axis=1), over.argmax(axis=1), n_hops)
+    kept = outage_hop == n_hops
     assert 0 < kept.sum() < kept.size  # some messages are dropped, some are not
-    blocks = np.column_stack([np.minimum(r, w) for r, w in zip(rounds, wins)])
-    want = _stage_means(blocks[kept])
-    assert sorted(seen) == list(range(want.shape[1]))
-    for stage in seen:
-        got = real(rounds, wins, outage_hop, stage, 0, kept.size)
-        assert np.array_equal(got[kept], want[:, stage])
+    blocks = netsim._hop_blocks(rounds, windows, outage_hop, 0, n_msgs)
+    reached = np.arange(n_hops) <= outage_hop[:, None]
+    served = np.minimum(np.column_stack(rounds), windows)
+    assert np.array_equal(blocks, np.where(reached, served, 0))
+    stages = _stage_means(blocks)
+
+    def fill(start, stop, out):
+        out[:] = stages[start:stop].T
+
+    rng, arrival = RandomSource(cfg.seed).stream(0), cfg.scenario.arrival_mean_blocks
+    [(_, delay)] = whole_array_tandem(rng, arrival, n_msgs, stages.shape[1], fill)
+    assert np.array_equal(run_network_sim(cfg).delays, delay[kept])
 
 
 # ---------------------------------------------------------------------------
