@@ -178,18 +178,16 @@ def fbl_dmdt_3node(
         )
     short_term = channel is ChannelAssumption.SHORT_TERM_STATIC
     curve1, curve2 = _curve(hop1), _curve(hop2)
+
+    def term(curve: tuple[float, ...], l: int) -> float:
+        # nonnegative and never -0.0, so term + term is 0 + term + term
+        if l == 0:
+            return 0.0
+        return l * _d_scalar(curve, r / l) if short_term else _d_scalar(curve, r / l)
+
     best = math.inf
     for l1 in range(low, data_rounds - low + 1):
-        l2 = data_rounds - l1
-        terms = []
-        for curve, l in ((curve1, l1), (curve2, l2)):
-            if l == 0:
-                terms.append(0.0)
-            elif short_term:
-                terms.append(l * _d_scalar(curve, r / l))
-            else:
-                terms.append(_d_scalar(curve, r / l))
-        best = min(best, sum(terms))
+        best = min(best, term(curve1, l1) + term(curve2, data_rounds - l1))
     return best
 
 

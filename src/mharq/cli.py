@@ -817,7 +817,9 @@ def _run_validate(
             per_hop_outage(topo.hop(i), float(w), scenario, code_model=code_model)
             for i, w in enumerate(sim_cfg.protocol.windows)
         )
-        total_ana = 1.0 - math.prod(1.0 - p for p in per_hop_ana)
+        # 1 - prod(1 - p) in logs, so outages below the rounding of 1 - p count
+        survive = math.fsum(math.log1p(-p) for p in per_hop_ana if p < 1.0)
+        total_ana = 1.0 if 1.0 in per_hop_ana else -math.expm1(survive)
     else:
         theta = deadline_exponent(sim_cfg.hop_service_means(), arrival)
     result = run_network_sim(sim_cfg)

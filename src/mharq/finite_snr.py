@@ -16,10 +16,9 @@ and times are in blocks.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import compress
+from functools import cached_property, reduce
+from itertools import accumulate, compress
 from typing import ClassVar, Iterator, Sequence
 
 import numpy as np
@@ -281,8 +280,8 @@ def per_hop_outage(
     """Probability one hop exhausts its retransmission window in outage.
 
     The window is a length in blocks; protocol windows are whole blocks of
-    at least one, but any positive value is accepted so the same evaluation
-    can serve as a service-time tail.  Zero rate never sees outage.
+    at least one, but any positive length is accepted.  Zero rate never
+    sees outage.
     """
     if not window > 0.0:
         raise ValueError(f"window must be positive, got {window}")
@@ -304,18 +303,23 @@ def _block_tails(
     return [_outage_window_gamma(pair, float(j), scenario, r_s) for j in range(1, longest + 1)]
 
 
+def _window_means(tails: Sequence[float]) -> list[float]:
+    """Whole-block means of windows 1..len(tails) + 1: 1 + the tails below each."""
+    return [1.0 + s for s in accumulate(tails, initial=0.0)]
+
+
 def mean_service_time(
     pair: AntennaPair, window: int, scenario: FiniteSnrScenario
 ) -> float:
     """Mean blocks a hop occupies per message under a window of whole blocks.
 
     The service is counted in whole blocks: mu = E[min(S, window)] = 1 + the
-    sum of _block_tails below the window, which guarantees mu >= 1 and
-    matches the queueing unit of the delay analysis.
+    sum of _block_tails below the window (_window_means), which guarantees
+    mu >= 1 and matches the queueing unit of the delay analysis.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1 block, got {window}")
-    return 1.0 + sum(_block_tails(pair, int(window) - 1, scenario))
+    return _window_means(_block_tails(pair, int(window) - 1, scenario))[-1]
 
 
 def _stage_means(means: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -537,24 +541,11 @@ def _composition_matrix(n_hops: int, budget: int) -> np.ndarray:
 
 
 def _row_sums(matrix: np.ndarray) -> np.ndarray:
-    """Each row's builtin sum() on the running Python, bit for bit.
+    """Each row folded left to right from 0 + its first value, on every Python.
 
-    The window search's sums keep the bits of the scalar definitions this
-    way.  Before 3.12, sum() adds floats left to right from 0 + the first
-    value.  From 3.12 on it adds them with Neumaier's compensation, applied
-    here to whole columns at once: with t = s + x, c gains (s - t) + x where
-    |s| >= |x| and (x - t) + s otherwise, and s + c is taken at the end where
-    c is nonzero and finite.  A numpy sum need match neither.
+    builtin sum() of floats is compensated from 3.12 on; numpy sums in pairs.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = matrix[:, 0] + 0.0
-        c = np.zeros_like(s)
-        for x in matrix[:, 1:].T:
-            t = s + x
-            if sys.version_info >= (3, 12):
-                c += np.where(np.abs(s) >= np.abs(x), (s - t) + x, (x - t) + s)
-            s = t
-        return np.where((c != 0.0) & np.isfinite(c), s + c, s)
+    return reduce(np.add, matrix.T, 0.0)
 
 
 def _row_tuples(matrix: np.ndarray) -> Iterator[tuple]:
@@ -590,17 +581,15 @@ def evaluate_windows(
     longest = int(windows.max())
     pairs = list(map(topology.hop, range(n_hops)))
     pair_tail = {pair: _block_tails(pair, longest, scenario) for pair in set(pairs)}
-    hop_tail = [pair_tail[pair] for pair in pairs]
+    # whole-block means of windows 1..longest, as in mean_service_time
+    pair_mean = {pair: _window_means(tail[:-1]) for pair, tail in pair_tail.items()}
 
-    # whole-block means, as in mean_service_time, indexed by window - 1; each
-    # prefix goes through sum() itself, for the reason _row_sums gives
-    hop_mean = [[1.0 + sum(tail[:k]) for k in range(len(tail))] for tail in hop_tail]
-
-    # one column per hop; every expression below is the IEEE arithmetic the
-    # scalar definitions do, so the bits match them
+    # one column per hop, indexed by window - 1; every expression below is
+    # the IEEE arithmetic the scalar definitions do, so the bits match them
     picks = (np.arange(n_hops), windows - 1)
-    means = np.array(hop_mean)[picks]
-    p_outage = np.minimum(_row_sums(np.array(hop_tail)[picks]), 1.0)
+    means = np.array([pair_mean[pair] for pair in pairs])[picks]
+    tails = np.array([pair_tail[pair] for pair in pairs])[picks]
+    p_outage = np.minimum(_row_sums(tails), 1.0)
     stages = _stage_means(means)
     hop_over = means > arrival
     stage_over = _decay_rates(stages, arrival) <= STABILITY_MARGIN

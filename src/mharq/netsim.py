@@ -2,9 +2,10 @@
 
 Messages arrive as a Poisson stream, each hop retransmits until decoding
 succeeds or its window runs out, and consecutive hop pairs share a
-half-duplex queueing stage.  The simulator reproduces exactly the dynamics
-the finite-SNR analysis works with, so its empirical outage and delay tails
-can be held against the analytic numbers.
+half-duplex queueing stage.  Markovian mode serves each stage exponentials
+of the analysis's stage means, so its delay tail checks the analytic decay
+rate.  Physical mode's drops check the analytic outage only: its whole-block
+M/G/1 stages decay at about twice the analytic rate.
 
 Reproducibility contract: every random draw comes from counter-based
 streams keyed by (seed, stream index), consumed through plain uniforms with

@@ -10,9 +10,13 @@ The cube-walk window search scans every tuple of the budget^n_hops cube and
 keeps those that fit the budget, one candidate at a time; optimize_windows
 must give its table.  The combination gaps are the window search's
 compositions as itertools.combinations makes them, the order
-_composition_matrix must keep.  The plain and compensated sums are
-builtin sum() of a float list before and from Python 3.12, one value at a
-time, which _row_sums must give bit for bit.
+_composition_matrix must keep.  The plain sum folds a float list left to
+right from 0 + its first value, one value at a time: the cube walk sums its
+means and union bounds with it, and _row_sums and the whole-block means must
+give its bits on every Python.  The compensated sum adds a float list as
+builtin sum() does from Python 3.12 on, and compensated_builtin_sum puts it
+in place of sum() on any Python: the window search must keep its bits with
+that stand-in swapped in.
 The eigenvalue capacity sums log2(1 + snr * lambda / m_tx) over every
 eigenvalue of the receive-side Gram matrix, the route the simulator's
 log-det identity must agree with.  The cumulative-sum decode takes every
@@ -41,6 +45,7 @@ import csv
 import io
 import json
 import math
+from builtins import sum as _builtin_sum
 from dataclasses import dataclass
 from itertools import chain, combinations
 from itertools import product as _cartesian
@@ -254,11 +259,12 @@ def cube_walk_optimize_windows(
     """The window search as first shipped: a filtered budget^n_hops cube walk.
 
     Kept unchanged, apart from the infeasible message's cap of 20 listed
-    candidates, so the tests can hold optimize_windows, which evaluates
-    only the compositions of the budget, as arrays, to the same table row
-    for row.  It writes its own queue model (adjacent-pair stage sums, the
-    stability test, the deadline tail and the error composition) rather
-    than import mharq.finite_snr's, so the two share no code there.
+    candidates and plain_sum for its float sums (builtin sum() before Python
+    3.12), so the tests can hold optimize_windows, which evaluates only the
+    compositions of the budget, as arrays, to the same table row for row.
+    It writes its own queue model (adjacent-pair stage sums, the stability
+    test, the deadline tail and the error composition) rather than import
+    mharq.finite_snr's, so the two share no code there.
 
     Enumerates every allocation with all windows >= 1 and total at most the
     budget (the deadline, rounded down, unless given explicitly), discards
@@ -293,7 +299,7 @@ def cube_walk_optimize_windows(
 
     def mu_of(i: int, w: int) -> float:
         # whole-block mean, as in mean_service_time, from the shared tails
-        return 1.0 + sum(hop_tail[i][: w - 1])
+        return 1.0 + plain_sum(hop_tail[i][: w - 1])
 
     rows: list[CandidateRow] = []
     best: tuple[float, tuple[int, ...]] | None = None
@@ -302,7 +308,8 @@ def cube_walk_optimize_windows(
         if sum(windows) > budget:
             continue
         means = tuple(mu_of(i, w) for i, w in enumerate(windows))
-        p_outage = min(sum(hop_tail[i][w - 1] for i, w in enumerate(windows)), 1.0)
+        tails = [hop_tail[i][w - 1] for i, w in enumerate(windows)]
+        p_outage = min(plain_sum(tails), 1.0)
         violations: list[str] = []
         for i, m in enumerate(means):
             if m > arrival:
@@ -383,11 +390,23 @@ def combination_gaps(n_hops: int, budget: int) -> np.ndarray:
 
 
 def plain_sum(values: Sequence[float]) -> float:
-    """builtin sum() of a nonempty float list before 3.12: 0 + each in turn."""
-    total = 0 + values[0]
-    for x in values[1:]:
+    """0.0 + each value in turn, so -0.0 reads 0.0: builtin sum() before 3.12."""
+    total = 0.0
+    for x in values:
         total += x
     return total
+
+
+def compensated_builtin_sum(iterable, start=0):
+    """builtin sum() as Python 3.12 and later add a list of floats, on any Python.
+
+    Lists of exact floats from a start of 0 go through compensated_sum;
+    everything else through the running builtin sum().
+    """
+    items = list(iterable)
+    if start == 0 and items and all(type(x) is float for x in items):
+        return compensated_sum(items)
+    return _builtin_sum(items, start)
 
 
 def compensated_sum(values: Sequence[float]) -> float:

@@ -754,6 +754,26 @@ def test_validate_at_a_huge_finite_snr(tmp_path, capsys, code_model):
     assert [row["verdict"] for row in doc["rows"]] == ["ok", "ok", "ok"]
 
 
+def test_validate_total_keeps_outages_below_the_rounding_of_one(tmp_path, capsys):
+    # each (2, 2) log-det hop's outage at SNR 1e308 is subnormal, so every
+    # 1 - p rounds to 1; the total is still about their sum, not 0
+    payload = dict(
+        SIM_CONFIG,
+        topology=[2, 2, 2],
+        windows=[1, 1],
+        snr_linear=1e308,
+        code_model="logdet",
+    )
+    cfg = write_config(tmp_path, payload)
+    code, doc = run_json(capsys, ["validate", "--config", cfg, "--format", "json"])
+    assert code == 0
+    hop_1, hop_2, total = doc["rows"]
+    assert 0.0 < hop_1["analytic"] < 1e-300 and 0.0 < hop_2["analytic"] < 1e-300
+    want = hop_1["analytic"] + hop_2["analytic"]
+    assert total["analytic"] == pytest.approx(want, rel=1e-9, abs=0.0)
+    assert total["sigma"] > 0.0
+
+
 def test_simulate_refuses_times_past_the_largest_float(tmp_path, capsys):
     payload = dict(
         SIM_CONFIG,

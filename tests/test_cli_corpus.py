@@ -17,17 +17,21 @@ them again from a checkout, run
     PYTHONPATH=src python tests/test_cli_corpus.py > tests/cli_corpus.json
 """
 
+import builtins
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from mharq.cli import main
+from oracles import compensated_builtin_sum
 
 GOLDEN = Path(__file__).with_name("cli_corpus.json")
 
@@ -720,6 +724,44 @@ def test_corpus(case, mode):
     assert code == want["exit"]
     assert err == want["stderr"]
     assert out == want["stdout"]
+
+
+# the six-node budget-18 window search the benchmark runs, and the md5s of its
+# optimize-arq tables
+SIX_NODES = {
+    "topology": [2] * 6,
+    "budget": 18,
+    "snr_linear": 100.0,
+    "multiplexing_gain": 1.0,
+    "arrival_mean_blocks": 10.0,
+    "deadline_blocks": 25.0,
+}
+SIX_NODE_MD5 = {
+    "csv": "5c54c245c82419788c3b486458b9c1b6",
+    "json": "b93d0a819a600fd7e226090cf2b3c378",
+}
+# the corpus cases Python 3.12's compensated sum() would move
+SUM_CASES = ("opt-ten-hops", "opt-stage-violations", "opt-hop-and-stage-violations")
+
+
+def test_window_search_bytes_do_not_follow_the_builtin_sum():
+    # the stand-in adds floats as Python 3.12's sum() does, on any Python;
+    # the window search folds its sums itself, so every Python prints these
+    cases = [case for case in CASES if case[0] in SUM_CASES]
+    assert len(cases) == len(SUM_CASES)
+    with mock.patch.object(builtins, "sum", compensated_builtin_sum):
+        runs = {
+            f"{name}-{mode}": run_case(command, config, mode)
+            for name, command, config in cases
+            for mode in MODES
+        }
+        tables = {fmt: run_case("optimize-arq", SIX_NODES, fmt) for fmt in SIX_NODE_MD5}
+    for key, (code, out, err) in runs.items():
+        want = golden()[key]
+        assert (code, err, out) == (want["exit"], want["stderr"], want["stdout"])
+    for fmt, (code, out, err) in tables.items():
+        assert (code, err) == (0, "")
+        assert hashlib.md5(out.encode()).hexdigest() == SIX_NODE_MD5[fmt]
 
 
 if __name__ == "__main__":
