@@ -4,7 +4,9 @@ Every subcommand reads a JSON config file, validates it strictly (all
 problems reported at once, unknown keys refused), and writes a table to
 stdout or --out as CSV or JSON.  Outputs are deterministic: no timestamps,
 sorted JSON keys, fixed float formatting, and a config hash in the header
-so results can be traced back to their inputs byte for byte.
+so results can be traced back to their inputs byte for byte.  Every
+subcommand accepts --seed, but only simulate and validate read it: it
+overrides the config seed and is recorded in their output.
 
 Exit codes: 0 success, 2 invalid config or arguments, 3 infeasible
 (no stable window allocation, unstable queue).
@@ -20,7 +22,7 @@ import json
 import math
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Iterator, Sequence, TextIO
+from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -59,6 +61,11 @@ _MAX_RATES = 10**6
 # dmdt-asymptotic refuses larger round budgets.  At this cap a short-term
 # (4,4,4) rate costs about 60 ms, nearly all VBL; the fixed split takes 2 ms.
 _MAX_TOTAL_WINDOW = 1000
+# A window of more blocks is refused: the simulator keeps window + 2 round
+# counts a hop, and dmdt-finite builds every hop's outage tail up to it.  The
+# largest window optimize-arq can produce under its 10**6-split cap, on a
+# two-node chain, is this one.
+_MAX_WINDOW = 10**6
 # Tables become text and are written this many rows at a time.
 _ROW_BLOCK = 1 << 12
 
@@ -123,10 +130,17 @@ _FIELDS: dict[str, tuple[str, Any, Sequence[Any] | None, Callable | None]] = {
     ),
     "windows": (
         "list[int]", None, None,
-        _rule(lambda v: all(w >= 1 for w in v), "windows must be >= 1"),
+        lambda v: "windows must be >= 1" if min(v) < 1
+        else f"windows must be at most {_MAX_WINDOW} blocks, got {max(v)}"
+        if max(v) > _MAX_WINDOW
+        else None,
     ),
     "channel": ("str", "long_term", tuple(c.value for c in ChannelAssumption), None),
-    "power_exponent": ("number", 1.0, None, _positive),
+    # at power exponent g every printed cell is g * K(r / g), where K is a
+    # library kernel: the library holds the g = 1 curves only
+    "power_exponent": (
+        "number", 1.0, None, _rule(lambda v: v >= 1, "must be >= 1, got {v}")
+    ),
     "multiplexing_gains": ("list[number]", None, None, _rates),
     "protocol": ("str", None, ("fixed", "fbl", "vbl", "all"), None),
     "allow_zero_rounds": ("bool", False, None, None),
@@ -341,19 +355,13 @@ def _rate_grid(chk: _Checker, default_stop: float) -> list[float] | None:
     return grid
 
 
-# The operating point's keys in the order optimize-arq, simulate and
-# validate read them, and in dmdt-finite's order; errors print in read order.
+# The operating point's keys in the order every finite-SNR command reads
+# them; errors print in read order.
 _OPERATING_POINT = (
     "multiplexing_gain",
     "spatial_code_rate",
     "arrival_mean_blocks",
     "deadline_blocks",
-)
-_FINITE_POINT = (
-    "spatial_code_rate",
-    "multiplexing_gain",
-    "deadline_blocks",
-    "arrival_mean_blocks",
 )
 
 
@@ -363,17 +371,15 @@ def _already_swept(chk: _Checker, key: str, remedy: str) -> None:
         chk.seen.add(key)
 
 
-def _scenario_fields(
-    chk: _Checker, keys: Sequence[str] = _OPERATING_POINT, swept: str | None = None
-) -> dict[str, Any]:
-    """The SNR, then the operating-point keys in the order given.
+def _scenario_fields(chk: _Checker, swept: str | None = None) -> dict[str, Any]:
+    """The SNR, then the operating-point keys in _OPERATING_POINT order.
 
     Every key without a default is required, except the swept one: that
     comes from the sweep, so a top-level value for it is refused, and it
     holds the axis's placeholder until a sweep point replaces it.
     """
     fields = {"snr": _snr(chk)}
-    for key in keys:
+    for key in _OPERATING_POINT:
         if key == swept:
             _already_swept(chk, key, "remove the top-level value")
             fields[key] = _SWEEP_AXES[key][2]
@@ -475,25 +481,24 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _by_column(rows: Sequence[Sequence[Any]]) -> list[Sequence[Any]]:
-    return list(zip(*rows))
+class _Table(NamedTuple):
+    """What a subcommand prints: its columns, data[j] holding column j, the
+    fields it adds to the JSON meta block, and the seed a simulation ran with.
+    """
+
+    columns: Sequence[str]
+    data: Sequence[Sequence[Any]]
+    meta: Mapping[str, Any] = {}
+    seed: int | None = None
 
 
-def _emit(
-    stream: TextIO,
-    fmt: str,
-    command: str,
-    config: dict,
-    columns: Sequence[str],
-    data: Sequence[Sequence[Any]],
-    meta_extra: dict[str, Any] | None = None,
-    seed: int | None = None,
-) -> None:
-    """Write a table given column by column: data[j] holds column j.
+def _emit(stream: TextIO, fmt: str, command: str, config: dict, table: _Table) -> None:
+    """Write a table with its provenance header.
 
     The rows become text a block at a time; the bytes are those csv.writer
     and json.dumps(indent=2, sort_keys=True) write for the same rows.
     """
+    columns, data, meta_extra, seed = table
     digest = _config_hash(config)
     if fmt == "csv":
         header = f"# tool=mharq version={__version__} command={command} config_hash={digest}"
@@ -521,8 +526,7 @@ def _emit(
     }
     if seed is not None:
         meta["seed"] = seed
-    if meta_extra:
-        meta.update(meta_extra)
+    meta.update(meta_extra)
     head = {"columns": list(columns), "meta": _json_safe(meta)}
     text = json.dumps(head, indent=2, sort_keys=True, allow_nan=False)
     # "rows" sorts after "columns" and "meta": reopen the object to append it
@@ -546,16 +550,6 @@ def _emit(
 # subcommands
 
 
-def _check_power(g: float) -> None:
-    """Refuse a power_exponent g below 1.
-
-    At power exponent g every printed cell is g * K(r / g), where K is the
-    library kernel: the library holds the g = 1 curves only.
-    """
-    if g < 1.0:
-        raise ValueError(f"power exponent must be >= 1, got {g}")
-
-
 def _check_finite(power: float, cells: Sequence[float]) -> None:
     """Refuse a power_exponent g so large that a g * d(r / g) cell overflows."""
     if not all(map(math.isfinite, cells)):
@@ -564,22 +558,21 @@ def _check_finite(power: float, cells: Sequence[float]) -> None:
         )
 
 
-def _run_dmt(config: dict) -> tuple[list[str], list[Sequence[Any]], dict]:
+def _run_dmt(config: dict, seed_override: int | None) -> _Table:
     chk = _Checker(config)
     antennas = chk.get("antennas", required=True)
     g = chk.get("power_exponent")
     grid = chk.get("multiplexing_gains")
     chk.done()
-    _check_power(g)
     pair = AntennaPair(antennas[0], antennas[1])
     if grid is None:
         grid = [float(k) for k in range(pair.min_dim + 1)]
     rows = [[r, g * dmt(pair, r / g)] for r in grid]
     _check_finite(g, [d for _, d in rows])
-    return ["multiplexing_gain", "diversity_gain"], _by_column(rows), {}
+    return _Table(["multiplexing_gain", "diversity_gain"], list(zip(*rows)))
 
 
-def _run_dmdt_asymptotic(config: dict) -> tuple[list[str], list[Sequence[Any]], dict]:
+def _run_dmdt_asymptotic(config: dict, seed_override: int | None) -> _Table:
     chk = _Checker(config)
     topo = _topology(chk)
     protocol = chk.get("protocol", required=True)
@@ -611,7 +604,6 @@ def _run_dmdt_asymptotic(config: dict) -> tuple[list[str], list[Sequence[Any]], 
     hops = [] if topo is None else [topo.hop(i) for i in range(topo.n_hops)]
     grid = _rate_grid(chk, float(min((h.min_dim for h in hops), default=1.0)))
     chk.done()
-    _check_power(g)
     channel = ChannelAssumption(channel_name)
 
     # the fixed optimum picks its windows and split at r / g
@@ -632,7 +624,7 @@ def _run_dmdt_asymptotic(config: dict) -> tuple[list[str], list[Sequence[Any]], 
             best = fixed(r)
             rows.append([r, g * best.value, g * best.split_value, fbl(r), vbl(r)])
         _check_finite(g, [v for row in rows for v in row[1:]])
-        return columns, _by_column(rows), {}
+        return _Table(columns, list(zip(*rows)))
 
     if protocol == "fixed" and windows is None:
         values = [g * fixed(r).value for r in grid]
@@ -641,10 +633,10 @@ def _run_dmdt_asymptotic(config: dict) -> tuple[list[str], list[Sequence[Any]], 
     else:
         values = list(map(fbl if protocol == "fbl" else vbl, grid))
     _check_finite(g, values)
-    return ["multiplexing_gain", "diversity_gain"], [grid, values], {}
+    return _Table(["multiplexing_gain", "diversity_gain"], [grid, values])
 
 
-def _run_dmdt_finite(config: dict) -> tuple[list[str], list[Sequence[Any]], dict]:
+def _run_dmdt_finite(config: dict, seed_override: int | None) -> _Table:
     chk = _Checker(config)
     topo = _topology(chk)
     sweep = chk.get("sweep", required=True)
@@ -654,7 +646,7 @@ def _run_dmdt_finite(config: dict) -> tuple[list[str], list[Sequence[Any]], dict
         axis = sub.get("axis", required=True)
         values = sub.get("values", required=True)
         chk.absorb(sub)
-    fields = _scenario_fields(chk, _FINITE_POINT, swept=axis)
+    fields = _scenario_fields(chk, swept=axis)
     if axis == "total_window":
         _already_swept(chk, "windows", "remove the explicit windows")
     else:
@@ -686,7 +678,7 @@ def _run_dmdt_finite(config: dict) -> tuple[list[str], list[Sequence[Any]], dict
                 + [b.p_outage, b.p_deadline, b.p_total]
             )
         meta = {"infeasible_points": unstable} if unstable else {}
-        return columns, _by_column(rows), meta
+        return _Table(columns, list(zip(*rows)), meta)
 
     for v in values:
         scenario = dataclasses.replace(base, **{axis: v})
@@ -698,10 +690,10 @@ def _run_dmdt_finite(config: dict) -> tuple[list[str], list[Sequence[Any]], dict
             unstable.append(v)
             rows.append([v, float(c.p_outage[0]), None, None])
     meta = {"unstable_points": unstable} if unstable else {}
-    return [axis, "p_outage", "p_deadline", "p_total"], _by_column(rows), meta
+    return _Table([axis, "p_outage", "p_deadline", "p_total"], list(zip(*rows)), meta)
 
 
-def _run_optimize(config: dict) -> tuple[list[str], list[Sequence[Any]], dict]:
+def _run_optimize(config: dict, seed_override: int | None) -> _Table:
     chk = _Checker(config)
     topo = _topology(chk)
     budget = chk.get("budget")
@@ -735,7 +727,7 @@ def _run_optimize(config: dict) -> tuple[list[str], list[Sequence[Any]], dict]:
             "threshold_variant": result.threshold_variant,
         }
     }
-    return columns, data, meta
+    return _Table(columns, data, meta)
 
 
 def _sim_config(config: dict, seed_override: int | None) -> SimConfig:
@@ -770,9 +762,7 @@ def _sim_config(config: dict, seed_override: int | None) -> SimConfig:
         raise ConfigError([f"config: {exc}"]) from exc
 
 
-def _run_simulate(
-    config: dict, seed_override: int | None
-) -> tuple[list[str], list[Sequence[Any]], dict, int]:
+def _run_simulate(config: dict, seed_override: int | None) -> _Table:
     sim_cfg = _sim_config(config, seed_override)
     result = run_network_sim(sim_cfg)
     rows: list[list[Any]] = [
@@ -791,12 +781,10 @@ def _run_simulate(
     if result.delays.size:
         rows.append(["mean_delay", float(result.delays.mean())])
         rows.append(["max_delay", float(result.delays.max())])
-    return ["metric", "value"], _by_column(rows), {}, sim_cfg.seed
+    return _Table(["metric", "value"], list(zip(*rows)), seed=sim_cfg.seed)
 
 
-def _run_validate(
-    config: dict, seed_override: int | None
-) -> tuple[list[str], list[Sequence[Any]], dict, int]:
+def _run_validate(config: dict, seed_override: int | None) -> _Table:
     sim_cfg = _sim_config(config, seed_override)
     physical = sim_cfg.service_mode == "physical"
     if physical and sim_cfg.channel is not ChannelAssumption.LONG_TERM_STATIC:
@@ -877,11 +865,26 @@ def _run_validate(
 
     columns = ["check", "analytic", "empirical", "samples", "sigma", "z_score", "verdict"]
     meta = {"note": "z compares the empirical rate against the analytic model"}
-    return columns, _by_column(rows), meta, sim_cfg.seed
+    return _Table(columns, list(zip(*rows)), meta, sim_cfg.seed)
 
 
 # ---------------------------------------------------------------------------
 # entry point
+
+
+# Every subcommand by name: its help text and its runner, which takes the
+# config and the --seed override (only simulate and validate read it) and
+# returns the table to print.
+_COMMANDS: dict[str, tuple[str, Callable[[dict, int | None], _Table]]] = {
+    "dmt": ("single-hop diversity against multiplexing gain", _run_dmt),
+    "dmdt-asymptotic": (
+        "high-SNR tradeoff curves for a relay chain", _run_dmdt_asymptotic
+    ),
+    "dmdt-finite": ("finite-SNR error probabilities along one axis", _run_dmdt_finite),
+    "optimize-arq": ("best window split of a deadline budget", _run_optimize),
+    "simulate": ("Monte Carlo run of the fading and queueing chain", _run_simulate),
+    "validate": ("hold simulator rates against the analytic numbers", _run_validate),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -890,14 +893,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="diversity-multiplexing-delay analysis for multihop ARQ relays",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("dmt", "single-hop diversity against multiplexing gain"),
-        ("dmdt-asymptotic", "high-SNR tradeoff curves for a relay chain"),
-        ("dmdt-finite", "finite-SNR error probabilities along one axis"),
-        ("optimize-arq", "best window split of a deadline budget"),
-        ("simulate", "Monte Carlo run of the fading and queueing chain"),
-        ("validate", "hold simulator rates against the analytic numbers"),
-    ):
+    for name, (help_text, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to a JSON config file")
         p.add_argument("--out", default=None, help="output path (default stdout)")
@@ -932,19 +928,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_CONFIG
     try:
         config = _load_config(args.config)
-        seed: int | None = None
-        if args.command == "dmt":
-            columns, data, meta = _run_dmt(config)
-        elif args.command == "dmdt-asymptotic":
-            columns, data, meta = _run_dmdt_asymptotic(config)
-        elif args.command == "dmdt-finite":
-            columns, data, meta = _run_dmdt_finite(config)
-        elif args.command == "optimize-arq":
-            columns, data, meta = _run_optimize(config)
-        elif args.command == "simulate":
-            columns, data, meta, seed = _run_simulate(config, args.seed)
-        else:
-            columns, data, meta, seed = _run_validate(config, args.seed)
+        table = _COMMANDS[args.command][1](config, args.seed)
     except ConfigError as exc:
         for line in exc.errors:
             print(f"mharq: {line}", file=sys.stderr)
@@ -963,7 +947,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     else:
         stream = open(args.out, "w", encoding="utf-8", newline="")
     with stream as fh:
-        _emit(fh, args.format, args.command, config, columns, data, meta, seed)
+        _emit(fh, args.format, args.command, config, table)
     return EXIT_OK
 
 

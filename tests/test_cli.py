@@ -244,7 +244,8 @@ def test_printed_cells_are_the_scaled_unit_power_kernels(tmp_path_factory, run):
 
 def test_power_exponent_below_one_is_refused_before_any_kernel(tmp_path, capsys):
     # a budget of one round leaves the fixed optimum no split either, but the
-    # power exponent is checked once, before any kernel runs
+    # power exponent is checked with the rest of the config, before any
+    # kernel runs
     cfg = write_config(
         tmp_path,
         {"topology": [3, 3, 2], "protocol": "fixed", "total_window": 1,
@@ -253,16 +254,36 @@ def test_power_exponent_below_one_is_refused_before_any_kernel(tmp_path, capsys)
     assert main(["dmdt-asymptotic", "--config", cfg]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "mharq: power exponent must be >= 1, got 0.5\n"
+    assert err == "mharq: config.power_exponent: must be >= 1, got 0.5\n"
+
+
+# one small config each subcommand prints a table for
+SMALL_RUNS = {
+    "dmt": {"antennas": [2, 2]},
+    "dmdt-asymptotic": {
+        "topology": [2, 2, 2], "protocol": "all", "total_window": 3, "rates": [0.5, 1]
+    },
+    "dmdt-finite": {
+        **{k: v for k, v in OPT_CONFIG.items() if k != "multiplexing_gain"},
+        "windows": [2, 3],
+        "sweep": {"axis": "multiplexing_gain", "values": [0.5, 1.0]},
+    },
+    "optimize-arq": dict(OPT_CONFIG, topology=[4, 1, 3, 2], budget=9),
+    "simulate": SIM_CONFIG,
+    "validate": SIM_CONFIG,
+}
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_table_to_stdout_and_to_out_file_are_the_same_bytes(tmp_path, capsys, fmt):
-    cfg = write_config(tmp_path, dict(OPT_CONFIG, topology=[4, 1, 3, 2], budget=9))
-    assert main(["optimize-arq", "--config", cfg, "--format", fmt]) == 0
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_table_to_stdout_and_to_out_file_are_the_same_bytes(
+    tmp_path, capsys, command, fmt
+):
+    cfg = write_config(tmp_path, SMALL_RUNS[command])
+    assert main([command, "--config", cfg, "--format", fmt]) == 0
     printed = capsys.readouterr().out
     out = tmp_path / f"table.{fmt}"
-    assert main(["optimize-arq", "--config", cfg, "--format", fmt, "--out", str(out)]) == 0
+    assert main([command, "--config", cfg, "--format", fmt, "--out", str(out)]) == 0
     assert capsys.readouterr().out == ""
     assert out.read_bytes() == printed.encode("utf-8")
 
@@ -417,6 +438,22 @@ def test_total_window_cap_boundary(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == (
         "mharq: config.total_window: must be at most 5, got 6\n"
     )
+
+
+def test_windows_cap_boundary():
+    # a window of the cap passes the schema, one block more is refused; a
+    # window below one keeps its own reason
+    chk = cli._Checker({"windows": [cli._MAX_WINDOW, 1]})
+    assert chk.get("windows") == [cli._MAX_WINDOW, 1]
+    assert chk.errors == []
+    chk = cli._Checker({"windows": [2, cli._MAX_WINDOW + 1]})
+    assert chk.get("windows") is None
+    assert chk.errors == [
+        "config.windows: windows must be at most 1000000 blocks, got 1000001"
+    ]
+    chk = cli._Checker({"windows": [0, cli._MAX_WINDOW + 1]})
+    assert chk.get("windows") is None
+    assert chk.errors == ["config.windows: windows must be >= 1"]
 
 
 @pytest.mark.parametrize("value, shown", [(math.inf, "inf"), (math.nan, "nan")])
@@ -1107,6 +1144,7 @@ def test_emit_matches_the_stdlib_writer(table, fmt, seed, meta, block):
     # blocks of two rows mix blocks that csv.writer must quote and blocks
     # that need no quoting
     with mock.patch.object(cli, "_ROW_BLOCK", block):
-        cli._emit(got, fmt, "optimize-arq", {"budget": 3}, columns, data, meta, seed)
+        table = cli._Table(columns, data, meta, seed)
+        cli._emit(got, fmt, "optimize-arq", {"budget": 3}, table)
     stdlib_emit(want, fmt, "optimize-arq", {"budget": 3}, columns, list(zip(*cells)), meta, seed)
     assert got.getvalue() == want.getvalue()

@@ -70,6 +70,9 @@ MARKOV = {
     "seed": 3,
 }
 ASYM = {"topology": [2, 2, 2], "protocol": "vbl", "total_window": 3, "rates": [0.5]}
+# one block past the windows cap; a window of 2**31 would make an unchecked
+# simulation allocate 16 GiB of round counts, so no case uses one
+HUGE_WINDOW = 10**6 + 1
 
 
 def _drop(cfg, *keys):
@@ -432,6 +435,15 @@ CASES = [
         ),
     ),
     (
+        "finite-window-above-cap",
+        "dmdt-finite",
+        dict(
+            _drop(FINITE, "multiplexing_gain"),
+            windows=[HUGE_WINDOW, 3],
+            sweep=_mg_sweep([0.5]),
+        ),
+    ),
+    (
         "finite-snr-underflow",
         "dmdt-finite",
         dict(
@@ -642,6 +654,11 @@ CASES = [
         dict(SIM, message_count=2.5, warmup_count=-1, windows=[1, 1]),
     ),
     ("sim-message-count-zero", "simulate", dict(SIM, message_count=0)),
+    (
+        "sim-window-above-cap",
+        "simulate",
+        dict(SIM, topology=[4, 1, 3], windows=[HUGE_WINDOW, 3]),
+    ),
     # validate
     ("val-physical-ostbc", "validate", dict(SIM, message_count=5000)),
     (
@@ -666,6 +683,11 @@ CASES = [
     ),
     ("val-markovian-thin", "validate", dict(MARKOV, message_count=5000)),
     ("val-unknown", "validate", dict(SIM, workers=2)),
+    (
+        "val-window-above-cap",
+        "validate",
+        dict(SIM, topology=[4, 1, 3], windows=[HUGE_WINDOW, 3]),
+    ),
 ]
 
 
