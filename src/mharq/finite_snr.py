@@ -9,6 +9,12 @@ approximation) and evaluates the C(budget, n_hops) integer window
 allocations, in lexicographic order, to find the best split of a deadline
 budget.
 
+The window search's outage tails P(S > j) come from one process-wide
+cache, one entry per antenna pair, snr, multiplexing_gain,
+spatial_code_rate and j, the last four as floats.  A sweep over the window
+budget, the arrival mean or the deadline so computes each tail once.  The
+cache holds at most _TAIL_CAP tails and drops the least recently used.
+
 Conventions used throughout: SNR is linear, rates are bits per channel use,
 and times are in blocks.
 """
@@ -17,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import accumulate, compress
 from typing import ClassVar, Iterator, Sequence
 
@@ -52,6 +58,9 @@ STABILITY_MARGIN = 1e-9
 _MAX_ALLOCATIONS = 10**6
 # An infeasible search names the violations of this many candidates.
 _LISTED_CANDIDATES = 20
+# The window search keeps at most this many outage tails per process; one
+# takes about 210 bytes with its key, so the cache stays under 7 MB.
+_TAIL_CAP = 2**15
 
 # Outage models of one hop: the log-det capacity of the MIMO channel, or an
 # orthogonal space-time code; the simulator draws the same two.
@@ -178,17 +187,21 @@ def _code_rate(pair: AntennaPair, scenario: FiniteSnrScenario, code_model: str):
 def _outage_window_gamma(
     pair: AntennaPair, t: float, scenario: FiniteSnrScenario, rate: float
 ) -> float:
-    """P{hop of rate factor rate still in outage after t blocks}.
+    """P{hop of rate factor rate still in outage after t blocks}."""
+    return _gamma_tail(pair, scenario.snr, scenario.multiplexing_gain, rate, t)
+
+
+def _gamma_tail(pair: AntennaPair, snr: float, r: float, rate: float, t: float) -> float:
+    """The outage tail at SNR snr and multiplexing gain r.
 
     ||H||^2 is gamma of shape m_tx m_rx, so this is regularized_lower_gamma
     at x = (m_tx / snr) (base**exponent - 1), exponent = r / (rate t).  Where
     base**exponent overflows, or the base did, x is formed in log form;
     every x that fits in a float keeps its bits.
     """
-    r = scenario.multiplexing_gain
     if r == 0.0:
         return 0.0
-    snr, shape = scenario.snr, pair.m_tx * pair.m_rx
+    shape = pair.m_tx * pair.m_rx
     exponent = r / (rate * t)
     base, log_base = _target_base(pair, snr)
     if base < math.inf:
@@ -291,6 +304,10 @@ def per_hop_outage(
     return _outage_window_gamma(pair, window, scenario, rate)
 
 
+# The window search's tail of one hop after j blocks, keyed by what it reads.
+_block_tail = lru_cache(maxsize=_TAIL_CAP)(_gamma_tail)
+
+
 def _block_tails(
     pair: AntennaPair, longest: int, scenario: FiniteSnrScenario
 ) -> list[float]:
@@ -298,9 +315,11 @@ def _block_tails(
 
     The window search's law: the space-time-coded gamma tail at the
     scenario's spatial code rate, whatever code model a simulation draws.
+    Each tail is computed once per process, up to _TAIL_CAP of them.
     """
-    r_s = scenario.spatial_code_rate
-    return [_outage_window_gamma(pair, float(j), scenario, r_s) for j in range(1, longest + 1)]
+    snr, r = float(scenario.snr), float(scenario.multiplexing_gain)
+    r_s = float(scenario.spatial_code_rate)
+    return [_block_tail(pair, snr, r, r_s, float(j)) for j in range(1, longest + 1)]
 
 
 def _window_means(tails: Sequence[float]) -> list[float]:
@@ -577,7 +596,7 @@ def evaluate_windows(
     if (windows < 1).any():
         raise ValueError(f"window must be >= 1 block, got {windows.min()}")
     # per-hop outage tails are shared across rows, and across the hops of
-    # one antenna pair; precompute them
+    # one antenna pair; _block_tails keeps them across calls too
     longest = int(windows.max())
     pairs = list(map(topology.hop, range(n_hops)))
     pair_tail = {pair: _block_tails(pair, longest, scenario) for pair in set(pairs)}

@@ -13,10 +13,12 @@ compositions as itertools.combinations makes them, the order
 _composition_matrix must keep.  The plain sum folds a float list left to
 right from 0 + its first value, one value at a time: the cube walk sums its
 means and union bounds with it, and _row_sums and the whole-block means must
-give its bits on every Python.  The compensated sum adds a float list as
-builtin sum() does from Python 3.12 on, and compensated_builtin_sum puts it
-in place of sum() on any Python: the window search must keep its bits with
-that stand-in swapped in.
+give its bits on every Python.  The block tails are a hop's P(S > j), one
+scalar gamma tail per block length, computed on every call; the window
+search's process-wide tail cache must give their bits.  The
+compensated sum adds a float list as builtin sum() does from Python 3.12
+on, and compensated_builtin_sum puts it in place of sum() on any Python:
+the window search must keep its bits with that stand-in swapped in.
 The eigenvalue capacity sums log2(1 + snr * lambda / m_tx) over every
 eigenvalue of the receive-side Gram matrix, the route the simulator's
 log-det identity must agree with.  The cumulative-sum decode takes every
@@ -248,6 +250,15 @@ class CubeWalkInfeasibleError(WindowInfeasibleError):
     @property
     def table(self) -> tuple[CandidateRow, ...]:
         return self.rows
+
+
+def block_tails(
+    pair: AntennaPair, longest: int, scenario: FiniteSnrScenario
+) -> list[float]:
+    """P(S > j), j = 1..longest: the space-time-coded gamma tail at the
+    scenario's spatial code rate, one block length at a time."""
+    r_s = scenario.spatial_code_rate
+    return [_outage_window_gamma(pair, float(j), scenario, r_s) for j in range(1, longest + 1)]
 
 
 def cube_walk_optimize_windows(

@@ -6,15 +6,24 @@ independent engine; see the module docstrings for the closed forms.
 
 import builtins
 import contextlib
+import functools
+import hashlib
+import io
+import json
 import math
 import pickle
+import re
+import sys
+import threading
 import warnings
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammainc
 
@@ -37,11 +46,13 @@ from mharq.finite_snr import (
     optimize_windows,
     per_hop_outage,
 )
+from mharq.cli import main
 from mharq.netsim import SimConfig
 from mharq.numerics import regularized_lower_gamma
 from mharq.tradeoff import AntennaPair, ChannelAssumption, FixedArq, Topology
 from oracles import (
     CubeWalkInfeasibleError,
+    block_tails,
     combination_gaps,
     compensated_builtin_sum,
     cube_walk_optimize_windows,
@@ -245,7 +256,7 @@ def test_window_means_are_one_plus_the_block_tails(antennas, rows, snr, r, r_s):
             pair = topology.hop(hop)
             mean = mean_service_time(pair, window, scenario)
             assert means[row, hop] == mean
-            assert mean == 1.0 + plain_sum(_block_tails(pair, window - 1, scenario))
+            assert mean == 1.0 + plain_sum(block_tails(pair, window - 1, scenario))
 
 
 def test_deadline_probability_single_stage():
@@ -695,3 +706,197 @@ def test_finite_multiplexing_round_trip():
         finite_multiplexing(-1.0, m_rx, snr)
     with pytest.raises(ValueError):
         finite_multiplexing(1.0, m_rx, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the process-wide tail cache
+
+
+@pytest.fixture
+def cold_tails():
+    """The process-wide tail cache, emptied."""
+    finite_snr._block_tail.cache_clear()
+    return finite_snr._block_tail
+
+
+@pytest.fixture
+def gamma_calls(monkeypatch):
+    """Every gamma tail the window search computes, counted by (shape, x)."""
+    calls = Counter()
+    gamma = finite_snr.regularized_lower_gamma
+
+    def counting(shape, x):
+        calls[shape, x] += 1
+        return gamma(shape, x)
+
+    monkeypatch.setattr(finite_snr, "regularized_lower_gamma", counting)
+    return calls
+
+
+def _assert_tails(pair, longest, asked, point):
+    """_block_tails and mean_service_time at asked read the scalar tails at
+    point and their left-to-right sum, or raise as the scalar tails do."""
+    try:
+        want = block_tails(pair, longest, point)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=re.escape(str(err))):
+            _block_tails(pair, longest, asked)
+        return
+    assert _same_bits(np.array(_block_tails(pair, longest, asked)), want)
+    mean = mean_service_time(pair, longest + 1, asked)
+    assert _same_bits(np.array([mean]), [1.0 + plain_sum(want)])
+
+
+_LAW_SNRS = st.one_of(
+    st.floats(1e-3, 1e6),
+    st.floats(1e300, 1.7976931348623157e308),  # 1 + m_rx snr can overflow
+    st.floats(5e-324, 2.2250738585072014e-308, exclude_max=True),  # subnormal
+)
+_LAWS = st.lists(
+    st.tuples(
+        st.builds(AntennaPair, st.integers(1, 4), st.integers(1, 4)),
+        _LAW_SNRS,
+        st.one_of(st.just(0.0), st.floats(0.0, 6.0)),
+        st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+    ),
+    min_size=1,
+    max_size=3,
+)
+# (law index, tails asked for, SNR as np.float64)
+_REQUESTS = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(0, 30), st.booleans()), min_size=1, max_size=10
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_LAWS, _REQUESTS)
+@example([(HOP1, 100.0, 0.0, 1.0)], [(0, 5, False), (0, 9, True)])
+@example(
+    [(HOP2, 1e308, 2.0, 1.0), (HOP1, 1.7976931348623157e308, 40.0, 0.5)],
+    [(0, 4, False), (1, 7, True), (0, 2, True)],
+)
+@example([(HOP1, 5e-324, 1.0, 0.3), (HOP1, 5e-324, 0.0, 0.3)], [(0, 3, False), (1, 6, True)])
+@example(
+    [(HOP1, 100.0, 1.0, 0.25), (HOP2, 3.0, 1.5, 1.0)],
+    [(0, 12, True), (0, 4, False), (1, 20, False), (0, 30, True), (1, 3, True)],
+)
+def test_tail_cache_keeps_the_bits_of_the_scalar_tails(laws, requests):
+    # lengths rise and fall on one law and on several; every request reads
+    # the bits of the scalar tails, whether it computes them or finds them
+    # cached, and an np.float64 SNR reads the tails of the equal float; at a
+    # subnormal SNR and r > 0 the scalar tail raises (m_tx / snr is inf),
+    # and so does the cache
+    finite_snr._block_tail.cache_clear()
+    for index, longest, numpy_snr in requests:
+        pair, snr, r, r_s = laws[index % len(laws)]
+        point = FiniteSnrScenario(snr, r, r_s)
+        asked = FiniteSnrScenario(np.float64(snr), r, r_s) if numpy_snr else point
+        _assert_tails(pair, longest, asked, point)
+
+
+def test_tail_cache_hands_out_copies(cold_tails):
+    tails = _block_tails(HOP1, 6, SC_20DB)
+    tails[0] = 0.5
+    assert _block_tails(HOP1, 6, SC_20DB) == block_tails(HOP1, 6, SC_20DB)
+
+
+# the dmdt-finite total_window sweep of (4,1,3) at SNR 100 over budgets 2..60,
+# and a deadline sweep at windows [40, 40], with the md5s of their CSV and
+# JSON tables as the search printed them when it rebuilt every tail per call
+TOTAL_WINDOW_SWEEP = {
+    "topology": [4, 1, 3],
+    "snr_linear": 100.0,
+    "multiplexing_gain": 1.0,
+    "arrival_mean_blocks": 10.0,
+    "deadline_blocks": 25.0,
+    "sweep": {"axis": "total_window", "values": list(range(2, 61))},
+}
+DEADLINE_SWEEP = {
+    "topology": [4, 1, 3],
+    "windows": [40, 40],
+    "snr_linear": 100.0,
+    "multiplexing_gain": 1.0,
+    "arrival_mean_blocks": 10.0,
+    "sweep": {"axis": "deadline_blocks", "values": [5, 10, 25, 50, 100]},
+}
+SWEEP_MD5 = {
+    "total_window": {
+        "csv": "91f713a6a85c9072d95a718645c69da8",
+        "json": "86169d0e1c4eb972f9534933ee2644e7",
+    },
+    "deadline": {
+        "csv": "a74b4fb32bc93a14c4d1e05151fdb431",
+        "json": "e4728c2aa37a41e4f35ed8a6dcdff135",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "name, config, longest",
+    [("total_window", TOTAL_WINDOW_SWEEP, 59), ("deadline", DEADLINE_SWEEP, 40)],
+)
+def test_sweep_computes_each_tail_once(
+    tmp_path, cold_tails, gamma_calls, name, config, longest
+):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    for fmt, md5 in SWEEP_MD5[name].items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["dmdt-finite", "--config", str(path), "--format", fmt]) == 0
+        assert hashlib.md5(out.getvalue().encode()).hexdigest() == md5
+    # the CSV run computes every tail of both pairs once; the JSON run reads
+    # them: 2 x 59 gamma tails for the total_window sweep, not 3,540
+    assert len(gamma_calls) == 2 * longest
+    assert set(gamma_calls.values()) == {1}
+    assert cold_tails.cache_info().currsize == 2 * longest
+
+
+def test_tail_cache_under_eight_threads(cold_tails):
+    # eight threads climb one law at once, each from its own first length
+    point = FiniteSnrScenario(100.0, 1.0, 0.7)
+    want = block_tails(HOP1, 90, point)
+    start = threading.Barrier(8)
+
+    def climb(first: int):
+        start.wait(timeout=30)
+        return [(n, _block_tails(HOP1, n, point)) for n in range(first, 91, 4)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            runs = list(pool.map(climb, range(1, 9), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for run in runs:
+        for n, tails in run:
+            assert _same_bits(np.array(tails), want[:n])
+    assert cold_tails.cache_info().currsize == 90
+
+
+def test_tail_cache_keeps_to_its_cap(monkeypatch):
+    assert finite_snr._block_tail.cache_parameters()["maxsize"] == finite_snr._TAIL_CAP
+    # a cache of 18 tails holds three laws of six
+    a, b, c, d = (FiniteSnrScenario(snr, 1.0) for snr in (10.0, 100.0, 1000.0, 3.0))
+    want = {point: block_tails(HOP1, 25, point) for point in (a, b, c, d)}
+    cache = functools.lru_cache(maxsize=18)(finite_snr._gamma_tail)
+    monkeypatch.setattr(finite_snr, "_block_tail", cache)
+
+    def computed(point, n: int) -> int:
+        """Tails computed to read n tails at point, which hold the scalar bits."""
+        misses = cache.cache_info().misses
+        assert _same_bits(np.array(_block_tails(HOP1, n, point)), want[point][:n])
+        assert cache.cache_info().currsize <= 18
+        return cache.cache_info().misses - misses
+
+    assert [computed(point, 6) for point in (a, b, c)] == [6, 6, 6]
+    # b is now the least recently used law; a fourth law evicts it, and only it
+    assert [computed(point, 6) for point in (a, c)] == [0, 0]
+    assert computed(d, 6) == 6
+    assert [computed(point, 6) for point in (a, c, d)] == [0, 0, 0]
+    assert computed(b, 6) == 6
+    # a law past the cap is returned exactly, and computed in full each time
+    assert computed(b, 25) == 19
+    assert computed(b, 25) == 25
+    assert cache.cache_info().currsize == 18
