@@ -6,7 +6,7 @@ The package splits into analysis layers that build on each other:
 - asymptotic: high-SNR tradeoff curves of relay chains under ARQ
 - finite_snr: outage, service times, deadline tails, window optimization
 - netsim: Monte Carlo fading and queueing simulation
-- numerics: the incomplete-gamma and box grid-search routines underneath
+- numerics: the incomplete gamma and the unit-box grid search underneath
 - cli: the mharq command built on all of the above
 
 Import every name from its submodule; the package root holds only

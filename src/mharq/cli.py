@@ -762,9 +762,19 @@ def _sim_config(config: dict, seed_override: int | None) -> SimConfig:
         raise ConfigError([f"config: {exc}"]) from exc
 
 
+def _simulate(sim_cfg: SimConfig):
+    """run_network_sim, with arrays too large to allocate refused as config."""
+    try:
+        return run_network_sim(sim_cfg)
+    except MemoryError as exc:
+        raise ConfigError(
+            [f"config.message_count: {sim_cfg.message_count} messages do not fit in memory"]
+        ) from exc
+
+
 def _run_simulate(config: dict, seed_override: int | None) -> _Table:
     sim_cfg = _sim_config(config, seed_override)
-    result = run_network_sim(sim_cfg)
+    result = _simulate(sim_cfg)
     rows: list[list[Any]] = [
         ["analyzed", float(result.analyzed)],
         ["delivered", float(result.delivered)],
@@ -810,7 +820,7 @@ def _run_validate(config: dict, seed_override: int | None) -> _Table:
         total_ana = 1.0 if 1.0 in per_hop_ana else -math.expm1(survive)
     else:
         theta = deadline_exponent(sim_cfg.hop_service_means(), arrival)
-    result = run_network_sim(sim_cfg)
+    result = _simulate(sim_cfg)
 
     # (name, analytic, empirical, samples, sigma)
     checks: list[tuple[str, float, float, int, float]] = []

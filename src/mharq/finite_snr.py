@@ -29,7 +29,7 @@ from typing import ClassVar, Iterator, Sequence
 
 import numpy as np
 
-from .numerics import BoxDomain, Interval, minimize_box, regularized_lower_gamma
+from .numerics import minimize_box, regularized_lower_gamma
 from .tradeoff import AntennaPair, FixedArq, Topology
 
 __all__ = [
@@ -184,13 +184,6 @@ def _code_rate(pair: AntennaPair, scenario: FiniteSnrScenario, code_model: str):
     raise ValueError(f"unknown code model {code_model!r}; choose from {CODE_MODELS}")
 
 
-def _outage_window_gamma(
-    pair: AntennaPair, t: float, scenario: FiniteSnrScenario, rate: float
-) -> float:
-    """P{hop of rate factor rate still in outage after t blocks}."""
-    return _gamma_tail(pair, scenario.snr, scenario.multiplexing_gain, rate, t)
-
-
 def _gamma_tail(pair: AntennaPair, snr: float, r: float, rate: float, t: float) -> float:
     """The outage tail at SNR snr and multiplexing gain r.
 
@@ -273,13 +266,7 @@ def _outage_window_logdet(
             prev_pow = cur_pow
         return -prob
 
-    _, neg_best = minimize_box(
-        negated,
-        BoxDomain([Interval(0.0, 1.0)] * dim),
-        coarse_grid=grid,
-        refine_rounds=2,
-        vectorized=True,
-    )
+    _, neg_best = minimize_box(negated, dim, grid, vectorized=True)
     return min(max(-neg_best, 0.0), 1.0)
 
 
@@ -301,7 +288,7 @@ def per_hop_outage(
     rate = _code_rate(pair, scenario, code_model)
     if rate is None:
         return _outage_window_logdet(pair, window, scenario)
-    return _outage_window_gamma(pair, window, scenario, rate)
+    return _gamma_tail(pair, scenario.snr, scenario.multiplexing_gain, rate, window)
 
 
 # The window search's tail of one hop after j blocks, keyed by what it reads.

@@ -70,7 +70,7 @@ from mharq.finite_snr import (
     ErrorBreakdown,
     FiniteSnrScenario,
     WindowInfeasibleError,
-    _outage_window_gamma,
+    _gamma_tail,
 )
 from mharq.tradeoff import (
     AntennaPair,
@@ -258,7 +258,10 @@ def block_tails(
     """P(S > j), j = 1..longest: the space-time-coded gamma tail at the
     scenario's spatial code rate, one block length at a time."""
     r_s = scenario.spatial_code_rate
-    return [_outage_window_gamma(pair, float(j), scenario, r_s) for j in range(1, longest + 1)]
+    return [
+        _gamma_tail(pair, scenario.snr, scenario.multiplexing_gain, r_s, float(j))
+        for j in range(1, longest + 1)
+    ]
 
 
 def cube_walk_optimize_windows(
@@ -303,7 +306,9 @@ def cube_walk_optimize_windows(
         hop = topology.hop(i)
         hop_tail.append(
             [
-                _outage_window_gamma(hop, float(j), scenario, code_rate)
+                _gamma_tail(
+                    hop, scenario.snr, scenario.multiplexing_gain, code_rate, float(j)
+                )
                 for j in range(1, budget + 1)
             ]
         )

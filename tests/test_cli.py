@@ -1056,6 +1056,18 @@ def test_validate_markovian_refuses_tail_from_one_excursion(
     assert refused.largest_usable == grid[0]
 
 
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+@pytest.mark.parametrize("base", [SIM_CONFIG, MARKOV_VALIDATE], ids=["physical", "markovian"])
+def test_message_count_past_memory_is_a_config_error(tmp_path, capsys, command, base):
+    # 10**18 messages take at least 10**18 bytes, past any 64-bit address
+    # space, so the first array allocation fails at once
+    cfg = write_config(tmp_path, dict(base, message_count=10**18))
+    assert main([command, "--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"mharq: config.message_count: {10**18} messages do not fit in memory\n"
+
+
 def test_validate_markovian_verdict_follows_z(tmp_path, capsys):
     # on the two-stage chain the fitted exponent often lies more than 15 %
     # from the analytic one while |z| stays small; the verdict goes by z.

@@ -36,7 +36,7 @@ from mharq.finite_snr import (
     WindowInfeasibleError,
     _block_tails,
     _composition_matrix,
-    _outage_window_gamma,
+    _gamma_tail,
     _row_sums,
     deadline_exponent,
     deadline_probability,
@@ -147,7 +147,7 @@ def test_ostbc_outage_keeps_the_direct_form_where_it_fits():
     pair = AntennaPair(4, 3)
     for snr, r, t in [(100.0, 1.0, 1.0), (10.0, 0.5, 3.0), (1e300, 1.0, 2.0)]:
         x = (4 / snr) * ((1.0 + 3 * snr) ** (r / t) - 1.0)
-        got = _outage_window_gamma(pair, t, FiniteSnrScenario(snr, r), 1.0)
+        got = _gamma_tail(pair, snr, r, 1.0, t)
         assert got == regularized_lower_gamma(12, x)
 
 
@@ -159,7 +159,7 @@ def test_ostbc_outage_where_the_threshold_base_overflows(pair):
     assert 1.0 + pair.m_rx * huge.snr == math.inf
     want = gammainc(pair.m_tx * pair.m_rx, pair.m_tx * pair.m_rx)
     for scenario in (huge, large):
-        got = _outage_window_gamma(pair, 1.0, scenario, 1.0)
+        got = _gamma_tail(pair, scenario.snr, scenario.multiplexing_gain, 1.0, 1.0)
         assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -167,11 +167,11 @@ def test_ostbc_outage_where_the_threshold_power_overflows():
     # base**exponent is past the largest float though x is not:
     # x = (4 / snr) base**1.0003 = 4 * 1.7e308**0.0003, about 4.95
     snr = 1.7e308
-    got = _outage_window_gamma(HOP1, 1.0, FiniteSnrScenario(snr, 1.0003), 1.0)
+    got = _gamma_tail(HOP1, snr, 1.0003, 1.0, 1.0)
     assert got == pytest.approx(gammainc(4, 4.0 * snr**0.0003), rel=1e-12)
     assert 0.5 < got < 0.9
     # and where x is past it as well, the tail saturates: 101**200 at 20 dB
-    assert _outage_window_gamma(HOP1, 1.0, FiniteSnrScenario(100.0, 200.0), 1.0) == 1.0
+    assert _gamma_tail(HOP1, 100.0, 200.0, 1.0, 1.0) == 1.0
 
 
 @pytest.mark.parametrize(
@@ -195,7 +195,7 @@ def test_outage_validation():
         per_hop_outage(HOP1, -1.0, SC_20DB)
     with pytest.raises(ValueError):
         per_hop_outage(HOP1, 1, SC_20DB, code_model="turbo")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at most 7 shared eigenmodes, got 8"):
         per_hop_outage(AntennaPair(8, 8), 1, SC_20DB, code_model="logdet")
     with pytest.raises(ValueError, match="choose from \\('logdet', 'ostbc'\\)"):
         # the log-det model has one name, shared with the simulator

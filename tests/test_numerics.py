@@ -6,13 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sp_special
 
-from mharq.numerics import (
-    BoxDomain,
-    Interval,
-    _lower_incomplete_gamma,
-    minimize_box,
-    regularized_lower_gamma,
-)
+from mharq.numerics import _lower_incomplete_gamma, minimize_box, regularized_lower_gamma
 
 
 # ---------------------------------------------------------------------------
@@ -75,97 +69,80 @@ def test_gamma_monotone_in_argument():
 
 
 # ---------------------------------------------------------------------------
-# intervals and boxes
-
-
-def test_interval_validation():
-    with pytest.raises(ValueError):
-        Interval(2.0, 1.0)
-    with pytest.raises(ValueError):
-        Interval(math.nan, 1.0)
-    with pytest.raises(ValueError):
-        Interval(-math.inf, 1.0)
-    iv = Interval(0.0, math.inf)  # open-ended upper is a valid interval
-    assert iv.hi == math.inf
-
-
-def test_box_requires_finite_bounds():
-    with pytest.raises(ValueError):
-        BoxDomain([])
-    with pytest.raises(ValueError):
-        BoxDomain([Interval(0.0, math.inf)])
-    box = BoxDomain([Interval(0.0, 1.0), Interval(-2.0, 2.0)])
-    assert box.dimension == 2
-
-
-# ---------------------------------------------------------------------------
-# grid minimization
+# grid minimization over the unit box
 
 
 def test_minimize_quadratic_one_dim():
-    x, v = minimize_box(lambda t: (t - 0.3) ** 2, BoxDomain([Interval(0.0, 1.0)]))
+    x, v = minimize_box(lambda t: (t - 0.3) ** 2, 1, 64)
     assert abs(x[0] - 0.3) < 1e-3
     assert v < 1e-6
 
 
 def test_minimize_quadratic_two_dim():
     def f(x, y):
-        return (x - 0.25) ** 2 + (y + 0.75) ** 2
+        return (x - 0.25) ** 2 + (y - 0.75) ** 2
 
-    x, v = minimize_box(f, BoxDomain([Interval(0.0, 1.0), Interval(-1.0, 0.0)]),
-                        coarse_grid=33)
+    x, v = minimize_box(f, 2, 33)
     assert abs(x[0] - 0.25) < 1e-2
-    assert abs(x[1] + 0.75) < 1e-2
+    assert abs(x[1] - 0.75) < 1e-2
 
 
 def test_minimize_vectorized_path_identical():
-    domain = BoxDomain([Interval(0.0, 2.0)])
-
     def scalar(t):
-        return math.sin(5.0 * t) + 0.3 * t
+        return math.sin(10.0 * t) + 0.6 * t
 
     def batch(pts):
-        return np.sin(5.0 * pts[:, 0]) + 0.3 * pts[:, 0]
+        return np.sin(10.0 * pts[:, 0]) + 0.6 * pts[:, 0]
 
-    xs, vs = minimize_box(scalar, domain)
-    xv, vv = minimize_box(batch, domain, vectorized=True)
+    xs, vs = minimize_box(scalar, 1, 64)
+    xv, vv = minimize_box(batch, 1, 64, vectorized=True)
     assert np.array_equal(xs, xv)
     assert vs == vv
 
 
 def test_minimize_flat_objective_takes_first_point():
-    x, v = minimize_box(lambda x, y: 1.0, BoxDomain([Interval(2.0, 5.0), Interval(-1.0, 1.0)]))
-    assert x[0] == 2.0 and x[1] == -1.0
+    x, v = minimize_box(lambda x, y: 1.0, 2, 64)
+    assert x[0] == 0.0 and x[1] == 0.0
     assert v == 1.0
 
 
 def test_minimize_refinement_never_hurts():
-    domain = BoxDomain([Interval(0.0, 3.0)])
-
     def wiggly(t):
-        return math.sin(7.0 * t) + 0.05 * (t - 1.0) ** 2
+        return math.sin(21.0 * t) + 0.45 * (t - 1.0 / 3.0) ** 2
 
-    _, coarse = minimize_box(wiggly, domain, coarse_grid=16, refine_rounds=0)
-    _, fine = minimize_box(wiggly, domain, coarse_grid=16, refine_rounds=3)
-    assert fine <= coarse
+    seen = []
+
+    def recorded(t):
+        seen.append(wiggly(t))
+        return seen[-1]
+
+    _, best = minimize_box(recorded, 1, 16)
+    # the first 16 points are the coarse grid; the refinements only add to it
+    assert len(seen) == 48
+    assert best == min(seen) <= min(seen[:16])
+
+
+@pytest.mark.parametrize("corner", [(0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1.0, 0.0)])
+def test_minimize_keeps_refinement_windows_inside_the_unit_box(corner):
+    def at_corner(pts):
+        assert np.all((pts >= 0.0) & (pts <= 1.0)), "point outside the unit box"
+        return np.abs(pts - np.asarray(corner)).sum(axis=1)
+
+    x, v = minimize_box(at_corner, 2, 5, vectorized=True)
+    assert tuple(x) == corner and v == 0.0
 
 
 @given(center=st.floats(min_value=0.05, max_value=0.95))
 @settings(max_examples=25, deadline=None)
 def test_minimize_finds_random_quadratic_center(center):
-    x, _ = minimize_box(lambda t: (t - center) ** 2, BoxDomain([Interval(0.0, 1.0)]))
+    x, _ = minimize_box(lambda t: (t - center) ** 2, 1, 64)
     assert abs(x[0] - center) < 1e-2
 
 
 def test_minimize_rejects_bad_inputs():
-    domain1 = BoxDomain([Interval(0.0, 1.0)])
-    with pytest.raises(ValueError):
-        minimize_box(lambda *p: p[0], BoxDomain([Interval(0.0, 1.0)] * 7))
-    with pytest.raises(ValueError):
-        minimize_box(lambda t: math.nan, domain1)
-    with pytest.raises(ValueError):
-        minimize_box(lambda t: t, domain1, coarse_grid=[8, 8])
-    with pytest.raises(ValueError):
-        minimize_box(lambda t: t, domain1, coarse_grid=0)
-    with pytest.raises(ValueError):
-        minimize_box(lambda t: t, domain1, refine_rounds=-1)
+    with pytest.raises(ValueError, match="non-finite"):
+        minimize_box(lambda t: math.nan, 1, 64)
+    with pytest.raises(ValueError, match="grid count"):
+        minimize_box(lambda t: t, 1, 0)
+    with pytest.raises(ValueError, match="returned 1 values"):
+        minimize_box(lambda pts: np.zeros(1), 1, 8, vectorized=True)
