@@ -95,9 +95,9 @@ def fixed_optimal_windows(
     computed once per window w and is nondecreasing in w, so the splits that
     tie at the best value are a >= a0, b >= b0, a + b <= total_rounds, with
     a0 and b0 the first windows to reach it.  The real part equalizes the
-    two per-hop curves, d1(r/x) = d2(r/(total - x)), by bisection (the
-    difference is monotone in x), stopped once the bracket is two adjacent
-    floats, or after 100 steps.
+    two per-hop curves, d1(r/x) = d2(r/(total - x)), to the float the
+    bisection of [1e-12 total, total (1 - 1e-12)] down to two adjacent
+    floats returns (_equalized_split).
     """
     hop1, hop2 = _require_3node(topology)
     if total_rounds < 2:
@@ -120,24 +120,129 @@ def fixed_optimal_windows(
         x = L / 2.0
         split_value = min(curve1[0], curve2[0])
     else:
-        lo, hi = 1e-12 * L, L * (1.0 - 1e-12)
-
-        def gap(x: float) -> float:
-            return _d_scalar(curve1, r / x) - _d_scalar(curve2, r / (L - x))
-
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break  # lo and hi are adjacent floats: every later mid is this one
-            if gap(mid) <= 0.0:
-                lo = mid
-            else:
-                hi = mid
-        x = 0.5 * (lo + hi)
+        x = _equalized_split(curve1, curve2, L, r)
         split_value = min(_d_scalar(curve1, r / x), _d_scalar(curve2, r / (L - x)))
     return FixedWindowOptimum(
         windows=(w1, w2), value=value, split=(x, L - x), split_value=split_value
     )
+
+
+# A rounding blur of the equalizing root up to this many ulps is walked from
+# the root in doubling steps; a wider one is cut at twice its width.
+_WALK_ULPS = 2.0**12
+
+
+def _piece(curve: tuple[float, ...], s: float) -> tuple[float, float]:
+    """(A, B) with the curve A + B t on the piece of _d_scalar that holds s."""
+    if s >= len(curve) - 1:
+        return 0.0, 0.0
+    j = int(s)
+    slope = curve[j + 1] - curve[j]
+    return curve[j] - j * slope, slope
+
+
+def _equalized_split(
+    curve1: tuple[float, ...], curve2: tuple[float, ...], L: int, r: float
+) -> float:
+    """The split x of L rounds where d1(r/x) meets d2(r/(L - x)), for r > 0.
+
+    gap(x) = d1(r/x) - d2(r/(L - x)) is nondecreasing over the floats, since
+    correctly rounded division, _d_scalar and subtraction each are.  So in
+    [1e-12 L, L (1 - 1e-12)], whose ends count as gap <= 0 and gap > 0 and
+    are never read, one pair of adjacent floats a < b has gap(a) <= 0 <
+    gap(b), and x = (a + b) / 2 is what any bisection of a bracket that
+    holds the pair returns.  Bisecting the whole interval reads gap 52 to 93
+    times; this search narrows the bracket first, in about 6 reads:
+
+    1. a binary search over the knots, x = r/k on hop 1's side and
+       L - r/k on hop 2's, finds the segment that holds the pair;
+    2. on it each curve is affine in its argument, so gap is about
+       c - p/x + q/(L - x) with p, q >= 0, and its one root x0 in [0, L] is
+       a root of a quadratic; the rounding of gap blurs the crossing by
+       about blur = noise / gap'(x0);
+    3. if gap is one float across the segment, the pair sits at an end, and
+       the search walks in from that end in doubling ulp steps; if the blur
+       is under _WALK_ULPS ulps, it walks out from x0 the same way; a wider
+       blur is cut at x0 +- 2 blur, unless that spans an eighth of the
+       segment.
+
+    Every read moves an end of the bracket, and a bisection of the bracket
+    left over finishes, so a poor guess costs reads, never bits.
+    """
+
+    def gap(x: float) -> float:
+        return _d_scalar(curve1, r / x) - _d_scalar(curve2, r / (L - x))
+
+    a, b = 1e-12 * L, L * (1.0 - 1e-12)
+
+    def cut(x: float) -> bool:
+        """Read gap at x in (a, b) and move the end of the bracket it passes."""
+        nonlocal a, b
+        if gap(x) <= 0.0:
+            a = x
+            return True
+        b = x
+        return False
+
+    knots = {r / k for k in range(1, len(curve1))}
+    knots.update(L - r / k for k in range(1, len(curve2)))
+    inside = sorted(x for x in knots if a < x < b)
+    lo, hi = 0, len(inside)
+    while lo < hi:
+        i = (lo + hi) // 2
+        if cut(inside[i]):
+            lo = i + 1
+        else:
+            hi = i
+
+    mid = 0.5 * (a + b)
+    s1, s2 = r / mid, r / (L - mid)
+    A1, B1 = _piece(curve1, s1)
+    A2, B2 = _piece(curve2, s2)
+    c = A1 - A2
+    p = -B1 * r if B1 else 0.0  # a flat piece at r = inf would give 0 * inf
+    q = -B2 * r if B2 else 0.0
+    # c x^2 - (c L + p + q) x + p L is p L >= 0 at 0 and -q L <= 0 at L
+    bq = c * L + p + q
+    sq = math.sqrt(max(bq * bq - 4.0 * c * p * L, 0.0))
+    if bq > 0.0:
+        x0 = 2.0 * p * L / (bq + sq)
+    elif c < 0.0:
+        x0 = (bq - sq) / (2.0 * c)
+    else:  # c = p = q = 0: both curves are zero on the segment
+        x0 = b
+    x0 = min(max(x0, a), b)
+    slope = p / (x0 * x0) + q / ((L - x0) * (L - x0))
+    # each curve read rounds by about an ulp of A1 or A2, which bound it
+    blur = 2.0**-51 * (A1 + A2) / slope if slope > 0.0 else math.inf
+    spread = (-B1 * (r / a - r / b) if B1 else 0.0) + (
+        -B2 * (r / (L - b) - r / (L - a)) if B2 else 0.0
+    )
+
+    steps = 0
+    if spread <= 2.0**-55 * (A1 + A2):  # under a quarter ulp: gap is one float
+        x0, steps = (a if c - p / mid + q / (L - mid) > 0.0 else b), 4
+    elif blur <= _WALK_ULPS * math.ulp(x0):
+        steps = 14  # 2**14 - 1 ulps reach past the blur from x0
+        if a < x0 < b:
+            cut(x0)
+    elif 32.0 * blur < b - a:
+        for x in (x0 - 2.0 * blur, x0 + 2.0 * blur):
+            if a < x < b:
+                cut(x)
+    up = x0 == a  # else x0 == b, or no walk
+    step = math.ulp(x0)
+    for _ in range(steps):
+        x = a + step if up else b - step
+        if not a < x < b or cut(x) != up:
+            break
+        step *= 2.0
+
+    while True:
+        mid = 0.5 * (a + b)
+        if mid == a or mid == b:
+            return mid  # a and b are adjacent floats
+        cut(mid)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +376,8 @@ def _kink_fractions(min_dim: int, r: float, m: int) -> set[float]:
     Every kink of a hop's cost in f is where a rate argument, r/f,
     (r - f*y)/m or (r - m*k)/f, crosses an integer knot: f = (r - m*a)/b,
     a = 0..min_dim, b = 1..min_dim.  Each m + f is a key of the hop's table,
-    the {tau: cost} of its curve that one call builds and then drops.
+    the {tau: cost} of its curve that one call builds and then drops; the
+    sets themselves are kept per (min_dim, m) for that call (_vbl_short_term).
     """
     fracs = set()
     for a in range(min_dim + 1):
@@ -293,15 +399,23 @@ def _vbl_short_term(
     sits on a candidate.
 
     A hop's cost at tau depends on its curve and r alone: tables maps each
-    curve to its table {tau: cost}, filled here with the taus it lacks.  A
-    public call makes its tables at one r and drops them when it returns, so
-    the hops, windows and budgets of that call that share a curve share one.
+    curve to its table {tau: cost}, filled here with the taus it lacks, and
+    each min_dim to its kink sets {m: _kink_fractions}.  A public call makes
+    its tables at one r and drops them when it returns, so the hops, windows
+    and budgets of that call that share a curve or a min_dim share them.
     """
     L = int(total_rounds)
+
+    def kinks(min_dim: int, m: int) -> set[float]:
+        sets = tables.setdefault(min_dim, {})
+        if m not in sets:
+            sets[m] = _kink_fractions(min_dim, r, m)
+        return sets[m]
+
     taus = {float(t) for t in range(L + 1)}
     for m in range(L):
-        taus.update(m + f for f in _kink_fractions(hop1.min_dim, r, m))
-        taus.update(L - m - f for f in _kink_fractions(hop2.min_dim, r, m))
+        taus.update(m + f for f in kinks(hop1.min_dim, m))
+        taus.update(L - m - f for f in kinks(hop2.min_dim, m))
     for hop, need in ((hop1, taus), (hop2, {L - tau for tau in taus})):
         curve = _curve(hop)
         table = tables.setdefault(curve, {})

@@ -61,6 +61,10 @@ _LISTED_CANDIDATES = 20
 # The window search keeps at most this many outage tails per process; one
 # takes about 210 bytes with its key, so the cache stays under 7 MB.
 _TAIL_CAP = 2**15
+# Below this m_rx snr an outage tail forms x from log1p and expm1: 1 + m_rx snr
+# has lost two or more bits of m_rx snr there.  Every output and reference at
+# SNR >= 0.5 stays above it.
+_LOW_SNR = 0.25
 
 # Outage models of one hop: the log-det capacity of the MIMO channel, or an
 # orthogonal space-time code; the simulator draws the same two.
@@ -190,14 +194,26 @@ def _gamma_tail(pair: AntennaPair, snr: float, r: float, rate: float, t: float) 
     ||H||^2 is gamma of shape m_tx m_rx, so this is regularized_lower_gamma
     at x = (m_tx / snr) (base**exponent - 1), exponent = r / (rate t).  Where
     base**exponent overflows, or the base did, x is formed in log form;
-    every x that fits in a float keeps its bits.
+    every x that fits in a float keeps its bits.  Below _LOW_SNR, where the
+    base 1 + y, y = m_rx snr, rounds toward 1, x is m_tx (e^g - 1) / snr with
+    g = exponent log1p(y), formed as shape exponent (log1p(y) / y)
+    ((e^g - 1) / g): its limit shape exponent as snr -> 0, times two ratios
+    near 1, so that a subnormal snr gives the limit, not inf * 0.
     """
     if r == 0.0:
         return 0.0
     shape = pair.m_tx * pair.m_rx
     exponent = r / (rate * t)
     base, log_base = _target_base(pair, snr)
-    if base < math.inf:
+    y = pair.m_rx * snr
+    if y < _LOW_SNR:
+        log_base = math.log1p(y)
+        g = exponent * log_base
+        if g < 709.0:  # e^g is finite
+            growth = math.expm1(g) / g if g else 1.0
+            x = shape * exponent * (log_base / y) * growth
+            return regularized_lower_gamma(shape, x)
+    elif base < math.inf:
         try:
             x = (pair.m_tx / snr) * (base**exponent - 1.0)
         except OverflowError:  # base**exponent is past the largest float

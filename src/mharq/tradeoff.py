@@ -12,6 +12,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 __all__ = [
@@ -72,11 +73,16 @@ class Topology:
     def n_hops(self) -> int:
         return len(self.antennas) - 1
 
+    @cached_property
+    def _hops(self) -> tuple[AntennaPair, ...]:
+        # built and validated once per chain; every kernel reads its hops
+        return tuple(map(AntennaPair, self.antennas, self.antennas[1:]))
+
     def hop(self, i: int) -> AntennaPair:
         """Hop i (0-based) as an AntennaPair."""
         if not 0 <= i < self.n_hops:
             raise IndexError(f"hop index {i} out of range for {self.n_hops} hops")
-        return AntennaPair(self.antennas[i], self.antennas[i + 1])
+        return self._hops[i]
 
     def sub_topologies(self) -> tuple["Topology", ...]:
         """All contiguous three-node windows (requires >= 3 nodes)."""

@@ -30,7 +30,10 @@ The np.interp curve is the single-hop curve as mharq.tradeoff.dmt first
 shipped it; dmt's float curve must give its bits.  The fixed-window optimum
 and the shared-budget split evaluate that curve once per window pair, as
 first shipped; the float-curve kernels of mharq.asymptotic must give the
-same bits.  The per-tau short-term split costs each hop afresh at every
+same bits.  The bisection split halves the whole range of the equalizing
+split down to two adjacent floats, as fixed_optimal_windows first did it;
+its search off the curves' knots must give the same bits, in no more curve
+reads on any case the tests try.  The per-tau short-term split costs each hop afresh at every
 split point, with a new candidate set each time, as first shipped; the
 table-driven short-term kernels of mharq.asymptotic must give its bits.
 The fixed-window chain bounds bracket a chain's fixed-window
@@ -454,8 +457,9 @@ def dmt_fixed_optimal_windows(
     The integer part enumerates every split with window1 + window2 <=
     total_rounds and maximizes the weakest-link diversity; ties prefer the
     more balanced split, then the smaller first window.  The real part
-    equalizes the two per-hop curves, d1(r/x) = d2(r/(total - x)), by
-    bisection (the difference is monotone in x).
+    equalizes the two per-hop curves, d1(r/x) = d2(r/(total - x)), by 100
+    bisection steps (the difference is monotone in x); the shipped split is
+    held to the early-stopping bisection, bisection_fixed_optimal_windows.
     """
     hop1, hop2 = _require_3node(topology)
     if total_rounds < 2:
@@ -492,6 +496,65 @@ def dmt_fixed_optimal_windows(
                 hi = mid
         x = 0.5 * (lo + hi)
         split_value = min(interp_dmt(hop1, r / x), interp_dmt(hop2, r / (L - x)))
+    return FixedWindowOptimum(
+        windows=(w1, w2), value=value, split=(x, L - x), split_value=split_value
+    )
+
+
+def bisection_split(
+    curve1: tuple[float, ...], curve2: tuple[float, ...], L: int, r: float
+) -> float:
+    """The equalizing split, d1(r/x) = d2(r/(L - x)) for r > 0, as bisected.
+
+    [1e-12 L, L (1 - 1e-12)] is halved until the bracket is two adjacent
+    floats, or for 100 steps; the midpoint of the last bracket is the split.
+    """
+    lo, hi = 1e-12 * L, L * (1.0 - 1e-12)
+
+    def gap(x: float) -> float:
+        return _d_scalar(curve1, r / x) - _d_scalar(curve2, r / (L - x))
+
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break  # lo and hi are adjacent floats: every later mid is this one
+        if gap(mid) <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def bisection_fixed_optimal_windows(
+    topology: Topology, total_rounds: int, r: float
+) -> FixedWindowOptimum:
+    """The fixed-window optimum as it bisected its split: the split oracle.
+
+    Kept unchanged so the tests can hold fixed_optimal_windows, which reads
+    the split off the curves' knots, to the same bits.  The integer part is
+    the one-pass tie-break of dmt_fixed_optimal_windows's enumeration.
+    """
+    hop1, hop2 = _require_3node(topology)
+    if total_rounds < 2:
+        raise ValueError(f"need at least two rounds to serve two hops, got {total_rounds}")
+    r = _check_rate_scalar(r)
+    L = int(total_rounds)
+    curve1, curve2 = _curve(hop1), _curve(hop2)
+    d1 = {w: _d_scalar(curve1, r / w) for w in range(1, L)}
+    d2 = {w: _d_scalar(curve2, r / w) for w in range(1, L)}
+
+    value = max(min(d1[a], d2[L - a]) for a in range(1, L))
+    a0 = next(a for a in d1 if d1[a] >= value)
+    b0 = next(b for b in d2 if d2[b] >= value)
+    c = max(a0, b0)
+    w1, w2 = (c, c) if 2 * c <= L else (a0, L - a0) if a0 > b0 else (L - b0, b0)
+
+    if r == 0.0:
+        x = L / 2.0
+        split_value = min(curve1[0], curve2[0])
+    else:
+        x = bisection_split(curve1, curve2, L, r)
+        split_value = min(_d_scalar(curve1, r / x), _d_scalar(curve2, r / (L - x)))
     return FixedWindowOptimum(
         windows=(w1, w2), value=value, split=(x, L - x), split_value=split_value
     )

@@ -5,14 +5,19 @@ eigenmode exponents (four-dimensional grids plus candidate-point algebra),
 not by the implementation under test.
 """
 
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mharq.asymptotic as asymptotic
+import oracles
 from mharq.asymptotic import (
+    _equalized_split,
     _partial_round_costs,
     fbl_dmdt_3node,
     fixed_dmdt_3node,
@@ -24,6 +29,8 @@ from mharq.asymptotic import (
 )
 from mharq.tradeoff import AntennaPair, ChannelAssumption, Topology, _curve, dmt
 from oracles import (
+    bisection_fixed_optimal_windows,
+    bisection_split,
     dmt_fbl_dmdt_3node,
     dmt_fixed_optimal_windows,
     interp_dmt,
@@ -334,6 +341,102 @@ def test_fixed_split_ties_match_the_enumeration(antennas, L, r):
 
 
 # ---------------------------------------------------------------------------
+# the equalized fixed split against the bisection it replaced
+
+
+@st.composite
+def _split_cases(draw):
+    antennas = draw(st.tuples(*[st.integers(1, 8)] * 3))
+    L = draw(st.integers(2, 1000))
+    return antennas, L, draw(st.floats(0.0, 1.2 * min(antennas) * L))
+
+
+@given(_split_cases())
+@example(((4, 1, 3), 4, 5e-324))  # subnormal: r/x rounds to 0 or to 5e-324
+@example(((2, 3, 4), 7, 1e-300))  # gap is one float across the whole range
+@example(((4, 4, 4), 10, 1e-16))  # the float root sits far from the real one
+@example(((3, 5, 2), 33, 1e300))
+@example(((4, 4, 4), 10, math.inf))
+@example(((4, 4, 4), 10, 30.0))  # both curves zero on [2.5, 7.5]: the plateau
+@example(((1, 1, 1), 2, 1.0093717939940279))  # plateau ending on hop 1's knot
+@example(((2, 2, 2), 4, 2.0))  # the root on a knot of each hop, x = r = L - r
+@example(((4, 2, 3), 7, 3.0))  # the root on hop 1's knot x = r
+@example(((3, 2, 4), 7, 3.0))  # the root on hop 2's knot x = L - r
+@settings(max_examples=200, deadline=None)
+def test_equalized_split_keeps_the_bits_of_the_bisection(case):
+    antennas, L, r = case
+    topo = Topology(antennas)
+    assert repr(fixed_optimal_windows(topo, L, r)) == repr(
+        bisection_fixed_optimal_windows(topo, L, r)
+    )
+
+
+def _counting(monkeypatch, module):
+    """Count the _d_scalar calls module makes; each gap read makes two."""
+    calls = [0]
+    real = module._d_scalar
+
+    def counted(curve, s):
+        calls[0] += 1
+        return real(curve, s)
+
+    monkeypatch.setattr(module, "_d_scalar", counted)
+    return calls
+
+
+def _extreme_rates(antennas, L, rng):
+    """28 rates: flat, tiny and huge ones, a 0.05 grid, random and plateau edges."""
+    top = min(antennas)
+    d1, d2 = min(antennas[:2]), min(antennas[1:])
+    edge = L * d1 * d2 / (d1 + d2)  # from here on both curves are zero mid-range
+    step = max(1, round(1.2 * top * L / 0.05 / 12))
+    return (
+        [5e-324, 1e-300, 1e-16, 1e-12, 1e-8, 1e300, math.inf]
+        + [round(0.05 * step * i, 10) for i in range(1, 12)]
+        + [rng.uniform(0.0, 1.2 * top * L) for _ in range(7)]
+        + [edge, edge * (1.0 - 2.0**-50), edge * (1.0 + 2.0**-50)]
+    )
+
+
+def test_equalized_split_grid_keeps_bits_in_fewer_reads(monkeypatch):
+    # every chain of 1..8 antennas at seven budgets and 28 rates: 100,352 cases
+    new = _counting(monkeypatch, asymptotic)
+    old = _counting(monkeypatch, oracles)
+    rng = random.Random(34)
+    cases = moved = costlier = 0
+    for antennas in itertools.product(range(1, 9), repeat=3):
+        curve1 = _curve(AntennaPair(*antennas[:2]))
+        curve2 = _curve(AntennaPair(*antennas[1:]))
+        for L in (2, 3, 4, 7, 10, 33, 1000):
+            for r in _extreme_rates(antennas, L, rng):
+                new[0] = old[0] = 0
+                got = _equalized_split(curve1, curve2, L, r)
+                want = bisection_split(curve1, curve2, L, r)
+                cases += 1
+                moved += got.hex() != want.hex()
+                costlier += new[0] > old[0]
+    assert (cases, moved, costlier) == (100_352, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "antennas, L, top",
+    [((4, 4, 4), 10, 4.0), ((4, 1, 3), 4, 1.0), ((2, 2, 2), 10, 2.0)],
+)
+def test_equalized_split_reads_on_the_benchmark_grids(monkeypatch, antennas, L, top):
+    # the bisection read gap 53 to 57 times at every rate of these grids; the
+    # integer windows read each curve L - 1 times and the split's value twice
+    calls = _counting(monkeypatch, asymptotic)
+    topo = Topology(antennas)
+    reads = []
+    for i in range(1, int(round(top / 0.05)) + 1):
+        calls[0] = 0
+        fixed_optimal_windows(topo, L, round(0.05 * i, 10))
+        reads.append((calls[0] - 2 * (L - 1) - 2) // 2)
+    assert max(reads) <= 20
+    assert sum(reads) <= 8 * len(reads)
+
+
+# ---------------------------------------------------------------------------
 # short-term kernels against the per-split-point oracle
 
 
@@ -395,6 +498,25 @@ def test_vbl_short_term_matches_per_tau_oracle(antennas, L, r):
     topo = Topology(antennas)
     got = vbl_dmdt_3node(topo, L, r, ST)
     assert got.hex() == per_tau_vbl_short_term(topo.hop(0), topo.hop(1), L, r).hex()
+
+
+def test_short_term_kink_sets_are_formed_once_per_call(monkeypatch):
+    # (4, 4, 4) at L = 10 over the 81 rates of the benchmark's 0.05 grid: one
+    # set per whole-round count m and per call, for both hops' min_dim of 4
+    calls = [0]
+    real = asymptotic._kink_fractions
+
+    def counted(min_dim, r, m):
+        calls[0] += 1
+        return real(min_dim, r, m)
+
+    monkeypatch.setattr(asymptotic, "_kink_fractions", counted)
+    topo = Topology((4, 4, 4))
+    for i in range(81):
+        r = round(0.05 * i, 10)
+        got = vbl_dmdt_3node(topo, 10, r, ST)
+        assert got.hex() == per_tau_vbl_short_term(topo.hop(0), topo.hop(1), 10, r).hex()
+    assert calls[0] <= 810
 
 
 @given(

@@ -723,6 +723,34 @@ def test_window_sweep_leaves_infeasible_rows_blank(tmp_path, capsys, monkeypatch
     assert lines[2:] == ["2,,,,,", "4,,,,,", "12,,,,,", "30,,,,,"]
 
 
+def test_finite_sweep_reads_the_small_snr_limit(tmp_path, capsys):
+    # 1 + m_rx snr rounds to 1 below an SNR of about 1e-16, and m_tx / snr is
+    # inf at a subnormal one; the outage must still tend to its limit, about
+    # 0.2232 here, and print finite numbers
+    outage = {}
+    for snr in (1e-9, 1e-15, 1e-300, 5e-324):
+        cfg = write_config(
+            tmp_path,
+            {
+                "topology": [4, 1, 3],
+                "windows": [2, 3],
+                "snr_linear": snr,
+                "arrival_mean_blocks": 10.0,
+                "deadline_blocks": 25.0,
+                "sweep": {"axis": "multiplexing_gain", "values": [1.0]},
+            },
+        )
+        code, lines = run_csv(capsys, ["dmdt-finite", "--config", cfg])
+        assert code == 0
+        assert lines[1] == "multiplexing_gain,p_outage,p_deadline,p_total"
+        cells = [float(cell) for cell in lines[2].split(",")]
+        assert all(math.isfinite(cell) for cell in cells)
+        outage[snr] = cells[1]
+    assert outage[5e-324] == pytest.approx(0.2232, abs=1e-4)
+    for snr in (1e-9, 1e-15, 1e-300):
+        assert outage[snr] == pytest.approx(outage[5e-324], rel=1e-6)
+
+
 def test_simulate_byte_identical_reruns(tmp_path, capsys):
     cfg = write_config(tmp_path, SIM_CONFIG)
     out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")

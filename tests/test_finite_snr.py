@@ -21,6 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -149,6 +150,29 @@ def test_ostbc_outage_keeps_the_direct_form_where_it_fits():
         x = (4 / snr) * ((1.0 + 3 * snr) ** (r / t) - 1.0)
         got = _gamma_tail(pair, snr, r, 1.0, t)
         assert got == regularized_lower_gamma(12, x)
+
+
+@pytest.mark.parametrize("snr", [1e-3, 1e-8, 1e-15, 1e-300, 5e-324])
+@pytest.mark.parametrize(
+    "pair, r, rate, t",
+    [
+        (AntennaPair(4, 1), 1.0, 1.0, 2.0),
+        (AntennaPair(1, 3), 1.0, 1.0, 3.0),
+        (AntennaPair(4, 4), 2.5, 0.5, 1.0),
+        (AntennaPair(2, 3), 1e-3, 1.0, 25.0),
+    ],
+)
+def test_ostbc_outage_threshold_at_low_snr_against_mpmath(monkeypatch, pair, snr, r, rate, t):
+    # 1 + m_rx snr rounds toward 1 here, and at 5e-324 m_tx / snr is inf; x
+    # is (m_tx / snr)((1 + m_rx snr)**e - 1) for the float exponent e, in 50
+    # digits
+    monkeypatch.setattr(finite_snr, "regularized_lower_gamma", lambda shape, x: x)
+    exponent = r / (rate * t)
+    with mpmath.workdps(50):
+        s = mpmath.mpf(snr)
+        want = pair.m_tx / s * mpmath.expm1(exponent * mpmath.log1p(pair.m_rx * s))
+    got = _gamma_tail(pair, snr, r, rate, t)
+    assert got == pytest.approx(float(want), rel=1e-14)
 
 
 @pytest.mark.parametrize("pair", [AntennaPair(1, 3), AntennaPair(2, 3), AntennaPair(4, 4)])
@@ -783,9 +807,8 @@ _REQUESTS = st.lists(
 def test_tail_cache_keeps_the_bits_of_the_scalar_tails(laws, requests):
     # lengths rise and fall on one law and on several; every request reads
     # the bits of the scalar tails, whether it computes them or finds them
-    # cached, and an np.float64 SNR reads the tails of the equal float; at a
-    # subnormal SNR and r > 0 the scalar tail raises (m_tx / snr is inf),
-    # and so does the cache
+    # cached, and an np.float64 SNR reads the tails of the equal float; a
+    # subnormal SNR reads the small-SNR limit, and so does the cache
     finite_snr._block_tail.cache_clear()
     for index, longest, numpy_snr in requests:
         pair, snr, r, r_s = laws[index % len(laws)]
