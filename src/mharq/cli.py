@@ -435,8 +435,8 @@ _JSON_TEXT: dict[type, Callable[[Any], str]] = {
 }
 
 
-def _column_text(values: Sequence[Any], texts: dict[type, Callable]) -> list[str]:
-    """Every cell of one column as text, formatting each distinct value once.
+def _column_text(values: Sequence[Any], texts: dict[type, Callable], head: str) -> list[str]:
+    """Every cell of one column as head + text, formatting each distinct value once.
 
     Array cells are told apart by their bits, list cells by value and type.
     """
@@ -445,21 +445,22 @@ def _column_text(values: Sequence[Any], texts: dict[type, Callable]) -> list[str
         keys, cells = np.unique(bits, return_inverse=True)
         distinct = keys.view(values.dtype).tolist()
         text = texts[type(distinct[0])]
-        return np.array(list(map(text, distinct)), dtype=object)[cells].tolist()
+        out = [head + text(v) for v in distinct]
+        return np.array(out, dtype=object)[cells].tolist()
     by_type = {kind: texts[kind] for kind in set(map(type, values))}
     distinct = dict.fromkeys(values)
     # equal keys can need different texts: 1 == 1.0 == True, and 0.0 == -0.0
     if len(by_type) != 1 or (0.0 in distinct and type(values[0]) is float):
-        return [by_type[type(v)](v) for v in values]
+        return [head + by_type[type(v)](v) for v in values]
     (text,) = by_type.values()
-    memo = {v: text(v) for v in distinct}
+    memo = {v: head + text(v) for v in distinct}
     return list(map(memo.__getitem__, values))
 
 
-def _text_blocks(data: Sequence, texts: dict[type, Callable]) -> Iterator[list]:
-    """The cells of each _ROW_BLOCK rows as text, column by column."""
+def _text_blocks(data: Sequence, texts: dict[type, Callable], heads: list) -> Iterator[list]:
+    """The cells of each _ROW_BLOCK rows as text, column by column, after their heads."""
     for lo in range(0, len(data[0]) if data else 0, _ROW_BLOCK):
-        yield [_column_text(column[lo : lo + _ROW_BLOCK], texts) for column in data]
+        yield [_column_text(v[lo : lo + _ROW_BLOCK], texts, h) for v, h in zip(data, heads)]
 
 
 def _json_safe(value: Any) -> Any:
@@ -507,15 +508,13 @@ def _emit(stream: TextIO, fmt: str, command: str, config: dict, table: _Table) -
         stream.write(header + "\n")
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(columns)
-        row = ",".join(["%s"] * len(columns)) + "\n"
-        for cells in _text_blocks(data, _CSV_TEXT):
+        for cells in _text_blocks(data, _CSV_TEXT, [""] * len(data)):
             # only csv.writer quotes: a cell holding , " \r or \n, and the
             # empty cell of a one-column row
-            joined = map("".join, cells)
-            if len(cells) < 2 or any(c in j for j in joined for c in ',"\r\n'):
+            if len(cells) < 2 or any(c in j for j in map("".join, cells) for c in ',"\r\n'):
                 writer.writerows(zip(*cells))
             else:
-                stream.writelines(map(row.__mod__, zip(*cells)))
+                stream.write("\n".join(map(",".join, zip(*cells))) + "\n")
         return
     meta: dict[str, Any] = {
         "tool": "mharq",
@@ -537,13 +536,13 @@ def _emit(stream: TextIO, fmt: str, command: str, config: dict, table: _Table) -
     # a later column of the same name wins, as in a dict built from the row
     index = {name: i for i, name in enumerate(columns)}
     keys = sorted(index)
-    fields = (f"      {encode_basestring_ascii(k).replace('%', '%%')}: %s" for k in keys)
-    template = "    {\n" + ",\n".join(fields) + "\n    }"
-    lead = "[\n"
-    for cells in _text_blocks([data[index[k]] for k in keys], _JSON_TEXT):
-        stream.write(lead + ",\n".join(map(template.__mod__, zip(*cells))))
-        lead = ",\n"
-    stream.write("\n  ]\n}\n")
+    heads = [f"      {encode_basestring_ascii(k)}: " for k in keys]
+    # a row is its cells joined by ",\n"; the braces of its object join the rows
+    lead, between = "[\n    {\n", "\n    },\n    {\n"
+    for cells in _text_blocks([data[index[k]] for k in keys], _JSON_TEXT, heads):
+        stream.write(lead + between.join(map(",\n".join, zip(*cells))))
+        lead = between
+    stream.write("\n    }\n  ]\n}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -61,8 +61,9 @@ _LISTED_CANDIDATES = 20
 # The window search keeps at most this many outage tails per process; one
 # takes about 210 bytes with its key, so the cache stays under 7 MB.
 _TAIL_CAP = 2**15
-# Below this m_rx snr an outage tail forms x from log1p and expm1: 1 + m_rx snr
-# has lost two or more bits of m_rx snr there.  Every output and reference at
+# Below this m_rx snr an outage tail forms x from log1p and expm1, and the
+# simulator compares a coded hop's rates per unit snr: 1 + m_rx snr has lost
+# two or more bits of m_rx snr there.  Every output and reference at
 # SNR >= 0.5 stays above it.
 _LOW_SNR = 0.25
 

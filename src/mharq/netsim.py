@@ -44,6 +44,7 @@ import numpy as np
 
 from .finite_snr import (
     CODE_MODELS,
+    _LOW_SNR,
     FiniteSnrScenario,
     _code_rate,
     _stage_means,
@@ -232,7 +233,9 @@ def _channel_uniforms(
     return rng.random((n_msgs, rounds, m_rx, m_tx, 2))
 
 
-def _capacities(u: np.ndarray, snr: float, m_tx: int, rate: float | None) -> np.ndarray:
+def _capacities(
+    u: np.ndarray, snr: float, m_tx: int, rate: float | None, per_snr: bool = False
+) -> np.ndarray:
     """Per-round capacities in bits per use from raw uniforms.
 
     Entries are unit complex Gaussians via the polar transform, so the
@@ -242,6 +245,9 @@ def _capacities(u: np.ndarray, snr: float, m_tx: int, rate: float | None) -> np.
     A hop with a code rate factor (finite_snr._code_rate: a space-time code,
     or a rank-1 log-det hop at rate 1) has rate * log2(1 + a * ||H||^2),
     which needs only the magnitudes; rate None takes the log-det path.
+    With per_snr, such a hop's capacity is given per unit snr and in nats,
+    rate * (||H||^2 / m_tx) * log1p(z) / z with z = a * ||H||^2 (1 at z = 0),
+    which keeps its bits where 1 + z rounds to 1.
 
     Every rank >= 2 takes one path in plain real arithmetic:
 
@@ -269,6 +275,10 @@ def _capacities(u: np.ndarray, snr: float, m_tx: int, rate: float | None) -> np.
     m_rx = u.shape[2]
     if rate is not None:
         frob = -np.log1p(-u[..., 0]).sum(axis=(2, 3))
+        if per_snr:
+            z = snr * frob / m_tx
+            ratio = np.divide(np.log1p(z), z, out=np.ones_like(z), where=z > 0.0)
+            return rate * (frob / m_tx) * ratio
         with np.errstate(over="ignore"):
             cap = np.log2(1.0 + snr * frob / m_tx)
         over = np.isinf(cap)
@@ -377,7 +387,12 @@ def _hop_rounds(config: SimConfig, h: int) -> np.ndarray:
     The hop's channel is drawn from its own stream, turned into capacities
     and decoded in chunks of whole messages, about ``_CHUNK_UNIFORMS``
     uniforms each.  The rounds come in the narrowest integer dtype that
-    holds window + 1.
+    holds window + 1.  Below finite_snr._LOW_SNR a hop with a code rate
+    compares capacity / snr against r m_rx log1p(y) / y, y = m_rx snr, both
+    in nats, so a tiny or subnormal SNR decodes at the small-SNR limit the
+    analysis reads.  A log-det hop of rank >= 2 has no code rate and still
+    compares bits at every SNR: its own outage reference is not exact yet,
+    so there is no limit to hold it to.
     """
     pair = config.topology.hop(h)
     window = config.protocol.windows[h]
@@ -385,10 +400,17 @@ def _hop_rounds(config: SimConfig, h: int) -> np.ndarray:
     n_msgs = config.message_count
     long_term = config.channel is ChannelAssumption.LONG_TERM_STATIC
     draw_rounds = 1 if long_term else window
-    target = scenario.multiplexing_gain * _target_base(pair, scenario.snr, math.log2)[1]
     rng = RandomSource(config.seed).stream(1 + h)
     rate = _code_rate(pair, scenario, config.code_model)
-    capacity = partial(_capacities, snr=scenario.snr, m_tx=pair.m_tx, rate=rate)
+    y = pair.m_rx * scenario.snr
+    per_snr = rate is not None and y < _LOW_SNR
+    if per_snr:
+        target = scenario.multiplexing_gain * pair.m_rx * (math.log1p(y) / y)
+    else:
+        target = scenario.multiplexing_gain * _target_base(pair, scenario.snr, math.log2)[1]
+    capacity = partial(
+        _capacities, snr=scenario.snr, m_tx=pair.m_tx, rate=rate, per_snr=per_snr
+    )
     per_msg = draw_rounds * pair.m_rx * pair.m_tx * 2
     step = max(1, _CHUNK_UNIFORMS // per_msg)
     rounds = np.empty(n_msgs, dtype=np.min_scalar_type(window + 1))

@@ -88,9 +88,12 @@ class Topology:
         """All contiguous three-node windows (requires >= 3 nodes)."""
         if self.n_nodes < 3:
             raise ValueError("need at least three nodes to form sub-chains")
-        return tuple(
-            Topology(self.antennas[i : i + 3]) for i in range(self.n_nodes - 2)
-        )
+        return self._subs
+
+    @cached_property
+    def _subs(self) -> tuple["Topology", ...]:
+        # built and validated once per chain, as its hops are
+        return tuple(Topology(self.antennas[i : i + 3]) for i in range(self.n_nodes - 2))
 
 
 class ChannelAssumption(Enum):

@@ -590,6 +590,20 @@ def test_nnode_vbl_weakest_window():
         nnode_vbl_dmdt(Topology([2, 2]), 4, 1.0)
 
 
+def test_nnode_kernels_keep_their_values_on_a_reused_chain():
+    # the chain keeps its sub-chains; a second call on it reads the same
+    # tuple and gives the values a fresh chain gives
+    topo = Topology([2, 3, 2, 4, 1])
+    subs = topo.sub_topologies()
+    lt = 3.1724137931034484
+    want = {ST: (23.0, (3.0, 23.0)), LT: (lt, (1.3333333333333335, lt))}
+    for channel, (vbl, bounds) in want.items():
+        for chain in (topo, topo, Topology([2, 3, 2, 4, 1])):
+            assert nnode_vbl_dmdt(chain, 8, 1.5, channel) == vbl
+            assert nnode_fbl_bounds(chain, 8, 1.5, channel) == bounds
+    assert topo.sub_topologies() is subs
+
+
 def test_nnode_fixed_bounds_frozen():
     topo = Topology([2, 2, 2, 2])
     lower, upper = nnode_fixed_bounds(topo, [2, 2, 2], 6, 1.0)

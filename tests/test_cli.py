@@ -819,6 +819,28 @@ def test_validate_at_a_huge_finite_snr(tmp_path, capsys, code_model):
     assert [row["verdict"] for row in doc["rows"]] == ["ok", "ok", "ok"]
 
 
+@pytest.mark.parametrize("snr", [1e-300, 5e-324])
+@pytest.mark.parametrize("code_model", ["ostbc", "logdet"])
+def test_validate_at_a_tiny_snr(tmp_path, capsys, snr, code_model):
+    # 1 + m_rx * snr and 1 + snr * ||H||^2 / m_tx round to 1 here; the coded
+    # and rank-1 hops must still decode at the small-SNR limit the analysis
+    # reads, not at a target rate of 0
+    payload = dict(
+        SIM_CONFIG,
+        topology=[4, 1, 3],
+        windows=[2, 3],
+        snr_linear=snr,
+        deadline_blocks=25.0,
+        message_count=20000,
+        code_model=code_model,
+    )
+    cfg = write_config(tmp_path, payload)
+    code, doc = run_json(capsys, ["validate", "--config", cfg, "--format", "json"])
+    assert code == 0
+    assert [row["verdict"] for row in doc["rows"]] == ["ok", "ok", "ok"]
+    assert all(row["empirical"] > 0.05 for row in doc["rows"])
+
+
 def test_validate_total_keeps_outages_below_the_rounding_of_one(tmp_path, capsys):
     # each (2, 2) log-det hop's outage at SNR 1e308 is subnormal, so every
     # 1 - p rounds to 1; the total is still about their sum, not 0
@@ -1187,4 +1209,40 @@ def test_emit_matches_the_stdlib_writer(table, fmt, seed, meta, block):
         table = cli._Table(columns, data, meta, seed)
         cli._emit(got, fmt, "optimize-arq", {"budget": 3}, table)
     stdlib_emit(want, fmt, "optimize-arq", {"budget": 3}, columns, list(zip(*cells)), meta, seed)
+    assert got.getvalue() == want.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_formats_each_distinct_value_once_a_block(fmt):
+    # the six-node budget-18 table, in blocks of 500 rows: within a block,
+    # each distinct float of a column (told apart by its bits) is formatted
+    # once, however many rows repeat it
+    config = {
+        "topology": [2] * 6,
+        "budget": 18,
+        "snr_linear": 100.0,
+        "multiplexing_gain": 1.0,
+        "arrival_mean_blocks": 10.0,
+        "deadline_blocks": 25.0,
+    }
+    table = cli._run_optimize(config, None)
+    texts = {"csv": cli._CSV_TEXT, "json": cli._JSON_TEXT}[fmt]
+    calls = []
+    text = texts[float]
+    block = 500
+    got, want = io.StringIO(), io.StringIO()
+    with mock.patch.dict(texts, {float: lambda v: calls.append(v) or text(v)}):
+        with mock.patch.object(cli, "_ROW_BLOCK", block):
+            cli._emit(got, fmt, "optimize-arq", config, table)
+    floats = [c for c in table.data if getattr(c, "dtype", None) == np.float64]
+    rows = len(table.data[0])
+    distinct = sum(
+        np.unique(column[lo : lo + block].view(np.uint64)).size
+        for column in floats
+        for lo in range(0, rows, block)
+    )
+    assert rows == 8568 and len(floats) == 8
+    assert 0 < len(calls) <= distinct < rows
+    # the block size moves no byte
+    cli._emit(want, fmt, "optimize-arq", config, table)
     assert got.getvalue() == want.getvalue()

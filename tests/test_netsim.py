@@ -403,6 +403,22 @@ def test_capacities_past_the_overflowing_snr(monkeypatch, m_rx, m_tx):
     )
 
 
+@pytest.mark.parametrize("m_rx, m_tx, rate", [(1, 4, 1.0), (3, 1, 1.0), (2, 2, 0.75)])
+def test_capacities_per_unit_snr(m_rx, m_tx, rate):
+    u = netsim._channel_uniforms(RandomSource(5).stream(1), 500, 2, m_rx, m_tx)
+    u[0, 0, :, :, 0] = 0.0  # ||H||^2 = 0: log1p(z) / z is 1 there
+    # the rate per unit snr, in nats, is the rate in bits times ln 2 / snr;
+    # at snr 1e-3 the bits lose about 1e-12 of z = snr ||H||^2 / m_tx to 1 + z
+    bits = netsim._capacities(u, 1e-3, m_tx, rate)
+    per_snr = netsim._capacities(u, 1e-3, m_tx, rate, per_snr=True)
+    np.testing.assert_allclose(per_snr * 1e-3, bits * math.log(2.0), rtol=1e-10)
+    # at a subnormal snr it is the limit rate * ||H||^2 / m_tx
+    frob = -np.log1p(-u[..., 0]).sum(axis=(2, 3))
+    tiny = netsim._capacities(u, 5e-324, m_tx, rate, per_snr=True)
+    assert np.array_equal(tiny, rate * (frob / m_tx))
+    assert tiny[0, 0] == 0.0
+
+
 def test_simulated_drops_hold_past_the_overflowing_snr():
     drops = []
     for snr in (1e300, 1e306, 1e308):

@@ -229,6 +229,8 @@ def test_topology_accessors():
     assert [topo.hop(i) for i in range(3)] == [AntennaPair(4, 1), AntennaPair(1, 3), AntennaPair(3, 1)]
     subs = topo.sub_topologies()
     assert subs == (Topology([4, 1, 3]), Topology([1, 3, 1]))
+    # the sub-chains are built once per chain
+    assert topo.sub_topologies() is subs
     with pytest.raises(IndexError):
         topo.hop(3)
 
