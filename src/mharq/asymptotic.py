@@ -23,6 +23,7 @@ needs no numpy.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .tradeoff import (
@@ -92,9 +93,10 @@ def fixed_optimal_windows(
     The integer part maximizes the weakest-link diversity over every split
     with window1 + window2 <= total_rounds; ties prefer the more balanced
     split, then the smaller first window.  Each hop's diversity at r/w is
-    computed once per window w and is nondecreasing in w, so the splits that
-    tie at the best value are a >= a0, b >= b0, a + b <= total_rounds, with
-    a0 and b0 the first windows to reach it.  The real part equalizes the
+    nondecreasing in the window w, so the splits that tie at the best value
+    are a >= a0, b >= b0, a + b <= total_rounds, with a0 and b0 the first
+    windows to reach it.  The best value and both windows are bisected, in
+    O(log total_rounds) reads of the curves.  The real part equalizes the
     two per-hop curves, d1(r/x) = d2(r/(total - x)), to the float the
     bisection of [1e-12 total, total (1 - 1e-12)] down to two adjacent
     floats returns (_equalized_split).
@@ -105,12 +107,20 @@ def fixed_optimal_windows(
     r = _check_rate_scalar(r)
     L = int(total_rounds)
     curve1, curve2 = _curve(hop1), _curve(hop2)
-    d1 = {w: _d_scalar(curve1, r / w) for w in range(1, L)}
-    d2 = {w: _d_scalar(curve2, r / w) for w in range(1, L)}
 
-    value = max(min(d1[a], d2[L - a]) for a in range(1, L))
-    a0 = next(a for a in d1 if d1[a] >= value)
-    b0 = next(b for b in d2 if d2[b] >= value)
+    def d1(w: int) -> float:
+        return _d_scalar(curve1, r / w)
+
+    def d2(w: int) -> float:
+        return _d_scalar(curve2, r / w)
+
+    windows = range(1, L)
+    # min(d1(a), d2(L - a)) rises with a until d1 catches up with d2, then
+    # falls: the best value sits at the crossing a or the window before it
+    a = bisect_left(windows, True, key=lambda a: d1(a) >= d2(L - a)) + 1
+    value = max(min(d1(w), d2(L - w)) for w in (a - 1, a) if 0 < w < L)
+    a0 = bisect_left(windows, True, key=lambda a: d1(a) >= value) + 1
+    b0 = bisect_left(windows, True, key=lambda b: d2(b) >= value) + 1
     # the most balanced tie: equal windows if both fit, else one side at its floor
     c = max(a0, b0)
     w1, w2 = (c, c) if 2 * c <= L else (a0, L - a0) if a0 > b0 else (L - b0, b0)

@@ -22,7 +22,7 @@ import json
 import math
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence, TextIO
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -435,8 +435,11 @@ _JSON_TEXT: dict[type, Callable[[Any], str]] = {
 }
 
 
-def _column_text(values: Sequence[Any], texts: dict[type, Callable], head: str) -> list[str]:
-    """Every cell of one column as head + text, formatting each distinct value once.
+def _column_text(
+    values: Sequence[Any], texts: dict[type, Callable], head: str
+) -> tuple[list[str], Iterable[str]]:
+    """Every cell of one column as head + text, formatting each distinct value
+    once, and the texts formatted, among them each distinct text.
 
     Array cells are told apart by their bits, list cells by value and type.
     """
@@ -446,21 +449,26 @@ def _column_text(values: Sequence[Any], texts: dict[type, Callable], head: str) 
         distinct = keys.view(values.dtype).tolist()
         text = texts[type(distinct[0])]
         out = [head + text(v) for v in distinct]
-        return np.array(out, dtype=object)[cells].tolist()
+        return np.array(out, dtype=object)[cells].tolist(), out
     by_type = {kind: texts[kind] for kind in set(map(type, values))}
     distinct = dict.fromkeys(values)
     # equal keys can need different texts: 1 == 1.0 == True, and 0.0 == -0.0
     if len(by_type) != 1 or (0.0 in distinct and type(values[0]) is float):
-        return [head + by_type[type(v)](v) for v in values]
+        out = [head + by_type[type(v)](v) for v in values]
+        return out, out
     (text,) = by_type.values()
     memo = {v: head + text(v) for v in distinct}
-    return list(map(memo.__getitem__, values))
+    return list(map(memo.__getitem__, values)), memo.values()
 
 
-def _text_blocks(data: Sequence, texts: dict[type, Callable], heads: list) -> Iterator[list]:
-    """The cells of each _ROW_BLOCK rows as text, column by column, after their heads."""
+def _text_blocks(data: Sequence, texts: dict[type, Callable], heads: list) -> Iterator[tuple]:
+    """The cells of each _ROW_BLOCK rows as text, column by column, after their
+    heads, and each column's distinct texts.
+    """
     for lo in range(0, len(data[0]) if data else 0, _ROW_BLOCK):
-        yield [_column_text(v[lo : lo + _ROW_BLOCK], texts, h) for v, h in zip(data, heads)]
+        yield tuple(
+            zip(*(_column_text(v[lo : lo + _ROW_BLOCK], texts, h) for v, h in zip(data, heads)))
+        )
 
 
 def _json_safe(value: Any) -> Any:
@@ -508,10 +516,12 @@ def _emit(stream: TextIO, fmt: str, command: str, config: dict, table: _Table) -
         stream.write(header + "\n")
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(columns)
-        for cells in _text_blocks(data, _CSV_TEXT, [""] * len(data)):
+        for cells, distinct in _text_blocks(data, _CSV_TEXT, [""] * len(data)):
             # only csv.writer quotes: a cell holding , " \r or \n, and the
             # empty cell of a one-column row
-            if len(cells) < 2 or any(c in j for j in map("".join, cells) for c in ',"\r\n'):
+            if len(cells) < 2 or any(
+                c in t for column in distinct for t in column for c in ',"\r\n'
+            ):
                 writer.writerows(zip(*cells))
             else:
                 stream.write("\n".join(map(",".join, zip(*cells))) + "\n")
@@ -539,7 +549,7 @@ def _emit(stream: TextIO, fmt: str, command: str, config: dict, table: _Table) -
     heads = [f"      {encode_basestring_ascii(k)}: " for k in keys]
     # a row is its cells joined by ",\n"; the braces of its object join the rows
     lead, between = "[\n    {\n", "\n    },\n    {\n"
-    for cells in _text_blocks([data[index[k]] for k in keys], _JSON_TEXT, heads):
+    for cells, _ in _text_blocks([data[index[k]] for k in keys], _JSON_TEXT, heads):
         stream.write(lead + between.join(map(",\n".join, zip(*cells))))
         lead = between
     stream.write("\n    }\n  ]\n}\n")

@@ -477,7 +477,7 @@ class CandidateColumns:
     @property
     def conflict(self) -> np.ndarray:
         """Rows where the per-hop bounds and the stage stability disagree."""
-        return self.hop_over.any(axis=1) != self.stage_over.any(axis=1)
+        return _row_any(self.hop_over) != _row_any(self.stage_over)
 
     def violations(self, rows: np.ndarray) -> list[tuple[str, ...]]:
         """Violation texts of rows: hops over the arrival mean, then unstable stages."""
@@ -548,19 +548,26 @@ class WindowOptimum:
 def _composition_matrix(n_hops: int, budget: int) -> np.ndarray:
     """Every n_hops-tuple of windows >= 1 with sum <= budget, lexicographically.
 
-    Row k is the k-th of the C(budget, n_hops) tuples.  They are the gaps
-    between 0 and n_hops strictly increasing cut points in 1..budget, and
-    cut points sort in the same order as the windows they cut.  Each prefix
-    of cuts is repeated once per value its next cut can take, in order.
+    The C(budget, n_hops) rows come as an intp matrix, built one window
+    column at a time.  A prefix of windows has spent some of the
+    budget - n_hops blocks left once every hop has one; its next window runs
+    from 1 to one more than what is still left, and each prefix row is
+    repeated once per value, in order, so the rows stay sorted.
     """
-    cuts = np.arange(1, budget - n_hops + 2)[:, None]
-    for k in range(1, n_hops):
-        last = cuts[:, -1]
-        counts = budget - n_hops + k + 1 - last  # the next cut runs last + 1 .. top
-        prefix = np.repeat(np.arange(len(cuts)), counts)
-        step = np.arange(len(prefix)) - np.repeat(np.cumsum(counts) - counts, counts)
-        cuts = np.column_stack((cuts[prefix], last[prefix] + 1 + step))
-    return np.diff(cuts, axis=1, prepend=0)
+    spare = budget - n_hops
+    used = np.zeros(int(spare >= 0), np.intp)  # spare blocks each prefix spent
+    columns: list[np.ndarray] = []
+    for _ in range(n_hops):
+        counts = spare + 1 - used  # the next window runs 1 .. counts
+        # 1, 2, .. within each prefix's run: a cumsum of ones that drops
+        # back to 1 where the next prefix's run starts
+        window = np.ones(counts.sum(), np.intp)
+        window[np.cumsum(counts[:-1])] -= counts[:-1]
+        np.cumsum(window, out=window)
+        columns = [np.repeat(column, counts) for column in columns]
+        columns.append(window)
+        used = np.repeat(used, counts) + window - 1
+    return np.column_stack(columns)
 
 
 def _row_sums(matrix: np.ndarray) -> np.ndarray:
@@ -569,6 +576,15 @@ def _row_sums(matrix: np.ndarray) -> np.ndarray:
     builtin sum() of floats is compensated from 3.12 on; numpy sums in pairs.
     """
     return reduce(np.add, matrix.T, 0.0)
+
+
+def _row_any(mask: np.ndarray) -> np.ndarray:
+    """Rows of a boolean matrix with any column set, ORed column by column.
+
+    numpy reduces each row in a loop of its own, which costs more than the
+    few entries of a row; one OR a column does the same over whole columns.
+    """
+    return reduce(np.logical_or, mask.T)
 
 
 def _row_tuples(matrix: np.ndarray) -> Iterator[tuple]:
@@ -616,14 +632,14 @@ def evaluate_windows(
     stages = _stage_means(means)
     hop_over = means > arrival
     stage_over = _decay_rates(stages, arrival) <= STABILITY_MARGIN
-    feasible = ~(hop_over.any(axis=1) | stage_over.any(axis=1))
+    feasible = ~(_row_any(hop_over) | _row_any(stage_over))
 
     # Every stage of a feasible row is stable, so the deadline term depends
     # on the largest stage alone: evaluate it once per distinct bottleneck
     # and share the value.
     modelled = np.flatnonzero(feasible)
     bottlenecks, group = np.unique(
-        stages[modelled].max(axis=1), return_inverse=True
+        reduce(np.maximum, stages[modelled].T), return_inverse=True
     )
     p_deadline = np.full(len(windows), math.nan)
     p_deadline[modelled] = _bottleneck_deadline_probabilities(

@@ -47,6 +47,7 @@ from .finite_snr import (
     _LOW_SNR,
     FiniteSnrScenario,
     _code_rate,
+    _row_sums,
     _stage_means,
     _target_base,
     mean_service_time,
@@ -274,7 +275,17 @@ def _capacities(
     """
     m_rx = u.shape[2]
     if rate is not None:
-        frob = -np.log1p(-u[..., 0]).sum(axis=(2, 3))
+        # -log1p(-u) in one array: each fresh chunk-sized temporary costs
+        # more in page faults than the arithmetic that fills it
+        entries = np.negative(u[..., 0])
+        np.negative(np.log1p(entries, out=entries), out=entries)
+        n_entries = m_rx * u.shape[3]
+        if n_entries < 8:
+            # numpy sums fewer than 8 entries from 0 left to right, in a loop
+            # per row; the same fold over whole entry columns keeps the bits
+            frob = _row_sums(entries.reshape(-1, n_entries)).reshape(entries.shape[:2])
+        else:  # numpy sums in pairs here, and its row loop no longer dominates
+            frob = entries.sum(axis=(2, 3))
         if per_snr:
             z = snr * frob / m_tx
             ratio = np.divide(np.log1p(z), z, out=np.ones_like(z), where=z > 0.0)

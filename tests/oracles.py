@@ -713,6 +713,28 @@ def eigvalsh_capacities(
     return np.log2(1.0 + snr * np.maximum(eig, 0.0) / m_tx).sum(axis=-1)
 
 
+def summed_rate_capacities(
+    u: np.ndarray, snr: float, m_tx: int, rate: float, per_snr: bool = False
+) -> np.ndarray:
+    """mharq.netsim._capacities of a hop with a code rate, each ||H||^2 summed
+    by numpy over the row of its entries, as the simulator first did.
+
+    Kept unchanged so the tests can hold the simulator, which folds short
+    rows over their entry columns, to the same bits.
+    """
+    frob = -np.log1p(-u[..., 0]).sum(axis=(2, 3))
+    if per_snr:
+        z = snr * frob / m_tx
+        ratio = np.divide(np.log1p(z), z, out=np.ones_like(z), where=z > 0.0)
+        return rate * (frob / m_tx) * ratio
+    with np.errstate(over="ignore"):
+        cap = np.log2(1.0 + snr * frob / m_tx)
+    over = np.isinf(cap)
+    if over.any():
+        cap[over] = np.log2(frob[over]) + (math.log2(snr) - math.log2(m_tx))
+    return rate * cap
+
+
 def cumsum_decode_rounds(
     capacities: np.ndarray, target_rate: float, window: int
 ) -> np.ndarray:

@@ -418,20 +418,43 @@ def test_equalized_split_grid_keeps_bits_in_fewer_reads(monkeypatch):
     assert (cases, moved, costlier) == (100_352, 0, 0)
 
 
+def test_fixed_windows_are_bisected_in_log_reads(monkeypatch):
+    # the integer split keeps the bits of reading every window, up to
+    # L = 1000, and reads each curve O(log L) times: three bisections over
+    # the L - 1 windows, and the best value at the crossing
+    calls = _counting(monkeypatch, asymptotic)
+    for antennas in itertools.product(range(1, 5), repeat=3):
+        topo = Topology(antennas)
+        curve1 = _curve(AntennaPair(*antennas[:2]))
+        curve2 = _curve(AntennaPair(*antennas[1:]))
+        for L in (2, 3, 4, 5, 7, 10, 33, 1000):
+            # rates on the knots of small windows, and up to every curve's end
+            for r in [k / 4 for k in range(9)] + [L * k / 3 for k in range(1, 13)]:
+                calls[0] = 0
+                got = fixed_optimal_windows(topo, L, r)
+                reads = calls[0]
+                if r:
+                    calls[0] = 0
+                    _equalized_split(curve1, curve2, L, r)
+                    reads -= calls[0] + 2  # the split and its value
+                assert reads <= 4 * (L - 1).bit_length() + 4
+                assert repr(got) == repr(bisection_fixed_optimal_windows(topo, L, r))
+
+
 @pytest.mark.parametrize(
     "antennas, L, top",
     [((4, 4, 4), 10, 4.0), ((4, 1, 3), 4, 1.0), ((2, 2, 2), 10, 2.0)],
 )
 def test_equalized_split_reads_on_the_benchmark_grids(monkeypatch, antennas, L, top):
-    # the bisection read gap 53 to 57 times at every rate of these grids; the
-    # integer windows read each curve L - 1 times and the split's value twice
+    # the bisection read gap 53 to 57 times at every rate of these grids
     calls = _counting(monkeypatch, asymptotic)
-    topo = Topology(antennas)
+    curve1 = _curve(AntennaPair(*antennas[:2]))
+    curve2 = _curve(AntennaPair(*antennas[1:]))
     reads = []
     for i in range(1, int(round(top / 0.05)) + 1):
         calls[0] = 0
-        fixed_optimal_windows(topo, L, round(0.05 * i, 10))
-        reads.append((calls[0] - 2 * (L - 1) - 2) // 2)
+        _equalized_split(curve1, curve2, L, round(0.05 * i, 10))
+        reads.append(calls[0] // 2)
     assert max(reads) <= 20
     assert sum(reads) <= 8 * len(reads)
 

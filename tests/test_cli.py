@@ -5,6 +5,7 @@ shell invocation would, and inspects the emitted CSV/JSON or stderr.
 """
 
 import contextlib
+import csv
 import dataclasses
 import hashlib
 import io
@@ -1209,6 +1210,34 @@ def test_emit_matches_the_stdlib_writer(table, fmt, seed, meta, block):
         table = cli._Table(columns, data, meta, seed)
         cli._emit(got, fmt, "optimize-arq", {"budget": 3}, table)
     stdlib_emit(want, fmt, "optimize-arq", {"budget": 3}, columns, list(zip(*cells)), meta, seed)
+    assert got.getvalue() == want.getvalue()
+
+
+@pytest.mark.parametrize("text", ["a,b", 'say "hi"', "two\nlines", "cr\r"])
+def test_emit_quotes_only_the_block_that_needs_it(text):
+    # in blocks of two rows only the last holds a cell csv.writer must quote:
+    # that block, and no other, goes through it
+    real = csv.writer
+    quoted = []
+
+    class Spy:
+        def __init__(self, stream, **kwargs):
+            self.writer = real(stream, **kwargs)
+            self.writerow = self.writer.writerow
+
+        def writerows(self, rows):
+            rows = list(rows)
+            quoted.append(rows)
+            self.writer.writerows(rows)
+
+    columns = ["p", "name", "ok"]
+    data = [np.array([0.5, 0.5, 0.25, 0.5]), ["x", "y", "x", text], [True] * 4]
+    got, want = io.StringIO(), io.StringIO()
+    with mock.patch.object(cli, "_ROW_BLOCK", 2), mock.patch.object(csv, "writer", Spy):
+        cli._emit(got, "csv", "optimize-arq", {"budget": 3}, cli._Table(columns, data))
+    assert quoted == [[("0.25", "x", "true"), ("0.5", text, "true")]]
+    rows = list(zip(data[0].tolist(), data[1], data[2]))
+    stdlib_emit(want, "csv", "optimize-arq", {"budget": 3}, columns, rows, {}, None)
     assert got.getvalue() == want.getvalue()
 
 

@@ -464,7 +464,9 @@ def test_window_infeasible_error_survives_pickle():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4), st.integers(0, 10))
 def test_compositions_are_the_filtered_cube_in_order(n_hops, budget):
-    got = [tuple(row) for row in _composition_matrix(n_hops, budget).tolist()]
+    matrix = _composition_matrix(n_hops, budget)
+    assert matrix.dtype == np.intp
+    got = [tuple(row) for row in matrix.tolist()]
     cube = [t for t in product(range(1, budget + 1), repeat=n_hops) if sum(t) <= budget]
     assert got == cube
     assert len(got) == math.comb(budget, n_hops)

@@ -27,7 +27,12 @@ from mharq.netsim import (
     run_network_sim,
 )
 from mharq.tradeoff import AntennaPair, ChannelAssumption, FixedArq, Topology
-from oracles import cumsum_decode_rounds, eigvalsh_capacities, whole_array_tandem
+from oracles import (
+    cumsum_decode_rounds,
+    eigvalsh_capacities,
+    summed_rate_capacities,
+    whole_array_tandem,
+)
 
 LT = ChannelAssumption.LONG_TERM_STATIC
 ST = ChannelAssumption.SHORT_TERM_STATIC
@@ -417,6 +422,25 @@ def test_capacities_per_unit_snr(m_rx, m_tx, rate):
     tiny = netsim._capacities(u, 5e-324, m_tx, rate, per_snr=True)
     assert np.array_equal(tiny, rate * (frob / m_tx))
     assert tiny[0, 0] == 0.0
+
+
+@pytest.mark.parametrize(
+    "m_rx, m_tx, rounds",
+    [(r, t, n) for r in range(1, 9) for t in range(1, 9) for n in (1, 3)],
+)
+def test_rate_capacities_keep_numpys_sum_bits(m_rx, m_tx, rounds):
+    # below 8 entries ||H||^2 is folded over the entry columns, in numpy's
+    # own order; from 8 on numpy sums in pairs, and a fold moves the bits
+    u = netsim._channel_uniforms(
+        RandomSource(13).stream(10 * m_rx + m_tx), 500, rounds, m_rx, m_tx
+    )
+    for snr in (10.0, 1e300):
+        for per_snr in (False, True):
+            with np.errstate(all="raise"):
+                got = netsim._capacities(u, snr, m_tx, 0.75, per_snr)
+            want = summed_rate_capacities(u, snr, m_tx, 0.75, per_snr)
+            assert got.shape == (500, rounds)
+            assert np.array_equal(got, want)
 
 
 def test_simulated_drops_hold_past_the_overflowing_snr():
