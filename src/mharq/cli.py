@@ -774,6 +774,10 @@ def _sim_config(config: dict, seed_override: int | None) -> SimConfig:
 def _simulate(sim_cfg: SimConfig):
     """run_network_sim, with arrays too large to allocate refused as config."""
     try:
+        # numpy refuses an array past sys.maxsize bytes with a ValueError of
+        # its own, not MemoryError; one float per message is already past it
+        if sim_cfg.message_count > sys.maxsize // 8:
+            raise MemoryError
         return run_network_sim(sim_cfg)
     except MemoryError as exc:
         raise ConfigError(

@@ -1111,12 +1111,14 @@ def test_validate_markovian_refuses_tail_from_one_excursion(
 @pytest.mark.parametrize("base", [SIM_CONFIG, MARKOV_VALIDATE], ids=["physical", "markovian"])
 def test_message_count_past_memory_is_a_config_error(tmp_path, capsys, command, base):
     # 10**18 messages take at least 10**18 bytes, past any 64-bit address
-    # space, so the first array allocation fails at once
-    cfg = write_config(tmp_path, dict(base, message_count=10**18))
-    assert main([command, "--config", cfg]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == f"mharq: config.message_count: {10**18} messages do not fit in memory\n"
+    # space, so the first array allocation fails at once; from 2**60 numpy
+    # refuses the array's size itself, and 2**63 is past its largest dimension
+    for count in (10**18, 2**60, 2**63):
+        cfg = write_config(tmp_path, dict(base, message_count=count))
+        assert main([command, "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"mharq: config.message_count: {count} messages do not fit in memory\n"
 
 
 def test_validate_markovian_verdict_follows_z(tmp_path, capsys):

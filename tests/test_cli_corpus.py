@@ -10,19 +10,38 @@ path of the six subcommands, including optimize-arq tables whose JSON key
 order differs from their column order (mu_10 sorts before mu_2) and whose
 infeasible rows carry violation texts.
 
+The corpus is the one registry of pinned output bytes: the window search's
+large tables, the finite-SNR sweeps, the equalized fixed split and the
+simulator's chunked runs are cases like any other.  A stdout of at most
+TEXT_LIMIT bytes is stored in full; a larger one as its md5 and line count.
+Each exit-0 table must also be what json.dumps or csv.writer would write for
+it, every validate verdict ok and every simulated message counted once.
+
 The expectations were recorded before the table writer became column-wise,
 so they hold it to the bytes the json and csv modules wrote.  To record
-them again from a checkout, run
+them again from a checkout, printing each moved, added or removed id, run
 
-    PYTHONPATH=src python tests/test_cli_corpus.py > tests/cli_corpus.json
+    PYTHONPATH=src python tests/test_cli_corpus.py record
+
+and to run every entry through an installed script as a subprocess, with
+every warning an error, run
+
+    python tests/test_cli_corpus.py check "$(command -v mharq)"
+
+which exits 1 and lists each id whose run moved.
 """
 
+import argparse
 import builtins
 import contextlib
+import csv
 import functools
 import hashlib
 import io
 import json
+import os
+import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -36,6 +55,8 @@ from oracles import compensated_builtin_sum
 GOLDEN = Path(__file__).with_name("cli_corpus.json")
 
 MODES = {"csv": [], "json": ["--format", "json"], "seed": ["--seed", "7"]}
+# a stdout past this many bytes is stored as its md5 and line count
+TEXT_LIMIT = 64 * 1024
 
 FINITE = {
     "topology": [4, 1, 3],
@@ -70,6 +91,23 @@ MARKOV = {
     "seed": 3,
 }
 ASYM = {"topology": [2, 2, 2], "protocol": "vbl", "total_window": 3, "rates": [0.5]}
+SIX_NODES = {
+    "topology": [2] * 6,
+    "budget": 18,
+    "snr_linear": 100.0,
+    "multiplexing_gain": 1.0,
+    "arrival_mean_blocks": 10.0,
+    "deadline_blocks": 25.0,
+}
+HUGE_SNR = {
+    "topology": [2, 2, 2],
+    "windows": [1, 1],
+    "snr_linear": 1e306,
+    "multiplexing_gain": 2.0,
+    "arrival_mean_blocks": 10.0,
+    "deadline_blocks": 25.0,
+    "message_count": 20000,
+}
 # one block past the windows cap; a window of 2**31 would make an unchecked
 # simulation allocate 16 GiB of round counts, so no case uses one
 HUGE_WINDOW = 10**6 + 1
@@ -188,6 +226,62 @@ CASES = [
             "protocol": "vbl",
             "total_window": 5,
             "rates": [0.25, 0.5],
+        },
+    ),
+    # a four-node VBL chain is its weakest three-node window, 38/11 at r = 1
+    (
+        "asym-vbl-weakest-window",
+        "dmdt-asymptotic",
+        {"topology": [2, 2, 2, 2], "protocol": "vbl", "total_window": 6, "rates": [0, 1]},
+    ),
+    # at power exponent g every cell is g * K(r / g) of the g = 1 kernel; the
+    # fixed columns pick their split at r / g
+    (
+        "asym-all-power",
+        "dmdt-asymptotic",
+        {
+            "topology": [4, 1, 3],
+            "protocol": "all",
+            "total_window": 4,
+            "power_exponent": 2,
+            "rates": [0, 1],
+        },
+    ),
+    # the total_window cap, where the short-term table keeps the bytes it had
+    # when the fixed split walked every pair
+    (
+        "asym-total-window-cap",
+        "dmdt-asymptotic",
+        {
+            "topology": [4, 4, 4],
+            "protocol": "all",
+            "channel": "short_term",
+            "total_window": 1000,
+            "rates": [0.5, 2],
+        },
+    ),
+    # the equalized fixed split is read off the curves' knots; JSON prints
+    # every float with repr, so these tables hold all the bits the bisection
+    # over the whole range gave
+    (
+        "asym-split-short-term",
+        "dmdt-asymptotic",
+        {
+            "topology": [4, 4, 4],
+            "protocol": "all",
+            "channel": "short_term",
+            "total_window": 10,
+            "rate_grid": {"start": 0, "step": 0.05},
+        },
+    ),
+    (
+        "asym-split-long-term",
+        "dmdt-asymptotic",
+        {
+            "topology": [4, 1, 3],
+            "protocol": "all",
+            "total_window": 4,
+            "rate_grid": {"start": 0, "step": 0.05},
         },
     ),
     ("asym-missing", "dmdt-asymptotic", {}),
@@ -357,6 +451,38 @@ CASES = [
             sweep={"axis": "total_window", "values": [1, 4]},
         ),
     ),
+    (
+        "finite-mg-known-tail",
+        "dmdt-finite",
+        dict(_drop(FINITE, "multiplexing_gain"), sweep=_mg_sweep([0.5, 1.0, 1.5])),
+    ),
+    # a total_window sweep reads every hop's tails from the process-wide tail
+    # cache, and a deadline sweep at long windows; both tables are the bytes
+    # the search printed when it computed every tail per call
+    (
+        "finite-total-window-long",
+        "dmdt-finite",
+        {
+            "topology": [4, 1, 3],
+            "snr_linear": 100.0,
+            "multiplexing_gain": 1.0,
+            "arrival_mean_blocks": 10.0,
+            "deadline_blocks": 25.0,
+            "sweep": {"axis": "total_window", "values": list(range(2, 61))},
+        },
+    ),
+    (
+        "finite-deadline-long-windows",
+        "dmdt-finite",
+        {
+            "topology": [4, 1, 3],
+            "windows": [40, 40],
+            "snr_linear": 100.0,
+            "multiplexing_gain": 1.0,
+            "arrival_mean_blocks": 10.0,
+            "sweep": {"axis": "deadline_blocks", "values": [5, 10, 25, 50, 100]},
+        },
+    ),
     ("finite-sweep-missing", "dmdt-finite", FINITE),
     ("finite-sweep-not-object", "dmdt-finite", dict(FINITE, sweep=[0.5])),
     (
@@ -522,6 +648,15 @@ CASES = [
             "deadline_blocks": 10.0,
         },
     ),
+    # the six-node budget-18 window search the benchmark runs: 8,568 rows
+    ("opt-six-nodes", "optimize-arq", SIX_NODES),
+    # the same chain at SNR 1 and gain 4: 8,525 of its rows are infeasible and
+    # carry a long violations cell
+    (
+        "opt-six-nodes-infeasible-heavy",
+        "optimize-arq",
+        dict(SIX_NODES, snr_linear=1.0, multiplexing_gain=4.0, arrival_mean_blocks=4.0),
+    ),
     ("opt-budget-short", "optimize-arq", dict(OPT, budget=1)),
     ("opt-budget-zero", "optimize-arq", dict(OPT, budget=0)),
     ("opt-budget-string", "optimize-arq", dict(OPT, budget="5")),
@@ -633,6 +768,72 @@ CASES = [
             message_count=50_000,
         ),
     ),
+    # 2e5 messages over four physical stages: six full tandem chunks and a
+    # ragged tail, every hop drops messages and the warmup ends inside the
+    # second chunk
+    (
+        "sim-physical-five-node-chunks",
+        "simulate",
+        dict(
+            SIM,
+            topology=[2, 1, 2, 2, 1, 3],
+            windows=[2, 3, 1, 2, 2],
+            snr_linear=3.0,
+            arrival_mean_blocks=6.0,
+            deadline_blocks=25.0,
+            message_count=200_000,
+            warmup_count=40_000,
+            seed=3,
+        ),
+    ),
+    # the queue's inputs are drawn a chunk ahead on a worker thread; 2e5
+    # messages span six full tandem chunks and a ragged tail
+    (
+        "sim-markovian-chunks",
+        "simulate",
+        {
+            "topology": [2, 2, 2, 2],
+            "windows": [2, 2, 2],
+            "snr_linear": 10.0,
+            "multiplexing_gain": 1.0,
+            "arrival_mean_blocks": 10.0,
+            "deadline_blocks": 25.0,
+            "message_count": 200_000,
+            "warmup_count": 1000,
+            "seed": 7,
+            "service_mode": "markovian",
+            "service_means": [2.5, 2.5, 5.5],
+        },
+    ),
+    # past SNR 1e307 a rank-2 pivot's a * b overflows; its log2 is then
+    # log2 a + log2 b, so the drops at 1e308 are those at 1e306
+    ("sim-snr-1e306", "simulate", HUGE_SNR),
+    ("sim-snr-1e308", "simulate", dict(HUGE_SNR, snr_linear=1e308)),
+    # a target rate near the largest float needs infinitely many rounds,
+    # which the window caps: every message is an outage drop
+    (
+        "sim-huge-gain",
+        "simulate",
+        dict(
+            _drop(SIM, "seed"),
+            topology=[4, 1, 3],
+            windows=[2, 3],
+            snr_linear=0.5,
+            multiplexing_gain=1e308,
+            deadline_blocks=25.0,
+        ),
+    ),
+    # arrival times that can pass the largest float are refused before
+    # anything is drawn
+    (
+        "sim-huge-arrival",
+        "simulate",
+        dict(
+            _drop(MARKOV, "warmup_count", "seed"),
+            arrival_mean_blocks=1e308,
+            message_count=2000,
+        ),
+    ),
     ("sim-missing", "simulate", _drop(SIM, "message_count", "windows")),
     (
         "sim-bad-choices",
@@ -682,6 +883,35 @@ CASES = [
         dict(MARKOV, message_count=50, warmup_count=0),
     ),
     ("val-markovian-thin", "validate", dict(MARKOV, message_count=5000)),
+    (
+        "val-physical-ostbc-chain",
+        "validate",
+        dict(
+            _drop(SIM, "seed"),
+            topology=[4, 1, 3],
+            windows=[2, 3],
+            snr_linear=3.0,
+            deadline_blocks=25.0,
+            message_count=20000,
+        ),
+    ),
+    # the analytic reference comes before the simulation: an unstable queue
+    # exits 3 at once, not after 2e6 messages
+    (
+        "val-unstable",
+        "validate",
+        {
+            "topology": [2, 2, 2, 2],
+            "windows": [2, 2, 2],
+            "snr_linear": 10.0,
+            "multiplexing_gain": 1.0,
+            "arrival_mean_blocks": 4.0,
+            "deadline_blocks": 25.0,
+            "message_count": 2_000_000,
+            "service_mode": "markovian",
+            "service_means": [2.5, 2.5, 5.5],
+        },
+    ),
     ("val-unknown", "validate", dict(SIM, workers=2)),
     (
         "val-window-above-cap",
@@ -691,29 +921,99 @@ CASES = [
 ]
 
 
-def run_case(command, config, mode):
-    """Exit code, stdout and stderr of one run of main on a config file."""
+def run_case(command, config, mode, script=None):
+    """Exit code, stdout and stderr of one run on a config file.
+
+    The run is mharq.cli.main in-process, or with script the named mharq
+    executable as a subprocess, from the config's directory and with every
+    warning an error.
+    """
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(config), encoding="utf-8")
+        argv = [command, "--config", str(path), *MODES[mode]]
+        if script is not None:
+            env = dict(os.environ, PYTHONWARNINGS="error")
+            run = subprocess.run([script, *argv], cwd=tmp, env=env, capture_output=True)
+            return run.returncode, run.stdout.decode(), run.stderr.decode()
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, "--config", str(path), *MODES[mode]])
+            code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
 
-def record():
-    golden = {}
-    for case, command, config in CASES:
+def stored(code, out, err):
+    """One run as the corpus stores it: stdout in full up to TEXT_LIMIT bytes,
+    a larger one as its md5 and line count."""
+    entry = {"exit": code, "stderr": err}
+    data = out.encode()
+    if len(data) <= TEXT_LIMIT:
+        return dict(entry, stdout=out)
+    return dict(
+        entry, stdout_md5=hashlib.md5(data).hexdigest(), stdout_lines=out.count("\n")
+    )
+
+
+def runs(cases=CASES, script=None):
+    """(corpus id, stored run) of every mode of each case."""
+    for case, command, config in cases:
         for mode in MODES:
-            code, out, err = run_case(command, config, mode)
-            golden[f"{case}-{mode}"] = {"exit": code, "stderr": err, "stdout": out}
-    return golden
+            yield f"{case}-{mode}", stored(*run_case(command, config, mode, script))
 
 
 @functools.cache
 def golden():
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def record():
+    """Rewrite the corpus from this checkout; print each moved, added or removed id."""
+    old = golden()
+    new = dict(runs())
+    for key in sorted(old.keys() | new.keys()):
+        if key not in new:
+            print("removed", key)
+        elif key not in old:
+            print("added", key)
+        elif old[key] != new[key]:
+            print("moved", key)
+    GOLDEN.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    return 0
+
+
+def check(script):
+    """Run every entry through an installed mharq; 1 if any run moved."""
+    moved = [key for key, run in runs(script=script) if run != golden()[key]]
+    for key in moved:
+        print("moved", key)
+    print(f"{len(golden()) - len(moved)} of {len(golden())} entries keep their bytes")
+    return 1 if moved else 0
+
+
+def check_table(command, mode, out):
+    """The writer and count properties of one exit-0 table."""
+    if mode == "json":
+        # the JSON table is written by hand, column by column
+        doc = json.loads(out)
+        assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        rows = doc["rows"]
+    else:
+        # the CSV rows are cells joined by commas, with csv.writer only for
+        # blocks that need quoting
+        head, body = out.split("\n", 1)
+        assert head.startswith("# tool=mharq ")
+        cells = list(csv.reader(io.StringIO(body)))
+        written = io.StringIO()
+        csv.writer(written, lineterminator="\n").writerows(cells)
+        assert written.getvalue() == body
+        rows = (dict(zip(cells[0], row)) for row in cells[1:])
+    if command == "validate":
+        assert {row["verdict"] for row in rows} == {"ok"}
+    if command == "simulate":
+        # every analyzed message is delivered or dropped, once
+        metric = {row["metric"]: float(row["value"]) for row in rows}
+        kept = ("delivered", "outage_drops", "deadline_drops")
+        assert metric["analyzed"] == sum(metric[key] for key in kept)
 
 
 def test_corpus_covers_every_subcommand_and_case():
@@ -735,44 +1035,37 @@ def test_corpus_covers_every_subcommand_and_case():
     assert {
         command for case, command, _ in CASES if golden()[f"{case}-csv"]["exit"] == 0
     } == commands
+    # the size rule: text up to TEXT_LIMIT bytes, md5 and line count past it
+    # (test_corpus stores each live run by the same rule, so an md5 entry
+    # whose table shrank below the limit fails there)
+    for key, want in golden().items():
+        if "stdout" in want:
+            assert want.keys() == {"exit", "stderr", "stdout"}, key
+            assert len(want["stdout"].encode()) <= TEXT_LIMIT, key
+        else:
+            assert want.keys() == {"exit", "stderr", "stdout_md5", "stdout_lines"}, key
+            assert re.fullmatch("[0-9a-f]{32}", want["stdout_md5"]), key
+            assert want["stdout_lines"] > 0, key
 
 
 @pytest.mark.parametrize("mode", list(MODES))
 @pytest.mark.parametrize("case", CASES, ids=[case[0] for case in CASES])
 def test_corpus(case, mode):
     name, command, config = case
-    want = golden()[f"{name}-{mode}"]
     code, out, err = run_case(command, config, mode)
-    assert code == want["exit"]
-    assert err == want["stderr"]
-    assert out == want["stdout"]
+    assert stored(code, out, err) == golden()[f"{name}-{mode}"]
+    if code == 0:
+        check_table(command, mode, out)
 
 
-# the six-node budget-18 window search the benchmark runs, and the md5s of its
-# optimize-arq tables
-SIX_NODES = {
-    "topology": [2] * 6,
-    "budget": 18,
-    "snr_linear": 100.0,
-    "multiplexing_gain": 1.0,
-    "arrival_mean_blocks": 10.0,
-    "deadline_blocks": 25.0,
-}
-SIX_NODE_MD5 = {
-    "csv": "5c54c245c82419788c3b486458b9c1b6",
-    "json": "b93d0a819a600fd7e226090cf2b3c378",
-}
-# the same chain at SNR 1 and gain 4: 8,525 of its 8,568 rows are infeasible,
-# so most rows carry a long violations cell
-INFEASIBLE_HEAVY = dict(
-    SIX_NODES, snr_linear=1.0, multiplexing_gain=4.0, arrival_mean_blocks=4.0
-)
-INFEASIBLE_HEAVY_MD5 = {
-    "csv": "92708578336edc99b20226afc35ff3ca",
-    "json": "975b68fab194b937fee2c564e7bb54e0",
-}
 # the corpus cases Python 3.12's compensated sum() would move
-SUM_CASES = ("opt-ten-hops", "opt-stage-violations", "opt-hop-and-stage-violations")
+SUM_CASES = (
+    "opt-ten-hops",
+    "opt-stage-violations",
+    "opt-hop-and-stage-violations",
+    "opt-six-nodes",
+    "opt-six-nodes-infeasible-heavy",
+)
 
 
 def test_window_search_bytes_do_not_follow_the_builtin_sum():
@@ -781,25 +1074,16 @@ def test_window_search_bytes_do_not_follow_the_builtin_sum():
     cases = [case for case in CASES if case[0] in SUM_CASES]
     assert len(cases) == len(SUM_CASES)
     with mock.patch.object(builtins, "sum", compensated_builtin_sum):
-        runs = {
-            f"{name}-{mode}": run_case(command, config, mode)
-            for name, command, config in cases
-            for mode in MODES
-        }
-        pinned = [(SIX_NODES, SIX_NODE_MD5), (INFEASIBLE_HEAVY, INFEASIBLE_HEAVY_MD5)]
-        tables = {
-            (fmt, md5): run_case("optimize-arq", config, fmt)
-            for config, md5s in pinned
-            for fmt, md5 in md5s.items()
-        }
-    for key, (code, out, err) in runs.items():
-        want = golden()[key]
-        assert (code, err, out) == (want["exit"], want["stderr"], want["stdout"])
-    for (fmt, md5), (code, out, err) in tables.items():
-        assert (code, err) == (0, "")
-        assert hashlib.md5(out.encode()).hexdigest() == md5
+        moved = [key for key, run in runs(cases) if run != golden()[key]]
+    assert moved == []
 
 
 if __name__ == "__main__":
-    json.dump(record(), sys.stdout, indent=1, sort_keys=True)
-    sys.stdout.write("\n")
+    parser = argparse.ArgumentParser(description="Re-record or check the CLI corpus.")
+    verbs = parser.add_subparsers(dest="verb", required=True)
+    verbs.add_parser("record", help="rewrite the corpus from this checkout")
+    verbs.add_parser("check", help="run every entry through a mharq script").add_argument(
+        "script", help="path of the installed mharq executable"
+    )
+    args = parser.parse_args()
+    sys.exit(record() if args.verb == "record" else check(args.script))

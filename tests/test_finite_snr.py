@@ -7,9 +7,6 @@ independent engine; see the module docstrings for the closed forms.
 import builtins
 import contextlib
 import functools
-import hashlib
-import io
-import json
 import math
 import pickle
 import re
@@ -47,7 +44,6 @@ from mharq.finite_snr import (
     optimize_windows,
     per_hop_outage,
 )
-from mharq.cli import main
 from mharq.netsim import SimConfig
 from mharq.numerics import regularized_lower_gamma
 from mharq.tradeoff import AntennaPair, ChannelAssumption, FixedArq, Topology
@@ -60,6 +56,7 @@ from oracles import (
     finite_multiplexing,
     plain_sum,
 )
+from test_cli_corpus import CASES, golden, run_case, stored
 
 HOP1 = AntennaPair(4, 1)
 HOP2 = AntennaPair(1, 3)
@@ -825,51 +822,26 @@ def test_tail_cache_hands_out_copies(cold_tails):
     assert _block_tails(HOP1, 6, SC_20DB) == block_tails(HOP1, 6, SC_20DB)
 
 
-# the dmdt-finite total_window sweep of (4,1,3) at SNR 100 over budgets 2..60,
-# and a deadline sweep at windows [40, 40], with the md5s of their CSV and
-# JSON tables as the search printed them when it rebuilt every tail per call
-TOTAL_WINDOW_SWEEP = {
-    "topology": [4, 1, 3],
-    "snr_linear": 100.0,
-    "multiplexing_gain": 1.0,
-    "arrival_mean_blocks": 10.0,
-    "deadline_blocks": 25.0,
-    "sweep": {"axis": "total_window", "values": list(range(2, 61))},
+# the corpus cases of a dmdt-finite total_window sweep of (4,1,3) at SNR 100
+# over budgets 2..60 and of a deadline sweep at windows [40, 40], with the
+# longest window of each; the corpus holds their tables as the search printed
+# them when it rebuilt every tail per call
+SWEEPS = {
+    "total_window": ("finite-total-window-long", 59),
+    "deadline": ("finite-deadline-long-windows", 40),
 }
-DEADLINE_SWEEP = {
-    "topology": [4, 1, 3],
-    "windows": [40, 40],
-    "snr_linear": 100.0,
-    "multiplexing_gain": 1.0,
-    "arrival_mean_blocks": 10.0,
-    "sweep": {"axis": "deadline_blocks", "values": [5, 10, 25, 50, 100]},
-}
-SWEEP_MD5 = {
-    "total_window": {
-        "csv": "91f713a6a85c9072d95a718645c69da8",
-        "json": "86169d0e1c4eb972f9534933ee2644e7",
-    },
-    "deadline": {
-        "csv": "a74b4fb32bc93a14c4d1e05151fdb431",
-        "json": "e4728c2aa37a41e4f35ed8a6dcdff135",
-    },
-}
+CORPUS_CONFIGS = {case: config for case, _, config in CASES}
 
 
 @pytest.mark.parametrize(
     "name, config, longest",
-    [("total_window", TOTAL_WINDOW_SWEEP, 59), ("deadline", DEADLINE_SWEEP, 40)],
+    [(name, CORPUS_CONFIGS[case], longest) for name, (case, longest) in SWEEPS.items()],
 )
-def test_sweep_computes_each_tail_once(
-    tmp_path, cold_tails, gamma_calls, name, config, longest
-):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config), encoding="utf-8")
-    for fmt, md5 in SWEEP_MD5[name].items():
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert main(["dmdt-finite", "--config", str(path), "--format", fmt]) == 0
-        assert hashlib.md5(out.getvalue().encode()).hexdigest() == md5
+def test_sweep_computes_each_tail_once(cold_tails, gamma_calls, name, config, longest):
+    case = SWEEPS[name][0]
+    for mode in ("csv", "json"):
+        run = stored(*run_case("dmdt-finite", config, mode))
+        assert run == golden()[f"{case}-{mode}"]
     # the CSV run computes every tail of both pairs once; the JSON run reads
     # them: 2 x 59 gamma tails for the total_window sweep, not 3,540
     assert len(gamma_calls) == 2 * longest
