@@ -16,8 +16,9 @@ for the special antenna families serve as independent oracles for it.
 
 Every kernel evaluates the Zheng-Tse curve of a hop through
 tradeoff._d_scalar on its corner diversities, held as a tuple of Python
-floats (tradeoff._curve), so the module runs on plain float arithmetic and
-needs no numpy.
+floats (tradeoff._curve), or through the same expression on the curve's
+precomputed pieces (the short-term hop tables), so the module runs on plain
+float arithmetic and needs no numpy.
 """
 
 from __future__ import annotations
@@ -358,25 +359,55 @@ def _partial_round_costs(
     fades).  Even spreading over the whole rounds is optimal (the curve is
     convex), and the remaining one-dimensional minimum over y sits at a knot
     of either piecewise-linear term, so only knots and endpoints are tried.
+
+    d is _d_scalar on the curve's (lo, slope) pieces, formed once a call,
+    and the terms that depend on m alone are formed once per m; every value
+    has the bits of _d_scalar's per-tau evaluation (tests/oracles.py).
     """
-    d = _d_scalar
-    knots = [d(curve, float(k)) for k in range(min_dim + 1)]
+    top, d0 = len(curve) - 1, curve[0]
+    pieces = [(curve[j], curve[j + 1] - curve[j]) for j in range(top)]
+
+    def d(s: float) -> float:
+        if s >= top:
+            return 0.0
+        if s <= 0.0:
+            return d0
+        j = int(s)
+        lo, slope = pieces[j]
+        return lo + (s - j) * slope
+
+    knots = [d(float(k)) for k in range(min_dim + 1)]
+    dim = float(min_dim)
+    rounds = {}  # m -> (the y = 0 candidate, (k, r - m*k, d(k)) for each knot k)
     costs = {}
     for tau in taus:
+        if tau <= 0.0:
+            costs[tau] = 0.0
+            continue
         f = tau - math.floor(tau) or 1.0  # a whole tau ends on a full round
         m = math.ceil(tau) - 1
-        ycap = min(float(min_dim), r / f) if r > 0.0 else 0.0
-        best = d(curve, ycap)  # m = 0: the final round carries all of r
+        ycap = min(dim, r / f) if r > 0.0 else 0.0
+        best = d(ycap)  # m = 0: the final round carries all of r
         if m > 0:  # y = ycap, y = 0, then the knots of d(y) and of d((r - f*y)/m)
-            best += m * d(curve, (r - f * ycap) / m)
-            best = min(best, m * d(curve, r / m) + knots[0])
-            for k in range(1, min_dim + 1):
+            if m not in rounds:
+                rounds[m] = m * d(r / m) + knots[0], [
+                    (k, r - m * k, knots[k]) for k in range(1, min_dim + 1)
+                ]
+            at_zero, triples = rounds[m]
+            best += m * d((r - f * ycap) / m)
+            if at_zero < best:
+                best = at_zero
+            for k, rest, dk in triples:
                 if k < ycap:
-                    best = min(best, m * d(curve, (r - f * k) / m) + knots[k])
-                y = (r - m * k) / f  # k = 0 would give r / f >= ycap
+                    c = m * d((r - f * k) / m) + dk
+                    if c < best:
+                        best = c
+                y = rest / f  # k = 0 would give r / f >= ycap
                 if 0.0 < y < ycap:
-                    best = min(best, m * d(curve, (r - f * y) / m) + d(curve, y))
-        costs[tau] = 0.0 if tau <= 0.0 else best
+                    c = m * d((r - f * y) / m) + d(y)
+                    if c < best:
+                        best = c
+        costs[tau] = best
     return costs
 
 
@@ -387,12 +418,16 @@ def _kink_fractions(min_dim: int, r: float, m: int) -> set[float]:
     (r - f*y)/m or (r - m*k)/f, crosses an integer knot: f = (r - m*a)/b,
     a = 0..min_dim, b = 1..min_dim.  Each m + f is a key of the hop's table,
     the {tau: cost} of its curve that one call builds and then drops; the
-    sets themselves are kept per (min_dim, m) for that call (_vbl_short_term).
+    sets themselves are kept per min_dim, in m order, for that call
+    (_vbl_short_term).
     """
     fracs = set()
     for a in range(min_dim + 1):
+        rest = r - m * a
+        if not rest > 0.0:  # nonincreasing in a: no f > 0 from here on
+            break
         for b in range(1, min_dim + 1):
-            f = (r - m * a) / b
+            f = rest / b
             if 0.0 < f < 1.0:
                 fracs.add(f)
     return fracs
@@ -410,27 +445,30 @@ def _vbl_short_term(
 
     A hop's cost at tau depends on its curve and r alone: tables maps each
     curve to its table {tau: cost}, filled here with the taus it lacks, and
-    each min_dim to its kink sets {m: _kink_fractions}.  A public call makes
-    its tables at one r and drops them when it returns, so the hops, windows
-    and budgets of that call that share a curve or a min_dim share them.
+    each min_dim to its kink sets, the list of _kink_fractions for
+    m = 0, 1, ...  A public call makes its tables at one r and drops them
+    when it returns, so the hops, windows and budgets of that call that
+    share a curve or a min_dim share them.
     """
     L = int(total_rounds)
-
-    def kinks(min_dim: int, m: int) -> set[float]:
-        sets = tables.setdefault(min_dim, {})
-        if m not in sets:
-            sets[m] = _kink_fractions(min_dim, r, m)
-        return sets[m]
+    kinks = []
+    for dim in (hop1.min_dim, hop2.min_dim):
+        sets = tables.setdefault(dim, [])
+        sets.extend(_kink_fractions(dim, r, m) for m in range(len(sets), L))
+        kinks.append(sets)
+    kinks1, kinks2 = kinks
 
     taus = {float(t) for t in range(L + 1)}
     for m in range(L):
-        taus.update(m + f for f in kinks(hop1.min_dim, m))
-        taus.update(L - m - f for f in kinks(hop2.min_dim, m))
+        taus.update([m + f for f in kinks1[m]])
+        taus.update([L - m - f for f in kinks2[m]])
+    costs = []
     for hop, need in ((hop1, taus), (hop2, {L - tau for tau in taus})):
         curve = _curve(hop)
         table = tables.setdefault(curve, {})
         table.update(_partial_round_costs(curve, hop.min_dim, r, need - table.keys()))
-    cost1, cost2 = tables[_curve(hop1)], tables[_curve(hop2)]
+        costs.append(table)
+    cost1, cost2 = costs
     return min(cost1[tau] + cost2[L - tau] for tau in taus)
 
 

@@ -548,8 +548,8 @@ class WindowOptimum:
 def _composition_matrix(n_hops: int, budget: int) -> np.ndarray:
     """Every n_hops-tuple of windows >= 1 with sum <= budget, lexicographically.
 
-    The C(budget, n_hops) rows come as an intp matrix, built one window
-    column at a time.  A prefix of windows has spent some of the
+    The C(budget, n_hops) rows come as a column-major intp matrix, built
+    one window column at a time.  A prefix of windows has spent some of the
     budget - n_hops blocks left once every hop has one; its next window runs
     from 1 to one more than what is still left, and each prefix row is
     repeated once per value, in order, so the rows stay sorted.
@@ -567,7 +567,7 @@ def _composition_matrix(n_hops: int, budget: int) -> np.ndarray:
         columns = [np.repeat(column, counts) for column in columns]
         columns.append(window)
         used = np.repeat(used, counts) + window - 1
-    return np.column_stack(columns)
+    return np.array(columns).T
 
 
 def _row_sums(matrix: np.ndarray) -> np.ndarray:
@@ -623,11 +623,15 @@ def evaluate_windows(
     # whole-block means of windows 1..longest, as in mean_service_time
     pair_mean = {pair: _window_means(tail[:-1]) for pair, tail in pair_tail.items()}
 
-    # one column per hop, indexed by window - 1; every expression below is
-    # the IEEE arithmetic the scalar definitions do, so the bits match them
-    picks = (np.arange(n_hops), windows - 1)
-    means = np.array([pair_mean[pair] for pair in pairs])[picks]
-    tails = np.array([pair_tail[pair] for pair in pairs])[picks]
+    # one column per hop, taken from its pair's table at window - 1 and held
+    # column-major, as every reader below reads by column; every expression
+    # is the IEEE arithmetic the scalar definitions do, so the bits match them
+    means = np.empty((n_hops, len(windows))).T
+    tails = np.empty_like(means)
+    for h, pair in enumerate(pairs):
+        picks = windows[:, h] - 1
+        np.take(pair_mean[pair], picks, out=means[:, h])
+        np.take(pair_tail[pair], picks, out=tails[:, h])
     p_outage = np.minimum(_row_sums(tails), 1.0)
     stages = _stage_means(means)
     hop_over = means > arrival

@@ -18,6 +18,7 @@ import mharq.asymptotic as asymptotic
 import oracles
 from mharq.asymptotic import (
     _equalized_split,
+    _kink_fractions,
     _partial_round_costs,
     fbl_dmdt_3node,
     fixed_dmdt_3node,
@@ -485,6 +486,12 @@ def _per_tau_chain(topo, L, r):
 )
 # the minimum sits where the whole rounds reach a knot: y = (r - m*k)/f
 @example(pair=AntennaPair(2, 2), r=5.0, taus=[14.0 / 3.0])
+@example(pair=AntennaPair(3, 4), r=math.inf, taus=[0.0, 0.5, 1.0, 2.5, 3.0])
+# r/f == min_dim exactly: ycap is min_dim and r/f both
+@example(pair=AntennaPair(4, 4), r=2.0, taus=[0.5, 2.5])
+# a sliver of a final round: f = 2**-40, after three whole rounds and after none
+@example(pair=AntennaPair(3, 2), r=2.5, taus=[3.0 + 2.0**-40, 2.0**-40])
+@example(pair=AntennaPair(4, 3), r=1.5, taus=[0.0])
 @settings(max_examples=300, deadline=None)
 def test_partial_round_costs_match_per_tau_oracle(pair, r, taus):
     curve = _curve(pair)
@@ -523,6 +530,20 @@ def test_vbl_short_term_matches_per_tau_oracle(antennas, L, r):
     assert got.hex() == per_tau_vbl_short_term(topo.hop(0), topo.hop(1), L, r).hex()
 
 
+@given(
+    min_dim=st.integers(1, 8),
+    r=_ST_RATES | st.sampled_from([5e-324, 1e-300]),
+    m=st.integers(0, 40),
+)
+@example(min_dim=2, r=5e-324, m=0)  # 5e-324 / 2 rounds to 0, which is no fraction
+@example(min_dim=4, r=2.0, m=1)  # r - m*a reaches 0 at a = 2
+@settings(max_examples=200, deadline=None)
+def test_kink_fractions_are_the_full_double_loop(min_dim, r, m):
+    # the loop stops once r - m*a <= 0, and drops no f of the full loop
+    every = {(r - m * a) / b for a in range(min_dim + 1) for b in range(1, min_dim + 1)}
+    assert _kink_fractions(min_dim, r, m) == {f for f in every if 0.0 < f < 1.0}
+
+
 def test_short_term_kink_sets_are_formed_once_per_call(monkeypatch):
     # (4, 4, 4) at L = 10 over the 81 rates of the benchmark's 0.05 grid: one
     # set per whole-round count m and per call, for both hops' min_dim of 4
@@ -540,6 +561,23 @@ def test_short_term_kink_sets_are_formed_once_per_call(monkeypatch):
         got = vbl_dmdt_3node(topo, 10, r, ST)
         assert got.hex() == per_tau_vbl_short_term(topo.hop(0), topo.hop(1), 10, r).hex()
     assert calls[0] <= 810
+
+
+def test_short_term_tables_cost_no_more_taus(monkeypatch):
+    # the same 81 calls: the taus the hop tables cost, 7,354 in all, bound the
+    # kernel's work; a candidate set that grows moves this count
+    taus = [0]
+    real = asymptotic._partial_round_costs
+
+    def counted(curve, min_dim, r, need):
+        taus[0] += len(need)
+        return real(curve, min_dim, r, need)
+
+    monkeypatch.setattr(asymptotic, "_partial_round_costs", counted)
+    topo = Topology((4, 4, 4))
+    for i in range(81):
+        vbl_dmdt_3node(topo, 10, round(0.05 * i, 10), ST)
+    assert taus[0] <= 7354
 
 
 @given(
