@@ -5,7 +5,7 @@ The package splits into analysis layers that build on each other:
 - tradeoff: antenna/topology/protocol types and the single-hop tradeoff
 - asymptotic: high-SNR tradeoff curves of relay chains under ARQ
 - finite_snr: outage, service times, deadline tails, window optimization
-- netsim: Monte Carlo fading and queueing simulation
+- netsim: fading and queueing Monte Carlo; validation_references, validation_checks
 - numerics: the incomplete gamma and the unit-box grid search underneath
 - cli: the mharq command built on all of the above
 

@@ -38,17 +38,15 @@ from .finite_snr import (
     FiniteSnrScenario,
     UnstableQueueError,
     WindowInfeasibleError,
-    deadline_exponent,
     evaluate_windows,
     optimize_windows,
-    per_hop_outage,
 )
 from .netsim import (
     SERVICE_MODES,
     SimConfig,
-    TailFitError,
-    estimate_delay_exponent,
     run_network_sim,
+    validation_checks,
+    validation_references,
 )
 from .tradeoff import AntennaPair, ChannelAssumption, FixedArq, Topology, dmt
 
@@ -819,75 +817,13 @@ def _run_validate(config: dict, seed_override: int | None) -> _Table:
                 "long_term fading; simulate short_term without validate"
             ]
         )
-    topo = sim_cfg.topology
-    scenario = sim_cfg.scenario
-    arrival, _ = scenario.require_queueing()
-    # the analytic references come first, so a refused one exits before the
-    # simulation runs
-    if physical:
-        code_model = sim_cfg.code_model
-        per_hop_ana = tuple(
-            per_hop_outage(topo.hop(i), float(w), scenario, code_model=code_model)
-            for i, w in enumerate(sim_cfg.protocol.windows)
-        )
-        # 1 - prod(1 - p) in logs, so outages below the rounding of 1 - p count
-        survive = math.fsum(math.log1p(-p) for p in per_hop_ana if p < 1.0)
-        total_ana = 1.0 if 1.0 in per_hop_ana else -math.expm1(survive)
-    else:
-        theta = deadline_exponent(sim_cfg.hop_service_means(), arrival)
+    # the references come first, so a refused one exits before simulating
+    references = validation_references(sim_cfg)
     result = _simulate(sim_cfg)
-
-    # (name, analytic, empirical, samples, sigma)
-    checks: list[tuple[str, float, float, int, float]] = []
-    if physical:
-        names = [f"outage_hop_{i + 1}" for i in range(topo.n_hops)] + ["outage_total"]
-        drops = (*result.per_hop_outage_drops, result.outage_drops)
-        samples = (*result.per_hop_attempts, result.analyzed)
-        for name, ana, k, n in zip(names, (*per_hop_ana, total_ana), drops, samples):
-            sigma = math.sqrt(ana * (1.0 - ana) / n) if n > 0 and 0.0 < ana < 1.0 else 0.0
-            checks.append((name, ana, k / n if n else math.nan, n, sigma))
-    else:
-        # the analytic tail and the simulated sojourn share an exponent but
-        # not a prefactor, so the check compares decay rates
-        delays = result.delays
-        if delays.size < 60:
-            raise ConfigError(
-                ["config.message_count: too few delays to fit the tail exponent"]
-            )
-        # the fit's batch stderr needs the delays in arrival order; the grid
-        # ends come from a sorted copy, which the quantile partitions once hi is read
-        ranked = np.sort(delays)
-        hi = float(ranked[-100]) if ranked.size >= 100 else float(ranked[-60])
-        lo = float(np.quantile(ranked, 0.9, overwrite_input=True))
-        if hi <= lo:
-            raise ConfigError(
-                ["config.message_count: delay tail too thin to fit an exponent"]
-            )
-        try:
-            try:
-                fit = estimate_delay_exponent(delays, list(np.linspace(lo, hi, 8)))
-            except TailFitError as exc:
-                top = exc.largest_usable
-                if top is None or top <= lo:
-                    raise
-                # the fit's conditions hold at every deadline below a usable
-                # one, so a grid ending at the largest usable deadline fits
-                fit = estimate_delay_exponent(delays, list(np.linspace(lo, top, 8)))
-        except ValueError as exc:
-            raise ConfigError([f"config.message_count: {exc}"]) from exc
-        # sigma is the fit's batch-jackknife stderr, which tracks the spread
-        # across seeds, so the verdict is the |z| <= 4 rule of the outage rows
-        checks.append(("delay_exponent", theta, fit.exponent, delays.size, fit.stderr))
-
-    rows = []
-    for name, ana, emp, n, sigma in checks:
-        if n == 0:  # no message reached the hop: nothing to compare
-            z, verdict = math.nan, "no_samples"
-        else:
-            z = (emp - ana) / sigma if sigma > 0.0 else 0.0 if emp == ana else math.inf
-            verdict = "ok" if abs(z) <= 4.0 else "mismatch"
-        rows.append([name, ana, emp, n, sigma, z, verdict])
-
+    try:
+        rows = validation_checks(sim_cfg, references, result)
+    except ValueError as exc:
+        raise ConfigError([f"config.message_count: {exc}"]) from exc
     columns = ["check", "analytic", "empirical", "samples", "sigma", "z_score", "verdict"]
     meta = {"note": "z compares the empirical rate against the analytic model"}
     return _Table(columns, list(zip(*rows)), meta, sim_cfg.seed)

@@ -50,7 +50,9 @@ from .finite_snr import (
     _row_sums,
     _stage_means,
     _target_base,
+    deadline_exponent,
     mean_service_time,
+    per_hop_outage,
 )
 from .tradeoff import ChannelAssumption, FixedArq, Topology
 
@@ -62,6 +64,9 @@ __all__ = [
     "TailFitError",
     "run_network_sim",
     "estimate_delay_exponent",
+    "validation_references",
+    "validation_checks",
+    "verdict",
 ]
 
 SERVICE_MODES = ("physical", "markovian")
@@ -769,3 +774,72 @@ def estimate_delay_exponent(
         exceedance_counts=tuple(counts),
         r_squared=r_sq,
     )
+
+
+def validation_references(config: SimConfig) -> tuple[tuple[str, float], ...]:
+    """(check name, analytic value) of each check, formed before any simulation.
+
+    Physical mode: each hop's outage and outage_total = 1 - prod(1 - p), in
+    logs so outages below the rounding of 1 - p count.  Markovian mode: the
+    delay_exponent.  Raises UnstableQueueError for an unstable queue.
+    """
+    if config.service_mode != "physical":
+        arrival, _ = config.scenario.require_queueing()
+        return (("delay_exponent", deadline_exponent(config.hop_service_means(), arrival)),)
+    scenario, code = config.scenario, config.code_model
+    outages = [
+        per_hop_outage(config.topology.hop(i), float(w), scenario, code_model=code)
+        for i, w in enumerate(config.protocol.windows)
+    ]
+    survive = math.fsum(math.log1p(-p) for p in outages if p < 1.0)
+    total = 1.0 if 1.0 in outages else 0.0 - math.expm1(survive)  # +0, not -0, at no outage
+    hops = [(f"outage_hop_{h}", p) for h, p in enumerate(outages, 1)]
+    return (*hops, ("outage_total", total))
+
+
+def validation_checks(
+    config: SimConfig, references: Sequence[tuple[str, float]], result: SimResult
+) -> list[tuple[str, float, float, int, float, float, str]]:
+    """Rows (check, analytic, empirical, samples, sigma, z_score, verdict).
+
+    An outage's sigma is binomial, sqrt(p (1 - p) / n).  The delay tail shares the
+    analytic exponent, not its prefactor, so the exponent is fit on 8 deadlines from
+    the 0.9 quantile to the 100th largest delay (again up to the largest usable one
+    a TailFitError names); sigma is its jackknife stderr.  Thin tails: ValueError.
+    """
+    if config.service_mode == "physical":
+        drops = (*result.per_hop_outage_drops, result.outage_drops)
+        samples = (*result.per_hop_attempts, result.analyzed)
+        checks = []
+        for (name, p), k, n in zip(references, drops, samples):
+            sigma = math.sqrt(p * (1.0 - p) / n) if n > 0 and 0.0 < p < 1.0 else 0.0
+            checks.append((name, p, k / n if n else math.nan, n, sigma))
+    else:
+        delays = result.delays
+        if delays.size < 60:
+            raise ValueError("too few delays to fit the tail exponent")
+        # the fit's batch stderr needs the delays in arrival order; the grid
+        # ends come from a sorted copy, which the quantile partitions once hi is read
+        ranked = np.sort(delays)
+        hi = float(ranked[-100]) if ranked.size >= 100 else float(ranked[-60])
+        lo = float(np.quantile(ranked, 0.9, overwrite_input=True))
+        if hi <= lo:
+            raise ValueError("delay tail too thin to fit an exponent")
+        try:
+            fit = estimate_delay_exponent(delays, list(np.linspace(lo, hi, 8)))
+        except TailFitError as exc:
+            # the fit's conditions hold at every deadline below a usable
+            # one, so a grid ending at the largest usable deadline fits
+            if exc.largest_usable is None or exc.largest_usable <= lo:
+                raise
+            fit = estimate_delay_exponent(delays, list(np.linspace(lo, exc.largest_usable, 8)))
+        checks = [(*references[0], fit.exponent, delays.size, fit.stderr)]
+    return [(*check, *verdict(*check[1:])) for check in checks]
+
+
+def verdict(ana: float, emp: float, n: int, sigma: float) -> tuple[float, str]:
+    """(z_score, verdict): no_samples at n = 0, else ok iff |z| <= 4, else mismatch."""
+    if n == 0:
+        return math.nan, "no_samples"
+    z = (emp - ana) / sigma if sigma > 0.0 else 0.0 if emp == ana else math.inf
+    return z, "ok" if abs(z) <= 4.0 else "mismatch"

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 import mharq.cli as cli
 import mharq.finite_snr as finite_snr
+import mharq.netsim as netsim
 from mharq.asymptotic import (
     fbl_dmdt_3node,
     fixed_dmdt_3node,
@@ -1046,7 +1047,7 @@ MARKOV_VALIDATE = {
 def spy_on_tail_fits(monkeypatch):
     """Record every deadline grid validate fits and what each fit raised."""
     fits = []
-    fit = cli.estimate_delay_exponent
+    fit = netsim.estimate_delay_exponent
 
     def recording(delays, grid):
         fits.append([list(grid), None])
@@ -1056,7 +1057,7 @@ def spy_on_tail_fits(monkeypatch):
             fits[-1][1] = exc
             raise
 
-    monkeypatch.setattr(cli, "estimate_delay_exponent", recording)
+    monkeypatch.setattr(netsim, "estimate_delay_exponent", recording)
     return fits
 
 

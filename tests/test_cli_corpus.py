@@ -895,6 +895,21 @@ CASES = [
             message_count=20000,
         ),
     ),
+    # at multiplexing gain 0 no hop is ever in outage, and the total prints
+    # 0, not -0
+    (
+        "val-zero-outage",
+        "validate",
+        {
+            "topology": [1, 1, 1],
+            "windows": [1, 1],
+            "snr_linear": 10,
+            "multiplexing_gain": 0,
+            "arrival_mean_blocks": 10,
+            "deadline_blocks": 25,
+            "message_count": 2000,
+        },
+    ),
     # the analytic reference comes before the simulation: an unstable queue
     # exits 3 at once, not after 2e6 messages
     (

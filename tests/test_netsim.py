@@ -1,18 +1,23 @@
 """Simulator determinism, accounting identities, and tail fitting."""
 
 import dataclasses
+import json
 import math
+import os
 import pickle
 import statistics
+import subprocess
 import sys
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mharq.netsim as netsim
+from mharq.cli import main
 from mharq.finite_snr import (
     FiniteSnrScenario,
     _code_rate,
@@ -25,6 +30,9 @@ from mharq.netsim import (
     TailFitError,
     estimate_delay_exponent,
     run_network_sim,
+    validation_checks,
+    validation_references,
+    verdict,
 )
 from mharq.tradeoff import AntennaPair, ChannelAssumption, FixedArq, Topology
 from oracles import (
@@ -928,3 +936,105 @@ def test_sim_config_at_half_the_time_bound_runs_without_warning():
     # the queue is all but empty: no message misses the deadline
     assert result.p_deadline == 0.0
     assert 1.0 <= result.delays.mean() < 10.0
+
+
+# ---------------------------------------------------------------------------
+# validate's checks as a library
+
+# (SimConfig, the same run as a validate config): the corpus case
+# val-physical-ostbc and a markovian two-hop chain of given stage means
+VALIDATE_RUNS = [
+    (
+        config(),
+        {
+            "topology": [1, 1],
+            "windows": [2],
+            "snr_linear": 1.0,
+            "multiplexing_gain": 1.0,
+            "arrival_mean_blocks": 10.0,
+            "deadline_blocks": 60.0,
+            "message_count": 5000,
+            "code_model": "ostbc",
+            "seed": 0,
+        },
+    ),
+    (
+        config(
+            topology=Topology([4, 1, 3]),
+            protocol=FixedArq([2, 3]),
+            scenario=scenario(snr=100.0, deadline=25.0),
+            message_count=20000,
+            warmup_count=500,
+            seed=3,
+            service_mode="markovian",
+            service_means=(2.5, 2.5),
+        ),
+        {
+            "topology": [4, 1, 3],
+            "windows": [2, 3],
+            "snr_linear": 100.0,
+            "multiplexing_gain": 1.0,
+            "arrival_mean_blocks": 10.0,
+            "deadline_blocks": 25.0,
+            "message_count": 20000,
+            "warmup_count": 500,
+            "code_model": "ostbc",
+            "seed": 3,
+            "service_mode": "markovian",
+            "service_means": [2.5, 2.5],
+        },
+    ),
+]
+CHECK_COLUMNS = ["check", "analytic", "empirical", "samples", "sigma", "z_score", "verdict"]
+
+
+@pytest.mark.parametrize("cfg, cli_config", VALIDATE_RUNS, ids=["physical", "markovian"])
+def test_validation_checks_are_the_validate_rows(tmp_path, capsys, cfg, cli_config):
+    rows = validation_checks(cfg, validation_references(cfg), run_network_sim(cfg))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cli_config), encoding="utf-8")
+    assert main(["validate", "--config", str(path), "--format", "json"]) == 0
+    printed = json.loads(capsys.readouterr().out)["rows"]
+    assert [dict(zip(CHECK_COLUMNS, row)) for row in rows] == printed
+    assert [row[-1] for row in rows] == ["ok"] * len(rows)
+
+
+def test_validation_checks_run_without_the_cli():
+    src = str(Path(netsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = (
+        "import sys\n"
+        "from mharq.finite_snr import FiniteSnrScenario\n"
+        "from mharq.netsim import SimConfig, run_network_sim, validation_checks, "
+        "validation_references\n"
+        "from mharq.tradeoff import ChannelAssumption, FixedArq, Topology\n"
+        "cfg = SimConfig(Topology([1, 1]), FixedArq([2]), "
+        "ChannelAssumption.LONG_TERM_STATIC, FiniteSnrScenario(1.0, 1.0, "
+        "arrival_mean_blocks=10.0, deadline_blocks=60.0), 5000, code_model='ostbc')\n"
+        "rows = validation_checks(cfg, validation_references(cfg), run_network_sim(cfg))\n"
+        "print([row[0] for row in rows], 'mharq.cli' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.stdout.strip() == "['outage_hop_1', 'outage_total'] False"
+
+
+@pytest.mark.parametrize(
+    "check, expected",
+    [
+        ((0.1, 0.2, 0, 0.05), (math.nan, "no_samples")),
+        ((0.25, 0.75, 100, 0.125), (4.0, "ok")),
+        ((0.25, 0.75, 100, 0.124), (0.5 / 0.124, "mismatch")),
+        ((0.0, 0.0, 100, 0.0), (0.0, "ok")),
+        ((0.0, 0.01, 100, 0.0), (math.inf, "mismatch")),
+    ],
+)
+def test_verdict_is_ok_within_four_sigma(check, expected):
+    z, word = verdict(*check)
+    assert word == expected[1]
+    assert z == expected[0] or math.isnan(z) and math.isnan(expected[0])
