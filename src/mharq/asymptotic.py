@@ -17,8 +17,9 @@ for the special antenna families serve as independent oracles for it.
 Every kernel evaluates the Zheng-Tse curve of a hop through
 tradeoff._d_scalar on its corner diversities, held as a tuple of Python
 floats (tradeoff._curve), or through the same expression on the curve's
-precomputed pieces (the short-term hop tables), so the module runs on plain
-float arithmetic and needs no numpy.
+precomputed pieces (the short-term hop tables), and needs no numpy.  The
+equalized fixed split reads no curve: it is solved exactly in integers from
+the corners, and its value correctly rounded.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cache
 
 from .tradeoff import (
     AntennaPair,
@@ -97,10 +99,9 @@ def fixed_optimal_windows(
     nondecreasing in the window w, so the splits that tie at the best value
     are a >= a0, b >= b0, a + b <= total_rounds, with a0 and b0 the first
     windows to reach it.  The best value and both windows are bisected, in
-    O(log total_rounds) reads of the curves.  The real part equalizes the
-    two per-hop curves, d1(r/x) = d2(r/(total - x)), to the float the
-    bisection of [1e-12 total, total (1 - 1e-12)] down to two adjacent
-    floats returns (_equalized_split).
+    O(log total_rounds) reads of the curves.  The real split equalizes
+    d1(r/x) = d2(r/(total - x)); it is solved exactly, and the split and
+    split_value are the nearest doubles (_equalized_split).
     """
     hop1, hop2 = _require_3node(topology)
     if total_rounds < 2:
@@ -126,134 +127,81 @@ def fixed_optimal_windows(
     c = max(a0, b0)
     w1, w2 = (c, c) if 2 * c <= L else (a0, L - a0) if a0 > b0 else (L - b0, b0)
 
-    if r == 0.0:
-        # both curves are flat at full diversity; call the midpoint the split
-        x = L / 2.0
-        split_value = min(curve1[0], curve2[0])
-    else:
-        x = _equalized_split(curve1, curve2, L, r)
-        split_value = min(_d_scalar(curve1, r / x), _d_scalar(curve2, r / (L - x)))
+    x, split_value = _equalized_split(curve1, curve2, L, r)
     return FixedWindowOptimum(
         windows=(w1, w2), value=value, split=(x, L - x), split_value=split_value
     )
 
 
-# A rounding blur of the equalizing root up to this many ulps is walked from
-# the root in doubling steps; a wider one is cut at twice its width.
-_WALK_ULPS = 2.0**12
+@cache
+def _value_pieces(curve1: tuple[float, ...], curve2: tuple[float, ...]) -> tuple:
+    """(w, S1, A1, S2, A2) at 0 and at each corner value w below both tops.
 
-
-def _piece(curve: tuple[float, ...], s: float) -> tuple[float, float]:
-    """(A, B) with the curve A + B t on the piece of _d_scalar that holds s."""
-    if s >= len(curve) - 1:
-        return 0.0, 0.0
-    j = int(s)
-    slope = curve[j + 1] - curve[j]
-    return curve[j] - j * slope, slope
-
-
-def _equalized_split(
-    curve1: tuple[float, ...], curve2: tuple[float, ...], L: int, r: float
-) -> float:
-    """The split x of L rounds where d1(r/x) meets d2(r/(L - x)), for r > 0.
-
-    gap(x) = d1(r/x) - d2(r/(L - x)) is nondecreasing over the floats, since
-    correctly rounded division, _d_scalar and subtraction each are.  So in
-    [1e-12 L, L (1 - 1e-12)], whose ends count as gap <= 0 and gap > 0 and
-    are never read, one pair of adjacent floats a < b has gap(a) <= 0 <
-    gap(b), and x = (a + b) / 2 is what any bisection of a bracket that
-    holds the pair returns.  Bisecting the whole interval reads gap 52 to 93
-    times; this search narrows the bracket first, in about 6 reads:
-
-    1. a binary search over the knots, x = r/k on hop 1's side and
-       L - r/k on hop 2's, finds the segment that holds the pair;
-    2. on it each curve is affine in its argument, so gap is about
-       c - p/x + q/(L - x) with p, q >= 0, and its one root x0 in [0, L] is
-       a root of a quadratic; the rounding of gap blurs the crossing by
-       about blur = noise / gap'(x0);
-    3. if gap is one float across the segment, the pair sits at an end, and
-       the search walks in from that end in doubling ulp steps; if the blur
-       is under _WALK_ULPS ulps, it walks out from x0 the same way; a wider
-       blur is cut at x0 +- 2 blur, unless that spans an eighth of the
-       segment.
-
-    Every read moves an end of the bracket, and a bisection of the bracket
-    left over finishes, so a poor guess costs reads, never bits.
+    For v in [w, next w) hop i's curve is on a piece c[j] > v >= c[j + 1]
+    and reaches v up to rate argument (Ai - v) / Si, with the integers
+    Si = c[j] - c[j + 1] and Ai = c[j] + j Si.  Kept per pair of curves, of
+    which antennas 1..MAX_ANTENNAS make at most 36**2.
     """
+    def piece(c: tuple[float, ...], w: float) -> tuple[int, int]:  # c[j] > w >= c[j + 1]
+        j = sum(v > w for v in c) - 1
+        return int(c[j] - c[j + 1]), int(c[j] + j * (c[j] - c[j + 1]))
 
-    def gap(x: float) -> float:
-        return _d_scalar(curve1, r / x) - _d_scalar(curve2, r / (L - x))
+    top = min(curve1[0], curve2[0])
+    knots = sorted({0.0, *(v for v in curve1 + curve2 if v < top)})
+    return tuple((int(w), *piece(curve1, w), *piece(curve2, w)) for w in knots)
 
-    a, b = 1e-12 * L, L * (1.0 - 1e-12)
 
-    def cut(x: float) -> bool:
-        """Read gap at x in (a, b) and move the end of the bracket it passes."""
-        nonlocal a, b
-        if gap(x) <= 0.0:
-            a = x
-            return True
-        b = x
-        return False
+def _nearest(p: int, q: int, rad: int) -> float:
+    """The double nearest p / (q + sqrt(rad)), for integers p, rad >= 0 and q.
 
-    knots = {r / k for k in range(1, len(curve1))}
-    knots.update(L - r / k for k in range(1, len(curve2)))
-    inside = sorted(x for x in knots if a < x < b)
-    lo, hi = 0, len(inside)
-    while lo < hi:
-        i = (lo + hi) // 2
-        if cut(inside[i]):
-            lo = i + 1
-        else:
-            hi = i
-
-    mid = 0.5 * (a + b)
-    s1, s2 = r / mid, r / (L - mid)
-    A1, B1 = _piece(curve1, s1)
-    A2, B2 = _piece(curve2, s2)
-    c = A1 - A2
-    p = -B1 * r if B1 else 0.0  # a flat piece at r = inf would give 0 * inf
-    q = -B2 * r if B2 else 0.0
-    # c x^2 - (c L + p + q) x + p L is p L >= 0 at 0 and -q L <= 0 at L
-    bq = c * L + p + q
-    sq = math.sqrt(max(bq * bq - 4.0 * c * p * L, 0.0))
-    if bq > 0.0:
-        x0 = 2.0 * p * L / (bq + sq)
-    elif c < 0.0:
-        x0 = (bq - sq) / (2.0 * c)
-    else:  # c = p = q = 0: both curves are zero on the segment
-        x0 = b
-    x0 = min(max(x0, a), b)
-    slope = p / (x0 * x0) + q / ((L - x0) * (L - x0))
-    # each curve read rounds by about an ulp of A1 or A2, which bound it
-    blur = 2.0**-51 * (A1 + A2) / slope if slope > 0.0 else math.inf
-    spread = (-B1 * (r / a - r / b) if B1 else 0.0) + (
-        -B2 * (r / (L - b) - r / (L - a)) if B2 else 0.0
-    )
-
-    steps = 0
-    if spread <= 2.0**-55 * (A1 + A2):  # under a quarter ulp: gap is one float
-        x0, steps = (a if c - p / mid + q / (L - mid) > 0.0 else b), 4
-    elif blur <= _WALK_ULPS * math.ulp(x0):
-        steps = 14  # 2**14 - 1 ulps reach past the blur from x0
-        if a < x0 < b:
-            cut(x0)
-    elif 32.0 * blur < b - a:
-        for x in (x0 - 2.0 * blur, x0 + 2.0 * blur):
-            if a < x < b:
-                cut(x)
-    up = x0 == a  # else x0 == b, or no walk
-    step = math.ulp(x0)
-    for _ in range(steps):
-        x = a + step if up else b - step
-        if not a < x < b or cut(x) != up:
-            break
-        step *= 2.0
-
+    sqrt(rad) is in [s, s + 1) / 2**k for s = isqrt(rad << 2k).  The divisor
+    is at least 1/2 where this is used, and int / int rounds correctly, so
+    once both ends of that range round alike, the value rounds the same.
+    """
+    k = 64
     while True:
-        mid = 0.5 * (a + b)
-        if mid == a or mid == b:
-            return mid  # a and b are adjacent floats
-        cut(mid)
+        s = math.isqrt(rad << 2 * k)
+        near, far = ((p << k) / ((q << k) + t) for t in (s, s + 1))
+        if near == far or s * s == rad << 2 * k:
+            return near
+        k *= 2
+
+
+def _equalized_split(curve1: tuple, curve2: tuple, L: int, r: float) -> tuple[float, float]:
+    """The split x where d1(r/x) meets d2(r/(L - x)), and that value.
+
+    Hop i reaches diversity v > 0 iff its share of the L rounds is at least
+    Xi(v) = r Si / (Ai - v) (_value_pieces), so the equalized value v* is
+    the largest v with X1(v) + X2(v) <= L, and x = X1(v*).  With r = M / N,
+    that is integer arithmetic: a binary search over the corner values finds
+    each curve's piece, and v* is the smaller root of
+    L N (A1 - v)(A2 - v) = M (S1 (A2 - v) + S2 (A1 - v)).  Both v* and x are
+    rounded to the nearest double.  When r/m1 + r/m2 > L, v* is 0 and x is
+    the right end of that plateau, r/m1, kept below L; at r = 0 both curves
+    are flat at full diversity, and x is the midpoint.
+    """
+    if r == 0.0:
+        return L / 2.0, min(curve1[0], curve2[0])
+    M, N = r.as_integer_ratio() if r < math.inf else (1, 0)
+    LN = L * N
+
+    def short(w: int, s1: int, a1: int, s2: int, a2: int) -> bool:  # X1 + X2 > L
+        return M * (s1 * (a2 - w) + s2 * (a1 - w)) > LN * (a1 - w) * (a2 - w)
+
+    pieces = _value_pieces(curve1, curve2)
+    i = bisect_left(range(len(pieces)), True, key=lambda i: short(*pieces[i]))
+    if i == 0:
+        return min(r / (len(curve1) - 1), L * (1.0 - 1e-12)), 0.0
+    _, s1, a1, s2, a2 = pieces[i - 1]
+    # v* = 2c / (P + sqrt(P^2 - 4 L N c)), with c >= 0 and P > 0
+    P = LN * (a1 + a2) - M * (s1 + s2)
+    c = LN * a1 * a2 - M * (s1 * a2 + s2 * a1)
+    value = _nearest(2 * c, P, P * P - 4 * LN * c)
+    # x = 2 M S1 L / (b + sqrt(b^2 + 4 e M S1 L)), the root in (0, L) of
+    # e x^2 + b x - M S1 L = 0, with e = N (A2 - A1)
+    e = N * (a2 - a1)
+    b = M * (s1 + s2) - e * L
+    return _nearest(2 * M * s1 * L, b, b * b + 4 * e * M * s1 * L), value
 
 
 # ---------------------------------------------------------------------------

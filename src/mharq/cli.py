@@ -608,6 +608,12 @@ def _run_dmdt_asymptotic(config: dict, seed_override: int | None) -> _Table:
         chk.error("windows", f"not accepted for protocol {protocol!r}")
     if allow_zero and protocol not in ("fbl", "all"):
         chk.error("allow_zero_rounds", "only meaningful for the fbl protocol")
+    # a round a hop, and fbl's split round; allow_zero_rounds lets one hop go without
+    least = {"fixed": 2, "fbl": 3 - allow_zero, "all": 3 - allow_zero}.get(protocol, 1)
+    if total is not None and total < least:
+        chk.error(
+            "total_window", f"protocol {protocol!r} needs at least {least} rounds, got {total}"
+        )
 
     # the default grid ends where the narrowest hop's curve reaches zero
     hops = [] if topo is None else [topo.hop(i) for i in range(topo.n_hops)]
@@ -675,7 +681,7 @@ def _run_dmdt_finite(config: dict, seed_override: int | None) -> _Table:
         columns += ["p_outage", "p_deadline", "p_total"]
         for v in values:
             try:
-                opt = optimize_windows(topo, base, budget=int(v))
+                opt = _search_windows(topo, base, int(v), "sweep.values")
             except WindowInfeasibleError:
                 unstable.append(v)
                 rows.append([int(v)] + [None] * (topo.n_hops + 3))
@@ -702,6 +708,16 @@ def _run_dmdt_finite(config: dict, seed_override: int | None) -> _Table:
     return _Table([axis, "p_outage", "p_deadline", "p_total"], list(zip(*rows)), meta)
 
 
+def _search_windows(topo: Topology, scenario: FiniteSnrScenario, budget: int | None, key: str):
+    """optimize_windows, with a budget past its row cap refused as config key."""
+    try:
+        return optimize_windows(topo, scenario, budget=budget)
+    except (WindowInfeasibleError, UnstableQueueError):
+        raise
+    except ValueError as exc:  # the only other refusal: too many allocations
+        raise ConfigError([f"config.{key}: {exc}"]) from exc
+
+
 def _run_optimize(config: dict, seed_override: int | None) -> _Table:
     chk = _Checker(config)
     topo = _topology(chk)
@@ -709,7 +725,7 @@ def _run_optimize(config: dict, seed_override: int | None) -> _Table:
     scenario = _build_scenario(_scenario_fields(chk), chk)
     chk.done()
 
-    result = optimize_windows(topo, scenario, budget=budget)
+    result = _search_windows(topo, scenario, budget, "budget" if budget else "deadline_blocks")
     n = topo.n_hops
     columns = [f"window_{i + 1}" for i in range(n)]
     columns += [f"mu_{i + 1}" for i in range(n)]

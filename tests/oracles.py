@@ -30,10 +30,11 @@ The np.interp curve is the single-hop curve as mharq.tradeoff.dmt first
 shipped it; dmt's float curve must give its bits.  The fixed-window optimum
 and the shared-budget split evaluate that curve once per window pair, as
 first shipped; the float-curve kernels of mharq.asymptotic must give the
-same bits.  The bisection split halves the whole range of the equalizing
-split down to two adjacent floats, as fixed_optimal_windows first did it;
-its search off the curves' knots must give the same bits, in no more curve
-reads on any case the tests try.  The per-tau short-term split costs each hop afresh at every
+same bits.  The enumerated fixed windows read every window at every rate
+at once; the fixed optimum's windows and value must give their bits.  The
+exact split check reads the signs of the equalizing equations off
+integers, half-way to each neighbour of a double: the equalized split and
+its value must be the nearest doubles.  The per-tau short-term split costs each hop afresh at every
 split point, with a new candidate set each time, as first shipped; the
 table-driven short-term kernels of mharq.asymptotic must give its bits.
 The fixed-window chain bounds bracket a chain's fixed-window
@@ -447,19 +448,16 @@ def compensated_sum(values: Sequence[float]) -> float:
 
 def dmt_fixed_optimal_windows(
     topology: Topology, total_rounds: int, r: float
-) -> FixedWindowOptimum:
-    """The fixed-window optimum as first shipped: the curve per window pair.
+) -> tuple[tuple[int, int], float]:
+    """The fixed-window optimum's windows and value as first shipped.
 
-    Kept unchanged so the tests can hold fixed_optimal_windows, which reads
-    each hop's diversity once per window from a float curve, to the same
-    bits.
-
-    The integer part enumerates every split with window1 + window2 <=
-    total_rounds and maximizes the weakest-link diversity; ties prefer the
-    more balanced split, then the smaller first window.  The real part
-    equalizes the two per-hop curves, d1(r/x) = d2(r/(total - x)), by 100
-    bisection steps (the difference is monotone in x); the shipped split is
-    held to the early-stopping bisection, bisection_fixed_optimal_windows.
+    Kept so the tests can hold fixed_optimal_windows, which reads each
+    hop's diversity once per window from a float curve, to the same bits;
+    the split is held to exact arithmetic (equalized_split_is_nearest).  It
+    enumerates every split with window1 + window2 <= total_rounds, the
+    curve read through np.interp per window pair, and maximizes the
+    weakest-link diversity; ties prefer the more balanced split, then the
+    smaller first window.
     """
     hop1, hop2 = _require_3node(topology)
     if total_rounds < 2:
@@ -476,88 +474,119 @@ def dmt_fixed_optimal_windows(
                 best = (key, w1, w2)
     assert best is not None
     _, w1, w2 = best
-    value = min(interp_dmt(hop1, r / w1), interp_dmt(hop2, r / w2))
-
-    if r == 0.0:
-        # both curves are flat at full diversity; call the midpoint the split
-        x = L / 2.0
-        split_value = min(interp_dmt(hop1, 0.0), interp_dmt(hop2, 0.0))
-    else:
-        lo, hi = 1e-12 * L, L * (1.0 - 1e-12)
-
-        def gap(x: float) -> float:
-            return interp_dmt(hop1, r / x) - interp_dmt(hop2, r / (L - x))
-
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if gap(mid) <= 0.0:
-                lo = mid
-            else:
-                hi = mid
-        x = 0.5 * (lo + hi)
-        split_value = min(interp_dmt(hop1, r / x), interp_dmt(hop2, r / (L - x)))
-    return FixedWindowOptimum(
-        windows=(w1, w2), value=value, split=(x, L - x), split_value=split_value
-    )
+    return (w1, w2), min(interp_dmt(hop1, r / w1), interp_dmt(hop2, r / w2))
 
 
-def bisection_split(
-    curve1: tuple[float, ...], curve2: tuple[float, ...], L: int, r: float
-) -> float:
-    """The equalizing split, d1(r/x) = d2(r/(L - x)) for r > 0, as bisected.
-
-    [1e-12 L, L (1 - 1e-12)] is halved until the bracket is two adjacent
-    floats, or for 100 steps; the midpoint of the last bracket is the split.
-    """
-    lo, hi = 1e-12 * L, L * (1.0 - 1e-12)
-
-    def gap(x: float) -> float:
-        return _d_scalar(curve1, r / x) - _d_scalar(curve2, r / (L - x))
-
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break  # lo and hi are adjacent floats: every later mid is this one
-        if gap(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _d_grid(curve: tuple[float, ...], s: np.ndarray) -> np.ndarray:
+    """_d_scalar at every entry of s, each ufunc rounding as a float op does."""
+    top = len(curve) - 1
+    c = np.array(curve)
+    j = np.clip(np.floor(s), 0, top - 1)
+    k = j.astype(np.intp)
+    d = c[k] + (s - j) * (c[k + 1] - c[k])
+    return np.where(s >= top, 0.0, np.where(s <= 0.0, c[0], d))
 
 
-def bisection_fixed_optimal_windows(
-    topology: Topology, total_rounds: int, r: float
-) -> FixedWindowOptimum:
-    """The fixed-window optimum as it bisected its split: the split oracle.
+def enumerated_fixed_windows(
+    topology: Topology, total_rounds: int, rates: Sequence[float]
+) -> list[tuple[tuple[int, int], float]]:
+    """The fixed-window optimum's windows and value at each rate, every window read.
 
-    Kept unchanged so the tests can hold fixed_optimal_windows, which reads
-    the split off the curves' knots, to the same bits.  The integer part is
-    the one-pass tie-break of dmt_fixed_optimal_windows's enumeration.
+    Both hops' diversities are read at r/w for every rate and every window
+    1..L-1 at once.  The best value is the largest min(d1(a), d2(L - a));
+    a0 and b0 are the first windows to reach it, and the tie-break is the
+    one pass over dmt_fixed_optimal_windows's enumeration: equal windows
+    max(a0, b0) if both fit, else one side at its floor.
     """
     hop1, hop2 = _require_3node(topology)
-    if total_rounds < 2:
-        raise ValueError(f"need at least two rounds to serve two hops, got {total_rounds}")
-    r = _check_rate_scalar(r)
     L = int(total_rounds)
-    curve1, curve2 = _curve(hop1), _curve(hop2)
-    d1 = {w: _d_scalar(curve1, r / w) for w in range(1, L)}
-    d2 = {w: _d_scalar(curve2, r / w) for w in range(1, L)}
+    shares = np.array(rates, dtype=float)[:, None] / np.arange(1.0, L)
+    d1, d2 = _d_grid(_curve(hop1), shares), _d_grid(_curve(hop2), shares)
+    values = np.minimum(d1, d2[:, ::-1]).max(axis=1)
+    a0s = np.argmax(d1 >= values[:, None], axis=1) + 1
+    b0s = np.argmax(d2 >= values[:, None], axis=1) + 1
+    out = []
+    for value, a0, b0 in zip(values.tolist(), a0s.tolist(), b0s.tolist()):
+        c = max(a0, b0)
+        w = (c, c) if 2 * c <= L else (a0, L - a0) if a0 > b0 else (L - b0, b0)
+        out.append((w, value))
+    return out
 
-    value = max(min(d1[a], d2[L - a]) for a in range(1, L))
-    a0 = next(a for a in d1 if d1[a] >= value)
-    b0 = next(b for b in d2 if d2[b] >= value)
-    c = max(a0, b0)
-    w1, w2 = (c, c) if 2 * c <= L else (a0, L - a0) if a0 > b0 else (L - b0, b0)
 
+def _inverse(c: list[int], p: int, q: int) -> tuple[int, int]:
+    """The largest s with d(s) >= p/q, as (num, den), for 0 < p/q < c[0].
+
+    The inverse interpolation on the piece c[k] >= p/q > c[k + 1]:
+    s = k + (c[k] - p/q) / (c[k] - c[k + 1]).
+    """
+    k = max(k for k in range(len(c) - 1) if c[k] * q >= p)
+    step = c[k] - c[k + 1]
+    return (k * step + c[k]) * q - p, step * q
+
+
+def _curve_at(c: list[int], a: int, b: int) -> tuple[int, int]:
+    """d(a/b) as (num, den), for a >= 0 and b > 0."""
+    if a >= (len(c) - 1) * b:
+        return 0, 1
+    k = a // b
+    return c[k] * b + (a - k * b) * (c[k + 1] - c[k]), b
+
+
+def _halfway(x: float) -> list[tuple[int, int]]:
+    """The points half-way from x to the doubles below and above it, as (num, den)."""
+    a, b = x.as_integer_ratio()
+    out = []
+    for toward in (-math.inf, math.inf):
+        c, d = math.nextafter(x, toward).as_integer_ratio()
+        out.append((a * d + c * b, 2 * b * d))
+    return out
+
+
+def equalized_split_is_nearest(
+    topology: Topology, total_rounds: int, r: float, opt: FixedWindowOptimum
+) -> bool:
+    """True if opt's equalized split and its value are the doubles nearest the exact ones.
+
+    In exact arithmetic the equalized value v* is the largest v with
+    X1(v) + X2(v) <= L, where Xi(v) = r / si(v) is the least share of the L
+    rounds at which hop i reaches v (si from _inverse), and the split x*
+    solves d1(r/x) = d2(r/(L - x)).  A double is the nearest to either iff
+    the exact function changes sign between the points half-way to its
+    neighbours; every sign is read off integers, with r = M / N.  On the
+    zero plateau, r/m1 + r/m2 >= L, v* is 0 and the split is the plateau's
+    right end, r/m1, kept below L (1 - 1e-12); at r = 0 the split is L/2 at
+    full diversity.
+    """
+    c1, c2 = ([int(v) for v in _curve(hop)] for hop in _require_3node(topology))
+    L = int(total_rounds)
+    x, v = opt.split[0], opt.split_value
+    if opt.split[1] != L - x:
+        return False
     if r == 0.0:
-        x = L / 2.0
-        split_value = min(curve1[0], curve2[0])
-    else:
-        x = bisection_split(curve1, curve2, L, r)
-        split_value = min(_d_scalar(curve1, r / x), _d_scalar(curve2, r / (L - x)))
-    return FixedWindowOptimum(
-        windows=(w1, w2), value=value, split=(x, L - x), split_value=split_value
-    )
+        return x == L / 2 and v == min(c1[0], c2[0])
+    m1, m2 = len(c1) - 1, len(c2) - 1
+    M, N = r.as_integer_ratio() if r < math.inf else (1, 0)
+    if M * (m1 + m2) >= L * N * m1 * m2:  # r/m1 + r/m2 >= L
+        return v == 0.0 and x == min(r / m1, L * (1.0 - 1e-12))
+
+    def excess(p: int, q: int) -> int:
+        """An integer of the sign of X1(p/q) + X2(p/q) - L."""
+        if p <= 0:
+            return -1  # a diversity of 0 or less needs no rounds
+        if p >= min(c1[0], c2[0]) * q:
+            return 1  # no share reaches the top corner
+        (a1, b1), (a2, b2) = _inverse(c1, p, q), _inverse(c2, p, q)
+        return M * (b1 * a2 + b2 * a1) - L * N * a1 * a2
+
+    def gap(p: int, q: int) -> int:
+        """An integer of the sign of d1(r/x) - d2(r/(L - x)) at x = p/q."""
+        # a hop given no rounds has no diversity
+        a1, b1 = _curve_at(c1, M * q, N * p) if p > 0 else (0, 1)
+        a2, b2 = _curve_at(c2, M * q, N * (L * q - p)) if p < L * q else (0, 1)
+        return a1 * b2 - a2 * b1
+
+    (v_lo, v_hi), (x_lo, x_hi) = _halfway(v), _halfway(x)
+    return excess(*v_lo) <= 0 <= excess(*v_hi) and gap(*x_lo) <= 0 <= gap(*x_hi)
 
 
 def dmt_fbl_dmdt_3node(

@@ -9,15 +9,14 @@ import itertools
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mharq.asymptotic as asymptotic
-import oracles
 from mharq.asymptotic import (
-    _equalized_split,
     _kink_fractions,
     _partial_round_costs,
     fbl_dmdt_3node,
@@ -30,10 +29,10 @@ from mharq.asymptotic import (
 )
 from mharq.tradeoff import AntennaPair, ChannelAssumption, Topology, _curve, dmt
 from oracles import (
-    bisection_fixed_optimal_windows,
-    bisection_split,
     dmt_fbl_dmdt_3node,
     dmt_fixed_optimal_windows,
+    enumerated_fixed_windows,
+    equalized_split_is_nearest,
     interp_dmt,
     nnode_fixed_bounds,
     partial_round_cost,
@@ -298,6 +297,11 @@ _RATES = st.one_of(
 )
 
 
+def _integer_part(opt):
+    """The windows and value of a fixed optimum, as repr holds their bits."""
+    return repr((opt.windows, opt.value))
+
+
 @given(
     antennas=st.tuples(*[st.integers(1, 6)] * 3),
     L=st.integers(2, 12),
@@ -308,9 +312,9 @@ _RATES = st.one_of(
 @settings(max_examples=300, deadline=None)
 def test_float_curve_kernels_match_dmt_oracles(antennas, L, r, channel, zero):
     topo = Topology(antennas)
-    assert _outcome(fixed_optimal_windows, topo, L, r) == _outcome(
-        dmt_fixed_optimal_windows, topo, L, r
-    )
+    opt = fixed_optimal_windows(topo, L, r)
+    assert _integer_part(opt) == repr(dmt_fixed_optimal_windows(topo, L, r))
+    assert equalized_split_is_nearest(topo, L, r, opt)
     assert _outcome(
         fbl_dmdt_3node, topo, L, r, channel, allow_zero_rounds=zero
     ) == _outcome(dmt_fbl_dmdt_3node, topo, L, r, channel, allow_zero_rounds=zero)
@@ -336,13 +340,13 @@ def test_fixed_split_ties_match_the_enumeration(antennas, L, r):
     # the one-pass tie-break must pick the pair the full enumeration picks,
     # at budgets well past the small ones above and on rates that tie
     topo = Topology(antennas)
-    assert repr(fixed_optimal_windows(topo, L, r)) == repr(
-        dmt_fixed_optimal_windows(topo, L, r)
-    )
+    opt = fixed_optimal_windows(topo, L, r)
+    assert _integer_part(opt) == repr(dmt_fixed_optimal_windows(topo, L, r))
+    assert equalized_split_is_nearest(topo, L, r, opt)
 
 
 # ---------------------------------------------------------------------------
-# the equalized fixed split against the bisection it replaced
+# the equalized fixed split against exact arithmetic
 
 
 @st.composite
@@ -354,7 +358,7 @@ def _split_cases(draw):
 
 @given(_split_cases())
 @example(((4, 1, 3), 4, 5e-324))  # subnormal: r/x rounds to 0 or to 5e-324
-@example(((2, 3, 4), 7, 1e-300))  # gap is one float across the whole range
+@example(((2, 3, 4), 7, 1e-300))  # hop 2's exact share rounds away: x = L
 @example(((4, 4, 4), 10, 1e-16))  # the float root sits far from the real one
 @example(((3, 5, 2), 33, 1e300))
 @example(((4, 4, 4), 10, math.inf))
@@ -363,17 +367,22 @@ def _split_cases(draw):
 @example(((2, 2, 2), 4, 2.0))  # the root on a knot of each hop, x = r = L - r
 @example(((4, 2, 3), 7, 3.0))  # the root on hop 1's knot x = r
 @example(((3, 2, 4), 7, 3.0))  # the root on hop 2's knot x = L - r
+@example(((1, 4, 6), 3, 0.05))  # the bisection printed 3.932936046249546
+@example(((4, 4, 4), 10, 0.25))  # exactly 15.65; the bisection's float was not
+@example(((2, 2, 2), 4, 4 / 3))  # r/m1 + r/m2 = L: the plateau's edge, v* = 0
 @settings(max_examples=200, deadline=None)
 def test_equalized_split_keeps_the_bits_of_the_bisection(case):
+    # the windows and value keep the bits of reading every window; the
+    # split and its value are the doubles nearest the exact ones
     antennas, L, r = case
     topo = Topology(antennas)
-    assert repr(fixed_optimal_windows(topo, L, r)) == repr(
-        bisection_fixed_optimal_windows(topo, L, r)
-    )
+    opt = fixed_optimal_windows(topo, L, r)
+    assert _integer_part(opt) == repr(enumerated_fixed_windows(topo, L, [r])[0])
+    assert equalized_split_is_nearest(topo, L, r, opt)
 
 
 def _counting(monkeypatch, module):
-    """Count the _d_scalar calls module makes; each gap read makes two."""
+    """Count the _d_scalar calls module makes."""
     calls = [0]
     real = module._d_scalar
 
@@ -383,6 +392,22 @@ def _counting(monkeypatch, module):
 
     monkeypatch.setattr(module, "_d_scalar", counted)
     return calls
+
+
+def _split_reads(monkeypatch):
+    """The curve reads of each _equalized_split call fixed_optimal_windows makes."""
+    calls = _counting(monkeypatch, asymptotic)
+    reads = []
+    real = asymptotic._equalized_split
+
+    def counted(*args):
+        before = calls[0]
+        out = real(*args)
+        reads.append(calls[0] - before)
+        return out
+
+    monkeypatch.setattr(asymptotic, "_equalized_split", counted)
+    return reads
 
 
 def _extreme_rates(antennas, L, rng):
@@ -400,46 +425,41 @@ def _extreme_rates(antennas, L, rng):
 
 
 def test_equalized_split_grid_keeps_bits_in_fewer_reads(monkeypatch):
-    # every chain of 1..8 antennas at seven budgets and 28 rates: 100,352 cases
-    new = _counting(monkeypatch, asymptotic)
-    old = _counting(monkeypatch, oracles)
+    # every chain of 1..8 antennas at seven budgets and 28 rates: 100,352
+    # cases, each split and value the nearest double, read off no curve
+    reads = _split_reads(monkeypatch)
     rng = random.Random(34)
-    cases = moved = costlier = 0
+    cases = moved = inexact = 0
     for antennas in itertools.product(range(1, 9), repeat=3):
-        curve1 = _curve(AntennaPair(*antennas[:2]))
-        curve2 = _curve(AntennaPair(*antennas[1:]))
+        topo = Topology(antennas)
         for L in (2, 3, 4, 7, 10, 33, 1000):
-            for r in _extreme_rates(antennas, L, rng):
-                new[0] = old[0] = 0
-                got = _equalized_split(curve1, curve2, L, r)
-                want = bisection_split(curve1, curve2, L, r)
+            rates = _extreme_rates(antennas, L, rng)
+            for r, want in zip(rates, enumerated_fixed_windows(topo, L, rates)):
+                opt = fixed_optimal_windows(topo, L, r)
                 cases += 1
-                moved += got.hex() != want.hex()
-                costlier += new[0] > old[0]
-    assert (cases, moved, costlier) == (100_352, 0, 0)
+                moved += _integer_part(opt) != repr(want)
+                inexact += not equalized_split_is_nearest(topo, L, r, opt)
+    assert (cases, moved, inexact) == (100_352, 0, 0)
+    assert reads == [0] * cases
 
 
 def test_fixed_windows_are_bisected_in_log_reads(monkeypatch):
     # the integer split keeps the bits of reading every window, up to
     # L = 1000, and reads each curve O(log L) times: three bisections over
-    # the L - 1 windows, and the best value at the crossing
+    # the L - 1 windows, and the best value at the crossing; the split
+    # reads neither curve
     calls = _counting(monkeypatch, asymptotic)
     for antennas in itertools.product(range(1, 5), repeat=3):
         topo = Topology(antennas)
-        curve1 = _curve(AntennaPair(*antennas[:2]))
-        curve2 = _curve(AntennaPair(*antennas[1:]))
         for L in (2, 3, 4, 5, 7, 10, 33, 1000):
             # rates on the knots of small windows, and up to every curve's end
-            for r in [k / 4 for k in range(9)] + [L * k / 3 for k in range(1, 13)]:
+            rates = [k / 4 for k in range(9)] + [L * k / 3 for k in range(1, 13)]
+            for r, want in zip(rates, enumerated_fixed_windows(topo, L, rates)):
                 calls[0] = 0
                 got = fixed_optimal_windows(topo, L, r)
-                reads = calls[0]
-                if r:
-                    calls[0] = 0
-                    _equalized_split(curve1, curve2, L, r)
-                    reads -= calls[0] + 2  # the split and its value
-                assert reads <= 4 * (L - 1).bit_length() + 4
-                assert repr(got) == repr(bisection_fixed_optimal_windows(topo, L, r))
+                assert calls[0] <= 4 * (L - 1).bit_length() + 4
+                assert _integer_part(got) == repr(want)
+                assert equalized_split_is_nearest(topo, L, r, got)
 
 
 @pytest.mark.parametrize(
@@ -447,17 +467,49 @@ def test_fixed_windows_are_bisected_in_log_reads(monkeypatch):
     [((4, 4, 4), 10, 4.0), ((4, 1, 3), 4, 1.0), ((2, 2, 2), 10, 2.0)],
 )
 def test_equalized_split_reads_on_the_benchmark_grids(monkeypatch, antennas, L, top):
-    # the bisection read gap 53 to 57 times at every rate of these grids
-    calls = _counting(monkeypatch, asymptotic)
-    curve1 = _curve(AntennaPair(*antennas[:2]))
-    curve2 = _curve(AntennaPair(*antennas[1:]))
-    reads = []
+    # at no rate of these grids does the solved split read either curve
+    reads = _split_reads(monkeypatch)
+    topo = Topology(antennas)
     for i in range(1, int(round(top / 0.05)) + 1):
-        calls[0] = 0
-        _equalized_split(curve1, curve2, L, round(0.05 * i, 10))
-        reads.append(calls[0] // 2)
-    assert max(reads) <= 20
-    assert sum(reads) <= 8 * len(reads)
+        r = round(0.05 * i, 10)
+        assert equalized_split_is_nearest(topo, L, r, fixed_optimal_windows(topo, L, r))
+    assert reads == [0] * int(round(top / 0.05))
+
+
+def _mp_curve(curve, s):
+    """The piecewise-linear curve at s in mpmath arithmetic."""
+    top = len(curve) - 1
+    if s >= top:
+        return mpmath.mpf(0)
+    k = int(mpmath.floor(s))
+    return curve[k] + (s - k) * (curve[k + 1] - curve[k])
+
+
+def test_equalized_split_solves_the_x_space_definition():
+    # d1(r/x) = d2(r/(L - x)) solved at 40 digits by halving (0, L), the
+    # root kept where d1 <= d2: the split and its value round to the doubles
+    # fixed_optimal_windows prints
+    rng = random.Random(40)
+    with mpmath.workdps(40):
+        for _ in range(200):
+            antennas = tuple(rng.randint(1, 8) for _ in range(3))
+            L = rng.choice([2, 3, 4, 7, 10, 33, 1000])
+            topo = Topology(antennas)
+            c1, c2 = _curve(topo.hop(0)), _curve(topo.hop(1))
+            m1, m2 = len(c1) - 1, len(c2) - 1
+            r = rng.uniform(0.0, 1.1 * L * m1 * m2 / (m1 + m2))  # 1/11 on the plateau
+            R, lo, hi = mpmath.mpf(r), mpmath.mpf(0), mpmath.mpf(L)
+            x = L / 2
+            while lo < x < hi:  # until lo and hi are adjacent at 40 digits
+                if _mp_curve(c1, R / x) <= _mp_curve(c2, R / (L - x)):
+                    lo = x
+                else:
+                    hi = x
+                x = (lo + hi) / 2
+            opt = fixed_optimal_windows(topo, L, r)
+            assert opt.split_value == float(_mp_curve(c1, R / lo)), (antennas, L, r)
+            if opt.split_value:  # off the zero plateau, where the root is unique
+                assert opt.split[0] == float(lo), (antennas, L, r)
 
 
 # ---------------------------------------------------------------------------

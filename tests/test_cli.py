@@ -245,9 +245,8 @@ def test_printed_cells_are_the_scaled_unit_power_kernels(tmp_path_factory, run):
 
 
 def test_power_exponent_below_one_is_refused_before_any_kernel(tmp_path, capsys):
-    # a budget of one round leaves the fixed optimum no split either, but the
-    # power exponent is checked with the rest of the config, before any
-    # kernel runs
+    # a budget of one round leaves the fixed optimum no split either: both
+    # are checked with the rest of the config, before any kernel runs
     cfg = write_config(
         tmp_path,
         {"topology": [3, 3, 2], "protocol": "fixed", "total_window": 1,
@@ -256,7 +255,10 @@ def test_power_exponent_below_one_is_refused_before_any_kernel(tmp_path, capsys)
     assert main(["dmdt-asymptotic", "--config", cfg]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "mharq: config.power_exponent: must be >= 1, got 0.5\n"
+    assert err == (
+        "mharq: config.power_exponent: must be >= 1, got 0.5\n"
+        "mharq: config.total_window: protocol 'fixed' needs at least 2 rounds, got 1\n"
+    )
 
 
 # one small config each subcommand prints a table for
@@ -326,8 +328,8 @@ def test_asymptotic_single_protocol_csv(tmp_path, capsys):
 
 
 def test_asymptotic_kernel_refusal_exits_two(tmp_path, capsys):
-    # a budget the schema accepts but the FBL kernel cannot split fails the
-    # whole run at the first rate, not each rate as a gap
+    # a budget the FBL kernel cannot split fails the whole run as a config
+    # problem, before the first rate, not each rate as a gap
     cfg = write_config(
         tmp_path,
         {"topology": [4, 1, 3], "protocol": "fbl", "total_window": 2, "rates": [0.0, 0.5]},
@@ -335,7 +337,9 @@ def test_asymptotic_kernel_refusal_exits_two(tmp_path, capsys):
     assert main(["dmdt-asymptotic", "--config", cfg]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "mharq: total_rounds=2 leaves no valid split (need at least 3 rounds)\n"
+    assert err == (
+        "mharq: config.total_window: protocol 'fbl' needs at least 3 rounds, got 2\n"
+    )
 
 
 def test_rate_grid_refuses_more_rates_than_the_cap(tmp_path, capsys):
@@ -492,14 +496,21 @@ def test_optimize_at_a_huge_finite_snr(tmp_path, capsys, snr):
 
 def test_window_search_refuses_budgets_past_the_row_cap(tmp_path, capsys):
     # each of these ran the window search over C(budget, 2) rows and never
-    # finished; now the search refuses before it computes anything
+    # finished; now the search refuses before it computes anything, naming
+    # the key the budget came from
     refused = "over 2 hops gives more than 1000000 window allocations to enumerate"
-    for command, payload, budget in (
-        ("optimize-arq", dict(OPT_CONFIG, budget=1e30), int(1e30)),
-        ("optimize-arq", dict(OPT_CONFIG, deadline_blocks=1e300), int(1e300)),
+    for command, payload, key, budget in (
+        ("optimize-arq", dict(OPT_CONFIG, budget=1e30), "budget", int(1e30)),
+        (
+            "optimize-arq",
+            dict(OPT_CONFIG, deadline_blocks=1e300),
+            "deadline_blocks",
+            int(1e300),
+        ),
         (
             "dmdt-finite",
             dict(OPT_CONFIG, sweep={"axis": "total_window", "values": [4, 1e30]}),
+            "sweep.values",
             int(1e30),
         ),
     ):
@@ -507,7 +518,7 @@ def test_window_search_refuses_budgets_past_the_row_cap(tmp_path, capsys):
         assert main([command, "--config", cfg]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == f"mharq: budget {budget} {refused}\n"
+        assert err == f"mharq: config.{key}: budget {budget} {refused}\n"
 
 
 def test_config_errors_are_reported_together(tmp_path, capsys):

@@ -260,9 +260,9 @@ CASES = [
             "rates": [0.5, 2],
         },
     ),
-    # the equalized fixed split is read off the curves' knots; JSON prints
-    # every float with repr, so these tables hold all the bits the bisection
-    # over the whole range gave
+    # the equalized fixed split is solved exactly and its value correctly
+    # rounded; JSON prints every float with repr, so these tables hold all
+    # its bits
     (
         "asym-split-short-term",
         "dmdt-asymptotic",
@@ -311,6 +311,12 @@ CASES = [
             "windows": [1, 1],
             "total_window": 2,
         },
+    ),
+    # fbl spends one of its two rounds deciding the split: none is left
+    (
+        "asym-fbl-budget-too-small",
+        "dmdt-asymptotic",
+        {"topology": [2, 2, 2], "protocol": "fbl", "total_window": 2, "rates": [1]},
     ),
     (
         "asym-fixed-neither",
@@ -658,6 +664,12 @@ CASES = [
         dict(SIX_NODES, snr_linear=1.0, multiplexing_gain=4.0, arrival_mean_blocks=4.0),
     ),
     ("opt-budget-short", "optimize-arq", dict(OPT, budget=1)),
+    # C(3000, 2) allocations are past the window search's row cap
+    (
+        "opt-budget-past-row-cap",
+        "optimize-arq",
+        dict(OPT, topology=[2, 2, 2], budget=3000),
+    ),
     ("opt-budget-zero", "optimize-arq", dict(OPT, budget=0)),
     ("opt-budget-string", "optimize-arq", dict(OPT, budget="5")),
     (
