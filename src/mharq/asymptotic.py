@@ -127,10 +127,7 @@ def fixed_optimal_windows(
     c = max(a0, b0)
     w1, w2 = (c, c) if 2 * c <= L else (a0, L - a0) if a0 > b0 else (L - b0, b0)
 
-    x, split_value = _equalized_split(curve1, curve2, L, r)
-    return FixedWindowOptimum(
-        windows=(w1, w2), value=value, split=(x, L - x), split_value=split_value
-    )
+    return FixedWindowOptimum((w1, w2), value, *_equalized_split(curve1, curve2, L, r))
 
 
 @cache
@@ -161,27 +158,29 @@ def _nearest(p: int, q: int, rad: int) -> float:
     k = 64
     while True:
         s = math.isqrt(rad << 2 * k)
-        near, far = ((p << k) / ((q << k) + t) for t in (s, s + 1))
-        if near == far or s * s == rad << 2 * k:
+        num, den = p << k, (q << k) + s
+        near = num / den
+        if s * s == rad << 2 * k or near == num / (den + 1):
             return near
         k *= 2
 
 
-def _equalized_split(curve1: tuple, curve2: tuple, L: int, r: float) -> tuple[float, float]:
-    """The split x where d1(r/x) meets d2(r/(L - x)), and that value.
+def _equalized_split(curve1: tuple, curve2: tuple, L: int, r: float) -> tuple[tuple, float]:
+    """The split (x, L - x) where d1(r/x) meets d2(r/(L - x)), and that value.
 
     Hop i reaches diversity v > 0 iff its share of the L rounds is at least
     Xi(v) = r Si / (Ai - v) (_value_pieces), so the equalized value v* is
     the largest v with X1(v) + X2(v) <= L, and x = X1(v*).  With r = M / N,
     that is integer arithmetic: a binary search over the corner values finds
     each curve's piece, and v* is the smaller root of
-    L N (A1 - v)(A2 - v) = M (S1 (A2 - v) + S2 (A1 - v)).  Both v* and x are
-    rounded to the nearest double.  When r/m1 + r/m2 > L, v* is 0 and x is
-    the right end of that plateau, r/m1, kept below L; at r = 0 both curves
-    are flat at full diversity, and x is the midpoint.
+    L N (A1 - v)(A2 - v) = M (S1 (A2 - v) + S2 (A1 - v)).  v* and each hop's
+    share are rounded to the nearest double, so hop 2's share keeps its bits
+    where it is below half an ulp of L.  When r/m1 + r/m2 > L, v* is 0 and x
+    is the right end of that plateau, r/m1, kept below L; at r = 0 both
+    curves are flat at full diversity, and x is the midpoint.
     """
     if r == 0.0:
-        return L / 2.0, min(curve1[0], curve2[0])
+        return (L / 2.0, L / 2.0), min(curve1[0], curve2[0])
     M, N = r.as_integer_ratio() if r < math.inf else (1, 0)
     LN = L * N
 
@@ -191,17 +190,21 @@ def _equalized_split(curve1: tuple, curve2: tuple, L: int, r: float) -> tuple[fl
     pieces = _value_pieces(curve1, curve2)
     i = bisect_left(range(len(pieces)), True, key=lambda i: short(*pieces[i]))
     if i == 0:
-        return min(r / (len(curve1) - 1), L * (1.0 - 1e-12)), 0.0
+        m1 = len(curve1) - 1
+        x = min(r / m1, L * (1.0 - 1e-12))
+        return (x, (LN * m1 - M) / (N * m1) if x == r / m1 else L - x), 0.0
     _, s1, a1, s2, a2 = pieces[i - 1]
     # v* = 2c / (P + sqrt(P^2 - 4 L N c)), with c >= 0 and P > 0
     P = LN * (a1 + a2) - M * (s1 + s2)
     c = LN * a1 * a2 - M * (s1 * a2 + s2 * a1)
     value = _nearest(2 * c, P, P * P - 4 * LN * c)
-    # x = 2 M S1 L / (b + sqrt(b^2 + 4 e M S1 L)), the root in (0, L) of
-    # e x^2 + b x - M S1 L = 0, with e = N (A2 - A1)
+    # x = 2 M S1 L / (b + sqrt(D)), D = b^2 + 4 e M S1 L, the root in (0, L)
+    # of e x^2 + b x - M S1 L = 0 with e = N (A2 - A1); L - x is the same root
+    # with S2, -e and b + 2 e L in place of S1, e and b, and the same D
     e = N * (a2 - a1)
     b = M * (s1 + s2) - e * L
-    return _nearest(2 * M * s1 * L, b, b * b + 4 * e * M * s1 * L), value
+    D = b * b + 4 * e * M * s1 * L
+    return (_nearest(2 * M * s1 * L, b, D), _nearest(2 * M * s2 * L, b + 2 * e * L, D)), value
 
 
 # ---------------------------------------------------------------------------

@@ -680,8 +680,10 @@ def _run_dmdt_finite(config: dict, seed_override: int | None) -> _Table:
         columns += [f"window_{i + 1}" for i in range(topo.n_hops)]
         columns += ["p_outage", "p_deadline", "p_total"]
         for v in values:
-            try:
-                opt = _search_windows(topo, base, int(v), "sweep.values")
+            try:  # the only other refusal: too many allocations
+                opt = _refused_as(
+                    "config.sweep.values", optimize_windows, topo, base, budget=int(v)
+                )
             except WindowInfeasibleError:
                 unstable.append(v)
                 rows.append([int(v)] + [None] * (topo.n_hops + 3))
@@ -708,14 +710,15 @@ def _run_dmdt_finite(config: dict, seed_override: int | None) -> _Table:
     return _Table([axis, "p_outage", "p_deadline", "p_total"], list(zip(*rows)), meta)
 
 
-def _search_windows(topo: Topology, scenario: FiniteSnrScenario, budget: int | None, key: str):
-    """optimize_windows, with a budget past its row cap refused as config key."""
+def _refused_as(path: str, call: Callable, *args: Any, **kwargs: Any) -> Any:
+    """call(*args, **kwargs), with any ValueError but an infeasible or
+    unstable queue, which keep their own exit, refused as a line of path."""
     try:
-        return optimize_windows(topo, scenario, budget=budget)
+        return call(*args, **kwargs)
     except (WindowInfeasibleError, UnstableQueueError):
         raise
-    except ValueError as exc:  # the only other refusal: too many allocations
-        raise ConfigError([f"config.{key}: {exc}"]) from exc
+    except ValueError as exc:
+        raise ConfigError([f"{path}: {exc}"]) from exc
 
 
 def _run_optimize(config: dict, seed_override: int | None) -> _Table:
@@ -725,7 +728,8 @@ def _run_optimize(config: dict, seed_override: int | None) -> _Table:
     scenario = _build_scenario(_scenario_fields(chk), chk)
     chk.done()
 
-    result = _search_windows(topo, scenario, budget, "budget" if budget else "deadline_blocks")
+    path = "config.budget" if budget else "config.deadline_blocks"  # past the row cap
+    result = _refused_as(path, optimize_windows, topo, scenario, budget=budget)
     n = topo.n_hops
     columns = [f"window_{i + 1}" for i in range(n)]
     columns += [f"mu_{i + 1}" for i in range(n)]
@@ -770,21 +774,20 @@ def _sim_config(config: dict, seed_override: int | None) -> SimConfig:
     chk.done()
     if seed_override is not None:
         seed = seed_override
-    try:
-        return SimConfig(
-            topology=topo,
-            protocol=FixedArq(tuple(windows)),
-            channel=ChannelAssumption(channel_name),
-            scenario=scenario,
-            message_count=messages,
-            warmup_count=warmup,
-            seed=seed,
-            service_mode=mode,
-            code_model=code_model,
-            service_means=tuple(service_means) if service_means is not None else None,
-        )
-    except ValueError as exc:
-        raise ConfigError([f"config: {exc}"]) from exc
+    return _refused_as(
+        "config",
+        SimConfig,
+        topology=topo,
+        protocol=FixedArq(tuple(windows)),
+        channel=ChannelAssumption(channel_name),
+        scenario=scenario,
+        message_count=messages,
+        warmup_count=warmup,
+        seed=seed,
+        service_mode=mode,
+        code_model=code_model,
+        service_means=tuple(service_means) if service_means is not None else None,
+    )
 
 
 def _simulate(sim_cfg: SimConfig):
@@ -833,13 +836,11 @@ def _run_validate(config: dict, seed_override: int | None) -> _Table:
                 "long_term fading; simulate short_term without validate"
             ]
         )
-    # the references come first, so a refused one exits before simulating
-    references = validation_references(sim_cfg)
+    # the references come first, so a refused one (an unstable queue, or a
+    # log-det hop of rank >= 3) exits before simulating
+    references = _refused_as("config.code_model", validation_references, sim_cfg)
     result = _simulate(sim_cfg)
-    try:
-        rows = validation_checks(sim_cfg, references, result)
-    except ValueError as exc:
-        raise ConfigError([f"config.message_count: {exc}"]) from exc
+    rows = _refused_as("config.message_count", validation_checks, sim_cfg, references, result)
     columns = ["check", "analytic", "empirical", "samples", "sigma", "z_score", "verdict"]
     meta = {"note": "z compares the empirical rate against the analytic model"}
     return _Table(columns, list(zip(*rows)), meta, sim_cfg.seed)

@@ -3,11 +3,11 @@
 At finite SNR a message is lost two ways: the channel stays in outage past a
 hop's retransmission window, or queueing pushes the end-to-end delay past
 the deadline.  This module computes both pieces (per-hop outage from the
-rate-split supremum or the space-time-coded closed form, whole-block mean
-service times, and the deadline probability in the paper's M/M/1-stage
-approximation) and evaluates the C(budget, n_hops) integer window
-allocations, in lexicographic order, to find the best split of a deadline
-budget.
+log-det eigenvalue integral or the space-time-coded closed form,
+whole-block mean service times, and the deadline probability in the
+paper's M/M/1-stage approximation) and evaluates the C(budget, n_hops)
+integer window allocations, in lexicographic order, to find the best split
+of a deadline budget.
 
 The window search's outage tails P(S > j) come from one process-wide
 cache, one entry per antenna pair, snr, multiplexing_gain,
@@ -29,7 +29,7 @@ from typing import ClassVar, Iterator, Sequence
 
 import numpy as np
 
-from .numerics import minimize_box, regularized_lower_gamma
+from .numerics import regularized_lower_gamma, regularized_lower_gammas
 from .tradeoff import AntennaPair, FixedArq, Topology
 
 __all__ = [
@@ -66,6 +66,8 @@ _TAIL_CAP = 2**15
 # two or more bits of m_rx snr there.  Every output and reference at
 # SNR >= 0.5 stays above it.
 _LOW_SNR = 0.25
+
+_NODES = 16  # Gauss-Legendre nodes a panel of the log-det outage integral
 
 # Outage models of one hop: the log-det capacity of the MIMO channel, or an
 # orthogonal space-time code; the simulator draws the same two.
@@ -228,63 +230,55 @@ def _gamma_tail(pair: AntennaPair, snr: float, r: float, rate: float, t: float) 
     return regularized_lower_gamma(shape, math.exp(min(log_x, 709.0)))
 
 
-def _outage_window_logdet(
-    pair: AntennaPair, t: float, scenario: FiniteSnrScenario
-) -> float:
-    """P{hop in outage after t blocks} for an uncoded MIMO hop of rank >= 2.
+def _logdet_outage(pair: AntennaPair, t: float, scenario: FiniteSnrScenario) -> float:
+    """P{hop in outage after t blocks} for a log-det hop of rank 2, exactly.
 
-    The outage event partitions the rate exponent budget B = r/t across the
-    shared eigenmodes as 0 = b_0 <= b_1 <= ... <= b_M*, with the dominant
-    partition found by supremum.  Free coordinates are mapped onto the
-    ordered region by construction, so every grid point is feasible.
+    The eigenvalues l1 <= l2 of H H^H have density proportional to
+    (l1 l2)^q (l2 - l1)^2 e^-(l1 + l2), q = max(m_tx, m_rx) - 2 (James 1964;
+    Telatar 1999), and the hop is in outage while l2 < L = expm1(c -
+    log1p(a l1)) / a, a = snr / m_tx, c = (r / t) log(base).  Over l2 in
+    [l1, L) that is l1^q e^-2l1 sum_k C(q, k) l1^(q-k) gamma(k + 3, L - l1);
+    l1 runs _NODES-point Gauss-Legendre panels in u = log1p(a l1) on
+    [0, c/2], cut where e^-2l1 has no mass left.  Above 1/2 the nodes' mass
+    out of outage is taken from the exact mass of that range instead, so a
+    sure outage reads 1.
     """
-    r = scenario.multiplexing_gain
-    if r == 0.0:
+    c = scenario.multiplexing_gain / t * _target_base(pair, scenario.snr)[1]
+    if not c > 0.0:  # zero rate, or a base that rounds to 1
         return 0.0
-    rho = scenario.snr
-    base, log_base = _target_base(pair, rho)
-    mstar = pair.min_dim
-    gap = abs(pair.m_tx - pair.m_rx)
-    shapes = [gap + 2 * l - 1 for l in range(1, mstar + 1)]
-    budget = r / t
-    dim = mstar - 1
-    if dim > 6:
+    if pair.min_dim > 2:
         raise ValueError(
-            f"outage search supports at most 7 shared eigenmodes, got {mstar}"
+            f"the log-det outage reference is exact up to rank 2, not at rank "
+            f"{pair.min_dim} ({pair.m_tx}x{pair.m_rx} hop); code_model ostbc "
+            "has an exact outage reference at every rank"
         )
-    grid = {1: 65, 2: 25, 3: 13}.get(dim, 7)
-
-    def negated(pts: np.ndarray) -> np.ndarray:
-        n = pts.shape[0]
-        prob = np.ones(n)
-        prev_b = np.zeros(n)
-        used = np.zeros(n)
-        prev_pow = np.ones(n)
-        for l in range(1, mstar + 1):
-            if l < mstar:
-                upper = (budget - used) / (mstar - l + 1)
-                b = prev_b + pts[:, l - 1] * (upper - prev_b)
-            else:
-                b = budget - used
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                cur_pow = base**b
-                x = (pair.m_tx / rho) * (cur_pow - prev_pow)
-                # where that overflows, x = (m_tx / rho) e^(b L) (1 - e^((b_prev - b) L))
-                # with L = log(base), in logs; past e^709 it saturates the tail anyway
-                far = ~np.isfinite(x)
-                log_x = math.log(pair.m_tx) - math.log(rho) + b[far] * log_base
-                log_x += np.log(-np.expm1((prev_b[far] - b[far]) * log_base))
-                x[far] = np.exp(np.minimum(log_x, 709.0))
-            prob *= np.array(
-                [regularized_lower_gamma(shapes[l - 1], float(v)) for v in x]
-            )
-            used = used + b
-            prev_b = b
-            prev_pow = cur_pow
-        return -prob
-
-    _, neg_best = minimize_box(negated, dim, grid, vectorized=True)
-    return min(max(-neg_best, 0.0), 1.0)
+    q, log_a = max(pair.m_tx, pair.m_rx) - 2, math.log(scenario.snr / pair.m_tx)
+    # panels 2 wide in u up to l1 = 1, then 4 wide in l1 up to 41, which l1
+    # passes with probability below 1e-20 at up to 8 antennas
+    knots = np.logaddexp(0.0, log_a + np.log(np.arange(1.0, 42.0, 4.0)))
+    top = min(c / 2.0, float(knots[-1]))
+    edges = np.unique(np.r_[np.arange(0.0, min(knots[0], top), 2.0), knots[knots < top], top])
+    beta = np.arange(1.0, _NODES) / np.sqrt(4.0 * np.arange(1.0, _NODES) ** 2 - 1.0)
+    x, vectors = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))  # Golub-Welsch
+    half = np.diff(edges)[:, None] / 2.0
+    u = (edges[:-1, None] + half + half * x).ravel()
+    jac = np.exp(u - log_a)  # dl1/du
+    l1 = jac * -np.expm1(-u)
+    # L - l1 = (e^(c - u) - e^u) / a, held finite: past e^700 every P is 1
+    y = np.exp(np.minimum(c - u - log_a, 700.0)) * np.maximum(-np.expm1(2.0 * u - c), 0.0)
+    # C(q, k) (k + 2)! l1^(2q - k) e^-2l1 for each k, in shares of their mass
+    k = np.arange(q + 1)
+    weight = np.array([math.comb(q, j) * math.factorial(j + 2) for j in k], float)
+    mass = weight * [math.factorial(2 * q - j) / 2.0 ** (2 * q - j + 1) for j in k]
+    weight, mass = weight / mass.sum(), mass / mass.sum()
+    dens = weight[:, None] * l1 ** (2 * q - k)[:, None] * np.exp(-2.0 * l1) * jac
+    dens *= (half * 2.0 * vectors[0] ** 2).ravel()
+    p = float(np.sum(dens * regularized_lower_gammas(y, q + 3)[2:]))
+    if p > 0.5:
+        x_top = 2.0 * math.exp(top - log_a) * -math.expm1(-top)  # 2 l1 at u = top
+        reach = sum(m * regularized_lower_gamma(s, x_top) for s, m in zip(2 * q + 1 - k, mass))
+        p = min(reach - (float(np.sum(dens)) - p), 1.0)
+    return p
 
 
 def per_hop_outage(
@@ -298,13 +292,14 @@ def per_hop_outage(
 
     The window is a length in blocks; protocol windows are whole blocks of
     at least one, but any positive length is accepted.  Zero rate never
-    sees outage.
+    sees outage.  A log-det hop of rank 3 or more has no exact reference
+    yet and raises ValueError at any other rate.
     """
     if not window > 0.0:
         raise ValueError(f"window must be positive, got {window}")
     rate = _code_rate(pair, scenario, code_model)
     if rate is None:
-        return _outage_window_logdet(pair, window, scenario)
+        return _logdet_outage(pair, window, scenario)
     return _gamma_tail(pair, scenario.snr, scenario.multiplexing_gain, rate, window)
 
 

@@ -406,9 +406,9 @@ def _hop_rounds(config: SimConfig, h: int) -> np.ndarray:
     holds window + 1.  Below finite_snr._LOW_SNR a hop with a code rate
     compares capacity / snr against r m_rx log1p(y) / y, y = m_rx snr, both
     in nats, so a tiny or subnormal SNR decodes at the small-SNR limit the
-    analysis reads.  A log-det hop of rank >= 2 has no code rate and still
-    compares bits at every SNR: its own outage reference is not exact yet,
-    so there is no limit to hold it to.
+    analysis reads.  A log-det hop of rank >= 2 has no code rate and
+    compares bits at every SNR, against the log of the base that its outage
+    reference reads too (finite_snr._target_base).
     """
     pair = config.topology.hop(h)
     window = config.protocol.windows[h]

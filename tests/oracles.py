@@ -53,6 +53,7 @@ import json
 import math
 from builtins import sum as _builtin_sum
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain, combinations
 from itertools import product as _cartesian
 from typing import Any, Callable, Iterator, Sequence
@@ -550,24 +551,24 @@ def equalized_split_is_nearest(
     In exact arithmetic the equalized value v* is the largest v with
     X1(v) + X2(v) <= L, where Xi(v) = r / si(v) is the least share of the L
     rounds at which hop i reaches v (si from _inverse), and the split x*
-    solves d1(r/x) = d2(r/(L - x)).  A double is the nearest to either iff
-    the exact function changes sign between the points half-way to its
-    neighbours; every sign is read off integers, with r = M / N.  On the
-    zero plateau, r/m1 + r/m2 >= L, v* is 0 and the split is the plateau's
-    right end, r/m1, kept below L (1 - 1e-12); at r = 0 the split is L/2 at
-    full diversity.
+    solves d1(r/x) = d2(r/(L - x)).  A double is the nearest to any of v*,
+    x* and hop 2's share L - x* iff the exact function changes sign between
+    the points half-way to its neighbours; every sign is read off integers,
+    with r = M / N.  On the zero plateau, r/m1 + r/m2 >= L, v* is 0 and x*
+    is the plateau's right end, r/m1, kept below L (1 - 1e-12); at r = 0 the
+    split is L/2 each at full diversity.
     """
     c1, c2 = ([int(v) for v in _curve(hop)] for hop in _require_3node(topology))
     L = int(total_rounds)
-    x, v = opt.split[0], opt.split_value
-    if opt.split[1] != L - x:
-        return False
+    (x, y), v = opt.split, opt.split_value
     if r == 0.0:
-        return x == L / 2 and v == min(c1[0], c2[0])
+        return x == y == L / 2 and v == min(c1[0], c2[0])
     m1, m2 = len(c1) - 1, len(c2) - 1
     M, N = r.as_integer_ratio() if r < math.inf else (1, 0)
     if M * (m1 + m2) >= L * N * m1 * m2:  # r/m1 + r/m2 >= L
-        return v == 0.0 and x == min(r / m1, L * (1.0 - 1e-12))
+        x_star = min(r / m1, L * (1.0 - 1e-12))
+        exact_y = Fraction(L) - Fraction(M, N * m1) if x_star == r / m1 else L - x_star
+        return v == 0.0 and x == x_star and y == float(exact_y)
 
     def excess(p: int, q: int) -> int:
         """An integer of the sign of X1(p/q) + X2(p/q) - L."""
@@ -586,7 +587,15 @@ def equalized_split_is_nearest(
         return a1 * b2 - a2 * b1
 
     (v_lo, v_hi), (x_lo, x_hi) = _halfway(v), _halfway(x)
-    return excess(*v_lo) <= 0 <= excess(*v_hi) and gap(*x_lo) <= 0 <= gap(*x_hi)
+    # hop 2's share p/q is hop 1's L - p/q, and gap rises with hop 1's share:
+    # where x's half-way points lie inside y's, x's signs already hold for y
+    (x_ylo, y_lo), (x_yhi, y_hi) = ((L * q - p, q) for p, q in reversed(_halfway(y)))
+    inside = x_ylo * x_lo[1] <= x_lo[0] * y_lo and x_hi[0] * y_hi <= x_yhi * x_hi[1]
+    return (
+        excess(*v_lo) <= 0 <= excess(*v_hi)
+        and gap(*x_lo) <= 0 <= gap(*x_hi)
+        and (inside or gap(x_ylo, y_lo) <= 0 <= gap(x_yhi, y_hi))
+    )
 
 
 def dmt_fbl_dmdt_3node(

@@ -358,7 +358,9 @@ def _split_cases(draw):
 
 @given(_split_cases())
 @example(((4, 1, 3), 4, 5e-324))  # subnormal: r/x rounds to 0 or to 5e-324
-@example(((2, 3, 4), 7, 1e-300))  # hop 2's exact share rounds away: x = L
+# hop 2's share, about r, is below half an ulp of L: L - x would read 0
+@example(((2, 3, 4), 7, 1e-300))
+@example(((2, 3, 4), 7, 5e-324))  # and here it is the smallest double
 @example(((4, 4, 4), 10, 1e-16))  # the float root sits far from the real one
 @example(((3, 5, 2), 33, 1e300))
 @example(((4, 4, 4), 10, math.inf))

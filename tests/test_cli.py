@@ -942,9 +942,8 @@ def test_validate_refuses_short_term_physical_before_simulating(
             "mharq: infeasible: stage 0 is unstable: mean occupancy 5 blocks "
             "against mean inter-arrival 4\n",
         ),
-        # the min >= 3 log-det outage reference refuses a roundoff-negative
-        # argument, a known defect; once it is mended this case needs another
-        # refused reference
+        # the log-det outage reference is exact up to rank 2, and a rank-3
+        # hop refuses it as a config.code_model line
         (
             {
                 "topology": [4, 3, 4],
@@ -957,10 +956,12 @@ def test_validate_refuses_short_term_physical_before_simulating(
                 "code_model": "logdet",
             },
             2,
-            None,
+            "mharq: config.code_model: the log-det outage reference is exact up to "
+            "rank 2, not at rank 3 (4x3 hop); code_model ostbc has an exact outage "
+            "reference at every rank\n",
         ),
     ],
-    ids=["markovian-unstable", "logdet-roundoff"],
+    ids=["markovian-unstable", "logdet-rank-3"],
 )
 def test_validate_refuses_its_reference_before_simulating(
     tmp_path, capsys, monkeypatch, payload, code, err
@@ -972,9 +973,7 @@ def test_validate_refuses_its_reference_before_simulating(
     cfg = write_config(tmp_path, payload)
     assert main(["validate", "--config", cfg]) == code
     stderr = capsys.readouterr().err
-    assert stderr.count("\n") == 1
-    if err is not None:
-        assert stderr == err
+    assert stderr == err
 
 
 def test_validate_markovian_exponent(tmp_path, capsys):

@@ -886,6 +886,24 @@ CASES = [
             message_count=4000,
         ),
     ),
+    # a rank-2 log-det hop has an exact outage reference; a rank-3 one refuses
+    (
+        "val-physical-logdet-rank-2",
+        "validate",
+        dict(
+            SIM,
+            topology=[2, 2, 2],
+            windows=[1, 1],
+            code_model="logdet",
+            snr_linear=10.0,
+            message_count=4000,
+        ),
+    ),
+    (
+        "val-physical-logdet-rank-3",
+        "validate",
+        dict(SIM, topology=[4, 3, 4], windows=[2, 2], code_model="logdet", snr_linear=10.0),
+    ),
     ("val-short-term", "validate", dict(SIM, channel="short_term")),
     ("val-markovian-means", "validate", dict(MARKOV, service_means=[2.5, 2.5])),
     ("val-markovian-derived-means", "validate", MARKOV),

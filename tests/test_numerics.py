@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sp_special
 
-from mharq.numerics import _lower_incomplete_gamma, minimize_box, regularized_lower_gamma
+from mharq.numerics import (
+    _lower_incomplete_gamma,
+    minimize_box,
+    regularized_lower_gamma,
+    regularized_lower_gammas,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +71,28 @@ def test_gamma_monotone_in_argument():
     xs = np.linspace(0.0, 30.0, 200)
     vals = [regularized_lower_gamma(4, float(x)) for x in xs]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("top", [1, 2, 3, 9, 20])
+def test_regularized_gammas_match_scipy_in_every_row(top):
+    # every shape 1..top at once, from x = 0 past the switch to the series at
+    # P(top, x) = 1/2 and on to where e^-x underflows
+    x = np.concatenate([[0.0, 1e-300, 1e-10], np.geomspace(1e-3, 1e3, 200), [1e300]])
+    got = regularized_lower_gammas(x, top)
+    want = sp_special.gammainc(np.arange(1, top + 1)[:, None], x)
+    assert got.shape == (top, x.size)
+    assert np.allclose(got, want, rtol=1e-13, atol=1e-300)
+    # a larger shape never gives a larger probability
+    assert (np.diff(got, axis=0) <= 0.0).all() and (got >= 0.0).all() and (got <= 1.0).all()
+
+
+@given(s=st.integers(1, 12), x=st.floats(0.0, 1e3))
+@settings(max_examples=200, deadline=None)
+def test_regularized_gammas_agree_with_the_scalar(s, x):
+    # two independent algorithms for one value: the relative gap stays at
+    # roundoff, on the lower tail as near 1
+    got = regularized_lower_gammas(np.array([x]), s)[s - 1, 0]
+    assert got == pytest.approx(regularized_lower_gamma(s, x), rel=1e-12, abs=1e-300)
 
 
 # ---------------------------------------------------------------------------
