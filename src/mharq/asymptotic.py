@@ -14,12 +14,11 @@ preimages of the integer knots of the Zheng-Tse tradeoff curve, so the exact
 minimum is the smallest value over a finite candidate set; the closed forms
 for the special antenna families serve as independent oracles for it.
 
-Every kernel evaluates the Zheng-Tse curve of a hop through
-tradeoff._d_scalar on its corner diversities, held as a tuple of Python
-floats (tradeoff._curve), or through the same expression on the curve's
-precomputed pieces (the short-term hop tables), and needs no numpy.  The
-equalized fixed split reads no curve: it is solved exactly in integers from
-the corners, and its value correctly rounded.
+Every kernel evaluates the Zheng-Tse curve of a hop through the one
+evaluator d of its curve (tradeoff._curve, built once per antenna pair),
+and needs no numpy.  The equalized fixed split reads no curve: it is solved
+exactly in integers from the curve's integer corners, and its value
+correctly rounded.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from .tradeoff import (
     Topology,
     _check_rate_scalar,
     _curve,
-    _d_scalar,
 )
 
 __all__ = [
@@ -73,9 +71,7 @@ def fixed_dmdt_3node(
     if window1 < 1 or window2 < 1:
         raise ValueError(f"windows must be >= 1, got ({window1}, {window2})")
     r = _check_rate_scalar(r)
-    return min(
-        _d_scalar(_curve(hop1), r / window1), _d_scalar(_curve(hop2), r / window2)
-    )
+    return min(_curve(hop1).d(r / window1), _curve(hop2).d(r / window2))
 
 
 @dataclass(frozen=True)
@@ -111,10 +107,10 @@ def fixed_optimal_windows(
     curve1, curve2 = _curve(hop1), _curve(hop2)
 
     def d1(w: int) -> float:
-        return _d_scalar(curve1, r / w)
+        return curve1.d(r / w)
 
     def d2(w: int) -> float:
-        return _d_scalar(curve2, r / w)
+        return curve2.d(r / w)
 
     windows = range(1, L)
     # min(d1(a), d2(L - a)) rises with a until d1 catches up with d2, then
@@ -127,25 +123,26 @@ def fixed_optimal_windows(
     c = max(a0, b0)
     w1, w2 = (c, c) if 2 * c <= L else (a0, L - a0) if a0 > b0 else (L - b0, b0)
 
-    return FixedWindowOptimum((w1, w2), value, *_equalized_split(curve1, curve2, L, r))
+    split = _equalized_split(curve1.corners, curve2.corners, L, r)
+    return FixedWindowOptimum((w1, w2), value, *split)
 
 
 @cache
-def _value_pieces(curve1: tuple[float, ...], curve2: tuple[float, ...]) -> tuple:
+def _value_pieces(corners1: tuple[int, ...], corners2: tuple[int, ...]) -> tuple:
     """(w, S1, A1, S2, A2) at 0 and at each corner value w below both tops.
 
     For v in [w, next w) hop i's curve is on a piece c[j] > v >= c[j + 1]
     and reaches v up to rate argument (Ai - v) / Si, with the integers
-    Si = c[j] - c[j + 1] and Ai = c[j] + j Si.  Kept per pair of curves, of
-    which antennas 1..MAX_ANTENNAS make at most 36**2.
+    Si = c[j] - c[j + 1] and Ai = c[j] + j Si.  Kept per pair of integer
+    corner tuples, of which antennas 1..MAX_ANTENNAS make at most 36**2.
     """
-    def piece(c: tuple[float, ...], w: float) -> tuple[int, int]:  # c[j] > w >= c[j + 1]
+    def piece(c: tuple[int, ...], w: int) -> tuple[int, int]:  # c[j] > w >= c[j + 1]
         j = sum(v > w for v in c) - 1
-        return int(c[j] - c[j + 1]), int(c[j] + j * (c[j] - c[j + 1]))
+        return c[j] - c[j + 1], c[j] + j * (c[j] - c[j + 1])
 
-    top = min(curve1[0], curve2[0])
-    knots = sorted({0.0, *(v for v in curve1 + curve2 if v < top)})
-    return tuple((int(w), *piece(curve1, w), *piece(curve2, w)) for w in knots)
+    top = min(corners1[0], corners2[0])
+    knots = sorted({0, *(v for v in corners1 + corners2 if v < top)})
+    return tuple((w, *piece(corners1, w), *piece(corners2, w)) for w in knots)
 
 
 def _nearest(p: int, q: int, rad: int) -> float:
@@ -165,7 +162,9 @@ def _nearest(p: int, q: int, rad: int) -> float:
         k *= 2
 
 
-def _equalized_split(curve1: tuple, curve2: tuple, L: int, r: float) -> tuple[tuple, float]:
+def _equalized_split(
+    corners1: tuple[int, ...], corners2: tuple[int, ...], L: int, r: float
+) -> tuple[tuple, float]:
     """The split (x, L - x) where d1(r/x) meets d2(r/(L - x)), and that value.
 
     Hop i reaches diversity v > 0 iff its share of the L rounds is at least
@@ -180,17 +179,17 @@ def _equalized_split(curve1: tuple, curve2: tuple, L: int, r: float) -> tuple[tu
     curves are flat at full diversity, and x is the midpoint.
     """
     if r == 0.0:
-        return (L / 2.0, L / 2.0), min(curve1[0], curve2[0])
+        return (L / 2.0, L / 2.0), float(min(corners1[0], corners2[0]))
     M, N = r.as_integer_ratio() if r < math.inf else (1, 0)
     LN = L * N
 
     def short(w: int, s1: int, a1: int, s2: int, a2: int) -> bool:  # X1 + X2 > L
         return M * (s1 * (a2 - w) + s2 * (a1 - w)) > LN * (a1 - w) * (a2 - w)
 
-    pieces = _value_pieces(curve1, curve2)
+    pieces = _value_pieces(corners1, corners2)
     i = bisect_left(range(len(pieces)), True, key=lambda i: short(*pieces[i]))
     if i == 0:
-        m1 = len(curve1) - 1
+        m1 = len(corners1) - 1
         x = min(r / m1, L * (1.0 - 1e-12))
         return (x, (LN * m1 - M) / (N * m1) if x == r / m1 else L - x), 0.0
     _, s1, a1, s2, a2 = pieces[i - 1]
@@ -246,11 +245,11 @@ def fbl_dmdt_3node(
     short_term = channel is ChannelAssumption.SHORT_TERM_STATIC
     curve1, curve2 = _curve(hop1), _curve(hop2)
 
-    def term(curve: tuple[float, ...], l: int) -> float:
+    def term(curve, l: int) -> float:
         # nonnegative and never -0.0, so term + term is 0 + term + term
         if l == 0:
             return 0.0
-        return l * _d_scalar(curve, r / l) if short_term else _d_scalar(curve, r / l)
+        return l * curve.d(r / l) if short_term else curve.d(r / l)
 
     best = math.inf
     for l1 in range(low, data_rounds - low + 1):
@@ -278,7 +277,7 @@ def _vbl_long_term(hop1: AntennaPair, hop2: AntennaPair, c: float) -> float:
     m1, m2 = hop1.min_dim, hop2.min_dim
     curve1, curve2 = _curve(hop1), _curve(hop2)
     if c == 0.0:
-        return min(curve1[0], curve2[0])
+        return float(min(curve1.corners[0], curve2.corners[0]))
     cap = m1 * m2 / (m1 + m2)
     if c >= cap:
         return 0.0
@@ -293,16 +292,11 @@ def _vbl_long_term(hop1: AntennaPair, hop2: AntennaPair, c: float) -> float:
             s1 = k * c / (k - c)
             if lo < s1 < hi:
                 cands.add(s1)
-    return min(
-        _d_scalar(curve1, s1)
-        + (0.0 if s1 == lo else _d_scalar(curve2, c * s1 / (s1 - c)))
-        for s1 in cands
-    )
+    d1, d2 = curve1.d, curve2.d
+    return min(d1(s1) + (0.0 if s1 == lo else d2(c * s1 / (s1 - c))) for s1 in cands)
 
 
-def _partial_round_costs(
-    curve: tuple[float, ...], min_dim: int, r: float, taus: set[float]
-) -> dict[float, float]:
+def _partial_round_costs(curve, r: float, taus: set[float]) -> dict[float, float]:
     """Exponent of one hop failing to decode within tau rounds, for each tau.
 
     tau = m + f with m whole rounds and a final fraction f; the rate budget
@@ -311,23 +305,12 @@ def _partial_round_costs(
     convex), and the remaining one-dimensional minimum over y sits at a knot
     of either piecewise-linear term, so only knots and endpoints are tried.
 
-    d is _d_scalar on the curve's (lo, slope) pieces, formed once a call,
-    and the terms that depend on m alone are formed once per m; every value
-    has the bits of _d_scalar's per-tau evaluation (tests/oracles.py).
+    d is the curve's evaluator, and d at knot k is its integer corner k; the
+    terms that depend on m alone are formed once per m, and every value has
+    the bits of the per-tau evaluation (tests/oracles.py).
     """
-    top, d0 = len(curve) - 1, curve[0]
-    pieces = [(curve[j], curve[j + 1] - curve[j]) for j in range(top)]
-
-    def d(s: float) -> float:
-        if s >= top:
-            return 0.0
-        if s <= 0.0:
-            return d0
-        j = int(s)
-        lo, slope = pieces[j]
-        return lo + (s - j) * slope
-
-    knots = [d(float(k)) for k in range(min_dim + 1)]
+    d, knots = curve.d, curve.corners
+    min_dim = len(knots) - 1
     dim = float(min_dim)
     rounds = {}  # m -> (the y = 0 candidate, (k, r - m*k, d(k)) for each knot k)
     costs = {}
@@ -395,9 +378,9 @@ def _vbl_short_term(
     sits on a candidate.
 
     A hop's cost at tau depends on its curve and r alone: tables maps each
-    curve to its table {tau: cost}, filled here with the taus it lacks, and
-    each min_dim to its kink sets, the list of _kink_fractions for
-    m = 0, 1, ...  A public call makes its tables at one r and drops them
+    curve's corners to its table {tau: cost}, filled here with the taus it
+    lacks, and each min_dim to its kink sets, the list of _kink_fractions
+    for m = 0, 1, ...  A public call makes its tables at one r and drops them
     when it returns, so the hops, windows and budgets of that call that
     share a curve or a min_dim share them.
     """
@@ -416,8 +399,8 @@ def _vbl_short_term(
     costs = []
     for hop, need in ((hop1, taus), (hop2, {L - tau for tau in taus})):
         curve = _curve(hop)
-        table = tables.setdefault(curve, {})
-        table.update(_partial_round_costs(curve, hop.min_dim, r, need - table.keys()))
+        table = tables.setdefault(curve.corners, {})
+        table.update(_partial_round_costs(curve, r, need - table.keys()))
         costs.append(table)
     cost1, cost2 = costs
     return min(cost1[tau] + cost2[L - tau] for tau in taus)

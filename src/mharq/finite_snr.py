@@ -277,7 +277,7 @@ def _logdet_outage(pair: AntennaPair, t: float, scenario: FiniteSnrScenario) -> 
     if p > 0.5:
         x_top = 2.0 * math.exp(top - log_a) * -math.expm1(-top)  # 2 l1 at u = top
         reach = sum(m * regularized_lower_gamma(s, x_top) for s, m in zip(2 * q + 1 - k, mass))
-        p = min(reach - (float(np.sum(dens)) - p), 1.0)
+        p = min(float(reach - (float(np.sum(dens)) - p)), 1.0)  # mass holds numpy floats
     return p
 
 

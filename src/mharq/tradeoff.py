@@ -1,9 +1,9 @@
 """Point-to-point diversity-multiplexing machinery and shared protocol types.
 
-This module holds the single-hop tradeoff curve, in the one plain-float
-form that dmt and the high-SNR kernels share, and the small value types
-(antenna pairs, node chains, per-hop ARQ windows) that every higher-level
-module shares.
+This module holds the single-hop tradeoff curve, built once per antenna
+pair with integer corners and one evaluator that dmt and the high-SNR
+kernels share, and the small value types (antenna pairs, node chains,
+per-hop ARQ windows) that every higher-level module shares.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
 __all__ = [
@@ -118,28 +118,36 @@ class FixedArq:
         object.__setattr__(self, "windows", windows)
 
 
-def _curve(pair: AntennaPair) -> tuple[float, ...]:
-    """Corner diversities (m_tx - k)(m_rx - k) at the knots k = 0..min_dim."""
-    return tuple(
-        float((pair.m_tx - k) * (pair.m_rx - k)) for k in range(pair.min_dim + 1)
-    )
+class _Curve:
+    """The Zheng-Tse curve of one hop: its corners and one evaluator, d.
 
-
-def _d_scalar(corners: tuple[float, ...], s: float) -> float:
-    """Piecewise-linear tradeoff evaluation with integer corner knots.
-
-    Between knots j and j + 1 the value is lo + (s - j) * (hi - lo), the
-    form of numpy's linear interpolation, which the tests hold it to bit
-    for bit; outside [0, top] it is the end corner.
+    corners holds the integer corner diversities (m_tx - k)(m_rx - k) at the
+    knots k = 0..min_dim.  Between knots j and j + 1, d(s) is
+    lo + (s - j) * slope on the piece's float (lo, slope), formed once: the
+    form of numpy's linear interpolation, which the tests hold it to bit for
+    bit.  Outside [0, min_dim] it is the end corner, as a float.
     """
-    top = len(corners) - 1
-    if s >= top:
-        return 0.0
-    if s <= 0.0:
-        return corners[0]
-    j = int(s)
-    lo, hi = corners[j], corners[j + 1]
-    return lo + (s - j) * (hi - lo)
+
+    __slots__ = ("corners", "_top", "_d0", "_pieces")
+
+    def __init__(self, pair: AntennaPair) -> None:
+        c = tuple((pair.m_tx - k) * (pair.m_rx - k) for k in range(pair.min_dim + 1))
+        self.corners = c
+        self._top, self._d0 = pair.min_dim, float(c[0])
+        self._pieces = tuple((float(lo), float(hi - lo)) for lo, hi in zip(c, c[1:]))
+
+    def d(self, s: float) -> float:
+        if s >= self._top:
+            return 0.0
+        if s <= 0.0:
+            return self._d0
+        j = int(s)
+        lo, slope = self._pieces[j]
+        return lo + (s - j) * slope
+
+
+# each pair's curve, built once per process: 8 antennas make at most 64 pairs
+_curve = cache(_Curve)
 
 
 def _check_rate_scalar(r: float) -> float:
@@ -154,9 +162,8 @@ def dmt(pair: AntennaPair, r: float) -> float:
 
     The Zheng-Tse curve: piecewise linear through the corner points
     (k, (m_tx - k)(m_rx - k)) for k = 0..min(m_tx, m_rx), and zero from the
-    rightmost corner on.  The high-SNR kernels read the same curve through
-    _curve and _d_scalar.
+    rightmost corner on.  The high-SNR kernels read the same curve, _curve.
     """
     if not isinstance(pair, AntennaPair):
         raise TypeError("pair must be an AntennaPair")
-    return _d_scalar(_curve(pair), _check_rate_scalar(r))
+    return _curve(pair).d(_check_rate_scalar(r))

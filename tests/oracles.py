@@ -27,11 +27,13 @@ lazy decode must agree with.  The whole-array tandem runs every queueing
 stage's Lindley reflection over all messages at once, the route the
 simulator's chunked tandem must agree with bit for bit.
 The np.interp curve is the single-hop curve as mharq.tradeoff.dmt first
-shipped it; dmt's float curve must give its bits.  The fixed-window optimum
-and the shared-budget split evaluate that curve once per window pair, as
-first shipped; the float-curve kernels of mharq.asymptotic must give the
-same bits.  The enumerated fixed windows read every window at every rate
-at once; the fixed optimum's windows and value must give their bits.  The
+shipped it; dmt's curve must give its bits.  The float corners and the
+corner curve evaluate it as the high-SNR kernels first did, on a tuple of
+float corners.  The fixed-window optimum and the shared-budget split
+evaluate the np.interp curve once per window pair, as first shipped; the
+kernels of mharq.asymptotic must give the same bits.  The enumerated fixed
+windows read every window at every rate at once; the fixed optimum's
+windows and value must give their bits.  The
 exact split check reads the signs of the equalizing equations off
 integers, half-way to each neighbour of a double: the equalized split and
 its value must be the nearest doubles.  The per-tau short-term split costs each hop afresh at every
@@ -83,13 +85,35 @@ from mharq.tradeoff import (
     FixedArq,
     Topology,
     _check_rate_scalar,
-    _curve,
-    _d_scalar,
 )
 
 
 #: Sentinel for "decoding never completes" (total accumulated rate short of r).
 NEVER = math.inf
+
+
+def corners(pair: AntennaPair) -> list[int]:
+    """The corner diversities (m_tx - k)(m_rx - k) at the knots k = 0..min_dim."""
+    return [(pair.m_tx - k) * (pair.m_rx - k) for k in range(pair.min_dim + 1)]
+
+
+def float_corners(pair: AntennaPair) -> tuple[float, ...]:
+    """The corners as a tuple of Python floats."""
+    return tuple(map(float, corners(pair)))
+
+
+def corner_curve(c: tuple[float, ...], s: float) -> float:
+    """The curve on float corners c: lo + (s - j) * (hi - lo) between knots j
+    and j + 1, the end corner outside [0, len(c) - 1].
+    """
+    top = len(c) - 1
+    if s >= top:
+        return 0.0
+    if s <= 0.0:
+        return c[0]
+    j = int(s)
+    lo, hi = c[j], c[j + 1]
+    return lo + (s - j) * (hi - lo)
 
 
 def interp_dmt(pair: AntennaPair, r: float) -> float:
@@ -453,7 +477,7 @@ def dmt_fixed_optimal_windows(
     """The fixed-window optimum's windows and value as first shipped.
 
     Kept so the tests can hold fixed_optimal_windows, which reads each
-    hop's diversity once per window from a float curve, to the same bits;
+    hop's diversity once per window from its curve, to the same bits;
     the split is held to exact arithmetic (equalized_split_is_nearest).  It
     enumerates every split with window1 + window2 <= total_rounds, the
     curve read through np.interp per window pair, and maximizes the
@@ -479,7 +503,7 @@ def dmt_fixed_optimal_windows(
 
 
 def _d_grid(curve: tuple[float, ...], s: np.ndarray) -> np.ndarray:
-    """_d_scalar at every entry of s, each ufunc rounding as a float op does."""
+    """corner_curve at every entry of s, each ufunc rounding as a float op does."""
     top = len(curve) - 1
     c = np.array(curve)
     j = np.clip(np.floor(s), 0, top - 1)
@@ -502,7 +526,7 @@ def enumerated_fixed_windows(
     hop1, hop2 = _require_3node(topology)
     L = int(total_rounds)
     shares = np.array(rates, dtype=float)[:, None] / np.arange(1.0, L)
-    d1, d2 = _d_grid(_curve(hop1), shares), _d_grid(_curve(hop2), shares)
+    d1, d2 = (_d_grid(float_corners(hop), shares) for hop in (hop1, hop2))
     values = np.minimum(d1, d2[:, ::-1]).max(axis=1)
     a0s = np.argmax(d1 >= values[:, None], axis=1) + 1
     b0s = np.argmax(d2 >= values[:, None], axis=1) + 1
@@ -558,7 +582,7 @@ def equalized_split_is_nearest(
     is the plateau's right end, r/m1, kept below L (1 - 1e-12); at r = 0 the
     split is L/2 each at full diversity.
     """
-    c1, c2 = ([int(v) for v in _curve(hop)] for hop in _require_3node(topology))
+    c1, c2 = map(corners, _require_3node(topology))
     L = int(total_rounds)
     (x, y), v = opt.split, opt.split_value
     if r == 0.0:
@@ -609,7 +633,7 @@ def dmt_fbl_dmdt_3node(
     """The shared-budget split as first shipped: the curve per hop and split.
 
     Kept unchanged so the tests can hold fbl_dmdt_3node, which evaluates
-    the same terms on a float curve, to the same bits.
+    the same terms on the cached curve, to the same bits.
 
     One round of the budget is spent on the decision overhead, and the rest
     is split as l1 + l2 = total_rounds - 1.  Long-term static channels add
@@ -643,9 +667,7 @@ def dmt_fbl_dmdt_3node(
     return best
 
 
-def partial_round_cost(
-    curve: tuple[float, ...], min_dim: int, r: float, tau: float
-) -> float:
+def partial_round_cost(pair: AntennaPair, r: float, tau: float) -> float:
     """Exponent of one hop failing to decode within tau rounds (fresh fades).
 
     tau = m + f with m whole rounds and a final fraction f; the rate budget
@@ -656,12 +678,13 @@ def partial_round_cost(
     """
     if tau <= 0.0:
         return 0.0
+    curve, min_dim = float_corners(pair), pair.min_dim
     frac = tau - math.floor(tau)
     f = 1.0 if frac == 0.0 else frac
     m = math.ceil(tau) - 1
     ycap = min(float(min_dim), r / f) if r > 0.0 else 0.0
     if m == 0:
-        return _d_scalar(curve, ycap)
+        return corner_curve(curve, ycap)
     cands = {0.0, ycap}
     for k in range(0, min_dim + 1):
         if 0.0 < k < ycap:
@@ -670,7 +693,7 @@ def partial_round_cost(
         if 0.0 < y < ycap:
             cands.add(y)
     return min(
-        m * _d_scalar(curve, (r - f * y) / m) + _d_scalar(curve, y) for y in cands
+        m * corner_curve(curve, (r - f * y) / m) + corner_curve(curve, y) for y in cands
     )
 
 
@@ -688,15 +711,13 @@ def per_tau_vbl_short_term(
     sits on a candidate.
     """
     L = int(total_rounds)
-    curve1, curve2 = _curve(hop1), _curve(hop2)
     m1, m2 = hop1.min_dim, hop2.min_dim
     taus = {float(t) for t in range(L + 1)}
     for m in range(L):
         taus.update(m + f for f in _kink_fractions(m1, r, m))
         taus.update(L - m - f for f in _kink_fractions(m2, r, m))
     return min(
-        partial_round_cost(curve1, m1, r, tau)
-        + partial_round_cost(curve2, m2, r, L - tau)
+        partial_round_cost(hop1, r, tau) + partial_round_cost(hop2, r, L - tau)
         for tau in taus
     )
 

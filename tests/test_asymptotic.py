@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mharq.asymptotic as asymptotic
+import mharq.tradeoff as tradeoff
 from mharq.asymptotic import (
     _kink_fractions,
     _partial_round_costs,
@@ -29,10 +30,13 @@ from mharq.asymptotic import (
 )
 from mharq.tradeoff import AntennaPair, ChannelAssumption, Topology, _curve, dmt
 from oracles import (
+    corner_curve,
+    corners,
     dmt_fbl_dmdt_3node,
     dmt_fixed_optimal_windows,
     enumerated_fixed_windows,
     equalized_split_is_nearest,
+    float_corners,
     interp_dmt,
     nnode_fixed_bounds,
     partial_round_cost,
@@ -383,22 +387,22 @@ def test_equalized_split_keeps_the_bits_of_the_bisection(case):
     assert equalized_split_is_nearest(topo, L, r, opt)
 
 
-def _counting(monkeypatch, module):
-    """Count the _d_scalar calls module makes."""
+def _counting(monkeypatch):
+    """Count the reads of every curve's evaluator d."""
     calls = [0]
-    real = module._d_scalar
+    real = tradeoff._Curve.d
 
     def counted(curve, s):
         calls[0] += 1
         return real(curve, s)
 
-    monkeypatch.setattr(module, "_d_scalar", counted)
+    monkeypatch.setattr(tradeoff._Curve, "d", counted)
     return calls
 
 
 def _split_reads(monkeypatch):
     """The curve reads of each _equalized_split call fixed_optimal_windows makes."""
-    calls = _counting(monkeypatch, asymptotic)
+    calls = _counting(monkeypatch)
     reads = []
     real = asymptotic._equalized_split
 
@@ -450,7 +454,7 @@ def test_fixed_windows_are_bisected_in_log_reads(monkeypatch):
     # L = 1000, and reads each curve O(log L) times: three bisections over
     # the L - 1 windows, and the best value at the crossing; the split
     # reads neither curve
-    calls = _counting(monkeypatch, asymptotic)
+    calls = _counting(monkeypatch)
     for antennas in itertools.product(range(1, 5), repeat=3):
         topo = Topology(antennas)
         for L in (2, 3, 4, 5, 7, 10, 33, 1000):
@@ -459,7 +463,7 @@ def test_fixed_windows_are_bisected_in_log_reads(monkeypatch):
             for r, want in zip(rates, enumerated_fixed_windows(topo, L, rates)):
                 calls[0] = 0
                 got = fixed_optimal_windows(topo, L, r)
-                assert calls[0] <= 4 * (L - 1).bit_length() + 4
+                assert 0 < calls[0] <= 4 * (L - 1).bit_length() + 4
                 assert _integer_part(got) == repr(want)
                 assert equalized_split_is_nearest(topo, L, r, got)
 
@@ -497,7 +501,7 @@ def test_equalized_split_solves_the_x_space_definition():
             antennas = tuple(rng.randint(1, 8) for _ in range(3))
             L = rng.choice([2, 3, 4, 7, 10, 33, 1000])
             topo = Topology(antennas)
-            c1, c2 = _curve(topo.hop(0)), _curve(topo.hop(1))
+            c1, c2 = _curve(topo.hop(0)).corners, _curve(topo.hop(1)).corners
             m1, m2 = len(c1) - 1, len(c2) - 1
             r = rng.uniform(0.0, 1.1 * L * m1 * m2 / (m1 + m2))  # 1/11 on the plateau
             R, lo, hi = mpmath.mpf(r), mpmath.mpf(0), mpmath.mpf(L)
@@ -548,11 +552,10 @@ def _per_tau_chain(topo, L, r):
 @example(pair=AntennaPair(4, 3), r=1.5, taus=[0.0])
 @settings(max_examples=300, deadline=None)
 def test_partial_round_costs_match_per_tau_oracle(pair, r, taus):
-    curve = _curve(pair)
-    costs = _partial_round_costs(curve, pair.min_dim, r, set(taus))
+    costs = _partial_round_costs(_curve(pair), r, set(taus))
     assert sorted(costs) == sorted(set(taus))
     for tau in taus:
-        assert costs[tau].hex() == partial_round_cost(curve, pair.min_dim, r, tau).hex()
+        assert costs[tau].hex() == partial_round_cost(pair, r, tau).hex()
 
 
 _ST_RATES = st.one_of(
@@ -623,9 +626,9 @@ def test_short_term_tables_cost_no_more_taus(monkeypatch):
     taus = [0]
     real = asymptotic._partial_round_costs
 
-    def counted(curve, min_dim, r, need):
+    def counted(curve, r, need):
         taus[0] += len(need)
-        return real(curve, min_dim, r, need)
+        return real(curve, r, need)
 
     monkeypatch.setattr(asymptotic, "_partial_round_costs", counted)
     topo = Topology((4, 4, 4))
@@ -663,10 +666,12 @@ def test_chain_kernels_match_per_tau_oracle(antennas, L, r):
 
 @pytest.mark.parametrize("m_tx, m_rx", [(1, 1), (4, 1), (1, 3), (2, 2), (4, 3), (6, 6)])
 def test_d_scalar_matches_dmt_bitwise(m_tx, m_rx):
-    # dmt, and the kernels through it, read the float curve; the np.interp
-    # curve it replaced must give the same bits
+    # dmt and the kernels read the cached curve's d; the np.interp curve it
+    # replaced, and the float-corner evaluation the kernels first made, must
+    # give the same bits
     pair = AntennaPair(m_tx, m_rx)
-    assert all(type(c) is float for c in _curve(pair))
+    assert _curve(pair).corners == tuple(corners(pair))
+    assert all(type(c) is int for c in _curve(pair).corners)
     m = pair.min_dim
     rng = np.random.default_rng(10 * m_tx + m_rx)
     # every knot from 0 to min_dim, past the top corner, and random points
@@ -676,6 +681,15 @@ def test_d_scalar_matches_dmt_bitwise(m_tx, m_rx):
         got = dmt(pair, s)
         assert type(got) is float
         assert got.hex() == interp_dmt(pair, s).hex(), s
+        assert got.hex() == corner_curve(float_corners(pair), s).hex(), s
+
+
+def test_curve_is_built_once_per_pair():
+    # every kernel and dmt read the one object of each antenna pair
+    for a, b in itertools.product(range(1, 9), repeat=2):
+        pair = AntennaPair(a, b)
+        assert _curve(pair) is _curve(AntennaPair(a, b))
+    assert "_curve" not in tradeoff.__all__
 
 
 # ---------------------------------------------------------------------------
@@ -819,3 +833,25 @@ def test_swept_kernels_finite_nonnegative_nonincreasing(
         assert math.isfinite(d_lo) and math.isfinite(d_hi), (name, lo, hi)
         assert d_lo >= 0.0 and d_hi >= 0.0, (name, lo, d_lo, hi, d_hi)
         assert d_hi <= d_lo + 1e-9, (name, lo, d_lo, hi, d_hi)
+
+
+@pytest.mark.parametrize("r", [0.0, 5e-324, 0.5, 1.0, 2.5, 40.0, math.inf])
+def test_kernel_results_are_python_floats(r):
+    # at r = 0 the long-term split and the equalized split return the top
+    # corner, which is an integer of the curve: it must still print as 16.0
+    for antennas in [(4, 4, 4), (2, 3, 1), (1, 1, 1), (4, 1, 3), (2, 2, 2), (1, 3, 1)]:
+        topo = Topology(antennas)
+        values = [dmt(topo.hop(0), r), fixed_dmdt_3node(topo, 1, 2, r)]
+        opt = fixed_optimal_windows(topo, 5, r)
+        values += [opt.value, *opt.split, opt.split_value]
+        assert all(type(w) is int for w in opt.windows)
+        for channel in (LT, ST):
+            values.append(fbl_dmdt_3node(topo, 5, r, channel))
+            values.append(fbl_dmdt_3node(topo, 5, r, channel, allow_zero_rounds=True))
+            values.append(vbl_dmdt_3node(topo, 5, r, channel))
+            chain = Topology(antennas + antennas[:2])
+            values.append(nnode_vbl_dmdt(chain, 6, r, channel))
+            values.extend(nnode_fbl_bounds(chain, 6, r, channel))
+        if antennas not in [(4, 4, 4), (2, 3, 1)]:  # the closed forms' families
+            values.append(vbl_closed_form(topo, 5, r))
+        assert [type(v) for v in values] == [float] * len(values), (antennas, values)

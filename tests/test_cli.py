@@ -12,6 +12,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -852,6 +853,41 @@ def test_validate_at_a_tiny_snr(tmp_path, capsys, snr, code_model):
     assert code == 0
     assert [row["verdict"] for row in doc["rows"]] == ["ok", "ok", "ok"]
     assert all(row["empirical"] > 0.05 for row in doc["rows"])
+
+
+def _smoke_validate_configs(count, seed):
+    """Seeded physical validate configs: rank-1 and rank-2 log-det hops and
+    ostbc hops, windows 1-3, r in [0.5, 3], SNR in [0.1, 100], 200 messages.
+    """
+    rng = random.Random(seed)
+    chains = {"logdet": [[1, 1], [1, 3, 1], [2, 2], [2, 2, 2], [3, 2, 1], [2, 4, 2]]}
+    chains["ostbc"] = [[1, 1], [2, 2, 2], [4, 1, 3], [3, 3, 4]]
+    for _ in range(count):
+        code_model = rng.choice(sorted(chains))
+        topology = rng.choice(chains[code_model])
+        yield dict(
+            SIM_CONFIG,
+            topology=topology,
+            windows=[rng.randint(1, 3) for _ in topology[1:]],
+            snr_linear=10.0 ** rng.uniform(-1.0, 2.0),
+            multiplexing_gain=rng.uniform(0.5, 3.0),
+            message_count=200,
+            code_model=code_model,
+            seed=rng.randrange(2**32),
+        )
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_validate_smoke_exits_cleanly(tmp_path, capsys, fmt):
+    # every run prints a table or refuses with a reason: no traceback
+    codes = []
+    for payload in _smoke_validate_configs(100, seed=42):
+        cfg = write_config(tmp_path, payload)
+        codes.append(main(["validate", "--config", cfg, "--format", fmt]))
+        err = capsys.readouterr().err
+        assert codes[-1] in (0, 2, 3), payload
+        assert all(line.startswith("mharq: ") for line in err.splitlines()), err
+    assert codes.count(0) >= 75  # the draws mostly reach a table
 
 
 def test_validate_total_keeps_outages_below_the_rounding_of_one(tmp_path, capsys):

@@ -899,6 +899,20 @@ CASES = [
             message_count=4000,
         ),
     ),
+    # hop 1's outage, 0.99368, is above 1/2: the reference's exact-mass branch
+    (
+        "val-physical-logdet-rank-2-above-half",
+        "validate",
+        dict(
+            SIM,
+            topology=[2, 2, 2],
+            windows=[1, 2],
+            code_model="logdet",
+            snr_linear=10.0,
+            multiplexing_gain=2.0,
+            message_count=4000,
+        ),
+    ),
     (
         "val-physical-logdet-rank-3",
         "validate",

@@ -289,6 +289,36 @@ def test_rank_two_logdet_outage_is_a_probability_that_falls_with_the_window(
     assert short <= 1.0
 
 
+def test_rank_two_logdet_outage_above_one_half_is_a_float():
+    # the branch that takes the mass out of outage from its exact range once
+    # returned a numpy float, which the command line could not print
+    p = per_hop_outage(AntennaPair(2, 2), 1, FiniteSnrScenario(10.0, 2.0))
+    assert type(p) is float
+    assert p == pytest.approx(0.993682575, abs=1e-9)
+
+
+def test_public_scalar_results_are_python_floats():
+    # both code models at ranks 1 and 2, with the outage from 0 up to 1
+    seen = []
+    for pair, code, snr, r, window in product(
+        [AntennaPair(1, 1), AntennaPair(1, 3), AntennaPair(2, 2), AntennaPair(4, 2)],
+        ["logdet", "ostbc"],
+        [0.1, 10.0, 1e4],
+        [0.0, 0.5, 2.0, 8.0, 100.0],
+        [1, 2.5, 3],
+    ):
+        p = per_hop_outage(pair, window, FiniteSnrScenario(snr, r), code_model=code)
+        assert type(p) is float, (pair, code, snr, r, window)
+        seen.append(p)
+    assert min(seen) == 0.0 and max(seen) == 1.0
+    assert any(0.0 < p < 0.5 for p in seen) and any(0.5 < p < 1.0 for p in seen)
+    for window in (1, 2, 5):
+        assert type(mean_service_time(HOP1, window, SC_20DB)) is float
+    for means in ([1.5], [1.5, 2, 1.25], np.array([2.0, 3.0])):
+        assert type(deadline_exponent(means, 10.0)) is float
+        assert type(deadline_probability(means, 10.0, 5.0)) is float
+
+
 def test_outage_validation():
     with pytest.raises(ValueError):
         per_hop_outage(HOP1, 0, SC_20DB)

@@ -999,6 +999,31 @@ def test_validation_checks_are_the_validate_rows(tmp_path, capsys, cfg, cli_conf
     assert [row[-1] for row in rows] == ["ok"] * len(rows)
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        config(),
+        config(topology=Topology([1, 3, 1]), protocol=FixedArq([1, 2]), code_model="logdet"),
+        # hop 1's rank-2 outage is above 1/2, the exact-mass branch
+        config(
+            topology=Topology([2, 2, 2]),
+            protocol=FixedArq([1, 2]),
+            scenario=scenario(snr=10.0, r=2.0),
+            message_count=4000,
+            code_model="logdet",
+        ),
+        VALIDATE_RUNS[1][0],
+    ],
+    ids=["ostbc", "logdet-rank-1", "logdet-rank-2", "markovian"],
+)
+def test_validation_cells_are_python_scalars(cfg):
+    references = validation_references(cfg)
+    for name, value in references:
+        assert (type(name), type(value)) == (str, float), (name, value)
+    for row in validation_checks(cfg, references, run_network_sim(cfg)):
+        assert tuple(map(type, row)) == (str, float, float, int, float, float, str), row
+
+
 def test_validation_checks_run_without_the_cli():
     src = str(Path(netsim.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
