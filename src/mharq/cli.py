@@ -44,6 +44,7 @@ from .finite_snr import (
 from .netsim import (
     SERVICE_MODES,
     SimConfig,
+    decode_chain,
     run_network_sim,
     validation_checks,
     validation_references,
@@ -790,14 +791,16 @@ def _sim_config(config: dict, seed_override: int | None) -> SimConfig:
     )
 
 
-def _simulate(sim_cfg: SimConfig):
-    """run_network_sim, with arrays too large to allocate refused as config."""
+def _simulate(sim_cfg: SimConfig, run: Callable[[SimConfig], Any]):
+    """run(sim_cfg) (run_network_sim or decode_chain), too-large arrays refused as config."""
     try:
         # numpy refuses an array past sys.maxsize bytes with a ValueError of
-        # its own, not MemoryError; one float per message is already past it
+        # its own, not MemoryError; the queue stage's one float per message
+        # is already past it, and no address space holds the decode stage's
+        # byte a message per hop at this count either
         if sim_cfg.message_count > sys.maxsize // 8:
             raise MemoryError
-        return run_network_sim(sim_cfg)
+        return run(sim_cfg)
     except MemoryError as exc:
         raise ConfigError(
             [f"config.message_count: {sim_cfg.message_count} messages do not fit in memory"]
@@ -806,7 +809,7 @@ def _simulate(sim_cfg: SimConfig):
 
 def _run_simulate(config: dict, seed_override: int | None) -> _Table:
     sim_cfg = _sim_config(config, seed_override)
-    result = _simulate(sim_cfg)
+    result = _simulate(sim_cfg, run_network_sim)
     rows: list[list[Any]] = [
         ["analyzed", float(result.analyzed)],
         ["delivered", float(result.delivered)],
@@ -839,7 +842,9 @@ def _run_validate(config: dict, seed_override: int | None) -> _Table:
     # the references come first, so a refused one (an unstable queue, or a
     # log-det hop of rank >= 3) exits before simulating
     references = _refused_as("config.code_model", validation_references, sim_cfg)
-    result = _simulate(sim_cfg)
+    # physical checks read only outage counts, so no queue runs for them;
+    # the markovian tail fit reads the delays
+    result = _simulate(sim_cfg, decode_chain if physical else run_network_sim)
     rows = _refused_as("config.message_count", validation_checks, sim_cfg, references, result)
     columns = ["check", "analytic", "empirical", "samples", "sigma", "z_score", "verdict"]
     meta = {"note": "z compares the empirical rate against the analytic model"}

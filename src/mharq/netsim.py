@@ -23,12 +23,15 @@ idle one of two buffers per stream, while the Lindley reflections of the
 chunk before run; it alone reads the streams, in message order, so no
 number depends on the core count.
 
-In physical mode the hops are decoded at the same time, on a pool of
-threads with one hop per task: each hop reads only its own stream, so no
-number depends on the core count.  Per message only the returned delay
-stays full-length, with physical service also each hop's rounds and the
-hop at which the message was dropped, a byte each for windows below 255.
-Each tandem chunk builds its stage services from those.
+A run has two stages.  The decode stage (``decode_chain``) draws and
+decodes every hop's channel and counts each hop's outage drops and
+attempts; in physical mode the hops are decoded at the same time, on a
+pool of threads with one hop per task, and each hop reads only its own
+stream, so no number depends on the core count.  The queue stage is the
+tandem, which ``run_network_sim`` runs after the decode stage.  Per message
+only the returned delay stays full-length, with physical service also each
+hop's rounds and the hop at which the message was dropped, a byte each for
+windows below 255.  Each tandem chunk builds its stage services from those.
 """
 
 from __future__ import annotations
@@ -60,8 +63,10 @@ __all__ = [
     "RandomSource",
     "SimConfig",
     "SimResult",
+    "DecodeResult",
     "DelayExponentFit",
     "TailFitError",
+    "decode_chain",
     "run_network_sim",
     "estimate_delay_exponent",
     "validation_references",
@@ -98,7 +103,10 @@ class RandomSource:
         self.seed = int(seed)
 
     def stream(self, index: int) -> np.random.Generator:
-        return np.random.Generator(np.random.Philox(key=[self.seed, int(index)]))
+        # an explicit uint64 key: numpy reads a list holding a seed past
+        # 2**63 - 1 as float64, which merges neighbouring seeds
+        key = np.array([self.seed, int(index)], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
 
 
 def _exponential(
@@ -207,7 +215,7 @@ class SimResult:
     """Counts and delays from one run; rates exclude warmup messages."""
 
     config: SimConfig
-    delays: np.ndarray = field(repr=False)  # all non-outage messages
+    delays: np.ndarray = field(repr=False)  # every non-outage message after the warm-up
     delivered: int
     outage_drops: int
     deadline_drops: int
@@ -230,6 +238,31 @@ class SimResult:
     @property
     def p_total(self) -> float:
         return (self.outage_drops + self.deadline_drops) / self.analyzed
+
+
+@dataclass(frozen=True, eq=False)
+class DecodeResult:
+    """The decode stage of one run; counts exclude warmup messages.
+
+    rounds[h] holds the blocks each message needs on hop h (window + 1
+    marks outage) and outage_hop the hop that dropped it (n_hops for none).
+    Markovian service decodes nothing: rounds is empty, outage_hop None and
+    no hop drops a message.
+    """
+
+    config: SimConfig
+    per_hop_outage_drops: tuple[int, ...]
+    per_hop_attempts: tuple[int, ...]
+    rounds: tuple[np.ndarray, ...] = field(repr=False)
+    outage_hop: np.ndarray | None = field(repr=False)
+
+    @property
+    def outage_drops(self) -> int:
+        return sum(self.per_hop_outage_drops)
+
+    @property
+    def analyzed(self) -> int:
+        return self.config.message_count - self.config.warmup_count
 
 
 def _channel_uniforms(
@@ -546,14 +579,11 @@ def _tandem_delays(
             yield start, delay
 
 
-def run_network_sim(config: SimConfig) -> SimResult:
-    """Simulate the chain and classify every message.
+def decode_chain(config: SimConfig) -> DecodeResult:
+    """The decode stage: each hop's decoded rounds, outage drops and attempts.
 
-    A message is outage-dropped at the first hop whose window runs out; it
-    still flows through the remaining stages with zero service so queue
-    positions stay aligned.  Non-outage messages past the deadline count as
-    deadline drops; their delays are recorded either way.
-
+    A message is outage-dropped at the first hop whose window runs out;
+    hop h's attempts are the analyzed messages that no earlier hop dropped.
     Each hop's channel is drawn, turned into capacities and decoded in
     chunks of whole messages, about ``_CHUNK_UNIFORMS`` uniforms each, taken
     one after another from the hop's stream.  Draws are message-major, so
@@ -563,28 +593,64 @@ def run_network_sim(config: SimConfig) -> SimResult:
     number depends on the worker count.  On short-term hops a later round's
     capacities are computed only for the messages it has not decoded yet;
     every round's uniforms are still drawn for every message, so the draws,
-    and every number, are those of computing them all.
+    and every number, are those of computing them all.  Markovian service
+    has no window to overrun: it draws nothing here and counts no outage.
+    """
+    windows = config.protocol.windows
+    n_msgs = config.message_count
+    n_hops = config.topology.n_hops
+    cut = config.warmup_count
+    analyzed = n_msgs - cut
+    if config.service_mode == "markovian":
+        return DecodeResult(config, (0,) * n_hops, (analyzed,) * n_hops, (), None)
+    # threads, as numpy releases the GIL in the draws and the ufuncs;
+    # imported here so that loading mharq starts no pool machinery
+    from concurrent.futures import ThreadPoolExecutor
 
-    The tandem of queueing stages is streamed in chunks of
+    with ThreadPoolExecutor(_hop_workers(n_hops)) as pool:
+        rounds = tuple(pool.map(partial(_hop_rounds, config), range(n_hops)))
+    # the first window overrun kills the message and later hops carry it
+    # for free; n_hops marks no outage, and filling the hops in reverse
+    # leaves the first overrun in place
+    outage_hop = np.full(n_msgs, n_hops, dtype=np.min_scalar_type(n_hops))
+    for h in reversed(range(n_hops)):
+        outage_hop[rounds[h] > windows[h]] = h
+    # counted a tandem chunk at a time, as bincount widens its input to intp
+    dropped = np.zeros(n_hops + 1, dtype=np.int64)
+    for lo in range(cut, n_msgs, _TANDEM_CHUNK):
+        dropped += np.bincount(outage_hop[lo : lo + _TANDEM_CHUNK], minlength=n_hops + 1)
+    drops = tuple(int(d) for d in dropped[:n_hops])
+    attempts = tuple(analyzed - sum(drops[:h]) for h in range(n_hops))
+    return DecodeResult(config, drops, attempts, rounds, outage_hop)
+
+
+def run_network_sim(config: SimConfig) -> SimResult:
+    """Run the decode stage, then the queue stage, and classify every message.
+
+    The decode stage is ``decode_chain``, whose outage drops and attempts
+    the result carries.  An outage-dropped message still flows through the
+    remaining stages with zero service so queue positions stay aligned.
+    Non-outage messages past the deadline count as deadline drops; their
+    delays are recorded either way.
+
+    The queue stage is the tandem of queueing stages, streamed in chunks of
     ``_TANDEM_CHUNK`` messages: each chunk draws its arrivals (and, in
     markovian mode, each stage's services) as the next uniforms of their
     streams, one chunk ahead on a worker thread, and each stage carries its
-    Lindley state to the next chunk, so no number depends on the chunk size
-    either.  Per message only the returned delays and, in physical mode,
-    each hop's rounds and the outage hop are held; each chunk forms its
-    hops' whole blocks from them, and its stage services are the
-    analysis's stages of those blocks, finite_snr._stage_means.  The delays
-    are sized once the drops are counted; markovian service has no window
-    to overrun, so it counts no outage at all.
+    Lindley state to the next chunk, so no number depends on the chunk size.
+    Per message only the returned delays and, in physical mode, each hop's
+    rounds and the outage hop are held; each chunk forms its hops' whole
+    blocks from them, and its stage services are the analysis's stages of
+    those blocks, finite_snr._stage_means.  The delays are sized once the
+    drops are counted.
     """
-    topo = config.topology
     windows = config.protocol.windows
-    scenario = config.scenario
-    arrival_mean, deadline = scenario.require_queueing()
+    arrival_mean, deadline = config.scenario.require_queueing()
     n_msgs = config.message_count
-    n_hops = topo.n_hops
+    n_hops = config.topology.n_hops
     cut = config.warmup_count
     source = RandomSource(config.seed)
+    decoded = decode_chain(config)
     # the last slot of hop h's histogram counts the outage drops at hop h
     histograms = tuple(np.zeros(w + 2, dtype=np.int64) for w in windows)
     n_stages = _stage_means(windows).size
@@ -598,18 +664,7 @@ def run_network_sim(config: SimConfig) -> SimResult:
                 _exponential(rng, mean, stop - start, row)
 
     else:
-        # threads, as numpy releases the GIL in the draws and the ufuncs;
-        # imported here so that loading mharq starts no pool machinery
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(_hop_workers(n_hops)) as pool:
-            rounds = list(pool.map(partial(_hop_rounds, config), range(n_hops)))
-        # the first window overrun kills the message and later hops carry it
-        # for free; n_hops marks no outage, and filling the hops in reverse
-        # leaves the first overrun in place
-        outage_hop = np.full(n_msgs, n_hops, dtype=np.min_scalar_type(n_hops))
-        for h in reversed(range(n_hops)):
-            outage_hop[rounds[h] > windows[h]] = h
+        rounds, outage_hop = decoded.rounds, decoded.outage_hop
         # counted a tandem chunk at a time, as bincount widens its input to intp
         for lo in range(cut, n_msgs, _TANDEM_CHUNK):
             dropped_at = outage_hop[lo : lo + _TANDEM_CHUNK]
@@ -622,12 +677,7 @@ def run_network_sim(config: SimConfig) -> SimResult:
             blocks = _hop_blocks(rounds, windows, outage_hop, start, stop)
             out[:] = _stage_means(blocks).T
 
-    per_hop_drops = tuple(int(hist[-1]) for hist in histograms)
-    analyzed = n_msgs - cut
-    per_hop_attempts = tuple(
-        analyzed - sum(per_hop_drops[:h]) for h in range(n_hops)
-    )
-    outage_drops = sum(per_hop_drops)
+    analyzed, outage_drops = decoded.analyzed, decoded.outage_drops
     delays = np.empty(analyzed - outage_drops)
     filled = delivered = 0
     for start, delay in _tandem_delays(
@@ -646,8 +696,8 @@ def run_network_sim(config: SimConfig) -> SimResult:
         delivered=delivered,
         outage_drops=outage_drops,
         deadline_drops=delays.size - delivered,
-        per_hop_outage_drops=per_hop_drops,
-        per_hop_attempts=per_hop_attempts,
+        per_hop_outage_drops=decoded.per_hop_outage_drops,
+        per_hop_attempts=decoded.per_hop_attempts,
         round_histograms=histograms,
     )
 
@@ -798,10 +848,14 @@ def validation_references(config: SimConfig) -> tuple[tuple[str, float], ...]:
 
 
 def validation_checks(
-    config: SimConfig, references: Sequence[tuple[str, float]], result: SimResult
+    config: SimConfig,
+    references: Sequence[tuple[str, float]],
+    result: SimResult | DecodeResult,
 ) -> list[tuple[str, float, float, int, float, float, str]]:
     """Rows (check, analytic, empirical, samples, sigma, z_score, verdict).
 
+    Physical mode reads only the decode stage's counts, so decode_chain's
+    result serves as well as run_network_sim's; markovian mode reads delays.
     An outage's sigma is binomial, sqrt(p (1 - p) / n).  The delay tail shares the
     analytic exponent, not its prefactor, so the exponent is fit on 8 deadlines from
     the 0.9 quantile to the 100th largest delay (again up to the largest usable one

@@ -950,12 +950,32 @@ def test_validate_refuses_short_term_physical_before_simulating(
         raise AssertionError("validate simulated a config it refuses")
 
     monkeypatch.setattr(cli, "run_network_sim", no_simulation)
+    monkeypatch.setattr(cli, "decode_chain", no_simulation)
     cfg = write_config(tmp_path, dict(SIM_CONFIG, channel="short_term"))
     assert main(["validate", "--config", cfg]) == 2
     assert capsys.readouterr().err == (
         "mharq: config.channel: the analytic outage references assume "
         "long_term fading; simulate short_term without validate\n"
     )
+
+
+class QueueRan(Exception):
+    pass
+
+
+def test_only_markovian_validate_runs_a_queue(tmp_path, capsys, monkeypatch):
+    # physical checks read outage counts alone, so physical validate runs
+    # the decode stage and no tandem; the markovian tail fit needs delays
+    def no_queue(*args):
+        raise QueueRan
+
+    monkeypatch.setattr(netsim, "_tandem_delays", no_queue)
+    physical = write_config(tmp_path, dict(SIM_CONFIG, warmup_count=100))
+    assert main(["validate", "--config", physical]) == 0
+    assert capsys.readouterr().err == ""
+    markovian = write_config(tmp_path, dict(MARKOV_VALIDATE, message_count=2000, warmup_count=0))
+    with pytest.raises(QueueRan):
+        main(["validate", "--config", markovian])
 
 
 @pytest.mark.parametrize(
@@ -1006,6 +1026,7 @@ def test_validate_refuses_its_reference_before_simulating(
         raise AssertionError("validate simulated a config whose reference it refuses")
 
     monkeypatch.setattr(cli, "run_network_sim", no_simulation)
+    monkeypatch.setattr(cli, "decode_chain", no_simulation)
     cfg = write_config(tmp_path, payload)
     assert main(["validate", "--config", cfg]) == code
     stderr = capsys.readouterr().err

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mharq.netsim as netsim
 from mharq.cli import main
@@ -28,6 +30,7 @@ from mharq.netsim import (
     RandomSource,
     SimConfig,
     TailFitError,
+    decode_chain,
     estimate_delay_exponent,
     run_network_sim,
     validation_checks,
@@ -89,6 +92,16 @@ def test_random_source_streams_are_stable_and_distinct():
         RandomSource(-1)
     with pytest.raises(ValueError):
         RandomSource(2**64)
+
+
+@pytest.mark.parametrize("seed", [2**63 + 1, 2**64 - 2047, 2**64 - 1])
+def test_random_source_keys_every_64_bit_seed_apart(seed):
+    # a float64 key would merge each seed here with its neighbour below,
+    # and round 2**64 - 1 past the key's range
+    draws = [RandomSource(s).stream(1).random(4) for s in (seed - 1, seed)]
+    assert not np.array_equal(*draws)
+    key = RandomSource(seed).stream(1).bit_generator.state["state"]["key"]
+    assert key.tolist() == [seed, 1]
 
 
 def test_rerun_is_bit_identical():
@@ -633,6 +646,68 @@ def test_conservation_markovian_mode():
     assert res.delays.size == res.analyzed
     assert res.delivered + res.deadline_drops == res.analyzed
     assert all(h.sum() == 0 for h in res.round_histograms)
+
+
+@st.composite
+def _decode_configs(draw):
+    """Physical runs on 2-5 node chains of rank-1 and rank-2 hops, SNR 0.1 to 1e3."""
+    antennas = draw(st.lists(st.integers(1, 2), min_size=2, max_size=5))
+    n_hops = len(antennas) - 1
+    n_msgs = draw(st.integers(1, 1500))
+    return config(
+        topology=Topology(antennas),
+        protocol=FixedArq(draw(st.lists(st.integers(1, 4), min_size=n_hops, max_size=n_hops))),
+        channel=draw(st.sampled_from([LT, ST])),
+        scenario=scenario(snr=10.0 ** draw(st.floats(-1.0, 3.0)), lam=10.0, deadline=25.0),
+        message_count=n_msgs,
+        warmup_count=draw(st.sampled_from([0, n_msgs // 3])),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        code_model=draw(st.sampled_from(["ostbc", "logdet"])),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_decode_configs())
+# SNR 0.1: the first hop drops most messages, so later hops see few
+@example(
+    config(
+        topology=Topology([2, 2, 1, 2, 1]),
+        protocol=FixedArq([1, 4, 2, 3]),
+        scenario=scenario(snr=0.1, lam=10.0, deadline=25.0),
+        message_count=1200,
+        warmup_count=400,
+        code_model="logdet",
+    )
+)
+def test_decode_stage_counts_are_the_full_runs(cfg):
+    decoded = decode_chain(cfg)
+    res = run_network_sim(cfg)
+    assert decoded.per_hop_outage_drops == res.per_hop_outage_drops
+    assert decoded.per_hop_attempts == res.per_hop_attempts
+    assert (decoded.outage_drops, decoded.analyzed) == (res.outage_drops, res.analyzed)
+    # the round histograms count the same messages by another rule
+    for hist, attempts, drops in zip(
+        res.round_histograms, decoded.per_hop_attempts, decoded.per_hop_outage_drops
+    ):
+        assert (hist.sum(), hist[-1]) == (attempts, drops)
+
+
+def test_markovian_decode_stage_draws_nothing(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("markovian service drew a channel")
+
+    monkeypatch.setattr(netsim, "_hop_rounds", no_draw)
+    cfg = config(
+        topology=Topology([4, 1, 3]),
+        protocol=FixedArq([2, 3]),
+        message_count=300,
+        warmup_count=100,
+        service_mode="markovian",
+        service_means=(2.5, 2.5),
+    )
+    decoded = decode_chain(cfg)
+    assert (decoded.per_hop_outage_drops, decoded.per_hop_attempts) == ((0, 0), (200, 200))
+    assert decoded.rounds == () and decoded.outage_hop is None
 
 
 def test_markovian_hop_means_default_to_whole_block_means():
