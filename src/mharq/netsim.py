@@ -24,14 +24,14 @@ chunk before run; it alone reads the streams, in message order, so no
 number depends on the core count.
 
 A run has two stages.  The decode stage (``decode_chain``) draws and
-decodes every hop's channel and counts each hop's outage drops and
-attempts; in physical mode the hops are decoded at the same time, on a
-pool of threads with one hop per task, and each hop reads only its own
-stream, so no number depends on the core count.  The queue stage is the
-tandem, which ``run_network_sim`` runs after the decode stage.  Per message
-only the returned delay stays full-length, with physical service also each
-hop's rounds and the hop at which the message was dropped, a byte each for
-windows below 255.  Each tandem chunk builds its stage services from those.
+decodes every hop's channel, on a pool of threads with one hop per task
+that reads only its hop's stream, so no number depends on the core count,
+then counts each hop's round histogram, outage drops and attempts in one
+pass.  The queue stage is the tandem, which ``run_network_sim`` runs after
+the decode stage: its ``SimResult`` is a ``DecodeResult`` plus the queue's
+results.  Per message only the returned delay stays full-length, with
+physical service also each hop's rounds and the hop at which the message
+was dropped, a byte each for windows below 255.
 """
 
 from __future__ import annotations
@@ -77,8 +77,9 @@ __all__ = [
 SERVICE_MODES = ("physical", "markovian")
 
 # Stream layout: arrivals on 0, the channel of 1-based hop h on h, and the
-# markovian service of 0-based stage i on 1001 + i.  The gap keeps hop and
-# stage streams disjoint for any topology the antenna cap allows.
+# markovian service of 0-based stage i on 1001 + i.  Hop and stage streams
+# never meet in one run, whatever its node count: a physical run reads no
+# stage stream and a markovian run reads no hop stream.
 _STREAM_ARRIVALS = 0
 _STREAM_MARKOV_BASE = 1001
 
@@ -211,21 +212,35 @@ class SimConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class SimResult:
-    """Counts and delays from one run; rates exclude warmup messages."""
+class DecodeResult:
+    """The decode stage's counts from one run; they exclude warmup messages.
+
+    round_histograms[h][k] counts hop h's attempts that took k blocks; its
+    last bin, window + 1, counts its outage drops.  Markovian service
+    decodes nothing: its histograms are all zero.
+    """
 
     config: SimConfig
-    delays: np.ndarray = field(repr=False)  # every non-outage message after the warm-up
-    delivered: int
-    outage_drops: int
-    deadline_drops: int
     per_hop_outage_drops: tuple[int, ...]
     per_hop_attempts: tuple[int, ...]
     round_histograms: tuple[np.ndarray, ...] = field(repr=False)
 
     @property
+    def outage_drops(self) -> int:
+        return sum(self.per_hop_outage_drops)
+
+    @property
     def analyzed(self) -> int:
         return self.config.message_count - self.config.warmup_count
+
+
+@dataclass(frozen=True, eq=False)
+class SimResult(DecodeResult):
+    """A run's decode-stage counts plus its queue's delays; rates exclude warmup messages."""
+
+    delays: np.ndarray = field(repr=False)  # every non-outage message after the warm-up
+    delivered: int
+    deadline_drops: int
 
     @property
     def p_outage(self) -> float:
@@ -238,31 +253,6 @@ class SimResult:
     @property
     def p_total(self) -> float:
         return (self.outage_drops + self.deadline_drops) / self.analyzed
-
-
-@dataclass(frozen=True, eq=False)
-class DecodeResult:
-    """The decode stage of one run; counts exclude warmup messages.
-
-    rounds[h] holds the blocks each message needs on hop h (window + 1
-    marks outage) and outage_hop the hop that dropped it (n_hops for none).
-    Markovian service decodes nothing: rounds is empty, outage_hop None and
-    no hop drops a message.
-    """
-
-    config: SimConfig
-    per_hop_outage_drops: tuple[int, ...]
-    per_hop_attempts: tuple[int, ...]
-    rounds: tuple[np.ndarray, ...] = field(repr=False)
-    outage_hop: np.ndarray | None = field(repr=False)
-
-    @property
-    def outage_drops(self) -> int:
-        return sum(self.per_hop_outage_drops)
-
-    @property
-    def analyzed(self) -> int:
-        return self.config.message_count - self.config.warmup_count
 
 
 def _channel_uniforms(
@@ -579,30 +569,24 @@ def _tandem_delays(
             yield start, delay
 
 
-def decode_chain(config: SimConfig) -> DecodeResult:
-    """The decode stage: each hop's decoded rounds, outage drops and attempts.
+def _decode(
+    config: SimConfig,
+) -> tuple[DecodeResult, tuple[np.ndarray, ...], np.ndarray | None]:
+    """decode_chain's result, each hop's rounds and each message's outage hop.
 
-    A message is outage-dropped at the first hop whose window runs out;
-    hop h's attempts are the analyzed messages that no earlier hop dropped.
-    Each hop's channel is drawn, turned into capacities and decoded in
-    chunks of whole messages, about ``_CHUNK_UNIFORMS`` uniforms each, taken
-    one after another from the hop's stream.  Draws are message-major, so
-    the chunks see the same uniforms as one draw of every message would,
-    and no number depends on the chunk size.  The hops run concurrently on
-    ``_hop_workers(n_hops)`` threads; each reads only its own stream, so no
-    number depends on the worker count.  On short-term hops a later round's
-    capacities are computed only for the messages it has not decoded yet;
-    every round's uniforms are still drawn for every message, so the draws,
-    and every number, are those of computing them all.  Markovian service
-    has no window to overrun: it draws nothing here and counts no outage.
+    rounds[h] holds the blocks each message needs on hop h (window + 1 marks
+    outage) and outage_hop the hop that dropped it (n_hops for none), or ()
+    and None in markovian mode; the queue stage forms its services from them.
     """
     windows = config.protocol.windows
     n_msgs = config.message_count
     n_hops = config.topology.n_hops
     cut = config.warmup_count
     analyzed = n_msgs - cut
+    # the last bin of hop h's histogram counts the outage drops at hop h
+    histograms = tuple(np.zeros(w + 2, dtype=np.int64) for w in windows)
     if config.service_mode == "markovian":
-        return DecodeResult(config, (0,) * n_hops, (analyzed,) * n_hops, (), None)
+        return DecodeResult(config, (0,) * n_hops, (analyzed,) * n_hops, histograms), (), None
     # threads, as numpy releases the GIL in the draws and the ufuncs;
     # imported here so that loading mharq starts no pool machinery
     from concurrent.futures import ThreadPoolExecutor
@@ -615,23 +599,48 @@ def decode_chain(config: SimConfig) -> DecodeResult:
     outage_hop = np.full(n_msgs, n_hops, dtype=np.min_scalar_type(n_hops))
     for h in reversed(range(n_hops)):
         outage_hop[rounds[h] > windows[h]] = h
-    # counted a tandem chunk at a time, as bincount widens its input to intp
-    dropped = np.zeros(n_hops + 1, dtype=np.int64)
+    # counted a tandem chunk at a time, as bincount widens its input to intp;
+    # hop h sees the messages whose outage hop is h or later, so hop 0 all
     for lo in range(cut, n_msgs, _TANDEM_CHUNK):
-        dropped += np.bincount(outage_hop[lo : lo + _TANDEM_CHUNK], minlength=n_hops + 1)
-    drops = tuple(int(d) for d in dropped[:n_hops])
+        dropped_at = outage_hop[lo : lo + _TANDEM_CHUNK]
+        for h, hist in enumerate(histograms):
+            reached = rounds[h][lo : lo + dropped_at.size]
+            if h:
+                reached = reached[dropped_at >= h]
+            hist += np.bincount(reached, minlength=hist.size)
+    drops = tuple(int(hist[-1]) for hist in histograms)
     attempts = tuple(analyzed - sum(drops[:h]) for h in range(n_hops))
-    return DecodeResult(config, drops, attempts, rounds, outage_hop)
+    return DecodeResult(config, drops, attempts, histograms), rounds, outage_hop
+
+
+def decode_chain(config: SimConfig) -> DecodeResult:
+    """The decode stage: each hop's round histogram, outage drops and attempts.
+
+    A message is outage-dropped at the first hop whose window runs out;
+    hop h's attempts are the analyzed messages that no earlier hop dropped.
+    One pass over them counts every hop's round histogram, whose last bin
+    is the hop's outage drops.  Each hop's channel is drawn, turned into capacities and
+    decoded in chunks of whole messages, about ``_CHUNK_UNIFORMS`` uniforms
+    each, taken one after another from the hop's stream.  Draws are
+    message-major, so no number depends on the chunk size.  The hops run
+    concurrently on ``_hop_workers(n_hops)`` threads; each reads only its
+    own stream, so no number depends on the worker count.  On short-term
+    hops a later round's capacities are computed only for the messages it
+    has not decoded yet; every round's uniforms are still drawn for every
+    message, so the draws, and every number, are those of computing them
+    all.  Markovian service has no window to overrun: it draws nothing here.
+    """
+    return _decode(config)[0]
 
 
 def run_network_sim(config: SimConfig) -> SimResult:
     """Run the decode stage, then the queue stage, and classify every message.
 
-    The decode stage is ``decode_chain``, whose outage drops and attempts
-    the result carries.  An outage-dropped message still flows through the
-    remaining stages with zero service so queue positions stay aligned.
-    Non-outage messages past the deadline count as deadline drops; their
-    delays are recorded either way.
+    The decode stage is ``decode_chain``: the result is its DecodeResult
+    plus the queue's delays and counts.  An outage-dropped message still
+    flows through the remaining stages with zero service so queue positions
+    stay aligned.  Non-outage messages past the deadline count as deadline
+    drops; their delays are recorded either way.
 
     The queue stage is the tandem of queueing stages, streamed in chunks of
     ``_TANDEM_CHUNK`` messages: each chunk draws its arrivals (and, in
@@ -650,9 +659,7 @@ def run_network_sim(config: SimConfig) -> SimResult:
     n_hops = config.topology.n_hops
     cut = config.warmup_count
     source = RandomSource(config.seed)
-    decoded = decode_chain(config)
-    # the last slot of hop h's histogram counts the outage drops at hop h
-    histograms = tuple(np.zeros(w + 2, dtype=np.int64) for w in windows)
+    decoded, rounds, outage_hop = _decode(config)
     n_stages = _stage_means(windows).size
 
     if config.service_mode == "markovian":
@@ -664,14 +671,6 @@ def run_network_sim(config: SimConfig) -> SimResult:
                 _exponential(rng, mean, stop - start, row)
 
     else:
-        rounds, outage_hop = decoded.rounds, decoded.outage_hop
-        # counted a tandem chunk at a time, as bincount widens its input to intp
-        for lo in range(cut, n_msgs, _TANDEM_CHUNK):
-            dropped_at = outage_hop[lo : lo + _TANDEM_CHUNK]
-            for h, hist in enumerate(histograms):
-                reached = rounds[h][lo : lo + dropped_at.size][dropped_at >= h]
-                hist += np.bincount(reached, minlength=hist.size)
-
         def fill(start: int, stop: int, out: np.ndarray) -> None:
             # sums of small integers, so exact
             blocks = _hop_blocks(rounds, windows, outage_hop, start, stop)
@@ -691,14 +690,10 @@ def run_network_sim(config: SimConfig) -> SimResult:
         filled += kept.size
         delivered += int(np.count_nonzero(kept <= deadline))
     return SimResult(
-        config=config,
+        **vars(decoded),
         delays=delays,
         delivered=delivered,
-        outage_drops=outage_drops,
         deadline_drops=delays.size - delivered,
-        per_hop_outage_drops=decoded.per_hop_outage_drops,
-        per_hop_attempts=decoded.per_hop_attempts,
-        round_histograms=histograms,
     )
 
 
@@ -850,12 +845,13 @@ def validation_references(config: SimConfig) -> tuple[tuple[str, float], ...]:
 def validation_checks(
     config: SimConfig,
     references: Sequence[tuple[str, float]],
-    result: SimResult | DecodeResult,
+    result: DecodeResult,
 ) -> list[tuple[str, float, float, int, float, float, str]]:
     """Rows (check, analytic, empirical, samples, sigma, z_score, verdict).
 
     Physical mode reads only the decode stage's counts, so decode_chain's
-    result serves as well as run_network_sim's; markovian mode reads delays.
+    result serves as well as run_network_sim's SimResult, which extends it;
+    markovian mode reads the SimResult's delays.
     An outage's sigma is binomial, sqrt(p (1 - p) / n).  The delay tail shares the
     analytic exponent, not its prefactor, so the exponent is fit on 8 deadlines from
     the 0.9 quantile to the 100th largest delay (again up to the largest usable one

@@ -685,11 +685,21 @@ def test_decode_stage_counts_are_the_full_runs(cfg):
     assert decoded.per_hop_outage_drops == res.per_hop_outage_drops
     assert decoded.per_hop_attempts == res.per_hop_attempts
     assert (decoded.outage_drops, decoded.analyzed) == (res.outage_drops, res.analyzed)
-    # the round histograms count the same messages by another rule
-    for hist, attempts, drops in zip(
-        res.round_histograms, decoded.per_hop_attempts, decoded.per_hop_outage_drops
-    ):
-        assert (hist.sum(), hist[-1]) == (attempts, drops)
+    assert len(decoded.round_histograms) == len(res.round_histograms)
+    for ours, theirs in zip(decoded.round_histograms, res.round_histograms):
+        np.testing.assert_array_equal(ours, theirs)
+    # each hop's histogram counts the analyzed messages that every earlier
+    # hop decoded inside its window
+    windows = cfg.protocol.windows
+    reached = np.ones(cfg.message_count - cfg.warmup_count, dtype=bool)
+    for h, hist in enumerate(decoded.round_histograms):
+        hop_rounds = netsim._hop_rounds(cfg, h)[cfg.warmup_count :]
+        np.testing.assert_array_equal(
+            hist, np.bincount(hop_rounds[reached], minlength=windows[h] + 2)
+        )
+        assert hist.sum() == decoded.per_hop_attempts[h]
+        assert hist[-1] == decoded.per_hop_outage_drops[h]
+        reached &= hop_rounds <= windows[h]
 
 
 def test_markovian_decode_stage_draws_nothing(monkeypatch):
@@ -707,7 +717,7 @@ def test_markovian_decode_stage_draws_nothing(monkeypatch):
     )
     decoded = decode_chain(cfg)
     assert (decoded.per_hop_outage_drops, decoded.per_hop_attempts) == ((0, 0), (200, 200))
-    assert decoded.rounds == () and decoded.outage_hop is None
+    assert [h.tolist() for h in decoded.round_histograms] == [[0] * 4, [0] * 5]
 
 
 def test_markovian_hop_means_default_to_whole_block_means():
