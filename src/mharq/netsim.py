@@ -8,19 +8,23 @@ rate.  Physical mode's drops check the analytic outage only: its whole-block
 M/G/1 stages decay at about twice the analytic rate.
 
 Reproducibility contract: every random draw comes from counter-based
-streams keyed by (seed, stream index), consumed through plain uniforms with
-fixed per-message draw counts.  Results are therefore byte-identical across
-runs and platforms, and the chunks the channel draws are taken in never
-change a number.
+Philox streams keyed by (seed, stream index), consumed as uniforms with
+fixed per-message draw counts.  A uniform is the stream's next 64-bit word
+w turned into (w >> 11) * 2**-53, exactly as Generator.random turns it:
+the arrivals and markovian services draw through Generator.random, and the
+channel takes its raw words and turns only the ones it reads.  Results are
+therefore byte-identical across runs and platforms, and the chunks the
+channel draws are taken in never change a number.
 
 The tandem of queueing stages is streamed too: arrivals, markovian
 services and the Lindley reflection of every stage run over chunks of
 ``_TANDEM_CHUNK`` messages, and each stage carries its queue state from one
 chunk to the next, so every sum is formed from the same operands in the
 same order as over whole arrays and no number depends on the chunk size.
-A worker thread forms the arrivals and services one chunk ahead, into the
-idle one of two buffers per stream, while the Lindley reflections of the
-chunk before run; it alone reads the streams, in message order, so no
+With a second core a worker thread forms the arrivals and services one
+chunk ahead, into the idle one of two buffers per stream, while the Lindley
+reflections of the chunk before run; with one core they are formed inline.
+Either way one thread at a time reads the streams, in message order, so no
 number depends on the core count.
 
 A run has two stages.  The decode stage (``decode_chain``) draws and
@@ -83,9 +87,9 @@ SERVICE_MODES = ("physical", "markovian")
 _STREAM_ARRIVALS = 0
 _STREAM_MARKOV_BASE = 1001
 
-# Uniforms per channel chunk (1 MiB of whole messages) that each hop thread
-# draws, turns into capacities and decodes at a time; the capacity kernel's
-# temporaries peak at up to 1 MiB (ostbc, rank 1) or 3.3 MiB (ranks 2-8).
+# Draws per channel chunk (1 MiB of 64-bit words, whole messages) that each
+# hop thread takes, turns into capacities and decodes at a time; the kernel's
+# temporaries peak at up to 0.9 MiB (ostbc, rank 1) or 2.2 MiB (ranks 2-8).
 _CHUNK_UNIFORMS = 1 << 17
 
 # Messages per tandem chunk: one chunk's arrivals, services and Lindley
@@ -255,17 +259,38 @@ class SimResult(DecodeResult):
         return (self.outage_drops + self.deadline_drops) / self.analyzed
 
 
-def _channel_uniforms(
+def _channel_words(
     rng: np.random.Generator, n_msgs: int, rounds: int, m_rx: int, m_tx: int
 ) -> np.ndarray:
-    """Fixed per-message block of uniforms: (msg, round, rx, tx, [mag, phase])."""
-    return rng.random((n_msgs, rounds, m_rx, m_tx, 2))
+    """Fixed per-message block of raw 64-bit words: (msg, round, rx, tx, [mag, phase])."""
+    return rng.bit_generator.random_raw((n_msgs, rounds, m_rx, m_tx, 2))
+
+
+def _uniforms(words: np.ndarray, mags_only: bool) -> np.ndarray:
+    """The doubles Generator.random gives for these words, formed in place.
+
+    Generator.random turns each 64-bit word w of the stream into
+    (w >> 11) * 2**-53 (numpy's next_double); w >> 11 is below 2**53, so
+    both steps are exact.  With mags_only only the magnitude slots
+    [..., 0] are turned, and the phase slots hold words that must not be
+    read.  ``words`` must be C-contiguous, as random_raw and fancy-indexed
+    rows are: the work runs on one-dimensional views of its memory, where
+    numpy casts in place with no temporary.
+    """
+    flat = words.reshape(-1)
+    np.right_shift(flat, 11, out=flat)  # all of it: a strided pass costs more
+    ints, u = flat.view(np.int64), flat.view(np.float64)
+    if mags_only:
+        ints, u = ints[::2], u[::2]
+    u[...] = ints
+    u *= 2.0**-53
+    return words.view(np.float64)
 
 
 def _capacities(
     u: np.ndarray, snr: float, m_tx: int, rate: float | None, per_snr: bool = False
 ) -> np.ndarray:
-    """Per-round capacities in bits per use from raw uniforms.
+    """Per-round capacities in bits per use from the channel's uniforms.
 
     Entries are unit complex Gaussians via the polar transform, so the
     squared magnitudes are unit exponentials.  Log-det capacity is
@@ -280,16 +305,23 @@ def _capacities(
 
     Every rank >= 2 takes one path in plain real arithmetic:
 
-    - The magnitudes, then the angles, are formed in entry-major order
-      (rank side, other side, msg, round), so each matrix entry is one
-      contiguous vector over the messages and rounds.
+    - The magnitudes, negated as they are copied, then the angles, are
+      formed in entry-major order (rank side, other side, msg, round), so
+      each matrix entry is one contiguous vector over the messages and
+      rounds.
     - Row i of H is multiplied by exp(-i phi_i0) and column k by
       exp(-i (phi_0k - phi_00)).  G goes to a unitary similarity of itself,
       so det(I + a G) does not move, and row 0 and column 0 turn real:
-      only (rank - 1) * (other side - 1) angles need a cosine and a sine.
-    - The Gram entries are sums of real and imaginary vector products, and
-      the LDL^H pivot recursion of I + a G runs on them as vector ops.
-      Each pivot is a Schur complement of a matrix >= I, so it is at least
+      only (rank - 1) * (other side - 1) angles need a cosine and a sine,
+      and the imaginary parts of row 0 and column 0 enter no product.
+    - Only what the pivots read is formed: G's lower triangle, one vector
+      per entry, column by column, and no imaginary diagonal.  Each entry
+      is a sum of real and imaginary vector products, and the LDL^H pivot
+      recursion of I + a G runs on the entries as vector ops, with no
+      Schur complement after the last pivot.  Every message gets the
+      operations, in the order, of the whole (rank, rank) matrices, less
+      sums of exact zeros, which change no bit.
+    - Each pivot is a Schur complement of a matrix >= I, so it is at least
       1: it is 1 + a * b with b >= 0 a pivot of the positive semidefinite
       part, and b is clamped at 0.  Roundoff can then neither make a log
       negative nor overflow a later step, however singular G and however
@@ -327,15 +359,16 @@ def _capacities(
     a = snr / m_tx
     sides = (2, 3) if m_rx <= m_tx else (3, 2)  # rank side first
     phase = u[..., 1].transpose(*sides, 0, 1)  # in turns
-    mags_sq = np.ascontiguousarray(u[..., 0].transpose(*sides, 0, 1))
-    rank = mags_sq.shape[0]
-    # -log1p(-u) in place
-    np.negative(np.log1p(np.negative(mags_sq, out=mags_sq), out=mags_sq), out=mags_sq)
-    # lower triangle of G, row by row; the upper one is never read
-    g_re = np.zeros((rank, rank) + mags_sq.shape[2:])
-    g_im = np.zeros_like(g_re)
-    diag = np.arange(rank)
-    g_re[diag, diag] = mags_sq.sum(axis=1)
+    # -log1p(-u), negated as it is copied entry-major
+    mags_sq = np.negative(u[..., 0].transpose(*sides, 0, 1), order="C")
+    np.negative(np.log1p(mags_sq, out=mags_sq), out=mags_sq)
+    rank, n_other, *batch = mags_sq.shape
+    # column j of G's lower triangle: re[j][i - j] = Re G[i, j] for i >= j,
+    # im[j][i - j - 1] = Im G[i, j] for i > j; the pivots read nothing else
+    re = [np.empty((rank - j, *batch)) for j in range(rank)]
+    im = [np.empty((rank - j - 1, *batch)) for j in range(rank)]
+    for j, col in enumerate(re):
+        mags_sq[j].sum(axis=0, out=col[0])
     h_re = np.sqrt(mags_sq, out=mags_sq)  # |H| now, Re H once turned below
     # the angle in turns, rounded as cos and sin are cheapest on [-pi, pi]
     angle = np.subtract(phase[1:, 1:], phase[1:, :1], order="C")
@@ -343,35 +376,49 @@ def _capacities(
     angle += phase[0, 0]
     angle -= np.rint(angle)
     angle *= 2.0 * np.pi
-    h_im = np.zeros_like(h_re)
-    np.multiply(h_re[1:, 1:], np.sin(angle), out=h_im[1:, 1:])
+    # Im H off row 0 and from column c on; the turn made row 0 and column 0
+    # exactly 0.  Numpy sums a row of products from 0 left to right, where a
+    # zero adds no bit, except a lone message's row of 8, which it sums in
+    # pairs: that one keeps its zero in column 0 to pair as it always has
+    c = 1 if math.prod(batch) > 1 or n_other < 8 else 0
+    h_im = np.zeros((rank - 1, n_other - c, *batch))
+    np.multiply(h_re[1:, 1:], np.sin(angle), out=h_im[:, 1 - c :])
     h_re[1:, 1:] *= np.cos(angle, out=angle)
-    for i in range(1, rank):
-        re, im = h_re[:i], h_im[:i]
-        g_re[i, :i] = (h_re[i] * re).sum(axis=1) + (h_im[i] * im).sum(axis=1)
-        g_im[i, :i] = (h_im[i] * re).sum(axis=1) - (h_re[i] * im).sum(axis=1)
-    del h_re, h_im, angle, re, im  # the pivots read only G
-    cap = np.zeros(g_re.shape[2:])
+    re_tail = h_re[:, c:]
+    for j in range(rank - 1):
+        np.sum(h_re[j + 1 :] * h_re[j], axis=1, out=re[j][1:])
+        np.sum(h_im[j:] * re_tail[j], axis=1, out=im[j])
+        if j:
+            re[j][1:] += (h_im[j:] * h_im[j - 1]).sum(axis=1)
+            im[j] -= (re_tail[j + 1 :] * h_im[j - 1]).sum(axis=1)
+    del h_re, h_im, angle, re_tail  # the pivots read only G
     with np.errstate(over="ignore"):  # a * b overflows past SNR ~1e307
         for k in range(rank):
             # the Schur complement of I + a G at pivot k is I + a B with
             # B = G[k+1:, k+1:] - a / (1 + a G[k, k]) G[k+1:, k] G[k+1:, k]^H,
             # so the recursion runs on B, at the scale of G for any SNR
-            b = np.maximum(g_re[k, k], 0.0)
+            b = np.maximum(re[k][0], 0.0)
             pivot = 1.0 + a * b
             log_pivot = np.log2(pivot)
+            over = np.isinf(pivot) if pivot.max(initial=1.0) == math.inf else None
+            if over is not None:
+                log_pivot[over] = np.log2(b[over]) + math.log2(a)
+            if k == 0:
+                cap = log_pivot
+            else:
+                cap += log_pivot
+            if k == rank - 1:  # no Schur complement is left to read
+                break
             # a semidefinite B with a zero pivot has a zero column there, so
             # whatever roundoff left in that column is dropped, not scaled by a
             scale = np.where(b > 0.0, a / pivot, 0.0)
-            if pivot.max(initial=1.0) == math.inf:
-                over = np.isinf(pivot)
-                log_pivot[over] = np.log2(b[over]) + math.log2(a)
+            if over is not None:
                 scale[over] = 1.0 / b[over]
-            cap += log_pivot
-            col_re, col_im = g_re[k + 1 :, k], g_im[k + 1 :, k]
+            col_re, col_im = re[k][1:], im[k]
             w_re, w_im = scale * col_re, scale * col_im
-            g_re[k + 1 :, k + 1 :] -= w_re[:, None] * col_re + w_im[:, None] * col_im
-            g_im[k + 1 :, k + 1 :] -= w_im[:, None] * col_re - w_re[:, None] * col_im
+            for t, j in enumerate(range(k + 1, rank)):
+                re[j] -= w_re[t:] * col_re[t] + w_im[t:] * col_im[t]
+                im[j] -= w_im[t + 1 :] * col_re[t] - w_re[t + 1 :] * col_im[t]
     return cap
 
 
@@ -384,10 +431,10 @@ def _decode_rounds(
 ) -> np.ndarray:
     """Blocks each message needs on one hop; window + 1 marks outage.
 
-    ``capacity`` maps uniforms of shape (msg, round, rx, tx, [mag, phase])
-    to per-round capacities (msg, round).  Long-term static fading holds one
-    draw for the whole message, so the accumulated rate after n rounds is n
-    times the first round's capacity.  Short-term fading draws afresh each
+    ``capacity`` maps a block of the hop's draws, shape (msg, round, rx, tx,
+    [mag, phase]), to per-round capacities (msg, round).  Long-term static
+    fading holds one draw for the whole message, so the accumulated rate
+    after n rounds is n times the first round's capacity.  Short-term fading draws afresh each
     round; round k's capacities are computed only for the messages still
     short of the target after round k - 1, and added one round at a time,
     so the accumulated rates are the bits of a cumulative sum over rounds.
@@ -411,22 +458,29 @@ def _decode_rounds(
     return rounds
 
 
+def _cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _hop_workers(n_hops: int) -> int:
     """Threads that decode the hops of one run: one per hop, one per core."""
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cores = os.cpu_count() or 1
-    return min(n_hops, cores)
+    return min(n_hops, _cores())
 
 
 def _hop_rounds(config: SimConfig, h: int) -> np.ndarray:
     """Blocks each message needs on hop h; window + 1 marks outage.
 
-    The hop's channel is drawn from its own stream, turned into capacities
-    and decoded in chunks of whole messages, about ``_CHUNK_UNIFORMS``
-    uniforms each.  The rounds come in the narrowest integer dtype that
-    holds window + 1.  Below finite_snr._LOW_SNR a hop with a code rate
+    The hop's channel is drawn from its own stream as raw 64-bit words and
+    decoded in chunks of whole messages, about ``_CHUNK_UNIFORMS`` words
+    each.  Only the words a capacity reads are turned into uniforms
+    (``_uniforms``): the magnitudes alone on a hop with a code rate, and on
+    short-term hops a round's words only for the messages it still decodes.
+    The rounds come in the narrowest integer dtype that holds window + 1.
+    Below finite_snr._LOW_SNR a hop with a code rate
     compares capacity / snr against r m_rx log1p(y) / y, y = m_rx snr, both
     in nats, so a tiny or subnormal SNR decodes at the small-SNR limit the
     analysis reads.  A log-det hop of rank >= 2 has no code rate and
@@ -447,16 +501,18 @@ def _hop_rounds(config: SimConfig, h: int) -> np.ndarray:
         target = scenario.multiplexing_gain * pair.m_rx * (math.log1p(y) / y)
     else:
         target = scenario.multiplexing_gain * _target_base(pair, scenario.snr, math.log2)[1]
-    capacity = partial(
-        _capacities, snr=scenario.snr, m_tx=pair.m_tx, rate=rate, per_snr=per_snr
-    )
+
+    def capacity(words: np.ndarray) -> np.ndarray:
+        u = _uniforms(words, mags_only=rate is not None)
+        return _capacities(u, scenario.snr, pair.m_tx, rate, per_snr)
+
     per_msg = draw_rounds * pair.m_rx * pair.m_tx * 2
     step = max(1, _CHUNK_UNIFORMS // per_msg)
     rounds = np.empty(n_msgs, dtype=np.min_scalar_type(window + 1))
     for start in range(0, n_msgs, step):
         stop = min(start + step, n_msgs)
-        u = _channel_uniforms(rng, stop - start, draw_rounds, pair.m_rx, pair.m_tx)
-        rounds[start:stop] = _decode_rounds(u, capacity, target, window, long_term)
+        words = _channel_words(rng, stop - start, draw_rounds, pair.m_rx, pair.m_tx)
+        rounds[start:stop] = _decode_rounds(words, capacity, target, window, long_term)
     return rounds
 
 
@@ -526,14 +582,10 @@ def _tandem_delays(
     stage's departures are the next stage's arrivals.  The Poisson arrival
     times continue their cumulative sum from the previous chunk's last
     arrival, and ``fill(start, stop, out)`` writes every stage's service
-    times of messages start:stop into out, one row per stage.  One worker
-    thread forms each chunk's inputs, in message order, while this thread
-    reflects the chunk before; its exceptions are raised here, once joined.
-    Delays are summed in one buffer that the next chunk reuses.
+    times of messages start:stop into out, one row per stage.  Each chunk's
+    inputs are formed in message order, by ``_one_ahead``.  Delays are
+    summed in one buffer that the next chunk reuses.
     """
-    # imported here so that loading mharq starts no pool machinery
-    from concurrent.futures import ThreadPoolExecutor
-
     step = min(_TANDEM_CHUNK, n_msgs)
     # chunks alternate between two buffer sets; rows: the arrivals, then
     # each stage's services
@@ -553,20 +605,38 @@ def _tandem_delays(
 
     delay_buffer = np.empty(step)
     states: list[_LindleyState | None] = [None] * n_stages
+    starts = range(0, n_msgs, step)
+    for start, (arrivals, *stage_inputs) in zip(starts, _one_ahead(draw, starts)):
+        delay = delay_buffer[: arrivals.size]
+        delay.fill(0.0)
+        for i, services in enumerate(stage_inputs):
+            sojourn, states[i] = _lindley_chunk(services, arrivals, states[i])
+            sojourn += services
+            delay += sojourn
+            arrivals += sojourn  # departures feed the next stage
+        yield start, delay
+
+
+def _one_ahead(form: Callable[[int], np.ndarray], args: range) -> Iterator[np.ndarray]:
+    """Yields form(arg) for each arg, in order.
+
+    With a second core one worker thread forms each result while the caller
+    works on the one before; its exceptions are raised here, once joined.
+    With one core the thread would only take turns with the caller, so each
+    result is formed inline when it is asked for.
+    """
+    if _cores() == 1:
+        yield from map(form, args)
+        return
+    # imported here so that loading mharq starts no pool machinery
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(1) as worker:
-        ahead = worker.submit(draw, 0)
-        for start in range(0, n_msgs, step):
-            arrivals, *stage_inputs = ahead.result()
-            if start + step < n_msgs:
-                ahead = worker.submit(draw, start + step)
-            delay = delay_buffer[: arrivals.size]
-            delay.fill(0.0)
-            for i, services in enumerate(stage_inputs):
-                sojourn, states[i] = _lindley_chunk(services, arrivals, states[i])
-                sojourn += services
-                delay += sojourn
-                arrivals += sojourn  # departures feed the next stage
-            yield start, delay
+        ahead = worker.submit(form, args[0])
+        for arg in args[1:]:
+            done, ahead = ahead.result(), worker.submit(form, arg)
+            yield done
+        yield ahead.result()
 
 
 def _decode(
@@ -587,7 +657,10 @@ def _decode(
     histograms = tuple(np.zeros(w + 2, dtype=np.int64) for w in windows)
     if config.service_mode == "markovian":
         return DecodeResult(config, (0,) * n_hops, (analyzed,) * n_hops, histograms), (), None
-    # threads, as numpy releases the GIL in the draws and the ufuncs;
+    # threads, as numpy releases the GIL in the draws and the ufuncs, and
+    # one pool thread even on one core: inline on the main thread, glibc
+    # trims the kernel's freed temporaries and a (2,2,2) decode of 2e5
+    # messages takes about 12,000 page faults and a third longer;
     # imported here so that loading mharq starts no pool machinery
     from concurrent.futures import ThreadPoolExecutor
 
@@ -619,14 +692,15 @@ def decode_chain(config: SimConfig) -> DecodeResult:
     A message is outage-dropped at the first hop whose window runs out;
     hop h's attempts are the analyzed messages that no earlier hop dropped.
     One pass over them counts every hop's round histogram, whose last bin
-    is the hop's outage drops.  Each hop's channel is drawn, turned into capacities and
-    decoded in chunks of whole messages, about ``_CHUNK_UNIFORMS`` uniforms
-    each, taken one after another from the hop's stream.  Draws are
-    message-major, so no number depends on the chunk size.  The hops run
+    is the hop's outage drops.  Each hop's channel is drawn, turned into
+    capacities and decoded in chunks of whole messages, about
+    ``_CHUNK_UNIFORMS`` words each, taken one after another from the hop's
+    stream.  Draws are message-major, so no number depends on the chunk
+    size.  The hops run
     concurrently on ``_hop_workers(n_hops)`` threads; each reads only its
     own stream, so no number depends on the worker count.  On short-term
     hops a later round's capacities are computed only for the messages it
-    has not decoded yet; every round's uniforms are still drawn for every
+    has not decoded yet; every round's words are still drawn for every
     message, so the draws, and every number, are those of computing them
     all.  Markovian service has no window to overrun: it draws nothing here.
     """

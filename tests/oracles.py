@@ -21,7 +21,11 @@ on, and compensated_builtin_sum puts it in place of sum() on any Python:
 the window search must keep its bits with that stand-in swapped in.
 The eigenvalue capacity sums log2(1 + snr * lambda / m_tx) over every
 eigenvalue of the receive-side Gram matrix, the route the simulator's
-log-det identity must agree with.  The cumulative-sum decode takes every
+log-det identity must agree with.  The channel uniforms are a hop's draws
+as ``Generator.random`` returns them, and the pivot capacities run the
+LDL^H pivots on the whole (rank, rank) Gram matrices: the simulator, which
+turns raw Philox words into its uniforms and forms only the entries its
+pivots read, must give their bits.  The cumulative-sum decode takes every
 short-term round's capacity for every message, the route the simulator's
 lazy decode must agree with.  The whole-array tandem runs every queueing
 stage's Lindley reflection over all messages at once, the route the
@@ -792,6 +796,73 @@ def summed_rate_capacities(
     if over.any():
         cap[over] = np.log2(frob[over]) + (math.log2(snr) - math.log2(m_tx))
     return rate * cap
+
+
+def channel_uniforms(
+    rng: np.random.Generator, n_msgs: int, rounds: int, m_rx: int, m_tx: int
+) -> np.ndarray:
+    """A hop's block of uniforms, (msg, round, rx, tx, [mag, phase]), from Generator.random."""
+    return rng.random((n_msgs, rounds, m_rx, m_tx, 2))
+
+
+def pivot_capacities(u: np.ndarray, snr: float, m_tx: int) -> np.ndarray:
+    """Log-det capacities of a rank >= 2 hop by the LDL^H pivots of I + a G.
+
+    The rank >= 2 branch of mharq.netsim._capacities as first shipped, kept
+    unchanged: it fills the whole (rank, rank, msg, round) real and
+    imaginary Gram matrices, imaginary diagonal and zero row and column of
+    Im H included, and updates every entry of every Schur complement.
+    """
+    m_rx = u.shape[2]
+    a = snr / m_tx
+    sides = (2, 3) if m_rx <= m_tx else (3, 2)  # rank side first
+    phase = u[..., 1].transpose(*sides, 0, 1)  # in turns
+    mags_sq = np.ascontiguousarray(u[..., 0].transpose(*sides, 0, 1))
+    rank = mags_sq.shape[0]
+    # -log1p(-u) in place
+    np.negative(np.log1p(np.negative(mags_sq, out=mags_sq), out=mags_sq), out=mags_sq)
+    # lower triangle of G, row by row; the upper one is never read
+    g_re = np.zeros((rank, rank) + mags_sq.shape[2:])
+    g_im = np.zeros_like(g_re)
+    diag = np.arange(rank)
+    g_re[diag, diag] = mags_sq.sum(axis=1)
+    h_re = np.sqrt(mags_sq, out=mags_sq)  # |H| now, Re H once turned below
+    # the angle in turns, rounded as cos and sin are cheapest on [-pi, pi]
+    angle = np.subtract(phase[1:, 1:], phase[1:, :1], order="C")
+    angle -= phase[:1, 1:]
+    angle += phase[0, 0]
+    angle -= np.rint(angle)
+    angle *= 2.0 * np.pi
+    h_im = np.zeros_like(h_re)
+    np.multiply(h_re[1:, 1:], np.sin(angle), out=h_im[1:, 1:])
+    h_re[1:, 1:] *= np.cos(angle, out=angle)
+    for i in range(1, rank):
+        re, im = h_re[:i], h_im[:i]
+        g_re[i, :i] = (h_re[i] * re).sum(axis=1) + (h_im[i] * im).sum(axis=1)
+        g_im[i, :i] = (h_im[i] * re).sum(axis=1) - (h_re[i] * im).sum(axis=1)
+    del h_re, h_im, angle, re, im  # the pivots read only G
+    cap = np.zeros(g_re.shape[2:])
+    with np.errstate(over="ignore"):  # a * b overflows past SNR ~1e307
+        for k in range(rank):
+            # the Schur complement of I + a G at pivot k is I + a B with
+            # B = G[k+1:, k+1:] - a / (1 + a G[k, k]) G[k+1:, k] G[k+1:, k]^H,
+            # so the recursion runs on B, at the scale of G for any SNR
+            b = np.maximum(g_re[k, k], 0.0)
+            pivot = 1.0 + a * b
+            log_pivot = np.log2(pivot)
+            # a semidefinite B with a zero pivot has a zero column there, so
+            # whatever roundoff left in that column is dropped, not scaled by a
+            scale = np.where(b > 0.0, a / pivot, 0.0)
+            if pivot.max(initial=1.0) == math.inf:
+                over = np.isinf(pivot)
+                log_pivot[over] = np.log2(b[over]) + math.log2(a)
+                scale[over] = 1.0 / b[over]
+            cap += log_pivot
+            col_re, col_im = g_re[k + 1 :, k], g_im[k + 1 :, k]
+            w_re, w_im = scale * col_re, scale * col_im
+            g_re[k + 1 :, k + 1 :] -= w_re[:, None] * col_re + w_im[:, None] * col_im
+            g_im[k + 1 :, k + 1 :] -= w_im[:, None] * col_re - w_re[:, None] * col_im
+    return cap
 
 
 def cumsum_decode_rounds(

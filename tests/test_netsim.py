@@ -39,8 +39,10 @@ from mharq.netsim import (
 )
 from mharq.tradeoff import AntennaPair, ChannelAssumption, FixedArq, Topology
 from oracles import (
+    channel_uniforms,
     cumsum_decode_rounds,
     eigvalsh_capacities,
+    pivot_capacities,
     summed_rate_capacities,
     whole_array_tandem,
 )
@@ -104,6 +106,38 @@ def test_random_source_keys_every_64_bit_seed_apart(seed):
     assert key.tolist() == [seed, 1]
 
 
+@pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
+def test_raw_words_turn_into_generator_uniforms(seed):
+    # the channel draws raw Philox words and turns them into the doubles
+    # Generator.random gives; if numpy changes either side, every simulated
+    # channel moves, so this fails first and names the numpy in use
+    why = f"numpy {np.__version__}: random_raw words no longer give Generator.random"
+    drawn = RandomSource(seed).stream(1)
+    raw = RandomSource(seed).stream(1).bit_generator
+    # odd sizes leave Philox's 4-word block part-read between calls
+    for size in (1, 3, 5, 2, 7, 11, 1001):
+        want = drawn.random(size)
+        got = (raw.random_raw(size) >> 11) * 2.0**-53
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), why
+    # both draw from one buffer: words after a part-read block continue
+    # where uniforms stopped, and the other way round
+    mixed = RandomSource(seed).stream(1)
+    whole = RandomSource(seed).stream(1).random(3 + 6 + 5)
+    head = mixed.random(3)
+    mid = (mixed.bit_generator.random_raw(6) >> 11) * 2.0**-53
+    tail = mixed.random(5)
+    assert np.array_equal(np.concatenate([head, mid, tail]), whole), why
+    # netsim._uniforms forms them in place, every slot or the magnitudes only
+    shape = (5, 3, 2, 3, 2)
+    want = RandomSource(seed).stream(2).random(shape)
+    for mags_only in (False, True):
+        words = netsim._channel_words(RandomSource(seed).stream(2), *shape[:4])
+        got = netsim._uniforms(words, mags_only)
+        assert np.shares_memory(got, words)
+        read = (..., 0) if mags_only else ...
+        assert np.array_equal(got[read].view(np.int64), want[read].view(np.int64)), why
+
+
 def test_rerun_is_bit_identical():
     cfg = config(message_count=3000)
     first = run_network_sim(cfg)
@@ -138,13 +172,13 @@ def test_chunked_draws_match_one_chunk(
         code_model=code_model,
     )
     sizes = []
-    draw = netsim._channel_uniforms
+    draw = netsim._channel_words
 
     def recording_draw(rng, n_msgs, *shape):
         sizes.append(n_msgs)
         return draw(rng, n_msgs, *shape)
 
-    monkeypatch.setattr(netsim, "_channel_uniforms", recording_draw)
+    monkeypatch.setattr(netsim, "_channel_words", recording_draw)
     monkeypatch.setattr(netsim, "_CHUNK_UNIFORMS", 1 << 40)
     whole = run_network_sim(cfg)
     assert sizes == [1001] * len(windows)
@@ -334,6 +368,32 @@ def test_hop_workers_do_not_change_results(
     assert all(pooled.per_hop_outage_drops)
 
 
+@pytest.mark.parametrize("case", ["markov-4stage", "physical-4stage"])
+def test_one_core_forms_each_chunk_inline(monkeypatch, case):
+    # with one core the look-ahead worker would only take turns with the
+    # calling thread, so it does not start, and every bit stays; a physical
+    # run's decode stage still starts its one pool thread (see _decode)
+    monkeypatch.setattr(netsim, "_TANDEM_CHUNK", 1000)
+    cfg = config(message_count=3500, warmup_count=1200, seed=4, **TANDEM_CASES[case])
+    pool_threads = 1 if cfg.service_mode == "physical" else 0
+    started = []
+    start = threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    monkeypatch.setattr(netsim, "_cores", lambda: 2)
+    two_cores = run_network_sim(cfg)
+    assert len(started) == 2 * pool_threads + 1
+    started.clear()
+    monkeypatch.setattr(netsim, "_cores", lambda: 1)
+    one_core = run_network_sim(cfg)
+    assert len(started) == pool_threads
+    assert_same_result(one_core, two_cores)
+
+
 class _FixedUniforms:
     """Stands in for a generator whose next draws are known."""
 
@@ -385,7 +445,7 @@ CAPACITY_SHAPES = [(r, t) for r in range(1, 5) for t in range(1, 5)] + [
 )
 def test_capacities_match_eigenvalue_oracle(m_rx, m_tx, rounds):
     rng = RandomSource(11).stream(10 * m_rx + m_tx)
-    u = netsim._channel_uniforms(rng, 500, rounds, m_rx, m_tx)
+    u = channel_uniforms(rng, 500, rounds, m_rx, m_tx)
     for snr in (0.5, 10.0, 1000.0):
         got = capacities(u, snr, m_tx)
         want = eigvalsh_capacities(u, snr, 1.0, m_tx, "logdet")
@@ -407,7 +467,7 @@ def test_capacities_match_eigenvalue_oracle(m_rx, m_tx, rounds):
 
 @pytest.mark.parametrize("m_rx, m_tx", [(2, 2), (3, 4), (4, 4), (8, 8), (6, 3)])
 def test_capacities_past_the_overflowing_snr(monkeypatch, m_rx, m_tx):
-    u = netsim._channel_uniforms(
+    u = channel_uniforms(
         RandomSource(11).stream(10 * m_rx + m_tx), 500, 3, m_rx, m_tx
     )
     # the rank >= 2 kernel calls math.log2 only on pivots whose a * b overflows
@@ -431,7 +491,7 @@ def test_capacities_past_the_overflowing_snr(monkeypatch, m_rx, m_tx):
 
 @pytest.mark.parametrize("m_rx, m_tx, rate", [(1, 4, 1.0), (3, 1, 1.0), (2, 2, 0.75)])
 def test_capacities_per_unit_snr(m_rx, m_tx, rate):
-    u = netsim._channel_uniforms(RandomSource(5).stream(1), 500, 2, m_rx, m_tx)
+    u = channel_uniforms(RandomSource(5).stream(1), 500, 2, m_rx, m_tx)
     u[0, 0, :, :, 0] = 0.0  # ||H||^2 = 0: log1p(z) / z is 1 there
     # the rate per unit snr, in nats, is the rate in bits times ln 2 / snr;
     # at snr 1e-3 the bits lose about 1e-12 of z = snr ||H||^2 / m_tx to 1 + z
@@ -452,7 +512,7 @@ def test_capacities_per_unit_snr(m_rx, m_tx, rate):
 def test_rate_capacities_keep_numpys_sum_bits(m_rx, m_tx, rounds):
     # below 8 entries ||H||^2 is folded over the entry columns, in numpy's
     # own order; from 8 on numpy sums in pairs, and a fold moves the bits
-    u = netsim._channel_uniforms(
+    u = channel_uniforms(
         RandomSource(13).stream(10 * m_rx + m_tx), 500, rounds, m_rx, m_tx
     )
     for snr in (10.0, 1e300):
@@ -503,7 +563,7 @@ def test_capacities_of_a_singular_channel_stay_finite(m_rx, m_tx):
     # three equal rows on the rank side make G singular: the exact pivots
     # after the first sit at their bound, and at high SNR roundoff would
     # push them below it or blow up the Schur steps that follow
-    u = netsim._channel_uniforms(RandomSource(3).stream(1), 2000, 2, m_rx, m_tx)
+    u = channel_uniforms(RandomSource(3).stream(1), 2000, 2, m_rx, m_tx)
     if m_rx <= m_tx:
         u[:, :, 1:3] = u[:, :, :1]
     else:
@@ -513,6 +573,101 @@ def test_capacities_of_a_singular_channel_stay_finite(m_rx, m_tx):
             caps = capacities(u, snr, m_tx)
         assert np.isfinite(caps).all()
         assert (caps >= 0.0).all()
+
+
+# the SNRs past which a * b overflows in test_capacities_past_the_overflowing_snr
+OVERFLOW_SNRS = (1e300, 1e306, 1e308)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rank=st.integers(2, 8),
+    other=st.integers(2, 8),
+    rank_side=st.sampled_from(["rx", "tx"]),
+    n_msgs=st.integers(1, 40),
+    rounds=st.integers(1, 3),
+    seed=st.integers(0, 2**64 - 1),
+    zeros=st.sampled_from(["none", "some", "row", "all"]),
+    snr=st.one_of(st.floats(1e-3, 1e300), st.sampled_from(OVERFLOW_SNRS)),
+)
+# a lone message whose other side has 8 antennas: numpy sums its rows of 8
+# in pairs, not left to right, and these move a bit if its zero column goes
+@example(rank=4, other=8, rank_side="tx", n_msgs=1, rounds=1, seed=6, zeros="none", snr=10.0)
+@example(rank=7, other=8, rank_side="rx", n_msgs=1, rounds=1, seed=0, zeros="none", snr=1e5)
+@example(rank=3, other=8, rank_side="tx", n_msgs=1, rounds=1, seed=1, zeros="some", snr=1e308)
+# singular channels at the overflowing SNRs
+@example(rank=8, other=8, rank_side="tx", n_msgs=40, rounds=3, seed=3, zeros="some", snr=1e308)
+@example(rank=4, other=6, rank_side="rx", n_msgs=7, rounds=2, seed=4, zeros="row", snr=1e306)
+@example(rank=2, other=2, rank_side="tx", n_msgs=5, rounds=1, seed=5, zeros="all", snr=1e300)
+def test_pivot_kernel_keeps_the_full_matrix_bits(
+    rank, other, rank_side, n_msgs, rounds, seed, zeros, snr
+):
+    # the kernel forms only the entries its pivots read; every message must
+    # keep the bits of the full (rank, rank) matrices
+    other = max(other, rank)
+    m_rx, m_tx = (rank, other) if rank_side == "rx" else (other, rank)
+    source = RandomSource(seed)
+    u = channel_uniforms(source.stream(1), n_msgs, rounds, m_rx, m_tx)
+    mags = u[..., 0]
+    if zeros == "some":  # zero magnitudes
+        mags[source.stream(2).random(mags.shape) < 0.3] = 0.0
+    elif zeros == "row":  # a zero row on the rank side: G is singular
+        (mags[:, :, 1] if rank_side == "rx" else mags[:, :, :, 1])[...] = 0.0
+    elif zeros == "all":
+        mags[...] = 0.0
+    with np.errstate(all="raise"):
+        got = netsim._capacities(u, snr, m_tx, None)
+        want = pivot_capacities(u, snr, m_tx)
+    assert got.shape == (n_msgs, rounds)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# perfbench's sim-physical classes: antennas, windows, channel, code model,
+# messages (perfbench/workloads.py, PHYSICAL_SIMS)
+PHYSICAL_SIMS = [
+    ((4, 1, 3), (2, 3), LT, "logdet", 200_000),
+    ((4, 4, 4), (3, 3), ST, "logdet", 50_000),
+    ((4, 4, 4), (3, 3), ST, "ostbc", 200_000),
+    ((4, 1, 3), (2, 3), LT, "ostbc", 1_000_000),
+]
+
+
+@pytest.mark.parametrize(
+    "antennas, windows, channel, code_model, messages",
+    PHYSICAL_SIMS,
+    ids=["logdet-lt", "logdet-st", "ostbc-st", "ostbc-lt"],
+)
+def test_hop_rounds_keep_the_bits_of_uniform_draws(
+    monkeypatch, antennas, windows, channel, code_model, messages
+):
+    # each hop's rounds from raw words turned only where read, and from the
+    # pivot kernel that forms only what it reads, are those of drawing every
+    # uniform through Generator.random into the full-matrix kernel
+    cfg = config(
+        topology=Topology(list(antennas)),
+        protocol=FixedArq(list(windows)),
+        channel=channel,
+        scenario=scenario(snr=10.0, lam=10.0, deadline=25.0),
+        message_count=messages,
+        seed=17,
+        code_model=code_model,
+    )
+    n_hops = len(windows)
+    got = [netsim._hop_rounds(cfg, h) for h in range(n_hops)]
+    kernel = netsim._capacities
+
+    def full_matrix_kernel(u, snr, m_tx, rate, per_snr):
+        if rate is None:
+            return pivot_capacities(u, snr, m_tx)
+        return kernel(u, snr, m_tx, rate, per_snr)
+
+    monkeypatch.setattr(netsim, "_channel_words", channel_uniforms)
+    monkeypatch.setattr(netsim, "_uniforms", lambda u, mags_only: u)
+    monkeypatch.setattr(netsim, "_capacities", full_matrix_kernel)
+    want = [netsim._hop_rounds(cfg, h) for h in range(n_hops)]
+    for ours, theirs in zip(got, want):
+        assert ours.dtype == theirs.dtype
+        assert np.array_equal(ours, theirs)
 
 
 HOP_SHAPES = [  # (m_rx, m_tx, channel)
@@ -528,7 +683,7 @@ def test_decode_rounds_agree_with_eigenvalue_oracle(m_rx, m_tx, channel):
     long_term = channel is LT
     target = math.log2(1.0 + m_rx * snr)
     rng = RandomSource(5).stream(10 * m_rx + m_tx)
-    u = netsim._channel_uniforms(
+    u = channel_uniforms(
         rng, 20_000, 1 if long_term else window, m_rx, m_tx
     )
     got = netsim._decode_rounds(
@@ -566,7 +721,7 @@ def test_lazy_short_term_decode_matches_cumulative_sum(
 ):
     snr, n = 10.0, 20_000
     target = r * math.log2(1.0 + m_rx * snr)
-    u = netsim._channel_uniforms(
+    u = channel_uniforms(
         RandomSource(9).stream(10 * m_rx + m_tx), n, window, m_rx, m_tx
     )
     sizes = []
@@ -828,10 +983,31 @@ def test_physical_run_memory_per_message():
 
 def test_rank_two_capacity_chunk_working_set():
     # one chunk of _CHUNK_UNIFORMS uniforms on a long-term 2 x 2 hop is
-    # 16,384 messages, 1 MiB of uniforms
-    u = netsim._channel_uniforms(RandomSource(1).stream(1), 16_384, 1, 2, 2)
+    # 16,384 messages, 1 MiB of uniforms; the kernel's traced peak read
+    # 2,232,796 bytes on numpy 2.4, and the bound leaves 10 % above it
+    u = channel_uniforms(RandomSource(1).stream(1), 16_384, 1, 2, 2)
     peak = traced_peak(lambda: netsim._capacities(u, 10.0, 2, None))
-    assert peak <= 4.5e6
+    assert peak <= 2.45e6
+
+
+def test_rank_four_short_term_chunk_working_set():
+    # one chunk on a short-term 4 x 4 hop at window 3 is 1,365 messages,
+    # 1 MiB of words; at rate 2 some messages need a second round.  Its
+    # words, the rows a round reads and the kernel peaked at 2,135,910
+    # traced bytes on numpy 2.4, and the bound leaves 10 % above them
+    cfg = config(
+        topology=Topology([4, 4]),
+        protocol=FixedArq([3]),
+        channel=ST,
+        scenario=scenario(snr=10.0, r=2.0),
+        message_count=1365,
+        seed=1,
+        code_model="logdet",
+    )
+    assert netsim._CHUNK_UNIFORMS // (3 * 4 * 4 * 2) == 1365
+    peak = traced_peak(lambda: netsim._hop_rounds(cfg, 0))
+    assert 0 < np.count_nonzero(netsim._hop_rounds(cfg, 0) > 1) < 1365
+    assert peak <= 2.35e6
 
 
 # ---------------------------------------------------------------------------
