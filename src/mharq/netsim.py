@@ -21,10 +21,9 @@ services and the Lindley reflection of every stage run over chunks of
 ``_TANDEM_CHUNK`` messages, and each stage carries its queue state from one
 chunk to the next, so every sum is formed from the same operands in the
 same order as over whole arrays and no number depends on the chunk size.
-With a second core a worker thread forms the arrivals and services one
-chunk ahead, into the idle one of two buffers per stream, while the Lindley
-reflections of the chunk before run; with one core they are formed inline.
-Either way one thread at a time reads the streams, in message order, so no
+A worker thread forms the arrivals and services one chunk ahead, into the
+idle one of two buffers per stream, while the Lindley reflections of the
+chunk before run; it alone reads the streams, in message order, so no
 number depends on the core count.
 
 A run has two stages.  The decode stage (``decode_chain``) draws and
@@ -262,7 +261,7 @@ class SimResult(DecodeResult):
 def _channel_words(
     rng: np.random.Generator, n_msgs: int, rounds: int, m_rx: int, m_tx: int
 ) -> np.ndarray:
-    """Fixed per-message block of raw 64-bit words: (msg, round, rx, tx, [mag, phase])."""
+    """Fixed per-message block of raw words: (msg, round, rx, tx, [mag, phase])."""
     return rng.bit_generator.random_raw((n_msgs, rounds, m_rx, m_tx, 2))
 
 
@@ -313,7 +312,7 @@ def _capacities(
       exp(-i (phi_0k - phi_00)).  G goes to a unitary similarity of itself,
       so det(I + a G) does not move, and row 0 and column 0 turn real:
       only (rank - 1) * (other side - 1) angles need a cosine and a sine,
-      and the imaginary parts of row 0 and column 0 enter no product.
+      and the imaginary part of row 0 enters no product.
     - Only what the pivots read is formed: G's lower triangle, one vector
       per entry, column by column, and no imaginary diagonal.  Each entry
       is a sum of real and imaginary vector products, and the LDL^H pivot
@@ -376,22 +375,17 @@ def _capacities(
     angle += phase[0, 0]
     angle -= np.rint(angle)
     angle *= 2.0 * np.pi
-    # Im H off row 0 and from column c on; the turn made row 0 and column 0
-    # exactly 0.  Numpy sums a row of products from 0 left to right, where a
-    # zero adds no bit, except a lone message's row of 8, which it sums in
-    # pairs: that one keeps its zero in column 0 to pair as it always has
-    c = 1 if math.prod(batch) > 1 or n_other < 8 else 0
-    h_im = np.zeros((rank - 1, n_other - c, *batch))
-    np.multiply(h_re[1:, 1:], np.sin(angle), out=h_im[:, 1 - c :])
+    # Im H off row 0, which the turn made exactly 0; column 0 is 0 too
+    h_im = np.zeros((rank - 1, n_other, *batch))
+    np.multiply(h_re[1:, 1:], np.sin(angle), out=h_im[:, 1:])
     h_re[1:, 1:] *= np.cos(angle, out=angle)
-    re_tail = h_re[:, c:]
     for j in range(rank - 1):
         np.sum(h_re[j + 1 :] * h_re[j], axis=1, out=re[j][1:])
-        np.sum(h_im[j:] * re_tail[j], axis=1, out=im[j])
+        np.sum(h_im[j:] * h_re[j], axis=1, out=im[j])
         if j:
             re[j][1:] += (h_im[j:] * h_im[j - 1]).sum(axis=1)
-            im[j] -= (re_tail[j + 1 :] * h_im[j - 1]).sum(axis=1)
-    del h_re, h_im, angle, re_tail  # the pivots read only G
+            im[j] -= (h_re[j + 1 :] * h_im[j - 1]).sum(axis=1)
+    del h_re, h_im, angle  # the pivots read only G
     with np.errstate(over="ignore"):  # a * b overflows past SNR ~1e307
         for k in range(rank):
             # the Schur complement of I + a G at pivot k is I + a B with
@@ -434,10 +428,11 @@ def _decode_rounds(
     ``capacity`` maps a block of the hop's draws, shape (msg, round, rx, tx,
     [mag, phase]), to per-round capacities (msg, round).  Long-term static
     fading holds one draw for the whole message, so the accumulated rate
-    after n rounds is n times the first round's capacity.  Short-term fading draws afresh each
-    round; round k's capacities are computed only for the messages still
-    short of the target after round k - 1, and added one round at a time,
-    so the accumulated rates are the bits of a cumulative sum over rounds.
+    after n rounds is n times the first round's capacity.  Short-term
+    fading draws afresh each round; round k's capacities are computed only
+    for the messages still short of the target after round k - 1, and
+    added one round at a time, so the accumulated rates are the bits of a
+    cumulative sum over rounds.
     """
     if long_term:
         c = capacity(u)[:, 0]
@@ -458,17 +453,13 @@ def _decode_rounds(
     return rounds
 
 
-def _cores() -> int:
-    """Cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _hop_workers(n_hops: int) -> int:
     """Threads that decode the hops of one run: one per hop, one per core."""
-    return min(n_hops, _cores())
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    return min(n_hops, cores)
 
 
 def _hop_rounds(config: SimConfig, h: int) -> np.ndarray:
@@ -480,12 +471,12 @@ def _hop_rounds(config: SimConfig, h: int) -> np.ndarray:
     (``_uniforms``): the magnitudes alone on a hop with a code rate, and on
     short-term hops a round's words only for the messages it still decodes.
     The rounds come in the narrowest integer dtype that holds window + 1.
-    Below finite_snr._LOW_SNR a hop with a code rate
-    compares capacity / snr against r m_rx log1p(y) / y, y = m_rx snr, both
-    in nats, so a tiny or subnormal SNR decodes at the small-SNR limit the
-    analysis reads.  A log-det hop of rank >= 2 has no code rate and
-    compares bits at every SNR, against the log of the base that its outage
-    reference reads too (finite_snr._target_base).
+    Below finite_snr._LOW_SNR a hop with a code rate compares capacity /
+    snr against r m_rx log1p(y) / y, y = m_rx snr, both in nats, so a tiny
+    or subnormal SNR decodes at the small-SNR limit the analysis reads.  A
+    log-det hop of rank >= 2 has no code rate and compares bits at every
+    SNR, against the log of the base that its outage reference reads too
+    (finite_snr._target_base).
     """
     pair = config.topology.hop(h)
     window = config.protocol.windows[h]
@@ -582,10 +573,14 @@ def _tandem_delays(
     stage's departures are the next stage's arrivals.  The Poisson arrival
     times continue their cumulative sum from the previous chunk's last
     arrival, and ``fill(start, stop, out)`` writes every stage's service
-    times of messages start:stop into out, one row per stage.  Each chunk's
-    inputs are formed in message order, by ``_one_ahead``.  Delays are
-    summed in one buffer that the next chunk reuses.
+    times of messages start:stop into out, one row per stage.  One worker
+    thread forms each chunk's inputs, in message order, while this thread
+    reflects the chunk before; its exceptions are raised here, once joined.
+    Delays are summed in one buffer that the next chunk reuses.
     """
+    # imported here so that loading mharq starts no pool machinery
+    from concurrent.futures import ThreadPoolExecutor
+
     step = min(_TANDEM_CHUNK, n_msgs)
     # chunks alternate between two buffer sets; rows: the arrivals, then
     # each stage's services
@@ -605,38 +600,20 @@ def _tandem_delays(
 
     delay_buffer = np.empty(step)
     states: list[_LindleyState | None] = [None] * n_stages
-    starts = range(0, n_msgs, step)
-    for start, (arrivals, *stage_inputs) in zip(starts, _one_ahead(draw, starts)):
-        delay = delay_buffer[: arrivals.size]
-        delay.fill(0.0)
-        for i, services in enumerate(stage_inputs):
-            sojourn, states[i] = _lindley_chunk(services, arrivals, states[i])
-            sojourn += services
-            delay += sojourn
-            arrivals += sojourn  # departures feed the next stage
-        yield start, delay
-
-
-def _one_ahead(form: Callable[[int], np.ndarray], args: range) -> Iterator[np.ndarray]:
-    """Yields form(arg) for each arg, in order.
-
-    With a second core one worker thread forms each result while the caller
-    works on the one before; its exceptions are raised here, once joined.
-    With one core the thread would only take turns with the caller, so each
-    result is formed inline when it is asked for.
-    """
-    if _cores() == 1:
-        yield from map(form, args)
-        return
-    # imported here so that loading mharq starts no pool machinery
-    from concurrent.futures import ThreadPoolExecutor
-
     with ThreadPoolExecutor(1) as worker:
-        ahead = worker.submit(form, args[0])
-        for arg in args[1:]:
-            done, ahead = ahead.result(), worker.submit(form, arg)
-            yield done
-        yield ahead.result()
+        ahead = worker.submit(draw, 0)
+        for start in range(0, n_msgs, step):
+            arrivals, *stage_inputs = ahead.result()
+            if start + step < n_msgs:
+                ahead = worker.submit(draw, start + step)
+            delay = delay_buffer[: arrivals.size]
+            delay.fill(0.0)
+            for i, services in enumerate(stage_inputs):
+                sojourn, states[i] = _lindley_chunk(services, arrivals, states[i])
+                sojourn += services
+                delay += sojourn
+                arrivals += sojourn  # departures feed the next stage
+            yield start, delay
 
 
 def _decode(
@@ -696,13 +673,13 @@ def decode_chain(config: SimConfig) -> DecodeResult:
     capacities and decoded in chunks of whole messages, about
     ``_CHUNK_UNIFORMS`` words each, taken one after another from the hop's
     stream.  Draws are message-major, so no number depends on the chunk
-    size.  The hops run
-    concurrently on ``_hop_workers(n_hops)`` threads; each reads only its
-    own stream, so no number depends on the worker count.  On short-term
-    hops a later round's capacities are computed only for the messages it
-    has not decoded yet; every round's words are still drawn for every
-    message, so the draws, and every number, are those of computing them
-    all.  Markovian service has no window to overrun: it draws nothing here.
+    size.  The hops run concurrently on ``_hop_workers(n_hops)`` threads;
+    each reads only its own stream, so no number depends on the worker
+    count.  On short-term hops a later round's capacities are computed only
+    for the messages it has not decoded yet; every round's words are still
+    drawn for every message, so the draws, and every number, are those of
+    computing them all.  Markovian service has no window to overrun: it
+    draws nothing here.
     """
     return _decode(config)[0]
 

@@ -368,32 +368,6 @@ def test_hop_workers_do_not_change_results(
     assert all(pooled.per_hop_outage_drops)
 
 
-@pytest.mark.parametrize("case", ["markov-4stage", "physical-4stage"])
-def test_one_core_forms_each_chunk_inline(monkeypatch, case):
-    # with one core the look-ahead worker would only take turns with the
-    # calling thread, so it does not start, and every bit stays; a physical
-    # run's decode stage still starts its one pool thread (see _decode)
-    monkeypatch.setattr(netsim, "_TANDEM_CHUNK", 1000)
-    cfg = config(message_count=3500, warmup_count=1200, seed=4, **TANDEM_CASES[case])
-    pool_threads = 1 if cfg.service_mode == "physical" else 0
-    started = []
-    start = threading.Thread.start
-
-    def recording_start(thread):
-        started.append(thread.name)
-        start(thread)
-
-    monkeypatch.setattr(threading.Thread, "start", recording_start)
-    monkeypatch.setattr(netsim, "_cores", lambda: 2)
-    two_cores = run_network_sim(cfg)
-    assert len(started) == 2 * pool_threads + 1
-    started.clear()
-    monkeypatch.setattr(netsim, "_cores", lambda: 1)
-    one_core = run_network_sim(cfg)
-    assert len(started) == pool_threads
-    assert_same_result(one_core, two_cores)
-
-
 class _FixedUniforms:
     """Stands in for a generator whose next draws are known."""
 
@@ -590,11 +564,6 @@ OVERFLOW_SNRS = (1e300, 1e306, 1e308)
     zeros=st.sampled_from(["none", "some", "row", "all"]),
     snr=st.one_of(st.floats(1e-3, 1e300), st.sampled_from(OVERFLOW_SNRS)),
 )
-# a lone message whose other side has 8 antennas: numpy sums its rows of 8
-# in pairs, not left to right, and these move a bit if its zero column goes
-@example(rank=4, other=8, rank_side="tx", n_msgs=1, rounds=1, seed=6, zeros="none", snr=10.0)
-@example(rank=7, other=8, rank_side="rx", n_msgs=1, rounds=1, seed=0, zeros="none", snr=1e5)
-@example(rank=3, other=8, rank_side="tx", n_msgs=1, rounds=1, seed=1, zeros="some", snr=1e308)
 # singular channels at the overflowing SNRs
 @example(rank=8, other=8, rank_side="tx", n_msgs=40, rounds=3, seed=3, zeros="some", snr=1e308)
 @example(rank=4, other=6, rank_side="rx", n_msgs=7, rounds=2, seed=4, zeros="row", snr=1e306)
